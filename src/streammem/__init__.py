@@ -8,18 +8,18 @@ snapshots at any time, independent of how many frames have streamed past.
 
 from .model import (
     BANK_ORDER,
+    ConcurrentWriteError,
     ConfigError,
     FrameFeature,
     MemoryConfig,
     MemorySnapshot,
-    MemoryState,
     ShapeError,
     WarmupError,
     default_config,
     max_tokens,
     validate_config,
 )
-from .pooling import average_pool, buffer_push
+from .pooling import average_pool
 from .clustering import ClusterState, temporal_update, weighted_kmeans
 from .attention import (
     AttentionGrads,
@@ -55,16 +55,15 @@ __all__ = [
     "ConfigError",
     "ShapeError",
     "WarmupError",
+    "ConcurrentWriteError",
     "StreamFormatError",
     "FrameFeature",
     "MemoryConfig",
-    "MemoryState",
     "MemorySnapshot",
     "default_config",
     "max_tokens",
     "validate_config",
     "average_pool",
-    "buffer_push",
     "ClusterState",
     "weighted_kmeans",
     "temporal_update",

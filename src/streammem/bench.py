@@ -13,7 +13,6 @@ import itertools
 import statistics
 import time
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,12 +154,11 @@ def bench_latency(
     n_scenes: int = 4,
     noise_rel: float = 0.05,
     keep_all: bool = False,
-    reader_threads: int = 4,
 ) -> BenchReport:
     """Ingest a synthetic stream, pausing at each frame count to time reads.
 
-    At each count, queries_per_point reads run on a small thread pool while
-    wall times are recorded per read; the row keeps the median and 95th
+    At each count, queries_per_point reads run one after another on the
+    calling thread, each timed on its own; the row keeps the median and 95th
     percentile. keep_all swaps the engine for the no-compression baseline.
     Timing columns vary run to run; every other column is seed-deterministic.
     """
@@ -188,34 +186,31 @@ def bench_latency(
     rows = []
     done = 0
     frames = iter(stream)
-    with ThreadPoolExecutor(max_workers=max(1, reader_threads)) as pool:
-        for count in counts:
-            segment = count - done
-            t0 = time.perf_counter()
-            while done < count:
-                sink.ingest_frame(next(frames))
-                done += 1
-            ingest_s = time.perf_counter() - t0
-            read_ms = list(
-                pool.map(lambda _: timed_read(), range(queries_per_point))
+    for count in counts:
+        segment = count - done
+        t0 = time.perf_counter()
+        while done < count:
+            sink.ingest_frame(next(frames))
+            done += 1
+        ingest_s = time.perf_counter() - t0
+        read_ms = [timed_read() for _ in range(queries_per_point)]
+        if keep_all:
+            bank = sink.bank_token_count()
+        else:
+            bank = sink.read_snapshot().token_count
+        rows.append(
+            BenchRow(
+                mode=mode,
+                frames=count,
+                queries=queries_per_point,
+                median_read_ms=statistics.median(read_ms),
+                p95_read_ms=float(np.percentile(read_ms, 95)),
+                ingest_fps=segment / ingest_s if ingest_s > 0 else float("inf"),
+                bank_tokens=bank,
+                resident_tokens=sink.resident_token_count(),
+                rss_mb=_rss_mb(),
             )
-            if keep_all:
-                bank = sink.bank_token_count()
-            else:
-                bank = sink.read_snapshot().token_count
-            rows.append(
-                BenchRow(
-                    mode=mode,
-                    frames=count,
-                    queries=queries_per_point,
-                    median_read_ms=statistics.median(read_ms),
-                    p95_read_ms=float(np.percentile(read_ms, 95)),
-                    ingest_fps=segment / ingest_s if ingest_s > 0 else float("inf"),
-                    bank_tokens=bank,
-                    resident_tokens=sink.resident_token_count(),
-                    rss_mb=_rss_mb(),
-                )
-            )
+        )
     return BenchReport(rows=tuple(rows))
 
 

@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 import time
+from collections import deque
 from pathlib import Path
 
 from .attention import load_attention_params
@@ -130,7 +131,7 @@ def _cmd_replay(args) -> int:
                 f"triplet {i} must be an object with 'id' and 'frame_timestamp'"
             )
         queries.append((int(item["frame_timestamp"]), str(item["id"])))
-    queries.sort(key=lambda q: q[0])
+    queries = deque(sorted(queries, key=lambda q: q[0]))
 
     header, frames = open_stream(args.stream)
     engine = _make_engine(args, header.dim)
@@ -140,7 +141,7 @@ def _cmd_replay(args) -> int:
 
         def flush_due(now: int) -> None:
             while queries and queries[0][0] <= now:
-                ts, qid = queries.pop(0)
+                ts, qid = queries.popleft()
                 result = engine.query_at(qid, ts)
                 handle.write(
                     f"{qid},{ts},{result.snapshot.version},"
@@ -244,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="latency/footprint bench across frame counts")
     p.add_argument("--frames", default="1000,10000", help="comma-separated frame counts")
-    p.add_argument("--queries", type=int, default=32, help="concurrent reads per count")
+    p.add_argument("--queries", type=int, default=32, help="timed reads per count")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--dim", type=int, default=32, help="token dimension of the synthetic stream")
     p.add_argument("--keep-all", action="store_true", help="also run the no-compression baseline")

@@ -1,15 +1,17 @@
 """Single-writer memory engine with wait-free versioned snapshot reads.
 
 Write path per frame, in order, each step seeing the previous step's output
-for the same frame: FIFO buffer push, spatial view, temporal clustering,
-abstract attention, key-frame retrieval. After all five the writer publishes
-a fresh immutable snapshot by swapping one reference, so readers never
-observe a half-written state and never block the writer.
+for the same frame: temporal clustering, abstract attention, FIFO buffer
+write, key-frame retrieval. After all four the writer publishes a fresh
+immutable snapshot by swapping one reference, so readers never observe a
+half-written state and never block the writer.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -17,16 +19,16 @@ from .attention import AttentionParams, abstract_update
 from .clustering import ClusterState, temporal_update
 from .model import (
     BANK_ORDER,
+    ConcurrentWriteError,
     FrameFeature,
     MemoryConfig,
     MemorySnapshot,
-    MemoryState,
     ShapeError,
     default_config,
     max_tokens,
     validate_config,
 )
-from .pooling import average_pool, buffer_push
+from .pooling import average_pool
 from .retrieval import retrieve_key_features
 
 __all__ = ["MemoryEngine", "QueryResult"]
@@ -65,9 +67,11 @@ def _empty_snapshot(dim: int) -> MemorySnapshot:
 class MemoryEngine:
     """Bounded-budget streaming memory over frame features.
 
-    Exactly one writer may call ingest_frame; any number of threads may call
-    read_snapshot / query_at concurrently at any time. Reads cost O(1) in the
-    number of frames ever ingested: they return the already-built snapshot.
+    Exactly one writer may call ingest_frame at a time; a second writer that
+    enters while the first is inside gets ConcurrentWriteError. Any number of
+    threads may call read_snapshot / query_at concurrently at any time. Reads
+    cost O(1) in the number of frames ever ingested: they return the
+    already-built snapshot.
     """
 
     def __init__(
@@ -93,8 +97,18 @@ class MemoryEngine:
         self._config = config
         self._params = params
         self._ring_depth = ring_depth
-        self._state = MemoryState.initial(config)
-        self._pooled_tem: list[FrameFeature] = []  # buffer pooled to p_tem, same order
+        self._writer = threading.Lock()
+        # The feature buffer, as two rings written in the same row: frame t at
+        # the spatial grid, and that spatial frame pooled on to p_tem and
+        # flattened, which is what retrieval compares. Frame t goes in row
+        # (-t) % n_buff, so before the rings fill the valid rows are the tail
+        # [n_buff - t:], newest first. Rows are read only after they are
+        # written, hence np.empty.
+        self._spatial_ring = np.empty((config.n_buff, config.p_spa**2, config.dim))
+        self._pooled_ring = np.empty((config.n_buff, config.p_tem**2 * config.dim))
+        self._temporal = np.zeros((0, config.p_tem, config.p_tem, config.dim))
+        self._temporal_weights = np.zeros(0)
+        self._abstract = np.zeros((config.n_abs, config.p_abs, config.p_abs, config.dim))
         self._last_cluster_state: ClusterState | None = None
         empty = _empty_snapshot(config.dim)
         self._published = _Published(empty, (empty,))
@@ -109,7 +123,7 @@ class MemoryEngine:
 
     @property
     def frames_ingested(self) -> int:
-        return self._state.frames_ingested
+        return self._published.latest.timestamp_frame
 
     @property
     def max_tokens(self) -> int:
@@ -123,7 +137,7 @@ class MemoryEngine:
     @property
     def temporal_weights(self) -> np.ndarray:
         """Copy of the temporal cluster weights (writer-side view)."""
-        return self._state.temporal_weights.copy()
+        return self._temporal_weights.copy()
 
     # -- write path -----------------------------------------------------------
 
@@ -133,86 +147,71 @@ class MemoryEngine:
         Returns the committed version number. Invalid frames raise before any
         state changes; the previously published snapshot stays readable.
         """
+        if not self._writer.acquire(blocking=False):
+            raise ConcurrentWriteError(
+                "ingest_frame entered while another writer is inside it"
+            )
+        try:
+            return self._ingest(feature)
+        finally:
+            self._writer.release()
+
+    def _ingest(self, feature: FrameFeature) -> int:
         if not isinstance(feature, FrameFeature):
             raise ShapeError(f"expected FrameFeature, got {type(feature).__name__}")
         cfg = self._config
         if feature.dim != cfg.dim:
             raise ShapeError(f"frame dim {feature.dim} != config dim {cfg.dim}")
         validate_config(cfg, input_grid=feature.grid_size)
-        state = self._state
 
-        # All bank updates are computed into locals first; state mutation and
-        # publication happen together at the end so a failure cannot leave a
-        # half-applied frame behind.
+        # Everything that can reject the frame runs before the first ring
+        # write. That write goes to the row of the oldest buffered frame,
+        # which this frame evicts in any case.
         spa_frame = average_pool(feature, cfg.p_spa)
         tem_point = average_pool(feature, cfg.p_tem)
         new_temporal, new_weights, cluster_state = temporal_update(
-            state.temporal, state.temporal_weights, tem_point.tokens, cfg
+            self._temporal, self._temporal_weights, tem_point.tokens, cfg
         )
-        new_abstract = abstract_update(state.abstract, feature, self._params, cfg)
+        new_abstract = abstract_update(self._abstract, feature, self._params, cfg)
+        pooled = average_pool(spa_frame, cfg.p_tem)
 
-        # Buffer view as it will look after the push (Eq. order: retrieval
-        # sees the new frame and this frame's refreshed clusters).
-        keep = min(len(state.buffer), cfg.n_buff - 1)
-        post_buffer = [spa_frame] + [state.buffer[i] for i in range(keep)]
-        post_pooled = [average_pool(spa_frame, cfg.p_tem)] + self._pooled_tem[:keep]
-        retrieved = retrieve_key_features(
-            post_buffer, new_temporal, new_weights, cfg, pooled_buffer=post_pooled
+        n = cfg.n_buff
+        t = self._published.latest.timestamp_frame + 1
+        slot = -t % n
+        self._spatial_ring[slot] = spa_frame.token_matrix
+        self._pooled_ring[slot] = pooled.tokens.reshape(-1)
+
+        # Retrieval sees the new frame and this frame's refreshed clusters.
+        first = n - min(t, n)  # first valid row
+        picks = retrieve_key_features(
+            self._pooled_ring[first:], new_temporal, new_weights, cfg, newest=slot - first
         )
 
-        t = state.frames_ingested + 1
+        # Snapshot tokens are copies: later ring writes never reach them.
+        rows = self._spatial_ring
+        banks = (
+            [rows[(slot + i) % n] for i in range(min(cfg.n_spa, t))],
+            [new_temporal.reshape(-1, cfg.dim)],
+            [new_abstract.reshape(-1, cfg.dim)],
+            [rows[first + i] for i in picks],
+        )
+        lengths = [sum(m.shape[0] for m in bank) for bank in banks]
+        starts = accumulate(lengths[:-1], initial=0)
         version = self._published.latest.version + 1
-        snapshot = self._compose_snapshot(
-            version, t, post_buffer[: cfg.n_spa], new_temporal, new_abstract, retrieved
+        snapshot = MemorySnapshot(
+            version=version,
+            timestamp_frame=t,
+            tokens=np.concatenate([m for bank in banks for m in bank]),
+            bank_offsets=tuple(zip(starts, lengths)),
         )
 
-        buffer_push(state.buffer, spa_frame, expected_grid=cfg.p_spa)
-        self._pooled_tem = post_pooled
-        state.temporal = new_temporal
-        state.temporal_weights = new_weights
-        state.abstract = new_abstract
-        state.retrieved = retrieved
-        state.frames_ingested = t
+        self._temporal = new_temporal
+        self._temporal_weights = new_weights
+        self._abstract = new_abstract
         self._last_cluster_state = cluster_state
-
         ring = (self._published.ring + (snapshot,))[-self._ring_depth :]
         self._published = _Published(snapshot, ring)  # atomic swap: commit point
         return version
-
-    def _compose_snapshot(
-        self,
-        version: int,
-        timestamp_frame: int,
-        spatial: list[FrameFeature],
-        temporal: np.ndarray,
-        abstract: np.ndarray,
-        retrieved: list[FrameFeature],
-    ) -> MemorySnapshot:
-        cfg = self._config
-        parts = {
-            "spatial": [f.token_matrix for f in spatial],
-            "temporal": [temporal.reshape(-1, cfg.dim)],
-            "abstract": [abstract.reshape(-1, cfg.dim)],
-            "retrieved": [f.token_matrix for f in retrieved],
-        }
-        offsets = []
-        rows = []
-        pos = 0
-        for bank in BANK_ORDER:
-            bank_rows = [m for m in parts[bank] if m.shape[0]]
-            length = sum(m.shape[0] for m in bank_rows)
-            offsets.append((pos, length))
-            rows.extend(bank_rows)
-            pos += length
-        tokens = (
-            np.concatenate(rows, axis=0) if rows else np.zeros((0, cfg.dim))
-        )
-        return MemorySnapshot(
-            version=version,
-            timestamp_frame=timestamp_frame,
-            tokens=tokens,
-            bank_offsets=tuple(offsets),
-        )
 
     # -- read path ------------------------------------------------------------
 
@@ -235,10 +234,12 @@ class MemoryEngine:
     # -- accounting -----------------------------------------------------------
 
     def bank_token_counts(self) -> dict[str, int]:
-        return self._state.bank_token_counts(self._config)
+        offsets = self._published.latest.bank_offsets
+        return {bank: length for bank, (_, length) in zip(BANK_ORDER, offsets)}
 
     def resident_token_count(self) -> int:
         """Bank tokens plus buffer tokens: the engine's full working set,
         constant in stream length once the buffer fills."""
-        bank = sum(self.bank_token_counts().values())
-        return bank + len(self._state.buffer) * self._config.p_spa**2
+        latest = self._published.latest
+        buffered = min(latest.timestamp_frame, self._config.n_buff)
+        return latest.token_count + buffered * self._config.p_spa**2

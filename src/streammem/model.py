@@ -1,15 +1,14 @@
-"""Shared domain types: frame features, configuration, memory state, snapshots.
+"""Shared domain types: frame features, configuration, snapshots, errors.
 
-Everything here is a value type except :class:`MemoryState`, which is mutable
-and confined to the single writer (see ``engine``).
+Everything here is a value type; the engine's mutable state lives in
+``engine.MemoryEngine`` and is confined to its single writer.
 """
 
 from __future__ import annotations
 
 import struct
 import zlib
-from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -17,9 +16,9 @@ __all__ = [
     "ConfigError",
     "ShapeError",
     "WarmupError",
+    "ConcurrentWriteError",
     "FrameFeature",
     "MemoryConfig",
-    "MemoryState",
     "MemorySnapshot",
     "BANK_ORDER",
     "default_config",
@@ -40,6 +39,10 @@ class WarmupError(RuntimeError):
     """An operation was asked to run before the memory holds enough state."""
 
 
+class ConcurrentWriteError(RuntimeError):
+    """A second writer entered the engine while another write was in progress."""
+
+
 # Snapshot bank concatenation order. Fixed so outputs are bit-reproducible.
 BANK_ORDER = ("spatial", "temporal", "abstract", "retrieved")
 
@@ -51,7 +54,8 @@ class FrameFeature:
     ``tokens`` has shape (grid_size, grid_size, dim), float64, row-major and
     read-only. All values must be finite; non-finite frames are rejected at
     construction so they can never enter the engine. Instances compare by
-    identity: the buffer and retrieved bank track frames as objects.
+    identity; the engine copies a frame's tokens into its buffer and keeps no
+    reference to the frame itself.
     """
 
     grid_size: int
@@ -178,43 +182,6 @@ def validate_config(config: MemoryConfig, input_grid: int | None = None) -> None
         raise ConfigError(f"decay out of range: decay_alpha must be a finite real, got {alpha!r}")
     if not (0.0 < float(alpha) < 1.0):
         raise ConfigError(f"decay out of range: decay_alpha must lie in (0, 1), got {alpha}")
-
-
-@dataclass
-class MemoryState:
-    """The engine's mutable state: feature buffer plus the four banks.
-
-    Confined to the single writer; readers only ever see immutable
-    :class:`MemorySnapshot` copies.
-    """
-
-    buffer: deque  # of FrameFeature at grid p_spa, newest first
-    temporal: np.ndarray  # (k, p_tem, p_tem, dim) cluster centroids
-    temporal_weights: np.ndarray  # (k,) frames merged into each centroid
-    abstract: np.ndarray  # (n_abs, p_abs, p_abs, dim), zero-initialized
-    retrieved: list = field(default_factory=list)  # FrameFeature, buffer members
-    frames_ingested: int = 0
-
-    @classmethod
-    def initial(cls, config: MemoryConfig) -> "MemoryState":
-        return cls(
-            buffer=deque(maxlen=config.n_buff),
-            temporal=np.zeros((0, config.p_tem, config.p_tem, config.dim)),
-            temporal_weights=np.zeros(0),
-            abstract=np.zeros((config.n_abs, config.p_abs, config.p_abs, config.dim)),
-        )
-
-    def spatial(self, n_spa: int) -> list:
-        """View of the newest n_spa buffer entries (the spatial bank)."""
-        return [self.buffer[i] for i in range(min(n_spa, len(self.buffer)))]
-
-    def bank_token_counts(self, config: MemoryConfig) -> dict[str, int]:
-        return {
-            "spatial": len(self.spatial(config.n_spa)) * config.p_spa**2,
-            "temporal": self.temporal.shape[0] * config.p_tem**2,
-            "abstract": (config.n_abs * config.p_abs**2) if self.frames_ingested else 0,
-            "retrieved": len(self.retrieved) * config.p_spa**2,
-        }
 
 
 def _checksum(version: int, timestamp_frame: int, offsets, tokens: np.ndarray) -> int:

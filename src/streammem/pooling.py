@@ -1,14 +1,12 @@
-"""Exact average pooling of square token grids, and the FIFO feature buffer."""
+"""Exact average pooling of square token grids."""
 
 from __future__ import annotations
-
-from collections import deque
 
 import numpy as np
 
 from .model import FrameFeature, ShapeError
 
-__all__ = ["average_pool", "buffer_push"]
+__all__ = ["average_pool"]
 
 
 def average_pool(feature: FrameFeature, target_grid: int) -> FrameFeature:
@@ -32,22 +30,3 @@ def average_pool(feature: FrameFeature, target_grid: int) -> FrameFeature:
     ).mean(axis=(1, 3))
     return FrameFeature(grid_size=target_grid, dim=feature.dim, tokens=pooled)
 
-
-def buffer_push(
-    buffer: deque, feature: FrameFeature, expected_grid: int | None = None
-) -> FrameFeature | None:
-    """Push a frame onto the newest-first FIFO buffer; return any evicted frame.
-
-    The deque's maxlen is the buffer capacity. Eviction (oldest frame) happens
-    exactly when the buffer is already full. When expected_grid is given the
-    frame must already be pooled to that grid.
-    """
-    if expected_grid is not None and feature.grid_size != expected_grid:
-        raise ShapeError(
-            f"buffer expects grid {expected_grid}, got {feature.grid_size}"
-        )
-    evicted = None
-    if buffer.maxlen is not None and len(buffer) == buffer.maxlen:
-        evicted = buffer[-1]
-    buffer.appendleft(feature)
-    return evicted

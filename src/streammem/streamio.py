@@ -26,6 +26,7 @@ import numpy as np
 from .model import FrameFeature
 
 __all__ = [
+    "MAX_FRAME_BYTES",
     "StreamFormatError",
     "StreamHeader",
     "read_header",
@@ -39,6 +40,10 @@ __all__ = [
 MAGIC = b"FVS1"
 _HEADER = struct.Struct("<4sIIQB")
 DTYPE_F32 = 0
+# Largest frame a header may declare (P*P*D*4 bytes): 256 MiB, e.g. P=64 at
+# D=16384. The reader asks for one whole frame per read(), so a corrupt header
+# must not be able to request more.
+MAX_FRAME_BYTES = 1 << 28
 
 
 class StreamFormatError(ValueError):
@@ -58,6 +63,11 @@ class StreamHeader:
         if self.grid_side < 1 or self.dim < 1:
             raise StreamFormatError(
                 f"grid_side and dim must be >= 1, got ({self.grid_side}, {self.dim})"
+            )
+        if self.frame_bytes > MAX_FRAME_BYTES:
+            raise StreamFormatError(
+                f"frame size {self.frame_bytes} bytes for grid {self.grid_side}, "
+                f"dim {self.dim} exceeds the {MAX_FRAME_BYTES}-byte limit"
             )
         if self.frame_count < 0:
             raise StreamFormatError(f"negative frame count {self.frame_count}")

@@ -137,10 +137,9 @@ def test_criterion_4_retrieval_oracle(capsys):
         centroids = rng.normal(size=(k, 2, 2, d))
         weights = rng.integers(1, 6, size=k).astype(float)
 
-        got = retrieve_key_features(buffer, centroids, weights, config)
-        got_idx = [next(i for i, f in enumerate(buffer) if f is g) for g in got]
-
         pooled = [average_pool(f, 2).tokens for f in buffer]
+        candidates = np.stack([p.reshape(-1) for p in pooled])
+        got_idx = retrieve_key_features(candidates, centroids, weights, config)
         want_idx = retrieve_bruteforce(pooled, centroids, weights, config.n_ret)
         if got_idx != want_idx:
             mismatches += 1

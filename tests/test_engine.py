@@ -6,12 +6,15 @@ import threading
 import numpy as np
 import pytest
 
+import streammem.engine as engine_module
 from streammem import (
     AttentionParams,
+    ConcurrentWriteError,
     ConfigError,
     FrameFeature,
     MemoryEngine,
     ShapeError,
+    average_pool,
     default_config,
     max_tokens,
     synth_stream,
@@ -177,11 +180,29 @@ def test_custom_ring_depth():
         MemoryEngine(CFG, ring_depth=0)
 
 
-def test_bad_frames_abort_without_corruption():
-    engine = _engine()
-    rng = np.random.default_rng(10)
-    engine.ingest_frame(_frame(rng))
+def _observed(engine):
+    snap = engine.read_snapshot()
+    state = engine.last_cluster_state
+    return (
+        snap.tokens.tobytes(),
+        snap.bank_offsets,
+        snap.checksum,
+        engine.temporal_weights.tobytes(),
+        None if state is None else state.assignments.tobytes(),
+        engine.resident_token_count(),
+    )
+
+
+def test_bad_frames_abort_without_corruption(monkeypatch):
+    # n_buff=5: the buffer has wrapped several times before the bad frames,
+    # and the twin engine never sees them.
+    engine, twin = _engine(n_buff=5), _engine(n_buff=5)
+    frames = list(synth_stream(4, 32, 3, 8, 6))
+    for frame in frames[:29]:
+        engine.ingest_frame(frame)
+        twin.ingest_frame(frame)
     before = engine.read_snapshot()
+    rng = np.random.default_rng(10)
 
     with pytest.raises(ShapeError):
         engine.ingest_frame(_frame(rng, dim=5))  # wrong token dim
@@ -190,10 +211,21 @@ def test_bad_frames_abort_without_corruption():
     with pytest.raises(ShapeError):
         engine.ingest_frame(np.zeros((8, 8, 6)))  # not a FrameFeature
 
-    after = engine.read_snapshot()
-    assert after is before
-    assert engine.frames_ingested == 1
-    assert engine.ingest_frame(_frame(rng)) == 2  # still usable
+    # A failure after the buffer write (here: inside retrieval) leaves
+    # nothing behind either: that write lands in the row being evicted.
+    def failing_retrieval(*args, **kwargs):
+        raise MemoryError("injected")
+
+    monkeypatch.setattr(engine_module, "retrieve_key_features", failing_retrieval)
+    with pytest.raises(MemoryError):
+        engine.ingest_frame(_frame(rng))
+    monkeypatch.undo()
+
+    assert engine.read_snapshot() is before
+    assert engine.frames_ingested == 29
+    for frame in frames[29:]:  # still usable, and bit-identical to the twin
+        assert engine.ingest_frame(frame) == twin.ingest_frame(frame)
+        assert _observed(engine) == _observed(twin)
 
 
 def test_constructor_validation():
@@ -204,13 +236,90 @@ def test_constructor_validation():
 
 
 def test_retrieved_entries_live_in_buffer():
+    # A long first scene keeps the heaviest cluster on frames that the
+    # 4-frame buffer has already evicted; only buffered frames may come back.
+    cfg = default_config(dim=4, p_spa=4, p_tem=2, n_buff=4, n_tem=3, n_abs=2, n_ret=2)
+    engine = MemoryEngine(cfg)
+    history = []  # every frame so far at p_spa, newest first
+    for frame in synth_stream(0, 30, 2, 8, 4):  # input grid 8, pooled to 4
+        engine.ingest_frame(frame)
+        history.insert(0, average_pool(frame, 4).token_matrix)
+        retrieved = engine.read_snapshot().bank("retrieved").reshape(-1, 16, 4)
+        assert len(retrieved) == min(2, len(history))
+        for block in retrieved:
+            assert any(np.array_equal(block, f) for f in history[: cfg.n_buff])
+
+
+def test_spatial_bank_is_newest_frames_newest_first():
+    engine = _engine(n_buff=4, n_spa=3)
+    rng = np.random.default_rng(14)
+    history = []
+    for t in range(1, 12):
+        frame = _frame(rng)
+        engine.ingest_frame(frame)
+        history.insert(0, frame.token_matrix)
+        assert np.array_equal(
+            engine.read_snapshot().bank("spatial"), np.concatenate(history[:3])
+        )
+        assert engine.bank_token_counts()["spatial"] == 64 * min(t, 3)
+
+
+def test_distance_ties_go_to_newer_frame_after_wrap():
+    # a and b pool to the same p_tem token but differ at p_spa (integer
+    # tokens keep the means exact). While the temporal bank fills, every
+    # centroid is that token, so every buffered frame ties and retrieval must
+    # return the newest one, which is also the spatial bank.
+    cfg = default_config(dim=2, p_spa=2, p_tem=1, p_abs=1, n_buff=5, n_abs=1, n_ret=1)
+    a = np.arange(8.0).reshape(2, 2, 2)
+    b = a.copy()
+    b[0, 0] += 1.0
+    b[0, 1] -= 1.0
+    engine = MemoryEngine(cfg)
+    for t in range(1, 4 * cfg.n_buff):
+        engine.ingest_frame(FrameFeature.from_array(a if t % 2 else b))
+        snap = engine.read_snapshot()
+        assert np.array_equal(snap.bank("retrieved"), snap.bank("spatial")), t
+
+
+def test_second_writer_is_refused(monkeypatch):
     engine = _engine()
-    rng = np.random.default_rng(11)
-    for _ in range(10):
-        engine.ingest_frame(_frame(rng))
-    state = engine._state
-    for frame in state.retrieved:
-        assert any(frame is entry for entry in state.buffer)
+    rng = np.random.default_rng(15)
+    first, second = _frame(rng), _frame(rng)
+    entered, release = threading.Event(), threading.Event()
+    original = engine_module.temporal_update
+
+    def blocking_update(*args):
+        entered.set()
+        release.wait(timeout=30)
+        return original(*args)
+
+    monkeypatch.setattr(engine_module, "temporal_update", blocking_update)
+    outcome = {}
+
+    def write(name, frame):
+        try:
+            outcome[name] = engine.ingest_frame(frame)
+        except ConcurrentWriteError as exc:
+            outcome[name] = exc
+
+    writer = threading.Thread(target=write, args=("first", first))
+    intruder = threading.Thread(target=write, args=("second", second))
+    writer.start()
+    try:
+        assert entered.wait(timeout=30)
+        intruder.start()
+        intruder.join(timeout=30)
+    finally:
+        release.set()
+        writer.join(timeout=30)
+    assert not writer.is_alive() and not intruder.is_alive()
+    assert isinstance(outcome["second"], ConcurrentWriteError)
+    assert outcome["first"] == 1
+    snap = engine.read_snapshot()
+    assert snap.version == 1
+    assert np.array_equal(snap.bank("spatial"), first.token_matrix)
+    monkeypatch.undo()
+    assert engine.ingest_frame(second) == 2  # the writer slot was released
 
 
 def test_resident_tokens_constant_once_buffer_full():

@@ -1,12 +1,10 @@
-"""Average pooling exactness and FIFO buffer semantics."""
-
-from collections import deque
+"""Average pooling exactness."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from streammem import FrameFeature, ShapeError, average_pool, buffer_push
+from streammem import FrameFeature, ShapeError, average_pool
 
 from oracles import pool_loops
 
@@ -76,35 +74,3 @@ def test_pool_preserves_global_mean(seed, target):
     pooled = average_pool(_frame(tokens), target).tokens
     assert np.max(np.abs(pooled.mean(axis=(0, 1)) - tokens.mean(axis=(0, 1)))) < 1e-12
 
-
-def test_buffer_fifo_eviction_oldest_first():
-    buf = deque(maxlen=3)
-    frames = [_frame(np.full((2, 2, 1), float(i))) for i in range(1, 5)]
-    assert buffer_push(buf, frames[0]) is None
-    assert buffer_push(buf, frames[1]) is None
-    assert buffer_push(buf, frames[2]) is None
-    evicted = buffer_push(buf, frames[3])
-    assert evicted is frames[0]
-    assert [f.tokens[0, 0, 0] for f in buf] == [4.0, 3.0, 2.0]
-
-
-def test_buffer_newest_first_matches_list_replay():
-    rng = np.random.default_rng(7)
-    buf = deque(maxlen=10)
-    mirror = []
-    for t in range(25):
-        frame = _frame(rng.normal(size=(2, 2, 2)))
-        buffer_push(buf, frame)
-        mirror.insert(0, frame)
-        mirror = mirror[:10]
-        assert len(buf) == min(t + 1, 10)
-        assert all(got is want for got, want in zip(buf, mirror))
-
-
-def test_buffer_grid_check():
-    buf = deque(maxlen=4)
-    with pytest.raises(ShapeError, match="grid"):
-        buffer_push(buf, _frame(np.zeros((2, 2, 1))), expected_grid=4)
-    assert len(buf) == 0
-    buffer_push(buf, _frame(np.zeros((4, 4, 1))), expected_grid=4)
-    assert len(buf) == 1

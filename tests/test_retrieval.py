@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from streammem import (
     FrameFeature,
+    ShapeError,
     WarmupError,
     average_pool,
     default_config,
@@ -21,18 +22,23 @@ def _frames(rng, count, grid=4, dim=3):
     return [FrameFeature.from_array(rng.normal(size=(grid, grid, dim))) for _ in range(count)]
 
 
+def _candidates(buffer):
+    """The buffer pooled to p_tem=2, one flattened frame per row, newest first."""
+    return np.stack([average_pool(f, 2).tokens.reshape(-1) for f in buffer])
+
+
 def test_top_weight_cluster_selection():
     rng = np.random.default_rng(0)
     buffer = _frames(rng, 4)
     centroids = rng.normal(size=(3, 2, 2, 3))
     weights = np.array([5.0, 1.0, 9.0])
     cfg = CFG.with_overrides(n_ret=2)
-    got = retrieve_key_features(buffer, centroids, weights, cfg)
+    got = retrieve_key_features(_candidates(buffer), centroids, weights, cfg)
     want = retrieve_bruteforce(
         [pool_loops(f.tokens, 2) for f in buffer], centroids, weights, 2
     )
     # clusters 2 then 0 drive the scan; results are those clusters' nearest
-    assert [buffer.index(g) for g in got] == want
+    assert got == want
     ranked = sorted(range(3), key=lambda c: (-weights[c], c))[:2]
     assert ranked == [2, 0]
 
@@ -43,8 +49,10 @@ def test_exact_match_frame_is_retrieved():
     target = average_pool(buffer[3], 2)
     centroids = np.stack([target.tokens, rng.normal(size=(2, 2, 3))])
     weights = np.array([10.0, 1.0])
-    got = retrieve_key_features(buffer, centroids, weights, CFG.with_overrides(n_ret=1))
-    assert got[0] is buffer[3]
+    got = retrieve_key_features(
+        _candidates(buffer), centroids, weights, CFG.with_overrides(n_ret=1)
+    )
+    assert got == [3]
 
 
 def test_matches_bruteforce_oracle_20_frames_5_clusters():
@@ -52,11 +60,11 @@ def test_matches_bruteforce_oracle_20_frames_5_clusters():
     buffer = _frames(rng, 20)
     centroids = rng.normal(size=(5, 2, 2, 3))
     weights = rng.integers(1, 30, size=5).astype(float)
-    got = retrieve_key_features(buffer, centroids, weights, CFG)
+    got = retrieve_key_features(_candidates(buffer), centroids, weights, CFG)
     want = retrieve_bruteforce(
         [pool_loops(f.tokens, 2) for f in buffer], centroids, weights, CFG.n_ret
     )
-    assert [buffer.index(g) for g in got] == want
+    assert got == want
 
 
 @settings(max_examples=60, deadline=None)
@@ -70,21 +78,17 @@ def test_matches_bruteforce_oracle_random_instances(seed):
     centroids = rng.normal(size=(k, 2, 2, 3))
     weights = rng.integers(1, 10, size=k).astype(float)
     cfg = default_config(p_spa=4, p_tem=2, dim=3, n_tem=max(k, n_ret), n_ret=n_ret)
-    got = retrieve_key_features(buffer, centroids, weights, cfg)
     want = retrieve_bruteforce(
         [pool_loops(f.tokens, 2) for f in buffer], centroids, weights, n_ret
     )
+    got = retrieve_key_features(_candidates(buffer), centroids, weights, cfg)
     assert len(got) == min(n_ret, k)
-    assert [next(i for i, f in enumerate(buffer) if f is g) for g in got] == want
-
-
-def test_results_are_buffer_members_by_identity():
-    rng = np.random.default_rng(3)
-    buffer = _frames(rng, 8)
-    centroids = rng.normal(size=(2, 2, 2, 3))
-    weights = np.array([3.0, 2.0])
-    for frame in retrieve_key_features(buffer, centroids, weights, CFG):
-        assert any(frame is member for member in buffer)
+    assert got == want
+    # The same buffer stored as a ring whose newest frame sits in row r.
+    r = int(rng.integers(0, n_frames))
+    ring = np.roll(_candidates(buffer), r, axis=0)
+    got = retrieve_key_features(ring, centroids, weights, cfg, newest=r)
+    assert [(i - r) % n_frames for i in got] == want
 
 
 def test_weight_tie_prefers_lower_cluster_index():
@@ -93,11 +97,11 @@ def test_weight_tie_prefers_lower_cluster_index():
     centroids = rng.normal(size=(4, 2, 2, 3))
     weights = np.array([2.0, 7.0, 7.0, 7.0])
     cfg = CFG.with_overrides(n_ret=2, n_tem=4)
-    got = retrieve_key_features(buffer, centroids, weights, cfg)
+    got = retrieve_key_features(_candidates(buffer), centroids, weights, cfg)
     want = retrieve_bruteforce(
         [pool_loops(f.tokens, 2) for f in buffer], centroids, weights, 2
     )
-    assert [buffer.index(g) for g in got] == want
+    assert got == want
     # ties on 7.0 resolve to clusters 1 then 2, never 3
     ranked = sorted(range(4), key=lambda c: (-weights[c], c))[:2]
     assert ranked == [1, 2]
@@ -107,24 +111,28 @@ def test_distance_tie_prefers_newer_frame():
     rng = np.random.default_rng(5)
     tokens = rng.normal(size=(4, 4, 3))
     newer = FrameFeature.from_array(tokens)
-    older = FrameFeature.from_array(tokens.copy())  # equal values, distinct object
+    older = FrameFeature.from_array(tokens.copy())  # equal values
     filler = FrameFeature.from_array(rng.normal(size=(4, 4, 3)) + 50.0)
-    buffer = [newer, filler, older]  # newest first: index 0 beats index 2
     centroids = average_pool(newer, 2).tokens[None]
-    got = retrieve_key_features(buffer, centroids, np.array([1.0]), CFG)
-    assert got[0] is newer
+    weights = np.array([1.0])
+    # newest first: row 0 beats row 2
+    assert retrieve_key_features(_candidates([newer, filler, older]), centroids, weights, CFG) == [0]
+    # ring rows (older, newer, filler) with the newest in row 1: row 1 beats row 0
+    ring = _candidates([older, newer, filler])
+    assert retrieve_key_features(ring, centroids, weights, CFG, newest=1) == [1]
 
 
 def test_duplicate_retrieval_allowed_across_clusters():
     rng = np.random.default_rng(6)
     base = FrameFeature.from_array(rng.normal(size=(4, 4, 3)))
     far = FrameFeature.from_array(rng.normal(size=(4, 4, 3)) + 100.0)
-    buffer = [base, far]
     pooled = average_pool(base, 2).tokens
     centroids = np.stack([pooled + 0.01, pooled - 0.01])
     weights = np.array([4.0, 3.0])
-    got = retrieve_key_features(buffer, centroids, weights, CFG.with_overrides(n_ret=2))
-    assert got[0] is base and got[1] is base
+    got = retrieve_key_features(
+        _candidates([base, far]), centroids, weights, CFG.with_overrides(n_ret=2)
+    )
+    assert got == [0, 0]
 
 
 def test_ordered_by_descending_cluster_weight():
@@ -132,29 +140,32 @@ def test_ordered_by_descending_cluster_weight():
     buffer = _frames(rng, 10)
     centroids = np.stack([average_pool(f, 2).tokens for f in buffer[:4]])
     weights = np.array([2.0, 9.0, 4.0, 7.0])
-    got = retrieve_key_features(buffer, centroids, weights, CFG.with_overrides(n_ret=4, n_tem=4))
-    assert [buffer.index(g) for g in got] == [1, 3, 2, 0]
+    got = retrieve_key_features(
+        _candidates(buffer), centroids, weights, CFG.with_overrides(n_ret=4, n_tem=4)
+    )
+    assert got == [1, 3, 2, 0]
 
 
 def test_warmup_errors():
     rng = np.random.default_rng(8)
-    buffer = _frames(rng, 3)
+    candidates = _candidates(_frames(rng, 3))
     centroids = rng.normal(size=(2, 2, 2, 3))
     weights = np.array([1.0, 1.0])
     with pytest.raises(WarmupError):
-        retrieve_key_features([], centroids, weights, CFG)
+        retrieve_key_features(np.zeros((0, 12)), centroids, weights, CFG)
     with pytest.raises(WarmupError):
-        retrieve_key_features(buffer, np.zeros((0, 2, 2, 3)), np.zeros(0), CFG)
+        retrieve_key_features(candidates, np.zeros((0, 2, 2, 3)), np.zeros(0), CFG)
 
 
-def test_precomputed_pooled_buffer_agrees():
+def test_rejects_mismatched_inputs():
     rng = np.random.default_rng(9)
-    buffer = _frames(rng, 12)
-    centroids = rng.normal(size=(4, 2, 2, 3))
-    weights = rng.integers(1, 9, size=4).astype(float)
-    pooled = [average_pool(f, 2) for f in buffer]
-    a = retrieve_key_features(buffer, centroids, weights, CFG)
-    b = retrieve_key_features(buffer, centroids, weights, CFG, pooled_buffer=pooled)
-    assert all(x is y for x, y in zip(a, b))
-    with pytest.raises(ValueError, match="length"):
-        retrieve_key_features(buffer, centroids, weights, CFG, pooled_buffer=pooled[:-1])
+    candidates = _candidates(_frames(rng, 3))
+    centroids = rng.normal(size=(2, 2, 2, 3))
+    weights = np.array([1.0, 1.0])
+    with pytest.raises(ShapeError, match="candidate rows"):
+        retrieve_key_features(candidates[:, :4], centroids, weights, CFG)
+    with pytest.raises(ValueError, match="weights length"):
+        retrieve_key_features(candidates, centroids, weights[:1], CFG)
+    for newest in (-1, 3):
+        with pytest.raises(ValueError, match="newest row"):
+            retrieve_key_features(candidates, centroids, weights, CFG, newest=newest)

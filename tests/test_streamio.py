@@ -15,6 +15,7 @@ from streammem import (
     synth_stream,
     write_stream,
 )
+from streammem.streamio import MAX_FRAME_BYTES
 
 HEADER_SIZE = 21  # 4s + u32 + u32 + u64 + u8, little-endian, packed
 
@@ -96,6 +97,21 @@ def test_unknown_dtype_and_bad_dims_rejected():
         list(read_stream(io.BytesIO(_header_bytes(tag=7))))
     with pytest.raises(StreamFormatError):
         list(read_stream(io.BytesIO(_header_bytes(grid=0))))
+
+
+def test_oversized_frame_header_rejected_before_any_frame_read(tmp_path):
+    # P = D = 2**32 - 1 would make the reader ask for ~7e28 bytes per frame.
+    huge = _header_bytes(grid=2**32 - 1, dim=2**32 - 1, count=1) + b"\0" * 64
+    with pytest.raises(StreamFormatError, match="frame size"):
+        open_stream(io.BytesIO(huge))
+    path = tmp_path / "huge.fvs"
+    path.write_bytes(huge)
+    with pytest.raises(StreamFormatError, match="frame size"):
+        open_stream(path)
+    # The limit is inclusive: 8*8*D*4 bytes with D = MAX_FRAME_BYTES / 256.
+    assert StreamHeader(8, MAX_FRAME_BYTES // 256).frame_bytes == MAX_FRAME_BYTES
+    with pytest.raises(StreamFormatError, match="frame size"):
+        StreamHeader(8, MAX_FRAME_BYTES // 256 + 1)
 
 
 def test_non_finite_values_rejected_with_offset():
