@@ -155,12 +155,15 @@ def bench_latency(
     noise_rel: float = 0.05,
     keep_all: bool = False,
 ) -> BenchReport:
-    """Ingest a synthetic stream, pausing at each frame count to time reads.
+    """Ingest a synthetic stream into one sink per frame count, then time reads.
 
-    At each count, queries_per_point reads run one after another on the
-    calling thread, each timed on its own; the row keeps the median and 95th
-    percentile. keep_all swaps the engine for the no-compression baseline.
-    Timing columns vary run to run; every other column is seed-deterministic.
+    Each sink stops at its own count. The reads are then timed in
+    queries_per_point rounds on the calling thread, one read per count in
+    each round, so a change of machine speed during the run hits every count
+    alike; the row keeps the median and 95th percentile. ingest_fps is the
+    rate of the frames since the previous count. keep_all swaps the engine
+    for the no-compression baseline. Timing columns vary run to run; every
+    other column is seed-deterministic.
     """
     if config is None:
         config = default_config(dim=32)
@@ -175,40 +178,53 @@ def bench_latency(
         noise_rel=noise_rel,
     )
     if keep_all:
-        sink = _KeepAllBaseline(config)
-        timed_read = lambda: _timed_baseline_read(sink)
+        sinks = [_KeepAllBaseline(config) for _ in counts]
+        timed_read = _timed_baseline_read
         mode = "keep-all"
     else:
-        sink = MemoryEngine(config)
-        timed_read = lambda: _timed_engine_read(sink)
+        sinks = [MemoryEngine(config) for _ in counts]
+        timed_read = _timed_engine_read
         mode = "engine"
 
+    starts = [0] + counts[:-1]
+    ingest_s = [0.0] * len(counts)
+    rss = [0.0] * len(counts)
+    for done, frame in enumerate(stream, start=1):
+        for i, sink in enumerate(sinks):
+            if done > counts[i]:
+                continue
+            t0 = time.perf_counter()
+            sink.ingest_frame(frame)
+            if done > starts[i]:
+                ingest_s[i] += time.perf_counter() - t0
+            if done == counts[i]:
+                rss[i] = _rss_mb()
+
+    read_ms = [[] for _ in counts]
+    for q in range(queries_per_point):
+        for j in range(len(sinks)):
+            i = (q + j) % len(sinks)  # rotate which count reads first
+            read_ms[i].append(timed_read(sinks[i]))
+
     rows = []
-    done = 0
-    frames = iter(stream)
-    for count in counts:
-        segment = count - done
-        t0 = time.perf_counter()
-        while done < count:
-            sink.ingest_frame(next(frames))
-            done += 1
-        ingest_s = time.perf_counter() - t0
-        read_ms = [timed_read() for _ in range(queries_per_point)]
+    for i, count in enumerate(counts):
+        sink = sinks[i]
         if keep_all:
             bank = sink.bank_token_count()
         else:
             bank = sink.read_snapshot().token_count
+        segment = count - starts[i]
         rows.append(
             BenchRow(
                 mode=mode,
                 frames=count,
                 queries=queries_per_point,
-                median_read_ms=statistics.median(read_ms),
-                p95_read_ms=float(np.percentile(read_ms, 95)),
-                ingest_fps=segment / ingest_s if ingest_s > 0 else float("inf"),
+                median_read_ms=statistics.median(read_ms[i]),
+                p95_read_ms=float(np.percentile(read_ms[i], 95)),
+                ingest_fps=segment / ingest_s[i] if ingest_s[i] > 0 else float("inf"),
                 bank_tokens=bank,
                 resident_tokens=sink.resident_token_count(),
-                rss_mb=_rss_mb(),
+                rss_mb=rss[i],
             )
         )
     return BenchReport(rows=tuple(rows))

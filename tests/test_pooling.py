@@ -1,10 +1,10 @@
-"""Average pooling exactness."""
+"""Average pooling exactness, and FIFO eviction of the pooled-frame buffer."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from streammem import FrameFeature, ShapeError, average_pool
+from streammem import FrameFeature, MemoryEngine, ShapeError, average_pool, default_config
 
 from oracles import pool_loops
 
@@ -74,3 +74,25 @@ def test_pool_preserves_global_mean(seed, target):
     pooled = average_pool(_frame(tokens), target).tokens
     assert np.max(np.abs(pooled.mean(axis=(0, 1)) - tokens.mean(axis=(0, 1)))) < 1e-12
 
+
+
+def test_buffer_fifo_eviction_oldest_first():
+    # Constant frames 1, 2, 3, 4 at grid 2 (= p_spa). While the temporal bank
+    # fills, the heaviest cluster is frame 1, so retrieval returns frame 1 as
+    # long as it is buffered, and otherwise the nearest survivor, frame 2.
+    def retrieved_values(n_buff):
+        cfg = default_config(
+            dim=1, p_spa=2, p_tem=1, p_abs=1, n_buff=n_buff, n_spa=1, n_tem=4,
+            n_abs=1, n_ret=1,
+        )
+        engine = MemoryEngine(cfg)
+        values = []
+        for v in (1.0, 2.0, 3.0, 4.0):
+            engine.ingest_frame(_frame(np.full((2, 2, 1), v)))
+            snap = engine.read_snapshot()
+            assert np.all(snap.bank("spatial") == v)
+            values.append(float(snap.bank("retrieved")[0, 0]))
+        return values
+
+    assert retrieved_values(3) == [1.0, 1.0, 1.0, 2.0]  # frame 4 evicts frame 1
+    assert retrieved_values(4) == [1.0, 1.0, 1.0, 1.0]  # nothing evicted yet
