@@ -179,9 +179,9 @@ def abstract_update(
     The frame is pooled to p_abs, its tokens become the incoming set, and every
     slot token of the (n_abs, p_abs, p_abs, D) bank attends to them.
     """
-    pooled = average_pool(feature, config.p_abs)
+    pooled = average_pool(feature.tokens, config.p_abs)
     slots = abstract_bank.reshape(-1, config.dim)
-    updated = semantic_attention(slots, pooled.token_matrix, params)
+    updated = semantic_attention(slots, pooled.reshape(-1, config.dim), params)
     return updated.reshape(abstract_bank.shape)
 
 

@@ -114,8 +114,8 @@ class _KeepAllBaseline:
         self._frames: list[np.ndarray] = []
 
     def ingest_frame(self, feature: FrameFeature) -> int:
-        pooled = average_pool(feature, self._config.p_spa)
-        self._frames.append(pooled.token_matrix)
+        pooled = average_pool(feature.tokens, self._config.p_spa)
+        self._frames.append(pooled.reshape(-1, self._config.dim))
         return len(self._frames)
 
     def read_tokens(self) -> np.ndarray:

@@ -113,8 +113,10 @@ def weighted_kmeans(
     iterations = 0
     converged = False
     assign = np.zeros(n, dtype=np.intp)
+    # Each update step ends by computing the distances to the new centroids
+    # for the objective; the next assignment step reuses them.
+    d2 = _squared_distances(flat, centroids)
     for _ in range(max_iters):
-        d2 = _squared_distances(flat, centroids)
         assign = np.argmin(d2, axis=1)  # ties break to the lowest index
         if prev_assign is not None and np.array_equal(assign, prev_assign):
             converged = True

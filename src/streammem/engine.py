@@ -45,16 +45,6 @@ class QueryResult:
     stale: bool
 
 
-class _Published:
-    """One immutable (latest, ring) pair; the engine swaps whole instances."""
-
-    __slots__ = ("latest", "ring")
-
-    def __init__(self, latest: MemorySnapshot, ring: tuple):
-        self.latest = latest
-        self.ring = ring
-
-
 def _empty_snapshot(dim: int) -> MemorySnapshot:
     return MemorySnapshot(
         version=0,
@@ -98,20 +88,20 @@ class MemoryEngine:
         self._params = params
         self._ring_depth = ring_depth
         self._writer = threading.Lock()
-        # The feature buffer, as two rings written in the same row: frame t at
-        # the spatial grid, and that spatial frame pooled on to p_tem and
-        # flattened, which is what retrieval compares. Frame t goes in row
-        # (-t) % n_buff, so before the rings fill the valid rows are the tail
-        # [n_buff - t:], newest first. Rows are read only after they are
-        # written, hence np.empty.
+        # The feature buffer, as two rings written in the same row: frame t
+        # pooled to p_spa, and frame t pooled to p_tem and flattened, which is
+        # what retrieval compares. Frame t goes in row (-t) % n_buff, so before
+        # the rings fill the valid rows are the tail [n_buff - t:], newest
+        # first. Rows are read only after they are written, hence np.empty.
         self._spatial_ring = np.empty((config.n_buff, config.p_spa**2, config.dim))
         self._pooled_ring = np.empty((config.n_buff, config.p_tem**2 * config.dim))
         self._temporal = np.zeros((0, config.p_tem, config.p_tem, config.dim))
         self._temporal_weights = np.zeros(0)
         self._abstract = np.zeros((config.n_abs, config.p_abs, config.p_abs, config.dim))
         self._last_cluster_state: ClusterState | None = None
-        empty = _empty_snapshot(config.dim)
-        self._published = _Published(empty, (empty,))
+        # Retained snapshots, oldest first; the last is the latest. The writer
+        # swaps in a whole new tuple, so one read of it is consistent.
+        self._published = (_empty_snapshot(config.dim),)
 
     @property
     def config(self) -> MemoryConfig:
@@ -123,7 +113,7 @@ class MemoryEngine:
 
     @property
     def frames_ingested(self) -> int:
-        return self._published.latest.timestamp_frame
+        return self._published[-1].timestamp_frame
 
     @property
     def max_tokens(self) -> int:
@@ -167,19 +157,19 @@ class MemoryEngine:
         # Everything that can reject the frame runs before the first ring
         # write. That write goes to the row of the oldest buffered frame,
         # which this frame evicts in any case.
-        spa_frame = average_pool(feature, cfg.p_spa)
-        tem_point = average_pool(feature, cfg.p_tem)
+        spa_frame = average_pool(feature.tokens, cfg.p_spa)
+        tem_frame = average_pool(feature.tokens, cfg.p_tem)
         new_temporal, new_weights, cluster_state = temporal_update(
-            self._temporal, self._temporal_weights, tem_point.tokens, cfg
+            self._temporal, self._temporal_weights, tem_frame, cfg
         )
         new_abstract = abstract_update(self._abstract, feature, self._params, cfg)
-        pooled = average_pool(spa_frame, cfg.p_tem)
 
+        latest = self._published[-1]
         n = cfg.n_buff
-        t = self._published.latest.timestamp_frame + 1
+        t = latest.timestamp_frame + 1
         slot = -t % n
-        self._spatial_ring[slot] = spa_frame.token_matrix
-        self._pooled_ring[slot] = pooled.tokens.reshape(-1)
+        self._spatial_ring[slot] = spa_frame.reshape(-1, cfg.dim)
+        self._pooled_ring[slot] = tem_frame.reshape(-1)
 
         # Retrieval sees the new frame and this frame's refreshed clusters.
         first = n - min(t, n)  # first valid row
@@ -197,7 +187,7 @@ class MemoryEngine:
         )
         lengths = [sum(m.shape[0] for m in bank) for bank in banks]
         starts = accumulate(lengths[:-1], initial=0)
-        version = self._published.latest.version + 1
+        version = latest.version + 1
         snapshot = MemorySnapshot(
             version=version,
             timestamp_frame=t,
@@ -209,15 +199,15 @@ class MemoryEngine:
         self._temporal_weights = new_weights
         self._abstract = new_abstract
         self._last_cluster_state = cluster_state
-        ring = (self._published.ring + (snapshot,))[-self._ring_depth :]
-        self._published = _Published(snapshot, ring)  # atomic swap: commit point
+        # Swapping the one reference is the commit point.
+        self._published = (self._published + (snapshot,))[-self._ring_depth :]
         return version
 
     # -- read path ------------------------------------------------------------
 
     def read_snapshot(self) -> MemorySnapshot:
         """Latest committed snapshot; wait-free, cost independent of history."""
-        return self._published.latest
+        return self._published[-1]
 
     def query_at(self, question_id: str, frame_timestamp: int) -> QueryResult:
         """Newest retained snapshot with timestamp_frame <= frame_timestamp.
@@ -225,21 +215,21 @@ class MemoryEngine:
         The engine retains a short ring of recent versions. A timestamp older
         than everything retained yields the current snapshot with stale=True.
         """
-        published = self._published  # one read: latest and ring stay consistent
-        for snapshot in reversed(published.ring):
+        published = self._published  # one read: a consistent set of versions
+        for snapshot in reversed(published):
             if snapshot.timestamp_frame <= frame_timestamp:
                 return QueryResult(question_id, snapshot, stale=False)
-        return QueryResult(question_id, published.latest, stale=True)
+        return QueryResult(question_id, published[-1], stale=True)
 
     # -- accounting -----------------------------------------------------------
 
     def bank_token_counts(self) -> dict[str, int]:
-        offsets = self._published.latest.bank_offsets
+        offsets = self._published[-1].bank_offsets
         return {bank: length for bank, (_, length) in zip(BANK_ORDER, offsets)}
 
     def resident_token_count(self) -> int:
         """Bank tokens plus buffer tokens: the engine's full working set,
         constant in stream length once the buffer fills."""
-        latest = self._published.latest
+        latest = self._published[-1]
         buffered = min(latest.timestamp_frame, self._config.n_buff)
         return latest.token_count + buffered * self._config.p_spa**2

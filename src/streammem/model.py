@@ -188,7 +188,7 @@ def _checksum(version: int, timestamp_frame: int, offsets, tokens: np.ndarray) -
     header = struct.pack("<qq", version, timestamp_frame)
     header += struct.pack("<8q", *(v for pair in offsets for v in pair))
     crc = zlib.crc32(header)
-    return zlib.crc32(np.ascontiguousarray(tokens).tobytes(), crc)
+    return zlib.crc32(tokens, crc)  # tokens are C-contiguous: see MemorySnapshot
 
 
 @dataclass(frozen=True, eq=False)

@@ -4,18 +4,21 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import FrameFeature, ShapeError
+from .model import ShapeError
 
 __all__ = ["average_pool"]
 
 
-def average_pool(feature: FrameFeature, target_grid: int) -> FrameFeature:
-    """Pool a (P, P, D) grid down to (p, p, D) by exact block averaging.
+def average_pool(tokens: np.ndarray, target_grid: int) -> np.ndarray:
+    """Pool a (P, P, D) array down to (p, p, D) by exact block averaging.
 
     P must be an integer multiple of p; each output cell is the mean of a
-    (P/p, P/p) block of input tokens. target_grid == grid_size is identity.
+    (P/p, P/p) block of input tokens. target_grid == P returns ``tokens``
+    itself. Values are not checked: frames are checked once, as FrameFeature.
     """
-    p_in = feature.grid_size
+    if tokens.ndim != 3 or tokens.shape[0] != tokens.shape[1]:
+        raise ShapeError(f"expected a (P, P, D) array, got shape {tokens.shape}")
+    p_in, _, dim = tokens.shape
     if target_grid < 1:
         raise ShapeError(f"target grid must be positive, got {target_grid}")
     if p_in % target_grid != 0:
@@ -23,10 +26,6 @@ def average_pool(feature: FrameFeature, target_grid: int) -> FrameFeature:
             f"pooling not exact: target grid {target_grid} does not divide input grid {p_in}"
         )
     if target_grid == p_in:
-        return feature
+        return tokens
     block = p_in // target_grid
-    pooled = feature.tokens.reshape(
-        target_grid, block, target_grid, block, feature.dim
-    ).mean(axis=(1, 3))
-    return FrameFeature(grid_size=target_grid, dim=feature.dim, tokens=pooled)
-
+    return tokens.reshape(target_grid, block, target_grid, block, dim).mean(axis=(1, 3))

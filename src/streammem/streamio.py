@@ -125,12 +125,14 @@ def _iter_frames(f, header: StreamHeader, should_close: bool) -> Iterator[FrameF
                     f"truncated frame at byte offset {offset}: "
                     f"needed {per_frame} bytes, got {len(chunk)}"
                 )
-            tokens = np.frombuffer(chunk, dtype="<f4").astype(np.float64).reshape(p, p, d)
-            if not np.isfinite(tokens).all():
+            tokens = np.frombuffer(chunk, dtype="<f4").reshape(p, p, d)
+            try:
+                frame = FrameFeature(grid_size=p, dim=d, tokens=tokens)  # to float64
+            except ValueError as exc:
                 raise StreamFormatError(
-                    f"non-finite values in frame starting at byte offset {offset}"
-                )
-            yield FrameFeature(grid_size=p, dim=d, tokens=tokens)
+                    f"{exc} in frame starting at byte offset {offset}"
+                ) from None
+            yield frame
             offset += per_frame
             produced += 1
     finally:

@@ -137,7 +137,7 @@ def test_criterion_4_retrieval_oracle(capsys):
         centroids = rng.normal(size=(k, 2, 2, d))
         weights = rng.integers(1, 6, size=k).astype(float)
 
-        pooled = [average_pool(f, 2).tokens for f in buffer]
+        pooled = [average_pool(f.tokens, 2) for f in buffer]
         candidates = np.stack([p.reshape(-1) for p in pooled])
         got_idx = retrieve_key_features(candidates, centroids, weights, config)
         want_idx = retrieve_bruteforce(pooled, centroids, weights, config.n_ret)

@@ -1,6 +1,10 @@
 """Attention forward against a loop oracle, analytic gradients against finite
 differences, bank-update recurrence, and params file round-trips."""
 
+import struct
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -248,7 +252,7 @@ def test_abstract_update_multi_token_grids():
     updated = abstract_update(bank, frame, params, cfg)
     assert updated.shape == (2, 2, 2, 3)
     # cross-check against calling the attention core directly
-    new = average_pool(frame, 2).token_matrix
+    new = average_pool(frame.tokens, 2).reshape(-1, 3)
     want = semantic_attention(bank.reshape(8, 3), new, params).reshape(2, 2, 2, 3)
     assert np.array_equal(updated, want)
 
@@ -283,6 +287,30 @@ def test_params_file_rejects_corruption(tmp_path):
     bad.write_bytes(bytes(blob))
     with pytest.raises(ValueError, match="role tag"):
         load_attention_params(bad)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.one_of(
+        st.binary(max_size=96),
+        # ATP1 magic, a small dim and any alpha, then arbitrary matrix bytes.
+        st.builds(
+            lambda dim, alpha, rest: struct.pack("<4sId", b"ATP1", dim, alpha) + rest,
+            st.integers(0, 3),
+            st.floats(allow_nan=True, allow_infinity=True),
+            st.binary(max_size=160),
+        ),
+    )
+)
+def test_fuzz_load_attention_params_raises_only_value_errors(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.atp"
+        path.write_bytes(data)
+        try:
+            params = load_attention_params(path)
+        except ValueError:
+            return
+    assert np.isfinite(params.key_proj).all() and np.isfinite(params.query_proj).all()
 
 
 def test_params_validation():

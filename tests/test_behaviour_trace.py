@@ -49,7 +49,8 @@ def record(config, grid: int) -> dict[str, np.ndarray]:
     counts, assigns, ages, sums = [], [], [], []
     for frame in stream:
         engine.ingest_frame(frame)
-        history = [average_pool(frame, config.p_spa).token_matrix] + history[: config.n_buff - 1]
+        spatial = average_pool(frame.tokens, config.p_spa).reshape(-1, config.dim)
+        history = [spatial] + history[: config.n_buff - 1]
         snap = engine.read_snapshot()
         counts.append(list(engine.bank_token_counts().values()) + [engine.resident_token_count()])
         state = engine.last_cluster_state

@@ -243,7 +243,7 @@ def test_retrieved_entries_live_in_buffer():
     history = []  # every frame so far at p_spa, newest first
     for frame in synth_stream(0, 30, 2, 8, 4):  # input grid 8, pooled to 4
         engine.ingest_frame(frame)
-        history.insert(0, average_pool(frame, 4).token_matrix)
+        history.insert(0, average_pool(frame.tokens, 4).reshape(16, 4))
         retrieved = engine.read_snapshot().bank("retrieved").reshape(-1, 16, 4)
         assert len(retrieved) == min(2, len(history))
         for block in retrieved:
@@ -320,6 +320,20 @@ def test_second_writer_is_refused(monkeypatch):
     assert np.array_equal(snap.bank("spatial"), first.token_matrix)
     monkeypatch.undo()
     assert engine.ingest_frame(second) == 2  # the writer slot was released
+
+
+def test_each_bank_pools_from_the_input_grid():
+    # p_tem=3 divides the input grid 12 but not p_spa=4: every bank must pool
+    # from the frame itself, never from another bank's grid.
+    cfg = default_config(dim=8, p_spa=4, p_tem=3, n_buff=10)
+    engine = MemoryEngine(cfg)
+    for frame in synth_stream(0, 40, 4, 12, 8):
+        engine.ingest_frame(frame)
+    snap = engine.read_snapshot()
+    assert engine.bank_token_counts() == {
+        "spatial": 16, "temporal": 225, "abstract": 25, "retrieved": 48,
+    }
+    assert snap.verify_checksum()
 
 
 def test_resident_tokens_constant_once_buffer_full():

@@ -1,5 +1,8 @@
 """Domain types, budget arithmetic, config validation, snapshot integrity."""
 
+import struct
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -185,6 +188,21 @@ def test_snapshot_checksum_covers_tokens_and_metadata():
         bank_offsets=((0, 2), (2, 1), (3, 0), (3, 2)),
     )
     assert other.checksum != base.checksum
+
+
+def test_snapshot_checksum_is_crc_of_header_then_token_bytes():
+    # Non-contiguous input: the snapshot stores a C-contiguous copy, and the
+    # checksum is CRC-32 over the packed header, then the row-major tokens.
+    tokens = np.arange(15, dtype=float).reshape(3, 5).T
+    assert not tokens.flags.c_contiguous
+    offsets = ((0, 1), (1, 2), (3, 0), (3, 2))
+    snap = MemorySnapshot(version=4, timestamp_frame=9, tokens=tokens, bank_offsets=offsets)
+    header = struct.pack("<qq", 4, 9) + struct.pack("<8q", *(v for pair in offsets for v in pair))
+    assert snap.checksum == zlib.crc32(tokens.tobytes(), zlib.crc32(header))
+    assert snap.verify_checksum()
+    empty = MemorySnapshot(version=0, timestamp_frame=0, tokens=np.zeros((0, 3)),
+                           bank_offsets=((0, 0),) * 4)
+    assert empty.checksum == zlib.crc32(struct.pack("<qq8q", *[0] * 10))
 
 
 def test_snapshot_tokens_read_only():

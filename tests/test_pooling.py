@@ -14,41 +14,47 @@ def _frame(arr):
 
 
 def test_pool_constant_grid_stays_constant():
-    frame = _frame(np.full((8, 8, 3), 2.75))
+    tokens = np.full((8, 8, 3), 2.75)
     for target in (1, 2, 4, 8):
-        pooled = average_pool(frame, target)
-        assert pooled.grid_size == target
-        assert np.allclose(pooled.tokens, 2.75, atol=0, rtol=0)
+        pooled = average_pool(tokens, target)
+        assert pooled.shape == (target, target, 3)
+        assert np.allclose(pooled, 2.75, atol=0, rtol=0)
 
 
 def test_pool_2x2_to_1_is_arithmetic_mean():
     tokens = np.array([[[1.0], [2.0]], [[3.0], [4.0]]])
-    pooled = average_pool(_frame(tokens), 1)
-    assert pooled.tokens.shape == (1, 1, 1)
-    assert pooled.tokens[0, 0, 0] == pytest.approx(2.5, abs=0)
+    pooled = average_pool(tokens, 1)
+    assert pooled.shape == (1, 1, 1)
+    assert pooled[0, 0, 0] == pytest.approx(2.5, abs=0)
 
 
 def test_pool_matches_nested_loop_oracle():
     rng = np.random.default_rng(42)
     tokens = rng.normal(size=(8, 8, 4))
-    frame = _frame(tokens)
     for target in (1, 2, 4):
-        got = average_pool(frame, target).tokens
+        got = average_pool(tokens, target)
         want = pool_loops(tokens, target)
         assert np.max(np.abs(got - want)) < 1e-12
 
 
 def test_pool_identity_when_target_equals_grid():
-    frame = _frame(np.random.default_rng(0).normal(size=(4, 4, 2)))
-    assert average_pool(frame, 4) is frame
+    tokens = np.random.default_rng(0).normal(size=(4, 4, 2))
+    assert average_pool(tokens, 4) is tokens
 
 
 def test_pool_rejects_non_divisible_target():
-    frame = _frame(np.zeros((8, 8, 2)))
+    tokens = np.zeros((8, 8, 2))
     with pytest.raises(ShapeError, match="pooling not exact"):
-        average_pool(frame, 3)
+        average_pool(tokens, 3)
     with pytest.raises(ShapeError):
-        average_pool(frame, 0)
+        average_pool(tokens, 0)
+
+
+def test_pool_rejects_non_square_input():
+    with pytest.raises(ShapeError, match="expected a"):
+        average_pool(np.zeros((8, 4, 2)), 2)
+    with pytest.raises(ShapeError, match="expected a"):
+        average_pool(np.zeros((8, 8)), 2)
 
 
 @settings(max_examples=50)
@@ -62,8 +68,8 @@ def test_pool_is_linear(seed, a, b, target):
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(6, 6, 2))
     y = rng.normal(size=(6, 6, 2))
-    lhs = average_pool(_frame(a * x + b * y), target).tokens
-    rhs = a * average_pool(_frame(x), target).tokens + b * average_pool(_frame(y), target).tokens
+    lhs = average_pool(a * x + b * y, target)
+    rhs = a * average_pool(x, target) + b * average_pool(y, target)
     assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
@@ -71,7 +77,7 @@ def test_pool_is_linear(seed, a, b, target):
 @given(seed=st.integers(0, 10_000), target=st.sampled_from([1, 2, 4]))
 def test_pool_preserves_global_mean(seed, target):
     tokens = np.random.default_rng(seed).normal(size=(4, 4, 3))
-    pooled = average_pool(_frame(tokens), target).tokens
+    pooled = average_pool(tokens, target)
     assert np.max(np.abs(pooled.mean(axis=(0, 1)) - tokens.mean(axis=(0, 1)))) < 1e-12
 
 

@@ -24,7 +24,7 @@ def _frames(rng, count, grid=4, dim=3):
 
 def _candidates(buffer):
     """The buffer pooled to p_tem=2, one flattened frame per row, newest first."""
-    return np.stack([average_pool(f, 2).tokens.reshape(-1) for f in buffer])
+    return np.stack([average_pool(f.tokens, 2).reshape(-1) for f in buffer])
 
 
 def test_top_weight_cluster_selection():
@@ -46,8 +46,8 @@ def test_top_weight_cluster_selection():
 def test_exact_match_frame_is_retrieved():
     rng = np.random.default_rng(1)
     buffer = _frames(rng, 6)
-    target = average_pool(buffer[3], 2)
-    centroids = np.stack([target.tokens, rng.normal(size=(2, 2, 3))])
+    target = average_pool(buffer[3].tokens, 2)
+    centroids = np.stack([target, rng.normal(size=(2, 2, 3))])
     weights = np.array([10.0, 1.0])
     got = retrieve_key_features(
         _candidates(buffer), centroids, weights, CFG.with_overrides(n_ret=1)
@@ -113,7 +113,7 @@ def test_distance_tie_prefers_newer_frame():
     newer = FrameFeature.from_array(tokens)
     older = FrameFeature.from_array(tokens.copy())  # equal values
     filler = FrameFeature.from_array(rng.normal(size=(4, 4, 3)) + 50.0)
-    centroids = average_pool(newer, 2).tokens[None]
+    centroids = average_pool(newer.tokens, 2)[None]
     weights = np.array([1.0])
     # newest first: row 0 beats row 2
     assert retrieve_key_features(_candidates([newer, filler, older]), centroids, weights, CFG) == [0]
@@ -126,7 +126,7 @@ def test_duplicate_retrieval_allowed_across_clusters():
     rng = np.random.default_rng(6)
     base = FrameFeature.from_array(rng.normal(size=(4, 4, 3)))
     far = FrameFeature.from_array(rng.normal(size=(4, 4, 3)) + 100.0)
-    pooled = average_pool(base, 2).tokens
+    pooled = average_pool(base.tokens, 2)
     centroids = np.stack([pooled + 0.01, pooled - 0.01])
     weights = np.array([4.0, 3.0])
     got = retrieve_key_features(
@@ -138,7 +138,7 @@ def test_duplicate_retrieval_allowed_across_clusters():
 def test_ordered_by_descending_cluster_weight():
     rng = np.random.default_rng(7)
     buffer = _frames(rng, 10)
-    centroids = np.stack([average_pool(f, 2).tokens for f in buffer[:4]])
+    centroids = np.stack([average_pool(f.tokens, 2) for f in buffer[:4]])
     weights = np.array([2.0, 9.0, 4.0, 7.0])
     got = retrieve_key_features(
         _candidates(buffer), centroids, weights, CFG.with_overrides(n_ret=4, n_tem=4)

@@ -5,6 +5,7 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from streammem import (
     FrameFeature,
@@ -15,7 +16,7 @@ from streammem import (
     synth_stream,
     write_stream,
 )
-from streammem.streamio import MAX_FRAME_BYTES
+from streammem.streamio import MAX_FRAME_BYTES, read_header
 
 HEADER_SIZE = 21  # 4s + u32 + u32 + u64 + u8, little-endian, packed
 
@@ -118,6 +119,53 @@ def test_non_finite_values_rejected_with_offset():
     payload = np.array([1.0, np.nan, 0.0, 2.0], dtype="<f4").tobytes()
     with pytest.raises(StreamFormatError, match=f"non-finite.*{HEADER_SIZE}"):
         list(read_stream(io.BytesIO(_header_bytes(grid=2, dim=1) + payload)))
+    # A bad second frame names its own offset; the first frame is yielded.
+    payload = np.array([1.0, 2.0, 3.0, 4.0, 0.0, 0.0, np.inf, 0.0], dtype="<f4").tobytes()
+    frames = read_stream(io.BytesIO(_header_bytes(grid=2, dim=1) + payload))
+    assert next(frames).tokens.ravel().tolist() == [1.0, 2.0, 3.0, 4.0]
+    with pytest.raises(StreamFormatError, match=f"non-finite.*{HEADER_SIZE + 16}"):
+        next(frames)
+
+
+# Arbitrary bytes, and bytes behind a plausible header so that the frame
+# reader is reached: small grid and dim, any count and dtype tag, then
+# arbitrary bytes or float32 values that include NaN and infinities.
+_plausible_header = st.builds(
+    _header_bytes,
+    grid=st.integers(0, 3),
+    dim=st.integers(0, 3),
+    count=st.integers(0, 2**64 - 1),
+    tag=st.sampled_from([0, 0, 0, 1, 255]),
+)
+_f32_payload = st.lists(st.floats(width=32), max_size=64).map(
+    lambda values: np.array(values, dtype="<f4").tobytes()
+)
+_stream_bytes = st.one_of(
+    st.binary(max_size=64),
+    st.builds(bytes.__add__, _plausible_header, st.one_of(st.binary(max_size=256), _f32_payload)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=_stream_bytes)
+def test_fuzz_read_header_raises_only_named_errors(data):
+    try:
+        header = read_header(io.BytesIO(data))
+    except StreamFormatError:
+        return
+    assert header.frame_bytes <= MAX_FRAME_BYTES
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=_stream_bytes)
+def test_fuzz_frame_iterator_raises_only_named_errors(data):
+    try:
+        header, frames = open_stream(io.BytesIO(data))
+        for frame in frames:
+            assert frame.tokens.shape == (header.grid_side, header.grid_side, header.dim)
+            assert np.isfinite(frame.tokens).all()
+    except StreamFormatError:
+        pass
 
 
 def test_write_patches_count_for_generators(tmp_path):
