@@ -34,8 +34,8 @@ class AttentionParams:
     """Bias-free square projections for keys and queries, plus the decay rate.
 
     Matrices are D x D, finite, read-only float64. The decay is stored as
-    given; range enforcement happens at the engine boundary so edge values
-    (alpha = 1, full decay) remain probeable in isolation.
+    given so edge values (alpha = 1, full decay) remain probeable in isolation;
+    the engine accepts params only with its config's (range-checked) decay.
     """
 
     key_proj: np.ndarray
@@ -105,6 +105,18 @@ def _row_softmax(scores: np.ndarray) -> np.ndarray:
     return exp / exp.sum(axis=1, keepdims=True)
 
 
+def _attend(
+    abstract: np.ndarray, new_features: np.ndarray, params: AttentionParams, scale: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Keys, queries and the row-softmax attention of one forward pass."""
+    keys = new_features @ params.key_proj.T
+    queries = abstract @ params.query_proj.T
+    scores = queries @ keys.T
+    if scale:
+        scores = scores / np.sqrt(params.dim)
+    return keys, queries, _row_softmax(scores)
+
+
 def semantic_attention(
     abstract: np.ndarray,
     new_features: np.ndarray,
@@ -121,12 +133,7 @@ def semantic_attention(
     behavior, scaling is an ablation knob.
     """
     abstract, new_features = _check_attention_shapes(abstract, new_features, params)
-    keys = new_features @ params.key_proj.T
-    queries = abstract @ params.query_proj.T
-    scores = queries @ keys.T
-    if scale:
-        scores = scores / np.sqrt(params.dim)
-    attn = _row_softmax(scores)
+    _, _, attn = _attend(abstract, new_features, params, scale)
     return (1.0 - params.decay_alpha) * abstract + attn @ new_features
 
 
@@ -149,15 +156,12 @@ def semantic_attention_grad(
         raise ShapeError(
             f"upstream must match abstract shape {abstract.shape}, got {upstream.shape}"
         )
-    keys = new_features @ params.key_proj.T
-    queries = abstract @ params.query_proj.T
-    scores = queries @ keys.T
-    mult = 1.0 / np.sqrt(params.dim) if scale else 1.0
-    attn = _row_softmax(scores * mult)
+    keys, queries, attn = _attend(abstract, new_features, params, scale)
 
     d_attn = upstream @ new_features.T
     d_scores = attn * (d_attn - np.sum(d_attn * attn, axis=1, keepdims=True))
-    d_scores = d_scores * mult
+    if scale:
+        d_scores = d_scores / np.sqrt(params.dim)
     d_queries = d_scores @ keys
     d_keys = d_scores.T @ queries
     return AttentionGrads(

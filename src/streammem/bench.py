@@ -141,7 +141,7 @@ def _timed_engine_read(engine: MemoryEngine) -> float:
 def _timed_baseline_read(baseline: _KeepAllBaseline) -> float:
     t0 = time.perf_counter()
     tokens = baseline.read_tokens()
-    zlib.crc32(tokens.tobytes())
+    zlib.crc32(tokens)  # C-contiguous, as the engine's checksum reads it
     return (time.perf_counter() - t0) * 1000.0
 
 

@@ -12,13 +12,14 @@ import json
 import sys
 import time
 from collections import deque
+from contextlib import nullcontext
 from pathlib import Path
 
 from .attention import load_attention_params
 from .bench import bench_latency, export_memory_pca, sweep_ablation
 from .engine import MemoryEngine
 from .model import ConfigError, MemoryConfig, ShapeError, default_config, max_tokens
-from .streamio import StreamFormatError, open_stream, synth_stream, write_stream
+from .streamio import StreamFormatError, open_endpoint, open_stream, synth_stream, write_stream
 
 __all__ = ["main"]
 
@@ -51,15 +52,19 @@ def _build_config(args, base: MemoryConfig) -> MemoryConfig:
 
 
 def _make_engine(args, header_dim: int) -> MemoryEngine:
-    config = _build_config(args, default_config(dim=header_dim))
+    # A params file's decay rate is the config default; --config may only repeat it.
     params = load_attention_params(args.params) if getattr(args, "params", None) else None
-    return MemoryEngine(config, params)
+    base = default_config(dim=header_dim)
+    if params is not None:
+        base = base.with_overrides(decay_alpha=params.decay_alpha)
+    return MemoryEngine(_build_config(args, base), params)
 
 
-def _out_handle(path: str | None):
-    if path in (None, "-"):
-        return sys.stdout, False
-    return open(path, "w"), True
+def _output(path: str | None):
+    """Text output for --csv/--out, stdout when absent or '-'; use with `with`,
+    which closes the file only if it was opened here."""
+    handle, opened = open_endpoint("-" if path is None else path, "w")
+    return handle if opened else nullcontext(handle)
 
 
 def _cmd_synth(args) -> int:
@@ -110,12 +115,8 @@ def _cmd_bench(args) -> int:
         )
         rows.extend(baseline.rows)
     csv_text = type(report)(rows=tuple(rows)).to_csv()
-    handle, close = _out_handle(args.csv)
-    try:
+    with _output(args.csv) as handle:
         handle.write(csv_text)
-    finally:
-        if close:
-            handle.close()
     print(f"flatness_ratio={report.flatness_ratio():.3f}", file=sys.stderr)
     return 0
 
@@ -135,8 +136,7 @@ def _cmd_replay(args) -> int:
 
     header, frames = open_stream(args.stream)
     engine = _make_engine(args, header.dim)
-    handle, close = _out_handle(args.out)
-    try:
+    with _output(args.out) as handle:
         handle.write("question_id,frame_timestamp,version,timestamp_frame,stale\n")
 
         def flush_due(now: int) -> None:
@@ -156,9 +156,6 @@ def _cmd_replay(args) -> int:
             flush_due(t)
         # Timestamps beyond the stream end resolve against the final state.
         flush_due(max(t, queries[-1][0]) if queries else t)
-    finally:
-        if close:
-            handle.close()
     return 0
 
 
@@ -172,12 +169,8 @@ def _cmd_sweep(args) -> int:
     grid = {k: v if isinstance(v, list) else [v] for k, v in grid.items()}
     base = _build_config(args, default_config(dim=args.dim))
     report = sweep_ablation(grid, base, frames=args.frames, seed=args.seed)
-    handle, close = _out_handle(args.csv)
-    try:
+    with _output(args.csv) as handle:
         handle.write(report.to_csv())
-    finally:
-        if close:
-            handle.close()
     return 0
 
 
@@ -197,12 +190,8 @@ def _cmd_export_pca(args) -> int:
             file=sys.stderr,
         )
     export = export_memory_pca(engine.read_snapshot(), raw)
-    handle, close = _out_handle(args.out)
-    try:
+    with _output(args.out) as handle:
         handle.write(export.to_csv())
-    finally:
-        if close:
-            handle.close()
     if export.degenerate:
         print("export-pca: projection axes are degenerate (rank < 2)", file=sys.stderr)
     return 0

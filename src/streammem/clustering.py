@@ -57,8 +57,6 @@ def _repair_empty(assign: np.ndarray, d2: np.ndarray, point_weights: np.ndarray,
     counts = np.bincount(assign, minlength=k)
     for empty in np.flatnonzero(counts == 0):
         movable = counts[assign] >= 2
-        if not movable.any():
-            break  # fewer distinct points than clusters; leave the rest empty
         cost = np.where(movable, point_weights * d2[np.arange(len(assign)), assign], -np.inf)
         donor = int(np.argmax(cost))
         counts[assign[donor]] -= 1
@@ -112,7 +110,6 @@ def weighted_kmeans(
     history: list[float] = []
     iterations = 0
     converged = False
-    assign = np.zeros(n, dtype=np.intp)
     # Each update step ends by computing the distances to the new centroids
     # for the objective; the next assignment step reuses them.
     d2 = _squared_distances(flat, centroids)
@@ -157,14 +154,10 @@ def temporal_update(
     n_tem, warm-started from the previous centroids; total weight grows by
     exactly 1 per frame.
     """
-    k_old = temporal.shape[0]
-    if k_old < config.n_tem:
-        new_temporal = np.concatenate([temporal, pooled_frame[None]], axis=0)
-        new_weights = np.concatenate([temporal_weights, [1.0]])
-        return new_temporal, new_weights, None
-
     points = np.concatenate([temporal, pooled_frame[None]], axis=0)
     point_weights = np.concatenate([temporal_weights, [1.0]])
+    if points.shape[0] <= config.n_tem:
+        return points, point_weights, None
     state = weighted_kmeans(
         points,
         point_weights,

@@ -20,6 +20,7 @@ from .clustering import ClusterState, temporal_update
 from .model import (
     BANK_ORDER,
     ConcurrentWriteError,
+    ConfigError,
     FrameFeature,
     MemoryConfig,
     MemorySnapshot,
@@ -81,6 +82,11 @@ class MemoryEngine:
         if params.dim != config.dim:
             raise ShapeError(
                 f"attention params dim {params.dim} != config dim {config.dim}"
+            )
+        if params.decay_alpha != config.decay_alpha:
+            raise ConfigError(
+                f"attention params decay_alpha {params.decay_alpha} != config "
+                f"decay_alpha {config.decay_alpha}"
             )
         if ring_depth < 1:
             raise ValueError(f"ring_depth must be positive, got {ring_depth}")

@@ -177,6 +177,12 @@ def validate_config(config: MemoryConfig, input_grid: int | None = None) -> None
                 raise ConfigError(
                     f"pooling not exact: {name}={p} does not divide input grid {input_grid}"
                 )
+    seed = config.rng_seed
+    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
+        raise ConfigError(f"rng_seed must be a non-negative integer, got {seed!r}")
+    warm = config.kmeans_warm_start
+    if not isinstance(warm, (bool, np.bool_)):
+        raise ConfigError(f"kmeans_warm_start must be a bool, got {warm!r}")
     alpha = config.decay_alpha
     if not isinstance(alpha, (int, float, np.floating)) or not np.isfinite(alpha):
         raise ConfigError(f"decay out of range: decay_alpha must be a finite real, got {alpha!r}")

@@ -15,10 +15,11 @@ consumed directly and frames round-tripped through a file are bit-identical.
 
 from __future__ import annotations
 
-import io
 import struct
+import sys
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +31,7 @@ __all__ = [
     "StreamFormatError",
     "StreamHeader",
     "read_header",
+    "open_endpoint",
     "open_stream",
     "read_stream",
     "write_stream",
@@ -82,19 +84,23 @@ class StreamHeader:
         return _HEADER.pack(MAGIC, self.grid_side, self.dim, self.frame_count, self.dtype_tag)
 
 
-def _as_reader(source):
-    """(file-like, should_close) from a path, '-' for stdin, or file-like."""
-    if hasattr(source, "read"):
-        return source, False
-    if source == "-":
-        import sys
+def open_endpoint(target, mode: str):
+    """(file, opened_here) for a path, '-' or a file object, in open() mode.
 
-        return sys.stdin.buffer, False
-    return open(Path(source), "rb"), True
+    '-' is stdin or stdout (their .buffer in a binary mode), looked up at call
+    time. Callers close the file only when opened_here is True.
+    """
+    reading = "r" in mode
+    if hasattr(target, "read" if reading else "write"):
+        return target, False
+    if target == "-":
+        std = sys.stdin if reading else sys.stdout
+        return (std.buffer if "b" in mode else std), False
+    return open(Path(target), mode), True
 
 
 def read_header(source) -> StreamHeader:
-    f, should_close = _as_reader(source)
+    f, should_close = open_endpoint(source, "rb")
     try:
         raw = f.read(_HEADER.size)
     finally:
@@ -146,7 +152,7 @@ def open_stream(source) -> tuple[StreamHeader, Iterator[FrameFeature]]:
     source may be a path, '-' for standard input, or a binary file object.
     The iterator closes the file (when this call opened it) on exhaustion.
     """
-    f, should_close = _as_reader(source)
+    f, should_close = open_endpoint(source, "rb")
     try:
         header = read_header(f)
     except Exception:
@@ -177,28 +183,18 @@ def write_stream(
     """
     frames_iter = iter(frames)
     known = len(frames) if hasattr(frames, "__len__") else None
-    first = None
     if grid_side is None or dim is None:
         first = next(frames_iter, None)
         if first is None:
             raise StreamFormatError("cannot infer header from an empty stream")
         grid_side, dim = first.grid_size, first.dim
+        frames_iter = chain([first], frames_iter)
 
-    if hasattr(dest, "write"):
-        f, should_close = dest, False
-    elif dest == "-":
-        import sys
-
-        f, should_close = sys.stdout.buffer, False
-    else:
-        f, should_close = open(Path(dest), "wb"), True
+    f, should_close = open_endpoint(dest, "wb")
     try:
         header_pos = f.tell() if f.seekable() else None
         f.write(StreamHeader(grid_side, dim, known or 0).pack())
         written = 0
-        for frame in ([first] if first is not None else []):
-            f.write(_frame_bytes(frame, grid_side, dim))
-            written += 1
         for frame in frames_iter:
             f.write(_frame_bytes(frame, grid_side, dim))
             written += 1

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from streammem import AttentionParams, save_attention_params
 from streammem.cli import main
 from streammem.streamio import read_header
 
@@ -61,6 +62,39 @@ def test_ingest_grid_config_mismatch_exits_2(tmp_path, capsys):
     assert "pooling not exact" in capsys.readouterr().err
 
 
+def test_bad_rng_seed_exits_2(tmp_path, capsys):
+    path = _synth(tmp_path)
+    capsys.readouterr()
+    assert main(["ingest", str(path), "--config", "rng_seed=1.5"]) == 2
+    assert "rng_seed" in capsys.readouterr().err
+
+
+def test_params_file_round_trip_sets_decay(tmp_path, capsys):
+    path = _synth(tmp_path)
+    params = tmp_path / "p.atp"
+    save_attention_params(AttentionParams.seeded(6, seed=3, decay_alpha=0.2), params)
+    capsys.readouterr()
+    assert main(["ingest", str(path), "--params", str(params)]) == 0
+    assert "total=681 budget=681" in capsys.readouterr().out
+    # Repeating the file's decay is fine; contradicting it names both values.
+    ok = ["--config", "decay_alpha=0.2"]
+    assert main(["ingest", str(path), "--params", str(params)] + ok) == 0
+    capsys.readouterr()
+    clash = ["--config", "decay_alpha=0.3"]
+    assert main(["ingest", str(path), "--params", str(params)] + clash) == 2
+    err = capsys.readouterr().err
+    assert "0.2" in err and "0.3" in err
+
+
+def test_params_file_decay_out_of_range_exits_2(tmp_path, capsys):
+    path = _synth(tmp_path)
+    params = tmp_path / "p.atp"
+    save_attention_params(AttentionParams.seeded(6, decay_alpha=5.0), params)
+    capsys.readouterr()
+    assert main(["ingest", str(path), "--params", str(params)]) == 2
+    assert "decay_alpha" in capsys.readouterr().err
+
+
 def test_config_flag_rejects_unknown_field(tmp_path):
     path = _synth(tmp_path)
     with pytest.raises(SystemExit) as exc:
@@ -88,6 +122,18 @@ def test_replay_answers_queries_in_timestamp_order(tmp_path):
     assert [r["version"] for r in rows] == ["2", "9", "12"]
     assert [r["timestamp_frame"] for r in rows] == ["2", "9", "12"]
     assert all(r["stale"] == "0" for r in rows)
+
+
+def test_replay_log_goes_to_stdout_without_out(tmp_path, capsys):
+    stream = _synth(tmp_path, frames=12)
+    trip = tmp_path / "trip.json"
+    trip.write_text(json.dumps([{"id": "q", "frame_timestamp": 5}]))
+    capsys.readouterr()
+    assert main(["replay", str(trip), str(stream)]) == 0
+    rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+    assert [(r["question_id"], r["version"]) for r in rows] == [("q", "5")]
+    assert main(["replay", str(trip), str(stream), "--out", "-"]) == 0
+    assert list(csv.DictReader(capsys.readouterr().out.splitlines())) == rows
 
 
 def test_replay_rejects_malformed_triplets(tmp_path, capsys):
@@ -148,6 +194,16 @@ def test_sweep_grid_inline_and_from_file(tmp_path):
                 for row in csv.DictReader(path.open())]
 
     assert stable(from_file) == stable(inline)
+
+
+def test_sweep_csv_goes_to_stdout_without_csv(capsys):
+    argv = ["sweep", "--grid", '{"n_tem": [4, 8]}', "--frames", "30", "--dim", "8"]
+    assert main(argv) == 0
+    rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+    assert [r["overrides"] for r in rows] == ["n_tem=4", "n_tem=8"]
+    assert all(r["ok"] == "1" for r in rows)
+    assert main(argv + ["--csv", "-"]) == 0
+    assert len(list(csv.DictReader(capsys.readouterr().out.splitlines()))) == 2
 
 
 def test_sweep_rejects_non_object_grid(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Domain types, budget arithmetic, config validation, snapshot integrity."""
 
+import dataclasses
 import struct
 import zlib
 
@@ -93,6 +94,29 @@ def test_validate_positive_integer_fields():
         validate_config(default_config(n_ret=True))
     with pytest.raises(ConfigError, match="kmeans_max_iters"):
         validate_config(default_config(kmeans_max_iters=2.5))
+
+
+def test_validate_checks_every_field():
+    # One bad value per field; a new field must join this table to pass.
+    bad = {
+        "p_spa": 0, "p_tem": -1, "p_abs": 1.0, "n_buff": 0, "n_spa": True,
+        "n_tem": 0, "n_abs": 0, "n_ret": -3, "dim": 0, "kmeans_max_iters": 0,
+        "decay_alpha": 1.0, "rng_seed": 1.5, "kmeans_warm_start": 7,
+    }
+    assert set(bad) == {f.name for f in dataclasses.fields(MemoryConfig)}
+    for name, value in bad.items():
+        with pytest.raises(ConfigError, match=name):
+            validate_config(default_config(**{name: value}))
+
+
+def test_validate_rng_seed_and_warm_start_types():
+    for seed in (-1, 1.5, True, "0"):
+        with pytest.raises(ConfigError, match="rng_seed"):
+            validate_config(default_config(rng_seed=seed))
+    for warm in (7, 0, None, "true"):
+        with pytest.raises(ConfigError, match="kmeans_warm_start"):
+            validate_config(default_config(kmeans_warm_start=warm))
+    validate_config(default_config(rng_seed=np.int64(3), kmeans_warm_start=np.bool_(False)))
 
 
 @given(

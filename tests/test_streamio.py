@@ -2,6 +2,7 @@
 
 import io
 import struct
+import sys
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from streammem import (
     synth_stream,
     write_stream,
 )
-from streammem.streamio import MAX_FRAME_BYTES, read_header
+from streammem.streamio import MAX_FRAME_BYTES, open_endpoint, read_header
 
 HEADER_SIZE = 21  # 4s + u32 + u32 + u64 + u8, little-endian, packed
 
@@ -282,3 +283,22 @@ def test_synth_validation():
         synth_stream(0, 3, 1, 0, 2)
     with pytest.raises(StreamFormatError):
         synth_stream(0, 3, 1, 2, 2, noise_rel=-0.5)
+
+
+def test_open_endpoint_closes_only_what_it_opens(tmp_path, monkeypatch):
+    buf = io.BytesIO()
+    assert open_endpoint(buf, "wb") == (buf, False)
+    write_stream(buf, synth_stream(0, 2, 1, 2, 3))
+    assert not buf.closed
+    assert read_header(io.BytesIO(buf.getvalue())).frame_count == 2
+
+    out = io.TextIOWrapper(io.BytesIO())  # '-' is resolved at call time
+    monkeypatch.setattr(sys, "stdout", out)
+    assert open_endpoint("-", "w") == (out, False)
+    assert open_endpoint("-", "wb") == (out.buffer, False)
+
+    path = tmp_path / "s.fvs"
+    path.write_bytes(buf.getvalue())
+    f, opened = open_endpoint(str(path), "rb")
+    assert opened and read_header(f).frame_count == 2
+    f.close()
