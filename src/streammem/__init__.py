@@ -36,7 +36,6 @@ from .streamio import (
     StreamFormatError,
     StreamHeader,
     open_stream,
-    read_stream,
     synth_stream,
     write_stream,
 )
@@ -79,7 +78,6 @@ __all__ = [
     "QueryResult",
     "StreamHeader",
     "open_stream",
-    "read_stream",
     "write_stream",
     "synth_stream",
     "bench_latency",

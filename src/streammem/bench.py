@@ -43,6 +43,14 @@ __all__ = [
 ]
 
 
+# Synthetic streams of the bench and sweep, and the PCA rank cut-off: a second
+# eigenvalue at or below _PCA_RANK_TOL * max(first, 1) counts as rank < 2.
+_BENCH_SCENES = 4
+_BENCH_NOISE_REL = 0.05
+_SWEEP_SCENES = 3
+_PCA_RANK_TOL = 1e-9
+
+
 def _rss_mb() -> float:
     try:
         import resource
@@ -151,8 +159,6 @@ def bench_latency(
     queries_per_point: int = 32,
     *,
     seed: int = 0,
-    n_scenes: int = 4,
-    noise_rel: float = 0.05,
     keep_all: bool = False,
 ) -> BenchReport:
     """Ingest a synthetic stream into one sink per frame count, then time reads.
@@ -174,8 +180,8 @@ def bench_latency(
         raise ValueError(f"queries_per_point must be >= 1, got {queries_per_point}")
 
     stream = synth_stream(
-        seed, counts[-1], min(n_scenes, counts[-1]), config.p_spa, config.dim,
-        noise_rel=noise_rel,
+        seed, counts[-1], min(_BENCH_SCENES, counts[-1]), config.p_spa, config.dim,
+        noise_rel=_BENCH_NOISE_REL,
     )
     if keep_all:
         sinks = [_KeepAllBaseline(config) for _ in counts]
@@ -266,7 +272,6 @@ def sweep_ablation(
     *,
     frames: int = 120,
     seed: int = 0,
-    n_scenes: int = 3,
 ) -> SweepReport:
     """Run every config in the Cartesian product of the grid's value lists.
 
@@ -295,7 +300,7 @@ def sweep_ablation(
             )
             continue
         budget = max_tokens(cfg)
-        stream = synth_stream(seed, frames, min(n_scenes, frames), cfg.p_spa, cfg.dim)
+        stream = synth_stream(seed, frames, min(_SWEEP_SCENES, frames), cfg.p_spa, cfg.dim)
         engine = MemoryEngine(cfg)
         invariants_ok = True
         t0 = time.perf_counter()
@@ -349,9 +354,7 @@ class PcaExport:
         return "\n".join(lines) + "\n"
 
 
-def export_memory_pca(
-    snapshot: MemorySnapshot, raw_frames, *, tol: float = 1e-9
-) -> PcaExport:
+def export_memory_pca(snapshot: MemorySnapshot, raw_frames) -> PcaExport:
     """Project memory tokens and raw-frame tokens onto their shared top-2 PCA.
 
     raw_frames is an iterable of FrameFeature at any grid. The combined set
@@ -396,7 +399,7 @@ def export_memory_pca(
         pivot = int(np.argmax(np.abs(top[:, j])))
         if top[pivot, j] < 0:
             top[:, j] = -top[:, j]
-    degenerate = d < 2 or lam[1] <= tol * max(lam[0], 1.0)
+    degenerate = d < 2 or lam[1] <= _PCA_RANK_TOL * max(lam[0], 1.0)
     coords = centered @ top
     return PcaExport(
         coords=coords,

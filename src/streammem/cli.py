@@ -12,7 +12,6 @@ import json
 import sys
 import time
 from collections import deque
-from contextlib import nullcontext
 from pathlib import Path
 
 from .attention import load_attention_params
@@ -61,10 +60,8 @@ def _make_engine(args, header_dim: int) -> MemoryEngine:
 
 
 def _output(path: str | None):
-    """Text output for --csv/--out, stdout when absent or '-'; use with `with`,
-    which closes the file only if it was opened here."""
-    handle, opened = open_endpoint("-" if path is None else path, "w")
-    return handle if opened else nullcontext(handle)
+    """Text output for --csv/--out, stdout when absent or '-'; use with `with`."""
+    return open_endpoint("-" if path is None else path, "w")
 
 
 def _cmd_synth(args) -> int:
@@ -175,6 +172,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_export_pca(args) -> int:
+    if args.at_frame < 1:
+        raise ValueError(f"--at-frame must be >= 1, got {args.at_frame}")
     header, frames = open_stream(args.stream)
     engine = _make_engine(args, header.dim)
     raw = []

@@ -26,7 +26,6 @@ from .model import (
     MemorySnapshot,
     ShapeError,
     default_config,
-    max_tokens,
     validate_config,
 )
 from .pooling import average_pool
@@ -120,10 +119,6 @@ class MemoryEngine:
     @property
     def frames_ingested(self) -> int:
         return self._published[-1].timestamp_frame
-
-    @property
-    def max_tokens(self) -> int:
-        return max_tokens(self._config)
 
     @property
     def last_cluster_state(self) -> ClusterState | None:

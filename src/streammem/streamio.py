@@ -18,6 +18,7 @@ from __future__ import annotations
 import struct
 import sys
 from collections.abc import Iterable, Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -33,7 +34,6 @@ __all__ = [
     "read_header",
     "open_endpoint",
     "open_stream",
-    "read_stream",
     "write_stream",
     "SyntheticStream",
     "synth_stream",
@@ -84,28 +84,27 @@ class StreamHeader:
         return _HEADER.pack(MAGIC, self.grid_side, self.dim, self.frame_count, self.dtype_tag)
 
 
+@contextmanager
 def open_endpoint(target, mode: str):
-    """(file, opened_here) for a path, '-' or a file object, in open() mode.
+    """Yield the file for a path, '-' or a file object, in open() mode.
 
     '-' is stdin or stdout (their .buffer in a binary mode), looked up at call
-    time. Callers close the file only when opened_here is True.
+    time. Use with `with`: on exit it closes the file only if it opened it.
     """
     reading = "r" in mode
     if hasattr(target, "read" if reading else "write"):
-        return target, False
-    if target == "-":
+        yield target
+    elif target == "-":
         std = sys.stdin if reading else sys.stdout
-        return (std.buffer if "b" in mode else std), False
-    return open(Path(target), mode), True
+        yield std.buffer if "b" in mode else std
+    else:
+        with open(Path(target), mode) as f:
+            yield f
 
 
 def read_header(source) -> StreamHeader:
-    f, should_close = open_endpoint(source, "rb")
-    try:
+    with open_endpoint(source, "rb") as f:
         raw = f.read(_HEADER.size)
-    finally:
-        if should_close:
-            f.close()
     if len(raw) < _HEADER.size:
         raise StreamFormatError(
             f"short read: header needs {_HEADER.size} bytes, got {len(raw)}"
@@ -116,12 +115,14 @@ def read_header(source) -> StreamHeader:
     return StreamHeader(grid_side=grid, dim=dim, frame_count=count, dtype_tag=tag)
 
 
-def _iter_frames(f, header: StreamHeader, should_close: bool) -> Iterator[FrameFeature]:
-    p, d = header.grid_side, header.dim
-    per_frame = header.frame_bytes
-    offset = _HEADER.size
-    produced = 0
-    try:
+def _header_then_frames(source) -> Iterator[StreamHeader | FrameFeature]:
+    with open_endpoint(source, "rb") as f:
+        header = read_header(f)
+        yield header
+        p, d = header.grid_side, header.dim
+        per_frame = header.frame_bytes
+        offset = _HEADER.size
+        produced = 0
         while header.frame_count == 0 or produced < header.frame_count:
             chunk = f.read(per_frame)
             if not chunk and header.frame_count == 0:
@@ -141,31 +142,17 @@ def _iter_frames(f, header: StreamHeader, should_close: bool) -> Iterator[FrameF
             yield frame
             offset += per_frame
             produced += 1
-    finally:
-        if should_close:
-            f.close()
 
 
 def open_stream(source) -> tuple[StreamHeader, Iterator[FrameFeature]]:
     """Parse the header now; return it plus a lazy frame iterator.
 
     source may be a path, '-' for standard input, or a binary file object.
-    The iterator closes the file (when this call opened it) on exhaustion.
+    The iterator owns the file from this call on: a file opened here is
+    closed when iteration finishes, fails, or the iterator is dropped.
     """
-    f, should_close = open_endpoint(source, "rb")
-    try:
-        header = read_header(f)
-    except Exception:
-        if should_close:
-            f.close()
-        raise
-    return header, _iter_frames(f, header, should_close)
-
-
-def read_stream(source) -> Iterator[FrameFeature]:
-    """Frames of an FVS1 stream, in order. See open_stream for sources."""
-    _, frames = open_stream(source)
-    return frames
+    frames = _header_then_frames(source)
+    return next(frames), frames
 
 
 def write_stream(
@@ -190,8 +177,7 @@ def write_stream(
         grid_side, dim = first.grid_size, first.dim
         frames_iter = chain([first], frames_iter)
 
-    f, should_close = open_endpoint(dest, "wb")
-    try:
+    with open_endpoint(dest, "wb") as f:
         header_pos = f.tell() if f.seekable() else None
         f.write(StreamHeader(grid_side, dim, known or 0).pack())
         written = 0
@@ -204,9 +190,6 @@ def write_stream(
             f.write(StreamHeader(grid_side, dim, written).pack())
             f.seek(end)
         return written
-    finally:
-        if should_close:
-            f.close()
 
 
 def _frame_bytes(frame: FrameFeature, grid_side: int, dim: int) -> bytes:
@@ -268,10 +251,6 @@ class SyntheticStream:
                 spans.append((start, i, self.scene_ids[start]))
                 start = i
         return spans
-
-    @property
-    def header(self) -> StreamHeader:
-        return StreamHeader(self.grid_side, self.dim, self.n_frames)
 
 
 def _rms(arr: np.ndarray) -> float:

@@ -2,11 +2,14 @@
 
 import csv
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import streammem
 from streammem import AttentionParams, save_attention_params
 from streammem.cli import main
 from streammem.streamio import read_header
@@ -117,7 +120,7 @@ def test_replay_answers_queries_in_timestamp_order(tmp_path):
     ]))
     out = tmp_path / "log.csv"
     assert main(["replay", str(trip), str(stream), "--out", str(out)]) == 0
-    rows = list(csv.DictReader(out.open()))
+    rows = list(csv.DictReader(out.read_text().splitlines()))
     assert [r["question_id"] for r in rows] == ["q-early", "q-late", "q-beyond"]
     assert [r["version"] for r in rows] == ["2", "9", "12"]
     assert [r["timestamp_frame"] for r in rows] == ["2", "9", "12"]
@@ -155,7 +158,7 @@ def test_bench_writes_csv_rows(tmp_path, capsys):
     ])
     assert rc == 0
     assert "flatness_ratio=" in capsys.readouterr().err
-    rows = list(csv.DictReader(out.open()))
+    rows = list(csv.DictReader(out.read_text().splitlines()))
     assert [(r["mode"], r["frames"]) for r in rows] == [("engine", "20"), ("engine", "40")]
 
 
@@ -166,7 +169,7 @@ def test_bench_keep_all_appends_baseline_rows(tmp_path):
         "--keep-all", "--csv", str(out),
     ])
     assert rc == 0
-    rows = list(csv.DictReader(out.open()))
+    rows = list(csv.DictReader(out.read_text().splitlines()))
     assert [r["mode"] for r in rows] == ["engine", "engine", "keep-all", "keep-all"]
     assert [r["bank_tokens"] for r in rows[2:]] == ["640", "1280"]
 
@@ -178,7 +181,7 @@ def test_sweep_grid_inline_and_from_file(tmp_path):
         "--dim", "8", "--csv", str(inline),
     ])
     assert rc == 0
-    rows = list(csv.DictReader(inline.open()))
+    rows = list(csv.DictReader(inline.read_text().splitlines()))
     assert [r["overrides"] for r in rows] == ["n_tem=4", "n_tem=8"]
     assert all(r["ok"] == "1" and r["invariants_ok"] == "1" for r in rows)
 
@@ -191,7 +194,7 @@ def test_sweep_grid_inline_and_from_file(tmp_path):
 
     def stable(path):  # drop the timing column before comparing
         return [{k: v for k, v in row.items() if k != "ingest_fps"}
-                for row in csv.DictReader(path.open())]
+                for row in csv.DictReader(path.read_text().splitlines())]
 
     assert stable(from_file) == stable(inline)
 
@@ -218,7 +221,7 @@ def test_export_pca_csv_schema(tmp_path, capsys):
     assert rc == 0
     lines = out.read_text().splitlines()
     assert lines[0] == "x,y,label,bank"
-    rows = list(csv.DictReader(out.open()))
+    rows = list(csv.DictReader(out.read_text().splitlines()))
     # 441 memory tokens at t=10 plus 10 raw frames of 64 tokens.
     assert len(rows) == 441 + 640
     assert {r["label"] for r in rows} == {"memory", "raw"}
@@ -234,16 +237,49 @@ def test_export_pca_short_stream_warns_and_exports(tmp_path, capsys):
     assert out.read_text().splitlines()[0] == "x,y,label,bank"
 
 
+def test_export_pca_rejects_at_frame_below_1(tmp_path, capsys):
+    stream = _synth(tmp_path, frames=5)
+    out = tmp_path / "pca.csv"
+    for bad in ("0", "-5"):
+        capsys.readouterr()
+        assert main(["export-pca", str(stream), "--at-frame", bad, "--out", str(out)]) == 2
+        assert "--at-frame" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_stream_file_closed_when_main_returns(tmp_path, opened_files):
+    # Every file the stream reader opens must be closed by the time main
+    # returns, also when the engine cannot be built after the header is read.
+    stream = _synth(tmp_path)
+    params = tmp_path / "p.atp"
+    save_attention_params(AttentionParams.seeded(6, seed=3, decay_alpha=0.2), params)
+    cases = [
+        (["ingest", str(stream), "--config", "rng_seed=1.5"], 2),
+        (["ingest", str(stream), "--params", str(params),
+          "--config", "decay_alpha=0.3"], 2),
+        (["export-pca", str(stream), "--at-frame", "5",
+          "--out", str(tmp_path / "pca.csv")], 0),
+    ]
+    for argv, code in cases:
+        opened_files.clear()
+        assert main(argv) == code
+        assert opened_files and all(f.closed for f in opened_files), argv
+
+
 def test_synth_pipe_into_ingest_subprocess(tmp_path):
+    # The child interpreters import the package this test imported.
+    src = str(Path(streammem.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     synth = subprocess.Popen(
         [sys.executable, "-m", "streammem", "synth", "--seed", "0",
          "--frames", "30", "--scenes", "3", "--grid", "8", "--dim", "6",
          "-o", "-"],
-        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, env=env,
     )
     ingest = subprocess.run(
         [sys.executable, "-m", "streammem", "ingest", "-"],
-        stdin=synth.stdout, capture_output=True, text=True, timeout=120,
+        stdin=synth.stdout, capture_output=True, text=True, timeout=120, env=env,
     )
     synth.stdout.close()
     assert synth.wait() == 0

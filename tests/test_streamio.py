@@ -13,7 +13,6 @@ from streammem import (
     StreamFormatError,
     StreamHeader,
     open_stream,
-    read_stream,
     synth_stream,
     write_stream,
 )
@@ -29,7 +28,7 @@ def _header_bytes(grid=2, dim=1, count=0, tag=0, magic=b"FVS1"):
 def test_header_size_arithmetic_two_frames():
     # 8 floats after a P=2, D=1 header = exactly 2 frames
     payload = np.arange(8, dtype="<f4").tobytes()
-    frames = list(read_stream(io.BytesIO(_header_bytes(count=0) + payload)))
+    frames = list(open_stream(io.BytesIO(_header_bytes(count=0) + payload))[1])
     assert len(frames) == 2
     assert frames[0].grid_size == 2 and frames[0].dim == 1
     assert frames[0].tokens[0, 0, 0] == 0.0
@@ -64,7 +63,7 @@ def test_truncated_frame_reports_exact_offset(tmp_path):
     bad = tmp_path / "cut.fvs"
     bad.write_bytes(cut)
     with pytest.raises(StreamFormatError) as err:
-        list(read_stream(bad))
+        list(open_stream(bad)[1])
     assert str(HEADER_SIZE + frame_bytes) in str(err.value)
 
 
@@ -72,33 +71,33 @@ def test_truncation_detected_even_without_declared_count():
     frame_bytes = 2 * 2 * 1 * 4
     blob = _header_bytes(grid=2, dim=1, count=0) + b"\0" * (frame_bytes + 3)
     with pytest.raises(StreamFormatError, match=str(HEADER_SIZE + frame_bytes)):
-        list(read_stream(io.BytesIO(blob)))
+        list(open_stream(io.BytesIO(blob))[1])
 
 
 def test_declared_count_with_missing_frames_errors():
     blob = _header_bytes(grid=2, dim=1, count=3) + b"\0" * (2 * 2 * 4)  # only 1 frame
     with pytest.raises(StreamFormatError, match="truncated"):
-        list(read_stream(io.BytesIO(blob)))
+        list(open_stream(io.BytesIO(blob))[1])
 
 
 def test_reader_stops_at_declared_count():
     frame = np.zeros(4, dtype="<f4").tobytes()
     blob = _header_bytes(grid=2, dim=1, count=2) + frame * 2 + b"trailing-junk"
-    assert len(list(read_stream(io.BytesIO(blob)))) == 2
+    assert len(list(open_stream(io.BytesIO(blob))[1])) == 2
 
 
 def test_bad_magic_and_short_header():
     with pytest.raises(StreamFormatError, match="magic"):
-        list(read_stream(io.BytesIO(_header_bytes(magic=b"NOPE"))))
+        list(open_stream(io.BytesIO(_header_bytes(magic=b"NOPE")))[1])
     with pytest.raises(StreamFormatError, match="header"):
-        list(read_stream(io.BytesIO(b"FVS1\x01")))
+        list(open_stream(io.BytesIO(b"FVS1\x01"))[1])
 
 
 def test_unknown_dtype_and_bad_dims_rejected():
     with pytest.raises(StreamFormatError, match="dtype"):
-        list(read_stream(io.BytesIO(_header_bytes(tag=7))))
+        list(open_stream(io.BytesIO(_header_bytes(tag=7)))[1])
     with pytest.raises(StreamFormatError):
-        list(read_stream(io.BytesIO(_header_bytes(grid=0))))
+        list(open_stream(io.BytesIO(_header_bytes(grid=0)))[1])
 
 
 def test_oversized_frame_header_rejected_before_any_frame_read(tmp_path):
@@ -119,10 +118,10 @@ def test_oversized_frame_header_rejected_before_any_frame_read(tmp_path):
 def test_non_finite_values_rejected_with_offset():
     payload = np.array([1.0, np.nan, 0.0, 2.0], dtype="<f4").tobytes()
     with pytest.raises(StreamFormatError, match=f"non-finite.*{HEADER_SIZE}"):
-        list(read_stream(io.BytesIO(_header_bytes(grid=2, dim=1) + payload)))
+        list(open_stream(io.BytesIO(_header_bytes(grid=2, dim=1) + payload))[1])
     # A bad second frame names its own offset; the first frame is yielded.
     payload = np.array([1.0, 2.0, 3.0, 4.0, 0.0, 0.0, np.inf, 0.0], dtype="<f4").tobytes()
-    frames = read_stream(io.BytesIO(_header_bytes(grid=2, dim=1) + payload))
+    frames = open_stream(io.BytesIO(_header_bytes(grid=2, dim=1) + payload))[1]
     assert next(frames).tokens.ravel().tolist() == [1.0, 2.0, 3.0, 4.0]
     with pytest.raises(StreamFormatError, match=f"non-finite.*{HEADER_SIZE + 16}"):
         next(frames)
@@ -269,7 +268,7 @@ def test_synth_file_round_trip_bit_exact(tmp_path):
     stream = synth_stream(4, 8, 2, 4, 4)
     path = tmp_path / "synth.fvs"
     write_stream(path, stream)
-    loaded = list(read_stream(path))
+    loaded = list(open_stream(path)[1])
     for a, b in zip(stream, loaded):
         assert a.tokens.tobytes() == b.tokens.tobytes()
 
@@ -287,18 +286,55 @@ def test_synth_validation():
 
 def test_open_endpoint_closes_only_what_it_opens(tmp_path, monkeypatch):
     buf = io.BytesIO()
-    assert open_endpoint(buf, "wb") == (buf, False)
+    with open_endpoint(buf, "wb") as f:
+        assert f is buf
+    assert not buf.closed
     write_stream(buf, synth_stream(0, 2, 1, 2, 3))
     assert not buf.closed
     assert read_header(io.BytesIO(buf.getvalue())).frame_count == 2
 
     out = io.TextIOWrapper(io.BytesIO())  # '-' is resolved at call time
     monkeypatch.setattr(sys, "stdout", out)
-    assert open_endpoint("-", "w") == (out, False)
-    assert open_endpoint("-", "wb") == (out.buffer, False)
+    with open_endpoint("-", "w") as f:
+        assert f is out
+    with open_endpoint("-", "wb") as f:
+        assert f is out.buffer
+    assert not out.closed
 
     path = tmp_path / "s.fvs"
     path.write_bytes(buf.getvalue())
-    f, opened = open_endpoint(str(path), "rb")
-    assert opened and read_header(f).frame_count == 2
-    f.close()
+    with open_endpoint(str(path), "rb") as f:
+        assert read_header(f).frame_count == 2
+        assert not f.closed
+    assert f.closed
+
+
+def test_reader_closes_its_file_when_done_failed_or_dropped(tmp_path, opened_files):
+    good = tmp_path / "good.fvs"
+    write_stream(good, synth_stream(0, 3, 1, 2, 3))
+    cut = tmp_path / "cut.fvs"
+    cut.write_bytes(good.read_bytes()[:-5])
+    bad = tmp_path / "bad.fvs"
+    bad.write_bytes(b"NOPE" + good.read_bytes()[4:])
+
+    opened_files.clear()
+    header, frames = open_stream(good)
+    assert not opened_files[0].closed  # the header is read; frames are still to come
+    assert len(list(frames)) == header.frame_count == 3
+    assert opened_files[0].closed
+
+    opened_files.clear()
+    with pytest.raises(StreamFormatError, match="truncated"):
+        list(open_stream(cut)[1])
+    assert opened_files[0].closed
+
+    opened_files.clear()
+    with pytest.raises(StreamFormatError, match="magic"):
+        open_stream(bad)
+    assert opened_files[0].closed
+
+    opened_files.clear()
+    _, frames = open_stream(good)
+    next(frames)
+    del frames  # dropped mid-stream
+    assert opened_files[0].closed
