@@ -15,8 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import FrameFeature, MemoryConfig, ShapeError
-from .pooling import average_pool
+from .model import MemoryConfig, ShapeError
 
 __all__ = [
     "AttentionParams",
@@ -174,18 +173,17 @@ def semantic_attention_grad(
 
 def abstract_update(
     abstract_bank: np.ndarray,
-    feature: FrameFeature,
+    pooled_frame: np.ndarray,
     params: AttentionParams,
     config: MemoryConfig,
 ) -> np.ndarray:
-    """Fold one frame into the abstract bank; bank shape never changes.
+    """Fold one frame, pooled to p_abs, into the abstract bank; bank shape never changes.
 
-    The frame is pooled to p_abs, its tokens become the incoming set, and every
-    slot token of the (n_abs, p_abs, p_abs, D) bank attends to them.
+    The (p_abs, p_abs, D) tokens of ``pooled_frame`` are the incoming set, and
+    every slot token of the (n_abs, p_abs, p_abs, D) bank attends to them.
     """
-    pooled = average_pool(feature.tokens, config.p_abs)
     slots = abstract_bank.reshape(-1, config.dim)
-    updated = semantic_attention(slots, pooled.reshape(-1, config.dim), params)
+    updated = semantic_attention(slots, pooled_frame.reshape(-1, config.dim), params)
     return updated.reshape(abstract_bank.shape)
 
 
@@ -219,15 +217,14 @@ def load_attention_params(path) -> AttentionParams:
             f"attention params file is {len(data)} bytes, expected {expected} for dim {dim}"
         )
     offset = _HEADER.size
-    mats = {}
-    for _ in range(2):
+    mats = []
+    for role in (b"K", b"Q"):
         tag = data[offset : offset + 1]
-        if tag not in (b"K", b"Q"):
-            raise ValueError(f"unknown matrix role tag {tag!r} at offset {offset}")
-        if tag in mats:
-            raise ValueError(f"duplicate matrix role tag {tag!r}")
+        if tag != role:
+            raise ValueError(f"expected matrix role tag {role!r} at offset {offset}, got {tag!r}")
         offset += 1
         mat = np.frombuffer(data, dtype="<f8", count=dim * dim, offset=offset)
-        mats[tag] = mat.reshape(dim, dim).astype(np.float64)
+        mats.append(mat.reshape(dim, dim).astype(np.float64))
         offset += mat_bytes
-    return AttentionParams(key_proj=mats[b"K"], query_proj=mats[b"Q"], decay_alpha=alpha)
+    key_proj, query_proj = mats
+    return AttentionParams(key_proj=key_proj, query_proj=query_proj, decay_alpha=alpha)

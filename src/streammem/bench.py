@@ -13,7 +13,7 @@ import itertools
 import statistics
 import time
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -24,9 +24,9 @@ from .model import (
     FrameFeature,
     MemoryConfig,
     MemorySnapshot,
+    ShapeError,
     default_config,
     max_tokens,
-    validate_config,
 )
 from .pooling import average_pool
 from .streamio import synth_stream
@@ -73,19 +73,6 @@ class BenchRow:
     rss_mb: float
 
 
-_BENCH_COLUMNS = (
-    "mode",
-    "frames",
-    "queries",
-    "median_read_ms",
-    "p95_read_ms",
-    "ingest_fps",
-    "bank_tokens",
-    "resident_tokens",
-    "rss_mb",
-)
-
-
 @dataclass(frozen=True)
 class BenchReport:
     """Latency/footprint rows plus the flatness verdict across frame counts."""
@@ -100,7 +87,7 @@ class BenchReport:
         return max(medians) / min(medians)
 
     def to_csv(self) -> str:
-        lines = [",".join(_BENCH_COLUMNS)]
+        lines = [",".join(f.name for f in fields(BenchRow))]
         for r in self.rows:
             lines.append(
                 f"{r.mode},{r.frames},{r.queries},{r.median_read_ms:.6f},"
@@ -266,6 +253,13 @@ class SweepReport:
         return "\n".join(lines) + "\n"
 
 
+def _sweep_invariants_hold(engine: MemoryEngine, budget: int) -> bool:
+    """Tokens within budget, and temporal weights summing to the frame count."""
+    t = engine.frames_ingested
+    weights_sum = float(np.sum(engine.temporal_weights))
+    return engine.read_snapshot().token_count <= budget and abs(weights_sum - t) <= 1e-9 * t
+
+
 def sweep_ablation(
     grid: dict,
     base_config: MemoryConfig | None = None,
@@ -291,25 +285,24 @@ def sweep_ablation(
     rows = []
     for values in itertools.product(*(grid[n] for n in names)):
         overrides = tuple(zip(names, values))
+        cfg = base_config.with_overrides(**dict(overrides))
+        # The engine is the validator: it checks the config when built and
+        # each bank's pooling on the first frame (grid p_spa).
         try:
-            cfg = base_config.with_overrides(**dict(overrides))
-            validate_config(cfg, input_grid=cfg.p_spa)
-        except (ConfigError, TypeError) as err:
-            rows.append(
-                SweepCell(overrides, False, str(err), 0, 0, False, 0.0)
+            engine = MemoryEngine(cfg)
+            stream = iter(
+                synth_stream(seed, frames, min(_SWEEP_SCENES, frames), cfg.p_spa, cfg.dim)
             )
+            t0 = time.perf_counter()
+            engine.ingest_frame(next(stream))
+        except (ConfigError, ShapeError) as err:
+            rows.append(SweepCell(overrides, False, str(err), 0, 0, False, 0.0))
             continue
         budget = max_tokens(cfg)
-        stream = synth_stream(seed, frames, min(_SWEEP_SCENES, frames), cfg.p_spa, cfg.dim)
-        engine = MemoryEngine(cfg)
-        invariants_ok = True
-        t0 = time.perf_counter()
-        for t, frame in enumerate(stream, start=1):
+        invariants_ok = _sweep_invariants_hold(engine, budget)
+        for frame in stream:
             engine.ingest_frame(frame)
-            snapshot = engine.read_snapshot()
-            weights_sum = float(np.sum(engine.temporal_weights))
-            if snapshot.token_count > budget or abs(weights_sum - t) > 1e-9 * max(t, 1):
-                invariants_ok = False
+            invariants_ok &= _sweep_invariants_hold(engine, budget)
         elapsed = time.perf_counter() - t0
         rows.append(
             SweepCell(

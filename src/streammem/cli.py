@@ -17,8 +17,8 @@ from pathlib import Path
 from .attention import load_attention_params
 from .bench import bench_latency, export_memory_pca, sweep_ablation
 from .engine import MemoryEngine
-from .model import ConfigError, MemoryConfig, ShapeError, default_config, max_tokens
-from .streamio import StreamFormatError, open_endpoint, open_stream, synth_stream, write_stream
+from .model import MemoryConfig, default_config, max_tokens
+from .streamio import open_endpoint, open_stream, synth_stream, write_stream
 
 __all__ = ["main"]
 
@@ -52,7 +52,7 @@ def _build_config(args, base: MemoryConfig) -> MemoryConfig:
 
 def _make_engine(args, header_dim: int) -> MemoryEngine:
     # A params file's decay rate is the config default; --config may only repeat it.
-    params = load_attention_params(args.params) if getattr(args, "params", None) else None
+    params = load_attention_params(args.params) if args.params else None
     base = default_config(dim=header_dim)
     if params is not None:
         base = base.with_overrides(decay_alpha=params.decay_alpha)
@@ -128,7 +128,14 @@ def _cmd_replay(args) -> int:
             raise ValueError(
                 f"triplet {i} must be an object with 'id' and 'frame_timestamp'"
             )
-        queries.append((int(item["frame_timestamp"]), str(item["id"])))
+        try:
+            ts = int(item["frame_timestamp"])
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError(
+                f"triplet {i}: frame_timestamp must be an integer, "
+                f"got {item['frame_timestamp']!r}"
+            ) from None
+        queries.append((ts, str(item["id"])))
     queries = deque(sorted(queries, key=lambda q: q[0]))
 
     header, frames = open_stream(args.stream)
@@ -196,7 +203,7 @@ def _cmd_export_pca(args) -> int:
     return 0
 
 
-def _add_config_flag(parser: argparse.ArgumentParser) -> None:
+def _add_config_flag(parser: argparse.ArgumentParser, *, params: bool = False) -> None:
     parser.add_argument(
         "--config",
         action="append",
@@ -204,9 +211,10 @@ def _add_config_flag(parser: argparse.ArgumentParser) -> None:
         metavar="KEY=VALUE",
         help="override a config field (repeatable)",
     )
-    parser.add_argument(
-        "--params", metavar="FILE", help="load attention projections from an ATP1 file"
-    )
+    if params:  # only where _make_engine builds the engine
+        parser.add_argument(
+            "--params", metavar="FILE", help="load attention projections from an ATP1 file"
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -228,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ingest", help="stream a file through the engine and report sizes")
     p.add_argument("stream", help="FVS1 stream path ('-' = stdin)")
-    _add_config_flag(p)
+    _add_config_flag(p, params=True)
     p.set_defaults(func=_cmd_ingest)
 
     p = sub.add_parser("bench", help="latency/footprint bench across frame counts")
@@ -245,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("triplets", help="JSON array of {id, frame_timestamp}")
     p.add_argument("stream", help="FVS1 stream path ('-' = stdin)")
     p.add_argument("--out", metavar="FILE", help="write the query log here")
-    _add_config_flag(p)
+    _add_config_flag(p, params=True)
     p.set_defaults(func=_cmd_replay)
 
     p = sub.add_parser("sweep", help="run a config-grid ablation sweep")
@@ -261,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("stream", help="FVS1 stream path ('-' = stdin)")
     p.add_argument("--at-frame", type=int, required=True, help="ingest up to this frame")
     p.add_argument("--out", metavar="FILE", help="write CSV here instead of stdout")
-    _add_config_flag(p)
+    _add_config_flag(p, params=True)
     p.set_defaults(func=_cmd_export_pca)
 
     return parser
@@ -272,14 +280,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ShapeError, StreamFormatError, ValueError) as err:
-        print(f"streammem: error: {err}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as err:
-        print(f"streammem: error: {err}", file=sys.stderr)
-        return 2
     except BrokenPipeError:
         return 1
+    # ConfigError, ShapeError and StreamFormatError are ValueErrors.
+    except (ValueError, OSError) as err:
+        print(f"streammem: error: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

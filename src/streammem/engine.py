@@ -1,8 +1,8 @@
 """Single-writer memory engine with wait-free versioned snapshot reads.
 
 Write path per frame, in order, each step seeing the previous step's output
-for the same frame: temporal clustering, abstract attention, FIFO buffer
-write, key-frame retrieval. After all four the writer publishes a fresh
+for the same frame: pooling to each bank's grid, temporal clustering,
+abstract attention, FIFO buffer write, key-frame retrieval. After all four the writer publishes a fresh
 immutable snapshot by swapping one reference, so readers never observe a
 half-written state and never block the writer.
 """
@@ -25,6 +25,7 @@ from .model import (
     MemoryConfig,
     MemorySnapshot,
     ShapeError,
+    _is_int_at_least,
     default_config,
     validate_config,
 )
@@ -73,7 +74,10 @@ class MemoryEngine:
     ):
         if config is None:
             config = default_config()
+        # The config is frozen, so this one check holds for every frame.
         validate_config(config)
+        if not _is_int_at_least(ring_depth, 1):
+            raise ValueError(f"ring_depth must be a positive integer, got {ring_depth!r}")
         if params is None:
             params = AttentionParams.seeded(
                 config.dim, config.rng_seed, config.decay_alpha
@@ -87,8 +91,6 @@ class MemoryEngine:
                 f"attention params decay_alpha {params.decay_alpha} != config "
                 f"decay_alpha {config.decay_alpha}"
             )
-        if ring_depth < 1:
-            raise ValueError(f"ring_depth must be positive, got {ring_depth}")
         self._config = config
         self._params = params
         self._ring_depth = ring_depth
@@ -153,17 +155,18 @@ class MemoryEngine:
         cfg = self._config
         if feature.dim != cfg.dim:
             raise ShapeError(f"frame dim {feature.dim} != config dim {cfg.dim}")
-        validate_config(cfg, input_grid=feature.grid_size)
 
         # Everything that can reject the frame runs before the first ring
-        # write. That write goes to the row of the oldest buffered frame,
+        # write: pooling raises ShapeError for a grid some bank cannot pool
+        # exactly. That write goes to the row of the oldest buffered frame,
         # which this frame evicts in any case.
         spa_frame = average_pool(feature.tokens, cfg.p_spa)
         tem_frame = average_pool(feature.tokens, cfg.p_tem)
+        abs_frame = average_pool(feature.tokens, cfg.p_abs)
         new_temporal, new_weights, cluster_state = temporal_update(
             self._temporal, self._temporal_weights, tem_frame, cfg
         )
-        new_abstract = abstract_update(self._abstract, feature, self._params, cfg)
+        new_abstract = abstract_update(self._abstract, abs_frame, self._params, cfg)
 
         latest = self._published[-1]
         n = cfg.n_buff

@@ -131,6 +131,11 @@ def max_tokens(config: MemoryConfig) -> int:
     )
 
 
+def _is_int_at_least(value, least: int) -> bool:
+    """An int or numpy integer, bools excluded, of at least ``least``."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= least
+
+
 _POSITIVE_INT_FIELDS = (
     "p_spa",
     "p_tem",
@@ -145,15 +150,15 @@ _POSITIVE_INT_FIELDS = (
 )
 
 
-def validate_config(config: MemoryConfig, input_grid: int | None = None) -> None:
+def validate_config(config: MemoryConfig) -> None:
     """Check every config invariant, raising ConfigError naming the first violation.
 
-    ``input_grid`` is the grid side of incoming frames; pass None to skip the
-    divisibility checks (the engine re-checks them per frame).
+    Whether a frame's grid pools exactly to each bank grid is a property of
+    the frame, not the config: ``average_pool`` checks it.
     """
     for name in _POSITIVE_INT_FIELDS:
         value = getattr(config, name)
-        if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < 1:
+        if not _is_int_at_least(value, 1):
             raise ConfigError(f"{name} must be a positive integer, got {value!r}")
     if config.n_spa > config.n_buff:
         raise ConfigError(
@@ -168,17 +173,8 @@ def validate_config(config: MemoryConfig, input_grid: int | None = None) -> None
             "bank grid order violated: require p_abs <= p_tem <= p_spa, got "
             f"({config.p_abs}, {config.p_tem}, {config.p_spa})"
         )
-    if input_grid is not None:
-        if not isinstance(input_grid, (int, np.integer)) or input_grid < 1:
-            raise ConfigError(f"input grid must be a positive integer, got {input_grid!r}")
-        for name in ("p_spa", "p_tem", "p_abs"):
-            p = getattr(config, name)
-            if input_grid % p != 0:
-                raise ConfigError(
-                    f"pooling not exact: {name}={p} does not divide input grid {input_grid}"
-                )
     seed = config.rng_seed
-    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
+    if not _is_int_at_least(seed, 0):
         raise ConfigError(f"rng_seed must be a non-negative integer, got {seed!r}")
     warm = config.kmeans_warm_start
     if not isinstance(warm, (bool, np.bool_)):

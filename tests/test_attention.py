@@ -222,7 +222,7 @@ def test_abstract_update_rows_equal_first_frame():
     params = AttentionParams.seeded(3, seed=0, decay_alpha=0.3)
     bank = np.zeros((4, 1, 1, 3))
     frame = FrameFeature.from_array(np.random.default_rng(1).normal(size=(2, 2, 3)))
-    updated = abstract_update(bank, frame, params, cfg)
+    updated = abstract_update(bank, average_pool(frame.tokens, cfg.p_abs), params, cfg)
     pooled = frame.tokens.mean(axis=(0, 1))
     assert updated.shape == bank.shape
     for row in updated.reshape(4, 3):
@@ -237,7 +237,7 @@ def test_abstract_update_converges_geometrically():
     bank = np.zeros((3, 1, 1, 2))
     gaps = []
     for _ in range(12):
-        bank = abstract_update(bank, frame, params, cfg)
+        bank = abstract_update(bank, average_pool(frame.tokens, cfg.p_abs), params, cfg)
         gaps.append(np.max(np.abs(bank - fixed_point)))
     ratios = [b / a for a, b in zip(gaps, gaps[1:]) if a > 1e-13]
     for r in ratios:
@@ -249,7 +249,7 @@ def test_abstract_update_multi_token_grids():
     params = AttentionParams.seeded(3, seed=9)
     bank = np.random.default_rng(3).normal(size=(2, 2, 2, 3))
     frame = FrameFeature.from_array(np.random.default_rng(4).normal(size=(4, 4, 3)))
-    updated = abstract_update(bank, frame, params, cfg)
+    updated = abstract_update(bank, average_pool(frame.tokens, cfg.p_abs), params, cfg)
     assert updated.shape == (2, 2, 2, 3)
     # cross-check against calling the attention core directly
     new = average_pool(frame.tokens, 2).reshape(-1, 3)
@@ -286,6 +286,17 @@ def test_params_file_rejects_corruption(tmp_path):
     blob[tag_offset] = ord("X")
     bad.write_bytes(bytes(blob))
     with pytest.raises(ValueError, match="role tag"):
+        load_attention_params(bad)
+
+    # The layout is K then Q: swapped tags, or K twice, are rejected too.
+    second = tag_offset + 1 + 3 * 3 * 8
+    blob[tag_offset], blob[second] = ord("Q"), ord("K")
+    bad.write_bytes(bytes(blob))
+    with pytest.raises(ValueError, match=f"role tag b'K' at offset {tag_offset}"):
+        load_attention_params(bad)
+    blob[tag_offset] = ord("K")
+    bad.write_bytes(bytes(blob))
+    with pytest.raises(ValueError, match=f"role tag b'Q' at offset {second}"):
         load_attention_params(bad)
 
 

@@ -105,9 +105,34 @@ def test_config_flag_rejects_unknown_field(tmp_path):
     assert exc.value.code == 2
 
 
-def test_missing_stream_file_exits_2(capsys):
+def test_missing_stream_file_exits_2(tmp_path, capsys):
     assert main(["ingest", "/nonexistent/stream.fvs"]) == 2
     assert "error" in capsys.readouterr().err
+    # Any OSError is an input error, not a traceback; a directory is one.
+    assert main(["ingest", str(tmp_path)]) == 2
+    assert "streammem: error:" in capsys.readouterr().err
+
+
+def test_params_flag_only_where_an_engine_reads_it(tmp_path, capsys):
+    # bench and sweep seed their own engines: --params there is a usage error.
+    for argv in (
+        ["bench", "--frames", "5", "--queries", "1", "--dim", "4"],
+        ["sweep", "--grid", "{}", "--frames", "5", "--dim", "4"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--params", "/nonexistent/p.atp"])
+        assert exc.value.code == 2
+        assert "--params" in capsys.readouterr().err
+    stream = _synth(tmp_path)
+    trip = tmp_path / "trip.json"
+    trip.write_text(json.dumps([{"id": "q", "frame_timestamp": 1}]))
+    for argv in (
+        ["ingest", str(stream)],
+        ["replay", str(trip), str(stream)],
+        ["export-pca", str(stream), "--at-frame", "3"],
+    ):
+        assert main(argv + ["--params", "/nonexistent/p.atp"]) == 2
+        assert "p.atp" in capsys.readouterr().err
 
 
 def test_replay_answers_queries_in_timestamp_order(tmp_path):
@@ -148,6 +173,14 @@ def test_replay_rejects_malformed_triplets(tmp_path, capsys):
 
     trip.write_text(json.dumps([{"id": "x"}]))
     assert main(["replay", str(trip), str(stream)]) == 2
+
+    # A timestamp int() cannot convert names its triplet.
+    for bad in ("null", "1e400", '"soon"', "NaN"):
+        trip.write_text(f'[{{"id": "a", "frame_timestamp": 3}}, '
+                        f'{{"id": "b", "frame_timestamp": {bad}}}]')
+        capsys.readouterr()
+        assert main(["replay", str(trip), str(stream)]) == 2, bad
+        assert "triplet 1" in capsys.readouterr().err, bad
 
 
 def test_bench_writes_csv_rows(tmp_path, capsys):

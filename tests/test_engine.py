@@ -176,8 +176,14 @@ def test_custom_ring_depth():
         engine.ingest_frame(_frame(rng))
     assert engine.query_at("q", 8).snapshot.version == 8
     assert engine.query_at("q", 7).stale
-    with pytest.raises(ValueError):
-        MemoryEngine(CFG, ring_depth=0)
+    # Only a positive int, checked at construction: any other depth would
+    # fail at the publish slice, after the banks were committed.
+    for bad in (0, -1, 2.5, True, "3", None):
+        with pytest.raises(ValueError, match="ring_depth"):
+            MemoryEngine(CFG, ring_depth=bad)
+    numpy_depth = MemoryEngine(CFG, ring_depth=np.int64(2))
+    numpy_depth.ingest_frame(_frame(rng))
+    assert numpy_depth.frames_ingested == 1
 
 
 def _observed(engine):
@@ -206,7 +212,7 @@ def test_bad_frames_abort_without_corruption(monkeypatch):
 
     with pytest.raises(ShapeError):
         engine.ingest_frame(_frame(rng, dim=5))  # wrong token dim
-    with pytest.raises(ConfigError, match="pooling not exact"):
+    with pytest.raises(ShapeError, match="pooling not exact"):
         engine.ingest_frame(_frame(rng, grid=12))  # 8 does not divide 12
     with pytest.raises(ShapeError):
         engine.ingest_frame(np.zeros((8, 8, 6)))  # not a FrameFeature
@@ -224,6 +230,42 @@ def test_bad_frames_abort_without_corruption(monkeypatch):
     assert engine.read_snapshot() is before
     assert engine.frames_ingested == 29
     for frame in frames[29:]:  # still usable, and bit-identical to the twin
+        assert engine.ingest_frame(frame) == twin.ingest_frame(frame)
+        assert _observed(engine) == _observed(twin)
+
+
+def test_defaults_pool_grid_16_frames():
+    # Every default grid (8, 4, 1) divides 16.
+    engine = _engine()
+    frame = _frame(np.random.default_rng(13), grid=16)
+    engine.ingest_frame(frame)
+    assert np.array_equal(
+        engine.read_snapshot().bank("spatial"), average_pool(frame.tokens, 8).reshape(-1, 6)
+    )
+
+
+@pytest.mark.parametrize(
+    "grids, good_grid, bad_grid",
+    [
+        ((8, 4, 1), 8, 12),  # p_spa does not divide the bad grid
+        ((4, 3, 1), 12, 8),  # p_tem does not
+        ((3, 3, 2), 6, 3),  # p_abs does not
+    ],
+    ids=["p_spa", "p_tem", "p_abs"],
+)
+def test_frame_some_bank_cannot_pool_is_refused_before_any_change(grids, good_grid, bad_grid):
+    p_spa, p_tem, p_abs = grids
+    cfg = CFG.with_overrides(p_spa=p_spa, p_tem=p_tem, p_abs=p_abs, n_buff=4)
+    engine, twin = MemoryEngine(cfg), MemoryEngine(cfg)
+    rng = np.random.default_rng(14)
+    good = [_frame(rng, grid=good_grid) for _ in range(6)]
+    for frame in good[:3]:
+        engine.ingest_frame(frame)
+        twin.ingest_frame(frame)
+    with pytest.raises(ShapeError, match="pooling not exact"):
+        engine.ingest_frame(_frame(rng, grid=bad_grid))
+    assert engine.frames_ingested == 3
+    for frame in good[3:]:
         assert engine.ingest_frame(frame) == twin.ingest_frame(frame)
         assert _observed(engine) == _observed(twin)
 

@@ -57,15 +57,6 @@ def test_max_tokens_is_exact_integer_arithmetic(
     assert value == expected
 
 
-def test_validate_defaults_with_grid_16_ok():
-    validate_config(default_config(), input_grid=16)
-
-
-def test_validate_pooling_not_exact():
-    with pytest.raises(ConfigError, match="pooling not exact"):
-        validate_config(default_config(), input_grid=12)
-
-
 def test_validate_decay_out_of_range():
     with pytest.raises(ConfigError, match="decay out of range"):
         validate_config(default_config(decay_alpha=1.5))
@@ -122,12 +113,11 @@ def test_validate_rng_seed_and_warm_start_types():
 @given(
     alpha=st.floats(allow_nan=True, allow_infinity=True),
     n_tem=st.integers(-5, 50),
-    grid=st.integers(1, 64),
 )
-def test_validate_is_total(alpha, n_tem, grid):
+def test_validate_is_total(alpha, n_tem):
     cfg = default_config(decay_alpha=alpha, n_tem=n_tem)
     try:
-        validate_config(cfg, input_grid=grid)
+        validate_config(cfg)
     except ConfigError:
         pass  # named rejection is the only acceptable failure mode
 

@@ -81,6 +81,18 @@ def test_pool_preserves_global_mean(seed, target):
     assert np.max(np.abs(pooled.mean(axis=(0, 1)) - tokens.mean(axis=(0, 1)))) < 1e-12
 
 
+@given(grid=st.integers(1, 24), target=st.integers(-3, 30), dim=st.integers(1, 3))
+def test_pool_raises_only_shape_errors(grid, target, dim):
+    # The grid rule lives here: a target that does not divide the grid is a
+    # named ShapeError, never another exception.
+    try:
+        pooled = average_pool(np.zeros((grid, grid, dim)), target)
+    except ShapeError as err:
+        assert target < 1 or (grid % target != 0 and "pooling not exact" in str(err))
+    else:
+        assert target >= 1 and grid % target == 0
+        assert pooled.shape == (target, target, dim)
+
 
 def test_buffer_fifo_eviction_oldest_first():
     # Constant frames 1, 2, 3, 4 at grid 2 (= p_spa). While the temporal bank
