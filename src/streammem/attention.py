@@ -30,16 +30,14 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class AttentionParams:
-    """Bias-free square projections for keys and queries, plus the decay rate.
+    """Bias-free square projections for keys and queries.
 
-    Matrices are D x D, finite, read-only float64. The decay is stored as
-    given so edge values (alpha = 1, full decay) remain probeable in isolation;
-    the engine accepts params only with its config's (range-checked) decay.
+    Matrices are D x D, finite, read-only float64. The decay rate is not a
+    learned weight: it lives in ``MemoryConfig`` and is passed per call.
     """
 
     key_proj: np.ndarray
     query_proj: np.ndarray
-    decay_alpha: float = 0.1
 
     def __post_init__(self) -> None:
         for name in ("key_proj", "query_proj"):
@@ -54,22 +52,19 @@ class AttentionParams:
             raise ShapeError(
                 f"projection shapes differ: {self.key_proj.shape} vs {self.query_proj.shape}"
             )
-        if not np.isfinite(self.decay_alpha):
-            raise ValueError(f"decay_alpha must be finite, got {self.decay_alpha!r}")
 
     @property
     def dim(self) -> int:
         return self.key_proj.shape[0]
 
     @classmethod
-    def seeded(cls, dim: int, seed: int = 0, decay_alpha: float = 0.1) -> "AttentionParams":
+    def seeded(cls, dim: int, seed: int = 0) -> "AttentionParams":
         """Gaussian init, std 1/sqrt(dim), deterministic in the seed."""
         rng = np.random.default_rng(seed)
         std = dim**-0.5
         return cls(
             key_proj=rng.normal(0.0, std, (dim, dim)),
             query_proj=rng.normal(0.0, std, (dim, dim)),
-            decay_alpha=decay_alpha,
         )
 
 
@@ -105,44 +100,40 @@ def _row_softmax(scores: np.ndarray) -> np.ndarray:
 
 
 def _attend(
-    abstract: np.ndarray, new_features: np.ndarray, params: AttentionParams, scale: bool
+    abstract: np.ndarray, new_features: np.ndarray, params: AttentionParams
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Keys, queries and the row-softmax attention of one forward pass."""
     keys = new_features @ params.key_proj.T
     queries = abstract @ params.query_proj.T
-    scores = queries @ keys.T
-    if scale:
-        scores = scores / np.sqrt(params.dim)
-    return keys, queries, _row_softmax(scores)
+    return keys, queries, _row_softmax(queries @ keys.T)
 
 
 def semantic_attention(
     abstract: np.ndarray,
     new_features: np.ndarray,
     params: AttentionParams,
-    *,
-    scale: bool = False,
+    decay_alpha: float,
 ) -> np.ndarray:
     """One attention update of the abstract slots against incoming tokens.
 
     K = new_features @ key_proj.T, Q = abstract @ query_proj.T, and each slot's
-    attention row is softmax over the incoming-token axis of Q @ K.T. Output is
-    (1 - alpha) * abstract + attention @ new_features. Scores are not divided
-    by sqrt(D) unless ``scale`` is set; the unscaled product is the reference
-    behavior, scaling is an ablation knob.
+    attention row is softmax over the incoming-token axis of Q @ K.T (scores
+    are not divided by sqrt(D)). Output is
+    (1 - decay_alpha) * abstract + attention @ new_features. The decay is used
+    as given, so edge values such as 1 (full decay) can be probed here; the
+    engine passes its config's range-checked decay.
     """
     abstract, new_features = _check_attention_shapes(abstract, new_features, params)
-    _, _, attn = _attend(abstract, new_features, params, scale)
-    return (1.0 - params.decay_alpha) * abstract + attn @ new_features
+    _, _, attn = _attend(abstract, new_features, params)
+    return (1.0 - decay_alpha) * abstract + attn @ new_features
 
 
 def semantic_attention_grad(
     abstract: np.ndarray,
     new_features: np.ndarray,
     params: AttentionParams,
+    decay_alpha: float,
     upstream: np.ndarray,
-    *,
-    scale: bool = False,
 ) -> AttentionGrads:
     """Analytic gradients of sum(upstream * output) w.r.t. all inputs.
 
@@ -155,18 +146,16 @@ def semantic_attention_grad(
         raise ShapeError(
             f"upstream must match abstract shape {abstract.shape}, got {upstream.shape}"
         )
-    keys, queries, attn = _attend(abstract, new_features, params, scale)
+    keys, queries, attn = _attend(abstract, new_features, params)
 
     d_attn = upstream @ new_features.T
     d_scores = attn * (d_attn - np.sum(d_attn * attn, axis=1, keepdims=True))
-    if scale:
-        d_scores = d_scores / np.sqrt(params.dim)
     d_queries = d_scores @ keys
     d_keys = d_scores.T @ queries
     return AttentionGrads(
         key_proj=d_keys.T @ new_features,
         query_proj=d_queries.T @ abstract,
-        abstract=(1.0 - params.decay_alpha) * upstream + d_queries @ params.query_proj,
+        abstract=(1.0 - decay_alpha) * upstream + d_queries @ params.query_proj,
         new_features=attn.T @ upstream + d_keys @ params.key_proj,
     )
 
@@ -183,19 +172,21 @@ def abstract_update(
     every slot token of the (n_abs, p_abs, p_abs, D) bank attends to them.
     """
     slots = abstract_bank.reshape(-1, config.dim)
-    updated = semantic_attention(slots, pooled_frame.reshape(-1, config.dim), params)
+    updated = semantic_attention(
+        slots, pooled_frame.reshape(-1, config.dim), params, config.decay_alpha
+    )
     return updated.reshape(abstract_bank.shape)
 
 
-_MAGIC = b"ATP1"
-_HEADER = struct.Struct("<4sId")  # magic, dim u32 LE, decay_alpha f64 LE
+_MAGIC = b"ATP2"
+_HEADER = struct.Struct("<4sI")  # magic, dim u32 LE
 
 
 def save_attention_params(params: AttentionParams, path) -> None:
-    """Write params in the ATP1 layout (see README): header, then the key and
+    """Write params in the ATP2 layout (see README): header, then the key and
     query matrices each prefixed by a one-byte role tag, row-major f64 LE."""
     d = params.dim
-    blob = bytearray(_HEADER.pack(_MAGIC, d, float(params.decay_alpha)))
+    blob = bytearray(_HEADER.pack(_MAGIC, d))
     blob += b"K" + np.ascontiguousarray(params.key_proj, dtype="<f8").tobytes()
     blob += b"Q" + np.ascontiguousarray(params.query_proj, dtype="<f8").tobytes()
     Path(path).write_bytes(bytes(blob))
@@ -205,7 +196,7 @@ def load_attention_params(path) -> AttentionParams:
     data = Path(path).read_bytes()
     if len(data) < _HEADER.size:
         raise ValueError(f"attention params file too short: {len(data)} bytes")
-    magic, dim, alpha = _HEADER.unpack_from(data, 0)
+    magic, dim = _HEADER.unpack_from(data, 0)
     if magic != _MAGIC:
         raise ValueError(f"bad attention params magic: {magic!r}")
     if dim < 1:
@@ -227,4 +218,4 @@ def load_attention_params(path) -> AttentionParams:
         mats.append(mat.reshape(dim, dim).astype(np.float64))
         offset += mat_bytes
     key_proj, query_proj = mats
-    return AttentionParams(key_proj=key_proj, query_proj=query_proj, decay_alpha=alpha)
+    return AttentionParams(key_proj=key_proj, query_proj=query_proj)

@@ -242,7 +242,7 @@ class SweepReport:
     rows: tuple
 
     def to_csv(self) -> str:
-        lines = ["overrides,ok,reason,budget,final_tokens,invariants_ok,ingest_fps"]
+        lines = [",".join(f.name for f in fields(SweepCell))]
         for r in self.rows:
             spec = ";".join(f"{k}={v}" for k, v in r.overrides)
             reason = r.reason.replace(",", ";")

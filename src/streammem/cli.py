@@ -17,7 +17,7 @@ from pathlib import Path
 from .attention import load_attention_params
 from .bench import bench_latency, export_memory_pca, sweep_ablation
 from .engine import MemoryEngine
-from .model import MemoryConfig, default_config, max_tokens
+from .model import MemoryConfig, _is_int_at_least, default_config, max_tokens
 from .streamio import open_endpoint, open_stream, synth_stream, write_stream
 
 __all__ = ["main"]
@@ -51,12 +51,8 @@ def _build_config(args, base: MemoryConfig) -> MemoryConfig:
 
 
 def _make_engine(args, header_dim: int) -> MemoryEngine:
-    # A params file's decay rate is the config default; --config may only repeat it.
     params = load_attention_params(args.params) if args.params else None
-    base = default_config(dim=header_dim)
-    if params is not None:
-        base = base.with_overrides(decay_alpha=params.decay_alpha)
-    return MemoryEngine(_build_config(args, base), params)
+    return MemoryEngine(_build_config(args, default_config(dim=header_dim)), params)
 
 
 def _output(path: str | None):
@@ -128,13 +124,11 @@ def _cmd_replay(args) -> int:
             raise ValueError(
                 f"triplet {i} must be an object with 'id' and 'frame_timestamp'"
             )
-        try:
-            ts = int(item["frame_timestamp"])
-        except (TypeError, ValueError, OverflowError):
+        ts = item["frame_timestamp"]
+        if not _is_int_at_least(ts, 0):
             raise ValueError(
-                f"triplet {i}: frame_timestamp must be an integer, "
-                f"got {item['frame_timestamp']!r}"
-            ) from None
+                f"triplet {i}: frame_timestamp must be a non-negative integer, got {ts!r}"
+            )
         queries.append((ts, str(item["id"])))
     queries = deque(sorted(queries, key=lambda q: q[0]))
 
@@ -213,7 +207,7 @@ def _add_config_flag(parser: argparse.ArgumentParser, *, params: bool = False) -
     )
     if params:  # only where _make_engine builds the engine
         parser.add_argument(
-            "--params", metavar="FILE", help="load attention projections from an ATP1 file"
+            "--params", metavar="FILE", help="load attention projections from an ATP2 file"
         )
 
 

@@ -71,8 +71,6 @@ def weighted_kmeans(
     k: int,
     *,
     max_iters: int = 10,
-    warm_start: bool = True,
-    seed: int = 0,
 ) -> ClusterState:
     """Lloyd iterations with per-point weights and deterministic tie-breaking.
 
@@ -80,11 +78,9 @@ def weighted_kmeans(
     distance computation and restored on the returned centroids. Point weights
     must be positive and are frozen for the whole call.
 
-    warm_start initializes the centroids with points[:k] (callers put the
-    carried bank entries first); otherwise k distinct points are drawn from a
-    generator seeded with ``seed``. Identical inputs and seed give bit-equal
-    output. Iteration stops when assignments repeat or after max_iters
-    update steps.
+    The centroids start at points[:k] (callers put the carried bank entries
+    first), so identical inputs give bit-equal output. Iteration stops when
+    assignments repeat or after max_iters update steps.
     """
     points = np.asarray(points, dtype=np.float64)
     point_weights = np.asarray(point_weights, dtype=np.float64)
@@ -100,11 +96,7 @@ def weighted_kmeans(
 
     trailing = points.shape[1:]
     flat = points.reshape(n, -1)
-    if warm_start:
-        centroids = flat[:k].copy()
-    else:
-        rng = np.random.default_rng(seed)
-        centroids = flat[np.sort(rng.choice(n, size=k, replace=False))].copy()
+    centroids = flat[:k].copy()
 
     prev_assign = None
     history: list[float] = []
@@ -159,11 +151,6 @@ def temporal_update(
     if points.shape[0] <= config.n_tem:
         return points, point_weights, None
     state = weighted_kmeans(
-        points,
-        point_weights,
-        config.n_tem,
-        max_iters=config.kmeans_max_iters,
-        warm_start=config.kmeans_warm_start,
-        seed=config.rng_seed,
+        points, point_weights, config.n_tem, max_iters=config.kmeans_max_iters
     )
     return state.centroids, state.weights, state

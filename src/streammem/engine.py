@@ -20,7 +20,6 @@ from .clustering import ClusterState, temporal_update
 from .model import (
     BANK_ORDER,
     ConcurrentWriteError,
-    ConfigError,
     FrameFeature,
     MemoryConfig,
     MemorySnapshot,
@@ -79,17 +78,10 @@ class MemoryEngine:
         if not _is_int_at_least(ring_depth, 1):
             raise ValueError(f"ring_depth must be a positive integer, got {ring_depth!r}")
         if params is None:
-            params = AttentionParams.seeded(
-                config.dim, config.rng_seed, config.decay_alpha
-            )
+            params = AttentionParams.seeded(config.dim, config.rng_seed)
         if params.dim != config.dim:
             raise ShapeError(
                 f"attention params dim {params.dim} != config dim {config.dim}"
-            )
-        if params.decay_alpha != config.decay_alpha:
-            raise ConfigError(
-                f"attention params decay_alpha {params.decay_alpha} != config "
-                f"decay_alpha {config.decay_alpha}"
             )
         self._config = config
         self._params = params

@@ -107,8 +107,7 @@ class MemoryConfig:
     dim: int = 1024  # stand-in encoder width; tests use smaller
     kmeans_max_iters: int = 10
     decay_alpha: float = 0.1
-    rng_seed: int = 0
-    kmeans_warm_start: bool = True  # False: seeded random init, for ablation
+    rng_seed: int = 0  # seeds the attention projections
 
     def with_overrides(self, **kwargs) -> "MemoryConfig":
         return replace(self, **kwargs)
@@ -176,9 +175,6 @@ def validate_config(config: MemoryConfig) -> None:
     seed = config.rng_seed
     if not _is_int_at_least(seed, 0):
         raise ConfigError(f"rng_seed must be a non-negative integer, got {seed!r}")
-    warm = config.kmeans_warm_start
-    if not isinstance(warm, (bool, np.bool_)):
-        raise ConfigError(f"kmeans_warm_start must be a bool, got {warm!r}")
     alpha = config.decay_alpha
     if not isinstance(alpha, (int, float, np.floating)) or not np.isfinite(alpha):
         raise ConfigError(f"decay out of range: decay_alpha must be a finite real, got {alpha!r}")

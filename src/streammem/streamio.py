@@ -280,8 +280,12 @@ def synth_stream(
         raise StreamFormatError(
             f"need 1 <= n_scenes <= n_frames, got {n_scenes} scenes, {n_frames} frames"
         )
-    if grid_side < 1 or dim < 1:
-        raise StreamFormatError(f"bad shape ({grid_side}, {dim})")
+    frame_bytes = StreamHeader(grid_side, dim).frame_bytes
+    if n_scenes * frame_bytes > MAX_FRAME_BYTES:
+        raise StreamFormatError(
+            f"{n_scenes} scene anchors of {frame_bytes} bytes each exceed the "
+            f"{MAX_FRAME_BYTES}-byte limit"
+        )
     if noise_rel < 0 or not np.isfinite(noise_rel):
         raise StreamFormatError(f"noise_rel must be finite and >= 0, got {noise_rel}")
 

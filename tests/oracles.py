@@ -33,7 +33,6 @@ def attention_loops(
     key_proj: np.ndarray,
     query_proj: np.ndarray,
     alpha: float,
-    scale: bool = False,
 ) -> np.ndarray:
     """Scalar-loop transcription of the attention update."""
     n_abs, d = abstract.shape
@@ -50,8 +49,6 @@ def attention_loops(
     for i in range(n_abs):
         for j in range(n):
             scores[i, j] = sum(queries[i, c] * keys[j, c] for c in range(d))
-            if scale:
-                scores[i, j] /= np.sqrt(d)
     weights = np.zeros((n_abs, n))
     for i in range(n_abs):
         m = max(scores[i, j] for j in range(n))

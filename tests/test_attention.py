@@ -25,11 +25,11 @@ from streammem import (
 from oracles import attention_loops, finite_difference
 
 
-def _case(seed, n_abs=4, n=2, d=3, alpha=0.1):
+def _case(seed, n_abs=4, n=2, d=3):
     rng = np.random.default_rng(seed)
     abstract = rng.normal(size=(n_abs, d))
     new = rng.normal(size=(n, d))
-    params = AttentionParams.seeded(d, seed=seed + 1, decay_alpha=alpha)
+    params = AttentionParams.seeded(d, seed=seed + 1)
     return abstract, new, params
 
 
@@ -45,8 +45,8 @@ def _attn_weights(abstract, new, params):
 def test_single_new_feature_softmax_is_one():
     abstract, _, params = _case(0, n=1)
     new = np.random.default_rng(5).normal(size=(1, 3))
-    out = semantic_attention(abstract, new, params)
-    expect = (1 - params.decay_alpha) * abstract + new  # weight row is [1.0]
+    out = semantic_attention(abstract, new, params, 0.1)
+    expect = (1 - 0.1) * abstract + new  # weight row is [1.0]
     assert np.max(np.abs(out - expect)) < 1e-12
 
 
@@ -54,29 +54,17 @@ def test_alpha_one_full_decay_returns_new_feature():
     rng = np.random.default_rng(2)
     abstract = rng.normal(size=(4, 3))
     new = rng.normal(size=(1, 3))
-    params = AttentionParams.seeded(3, seed=3, decay_alpha=1.0)
-    out = semantic_attention(abstract, new, params)
+    params = AttentionParams.seeded(3, seed=3)
+    out = semantic_attention(abstract, new, params, 1.0)
     assert np.max(np.abs(out - new)) < 1e-12  # every row equals the new token
 
 
 def test_forward_matches_loop_oracle():
     for seed in range(10):
         abstract, new, params = _case(seed)
-        got = semantic_attention(abstract, new, params)
-        want = attention_loops(
-            abstract, new, params.key_proj, params.query_proj, params.decay_alpha
-        )
+        got = semantic_attention(abstract, new, params, 0.1)
+        want = attention_loops(abstract, new, params.key_proj, params.query_proj, 0.1)
         assert np.max(np.abs(got - want)) < 1e-9
-
-
-def test_forward_matches_loop_oracle_with_scaling():
-    abstract, new, params = _case(17, n=3, d=4)
-    got = semantic_attention(abstract, new, params, scale=True)
-    want = attention_loops(
-        abstract, new, params.key_proj, params.query_proj,
-        params.decay_alpha, scale=True,
-    )
-    assert np.max(np.abs(got - want)) < 1e-9
 
 
 @settings(max_examples=40)
@@ -94,39 +82,39 @@ def test_rows_stochastic_and_output_finite(seed, n_abs, n, d):
     weights = _attn_weights(abstract, new, params)
     assert np.max(np.abs(weights.sum(axis=1) - 1.0)) < 1e-9
     assert (weights > 0).all() and (weights <= 1).all()
-    assert np.isfinite(semantic_attention(abstract, new, params)).all()
+    assert np.isfinite(semantic_attention(abstract, new, params, 0.1)).all()
 
 
 def test_numerical_stability_with_extreme_scores():
     abstract = np.array([[1e4, 0.0], [0.0, -1e4]])
     new = np.array([[1e4, 1e4], [-1e4, 1e4]])
-    params = AttentionParams(np.eye(2), np.eye(2), decay_alpha=0.5)
-    out = semantic_attention(abstract, new, params)
+    params = AttentionParams(np.eye(2), np.eye(2))
+    out = semantic_attention(abstract, new, params, 0.5)
     assert np.isfinite(out).all()
 
 
 def test_shape_errors():
     abstract, new, params = _case(0)
     with pytest.raises(ShapeError):
-        semantic_attention(abstract[:, :2], new, params)
+        semantic_attention(abstract[:, :2], new, params, 0.1)
     with pytest.raises(ShapeError):
-        semantic_attention(abstract, new[:, :2], params)
+        semantic_attention(abstract, new[:, :2], params, 0.1)
     with pytest.raises(ShapeError, match="empty"):
-        semantic_attention(abstract, new[:0], params)
+        semantic_attention(abstract, new[:0], params, 0.1)
     with pytest.raises(ShapeError):
-        semantic_attention_grad(abstract, new, params, np.zeros((2, 2)))
+        semantic_attention_grad(abstract, new, params, 0.1, np.zeros((2, 2)))
 
 
 def test_zero_upstream_gives_zero_projection_grads():
     abstract, new, params = _case(4)
-    grads = semantic_attention_grad(abstract, new, params, np.zeros_like(abstract))
+    grads = semantic_attention_grad(abstract, new, params, 0.1, np.zeros_like(abstract))
     assert np.all(grads.key_proj == 0)
     assert np.all(grads.query_proj == 0)
     assert np.all(grads.abstract == 0)
     assert np.all(grads.new_features == 0)
 
 
-def _gradcheck(seed, scale=False, alpha=0.1):
+def _gradcheck(seed, alpha=0.1):
     rng = np.random.default_rng(seed)
     n_abs, n, d = rng.integers(1, 5), rng.integers(1, 5), rng.integers(2, 5)
     abstract = rng.normal(size=(n_abs, d))
@@ -136,14 +124,14 @@ def _gradcheck(seed, scale=False, alpha=0.1):
     target = rng.normal(size=(n_abs, d))
 
     def loss():
-        params = AttentionParams(key, query, decay_alpha=alpha)
-        out = semantic_attention(abstract, new, params, scale=scale)
+        params = AttentionParams(key, query)
+        out = semantic_attention(abstract, new, params, alpha)
         return float(np.sum((out - target) ** 2))
 
-    params = AttentionParams(key, query, decay_alpha=alpha)
-    out = semantic_attention(abstract, new, params, scale=scale)
+    params = AttentionParams(key, query)
+    out = semantic_attention(abstract, new, params, alpha)
     upstream = 2.0 * (out - target)
-    got = semantic_attention_grad(abstract, new, params, upstream, scale=scale)
+    got = semantic_attention_grad(abstract, new, params, alpha, upstream)
     checks = [
         (got.key_proj, finite_difference(loss, key)),
         (got.query_proj, finite_difference(loss, query)),
@@ -162,7 +150,6 @@ def test_gradients_match_finite_differences():
 
 
 def test_gradients_match_finite_differences_scaled_and_full_decay():
-    _gradcheck(100, scale=True)
     _gradcheck(101, alpha=0.9)
 
 
@@ -174,11 +161,11 @@ def test_constant_new_features_give_rank_one_key_grad():
     abstract = rng.normal(size=(5, d))
     key = rng.normal(size=(d, d)) / 2
     query = rng.normal(size=(d, d)) / 2
-    params = AttentionParams(key, query, decay_alpha=0.1)
+    params = AttentionParams(key, query)
     target = rng.normal(size=(5, d))
-    out = semantic_attention(abstract, new, params)
+    out = semantic_attention(abstract, new, params, 0.1)
     upstream = 2.0 * (out - target)
-    grads = semantic_attention_grad(abstract, new, params, upstream)
+    grads = semantic_attention_grad(abstract, new, params, 0.1, upstream)
     # every row of d(key_proj) is a scalar multiple of the shared token
     assert np.linalg.matrix_rank(grads.key_proj, tol=1e-10) <= 1
     unit = token / np.linalg.norm(token)
@@ -188,8 +175,8 @@ def test_constant_new_features_give_rank_one_key_grad():
     # and the analytic values themselves agree with finite differences
 
     def loss():
-        p = AttentionParams(key, query, decay_alpha=0.1)
-        o = semantic_attention(abstract, new, p)
+        p = AttentionParams(key, query)
+        o = semantic_attention(abstract, new, p, 0.1)
         return float(np.sum((o - target) ** 2))
 
     numeric = finite_difference(loss, key)
@@ -208,10 +195,10 @@ def test_gradient_descent_reduces_loss():
     query = rng.normal(size=(4, 4)) * 0.5
     losses = []
     for _ in range(80):
-        params = AttentionParams(key, query, decay_alpha=0.1)
-        out = semantic_attention(abstract, new, params)
+        params = AttentionParams(key, query)
+        out = semantic_attention(abstract, new, params, 0.1)
         losses.append(float(np.sum((out - target) ** 2)))
-        grads = semantic_attention_grad(abstract, new, params, 2.0 * (out - target))
+        grads = semantic_attention_grad(abstract, new, params, 0.1, 2.0 * (out - target))
         key = key - 0.005 * grads.key_proj
         query = query - 0.005 * grads.query_proj
     assert losses[-1] < losses[0]
@@ -219,7 +206,7 @@ def test_gradient_descent_reduces_loss():
 
 def test_abstract_update_rows_equal_first_frame():
     cfg = default_config(n_abs=4, p_abs=1, dim=3)
-    params = AttentionParams.seeded(3, seed=0, decay_alpha=0.3)
+    params = AttentionParams.seeded(3, seed=0)
     bank = np.zeros((4, 1, 1, 3))
     frame = FrameFeature.from_array(np.random.default_rng(1).normal(size=(2, 2, 3)))
     updated = abstract_update(bank, average_pool(frame.tokens, cfg.p_abs), params, cfg)
@@ -231,7 +218,7 @@ def test_abstract_update_rows_equal_first_frame():
 
 def test_abstract_update_converges_geometrically():
     cfg = default_config(n_abs=3, p_abs=1, dim=2, decay_alpha=0.25)
-    params = AttentionParams.seeded(2, seed=5, decay_alpha=0.25)
+    params = AttentionParams.seeded(2, seed=5)
     frame = FrameFeature.from_array(np.full((2, 2, 2), 1.5))
     fixed_point = 1.5 / 0.25  # alpha * M = f at the fixed point
     bank = np.zeros((3, 1, 1, 2))
@@ -253,18 +240,19 @@ def test_abstract_update_multi_token_grids():
     assert updated.shape == (2, 2, 2, 3)
     # cross-check against calling the attention core directly
     new = average_pool(frame.tokens, 2).reshape(-1, 3)
-    want = semantic_attention(bank.reshape(8, 3), new, params).reshape(2, 2, 2, 3)
+    want = semantic_attention(bank.reshape(8, 3), new, params, cfg.decay_alpha)
+    want = want.reshape(2, 2, 2, 3)
     assert np.array_equal(updated, want)
 
 
 def test_params_file_round_trip(tmp_path):
-    params = AttentionParams.seeded(5, seed=77, decay_alpha=0.2)
+    params = AttentionParams.seeded(5, seed=77)
     path = tmp_path / "proj.atp"
     save_attention_params(params, path)
+    assert path.read_bytes()[:8] == struct.pack("<4sI", b"ATP2", 5)
     loaded = load_attention_params(path)
     assert loaded.key_proj.tobytes() == params.key_proj.tobytes()
     assert loaded.query_proj.tobytes() == params.query_proj.tobytes()
-    assert loaded.decay_alpha == params.decay_alpha
 
 
 def test_params_file_rejects_corruption(tmp_path):
@@ -278,11 +266,16 @@ def test_params_file_rejects_corruption(tmp_path):
     with pytest.raises(ValueError, match="magic"):
         load_attention_params(bad)
 
+    # An ATP1 file, which stored a decay after dim, is refused by its magic.
+    bad.write_bytes(struct.pack("<4sId", b"ATP1", 3, 0.1) + bytes(blob[8:]))
+    with pytest.raises(ValueError, match="bad attention params magic"):
+        load_attention_params(bad)
+
     bad.write_bytes(bytes(blob[:-8]))
     with pytest.raises(ValueError, match="bytes"):
         load_attention_params(bad)
 
-    tag_offset = 16  # first role tag follows the 16-byte header
+    tag_offset = 8  # first role tag follows the 8-byte header
     blob[tag_offset] = ord("X")
     bad.write_bytes(bytes(blob))
     with pytest.raises(ValueError, match="role tag"):
@@ -304,11 +297,10 @@ def test_params_file_rejects_corruption(tmp_path):
 @given(
     data=st.one_of(
         st.binary(max_size=96),
-        # ATP1 magic, a small dim and any alpha, then arbitrary matrix bytes.
+        # ATP2 magic and a small dim, then arbitrary matrix bytes.
         st.builds(
-            lambda dim, alpha, rest: struct.pack("<4sId", b"ATP1", dim, alpha) + rest,
+            lambda dim, rest: struct.pack("<4sI", b"ATP2", dim) + rest,
             st.integers(0, 3),
-            st.floats(allow_nan=True, allow_infinity=True),
             st.binary(max_size=160),
         ),
     )

@@ -11,7 +11,7 @@ import pytest
 
 import streammem
 from streammem import AttentionParams, save_attention_params
-from streammem.cli import main
+from streammem.cli import _make_engine, build_parser, main
 from streammem.streamio import read_header
 
 
@@ -52,7 +52,6 @@ def test_ingest_with_config_overrides(tmp_path, capsys):
     rc = main([
         "ingest", str(path),
         "--config", "p_spa=4", "--config", "p_tem=2", "--config", "p_abs=1",
-        "--config", "kmeans_warm_start=false",
     ])
     assert rc == 0
     out = capsys.readouterr().out.splitlines()
@@ -73,29 +72,19 @@ def test_bad_rng_seed_exits_2(tmp_path, capsys):
 
 
 def test_params_file_round_trip_sets_decay(tmp_path, capsys):
+    # The file carries projections only; the decay comes from --config.
     path = _synth(tmp_path)
     params = tmp_path / "p.atp"
-    save_attention_params(AttentionParams.seeded(6, seed=3, decay_alpha=0.2), params)
+    saved = AttentionParams.seeded(6, seed=3)
+    save_attention_params(saved, params)
+    argv = ["ingest", str(path), "--params", str(params), "--config", "decay_alpha=0.3"]
     capsys.readouterr()
-    assert main(["ingest", str(path), "--params", str(params)]) == 0
+    assert main(argv) == 0
     assert "total=681 budget=681" in capsys.readouterr().out
-    # Repeating the file's decay is fine; contradicting it names both values.
-    ok = ["--config", "decay_alpha=0.2"]
-    assert main(["ingest", str(path), "--params", str(params)] + ok) == 0
-    capsys.readouterr()
-    clash = ["--config", "decay_alpha=0.3"]
-    assert main(["ingest", str(path), "--params", str(params)] + clash) == 2
-    err = capsys.readouterr().err
-    assert "0.2" in err and "0.3" in err
-
-
-def test_params_file_decay_out_of_range_exits_2(tmp_path, capsys):
-    path = _synth(tmp_path)
-    params = tmp_path / "p.atp"
-    save_attention_params(AttentionParams.seeded(6, decay_alpha=5.0), params)
-    capsys.readouterr()
-    assert main(["ingest", str(path), "--params", str(params)]) == 2
-    assert "decay_alpha" in capsys.readouterr().err
+    engine = _make_engine(build_parser().parse_args(argv), 6)
+    assert engine.config.decay_alpha == 0.3
+    assert engine.params.key_proj.tobytes() == saved.key_proj.tobytes()
+    assert engine.params.query_proj.tobytes() == saved.query_proj.tobytes()
 
 
 def test_config_flag_rejects_unknown_field(tmp_path):
@@ -174,8 +163,9 @@ def test_replay_rejects_malformed_triplets(tmp_path, capsys):
     trip.write_text(json.dumps([{"id": "x"}]))
     assert main(["replay", str(trip), str(stream)]) == 2
 
-    # A timestamp int() cannot convert names its triplet.
-    for bad in ("null", "1e400", '"soon"', "NaN"):
+    # Only a non-negative JSON integer is a timestamp; anything else, such as
+    # a fraction, a bool, a negative or a numeric string, names its triplet.
+    for bad in ("null", "1e400", '"soon"', "NaN", "2.7", "true", '"-5"', "-1", '"7"'):
         trip.write_text(f'[{{"id": "a", "frame_timestamp": 3}}, '
                         f'{{"id": "b", "frame_timestamp": {bad}}}]')
         capsys.readouterr()
@@ -285,11 +275,10 @@ def test_stream_file_closed_when_main_returns(tmp_path, opened_files):
     # returns, also when the engine cannot be built after the header is read.
     stream = _synth(tmp_path)
     params = tmp_path / "p.atp"
-    save_attention_params(AttentionParams.seeded(6, seed=3, decay_alpha=0.2), params)
+    save_attention_params(AttentionParams.seeded(5, seed=3), params)  # stream dim is 6
     cases = [
         (["ingest", str(stream), "--config", "rng_seed=1.5"], 2),
-        (["ingest", str(stream), "--params", str(params),
-          "--config", "decay_alpha=0.3"], 2),
+        (["ingest", str(stream), "--params", str(params)], 2),
         (["export-pca", str(stream), "--at-frame", "5",
           "--out", str(tmp_path / "pca.csv")], 0),
     ]

@@ -62,9 +62,6 @@ def test_bit_exact_determinism():
     assert a.weights.tobytes() == b.weights.tobytes()
     assert np.array_equal(a.assignments, b.assignments)
     assert a.objective_history == b.objective_history
-    c = weighted_kmeans(points, weights, k=4, warm_start=False, seed=9)
-    d = weighted_kmeans(points, weights, k=4, warm_start=False, seed=9)
-    assert c.centroids.tobytes() == d.centroids.tobytes()
 
 
 @settings(max_examples=60, deadline=None)

@@ -277,17 +277,6 @@ def test_constructor_validation():
         MemoryEngine(CFG, AttentionParams.seeded(7))
 
 
-def test_params_decay_must_match_config():
-    with pytest.raises(ConfigError, match="0.2.*0.1"):
-        MemoryEngine(CFG, AttentionParams.seeded(6, decay_alpha=0.2))
-    # Out-of-range decay cannot enter through the params either.
-    with pytest.raises(ConfigError):
-        MemoryEngine(CFG, AttentionParams.seeded(6, decay_alpha=5.0))
-    engine = MemoryEngine(CFG.with_overrides(decay_alpha=0.2),
-                          AttentionParams.seeded(6, decay_alpha=0.2))
-    assert engine.params.decay_alpha == engine.config.decay_alpha == 0.2
-
-
 def test_retrieved_entries_live_in_buffer():
     # A long first scene keeps the heaviest cluster on frames that the
     # 4-frame buffer has already evicted; only buffered frames may come back.

@@ -3,6 +3,7 @@
 import dataclasses
 import struct
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -92,7 +93,7 @@ def test_validate_checks_every_field():
     bad = {
         "p_spa": 0, "p_tem": -1, "p_abs": 1.0, "n_buff": 0, "n_spa": True,
         "n_tem": 0, "n_abs": 0, "n_ret": -3, "dim": 0, "kmeans_max_iters": 0,
-        "decay_alpha": 1.0, "rng_seed": 1.5, "kmeans_warm_start": 7,
+        "decay_alpha": 1.0, "rng_seed": 1.5,
     }
     assert set(bad) == {f.name for f in dataclasses.fields(MemoryConfig)}
     for name, value in bad.items():
@@ -104,10 +105,7 @@ def test_validate_rng_seed_and_warm_start_types():
     for seed in (-1, 1.5, True, "0"):
         with pytest.raises(ConfigError, match="rng_seed"):
             validate_config(default_config(rng_seed=seed))
-    for warm in (7, 0, None, "true"):
-        with pytest.raises(ConfigError, match="kmeans_warm_start"):
-            validate_config(default_config(kmeans_warm_start=warm))
-    validate_config(default_config(rng_seed=np.int64(3), kmeans_warm_start=np.bool_(False)))
+    validate_config(default_config(rng_seed=np.int64(3)))
 
 
 @given(
@@ -223,3 +221,17 @@ def test_snapshot_tokens_read_only():
     snap = _snapshot()
     with pytest.raises(ValueError):
         snap.tokens[0, 0] = 42.0
+
+
+def test_readme_config_table_matches_memory_config():
+    # The README's Configuration table lists every field with its default.
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    rows = [
+        [cell.strip() for cell in line.strip().strip("|").split("|")]
+        for line in section.splitlines()
+        if line.startswith("| `")
+    ]
+    documented = [(name.strip("`"), default) for name, default, _ in rows]
+    expected = [(f.name, str(f.default)) for f in dataclasses.fields(MemoryConfig)]
+    assert documented == expected

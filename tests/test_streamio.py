@@ -284,6 +284,25 @@ def test_synth_validation():
         synth_stream(0, 3, 1, 2, 2, noise_rel=-0.5)
 
 
+def test_synth_refuses_oversized_anchors_before_drawing(monkeypatch):
+    # Every anchor draw goes through default_rng; make reaching it an error,
+    # so these shapes are never allocated.
+    def no_draw(*args, **kwargs):
+        raise AssertionError("synth_stream reached the anchor draw")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    with pytest.raises(StreamFormatError, match="exceeds"):
+        synth_stream(0, 3, 1, 4096, 4096)  # one frame alone is 256 GiB
+    # 64 x 64 x 4096 float32 is 64 MiB a frame: four scenes fit the limit
+    # and go on to the draw, five do not.
+    frame_bytes = 64 * 64 * 4096 * 4
+    assert 4 * frame_bytes <= MAX_FRAME_BYTES < 5 * frame_bytes
+    with pytest.raises(StreamFormatError, match="5 scene anchors"):
+        synth_stream(0, 5, 5, 64, 4096)
+    with pytest.raises(AssertionError, match="anchor draw"):
+        synth_stream(0, 4, 4, 64, 4096)
+
+
 def test_open_endpoint_closes_only_what_it_opens(tmp_path, monkeypatch):
     buf = io.BytesIO()
     with open_endpoint(buf, "wb") as f:
