@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import MemoryConfig, ShapeError
+from .model import MemoryConfig, ShapeError, _check_magnitude
 
 __all__ = [
     "AttentionParams",
@@ -32,7 +32,8 @@ __all__ = [
 class AttentionParams:
     """Bias-free square projections for keys and queries.
 
-    Matrices are D x D, finite, read-only float64. The decay rate is not a
+    Matrices are D x D, read-only float64, every entry within
+    ``model.MAX_MAGNITUDE`` (the float32 range). The decay rate is not a
     learned weight: it lives in ``MemoryConfig`` and is passed per call.
     """
 
@@ -44,8 +45,7 @@ class AttentionParams:
             mat = np.array(getattr(self, name), dtype=np.float64, order="C", copy=True)
             if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
                 raise ShapeError(f"{name} must be square, got shape {mat.shape}")
-            if not np.isfinite(mat).all():
-                raise ValueError(f"{name} contains non-finite values")
+            _check_magnitude(mat, name)
             mat.setflags(write=False)
             object.__setattr__(self, name, mat)
         if self.key_proj.shape != self.query_proj.shape:

@@ -25,7 +25,6 @@ from .model import (
     MemoryConfig,
     MemorySnapshot,
     ShapeError,
-    default_config,
     max_tokens,
 )
 from .pooling import average_pool
@@ -43,10 +42,9 @@ __all__ = [
 ]
 
 
-# Synthetic streams of the bench and sweep, and the PCA rank cut-off: a second
+# Scenes of the bench and sweep streams, and the PCA rank cut-off: a second
 # eigenvalue at or below _PCA_RANK_TOL * max(first, 1) counts as rank < 2.
 _BENCH_SCENES = 4
-_BENCH_NOISE_REL = 0.05
 _SWEEP_SCENES = 3
 _PCA_RANK_TOL = 1e-9
 
@@ -79,9 +77,9 @@ class BenchReport:
 
     rows: tuple
 
-    def flatness_ratio(self, mode: str = "engine") -> float:
-        """max median read latency / min median read latency across counts."""
-        medians = [r.median_read_ms for r in self.rows if r.mode == mode]
+    def flatness_ratio(self) -> float:
+        """max / min median read latency across the engine's frame counts."""
+        medians = [r.median_read_ms for r in self.rows if r.mode == "engine"]
         if not medians or min(medians) <= 0:
             return float("nan")
         return max(medians) / min(medians)
@@ -141,7 +139,7 @@ def _timed_baseline_read(baseline: _KeepAllBaseline) -> float:
 
 
 def bench_latency(
-    config: MemoryConfig | None = None,
+    config: MemoryConfig,
     frame_counts=(1000, 10000),
     queries_per_point: int = 32,
     *,
@@ -158,8 +156,6 @@ def bench_latency(
     for the no-compression baseline. Timing columns vary run to run; every
     other column is seed-deterministic.
     """
-    if config is None:
-        config = default_config(dim=32)
     counts = sorted(set(int(c) for c in frame_counts))
     if not counts or counts[0] < 1:
         raise ValueError(f"frame_counts must be positive, got {frame_counts}")
@@ -167,8 +163,7 @@ def bench_latency(
         raise ValueError(f"queries_per_point must be >= 1, got {queries_per_point}")
 
     stream = synth_stream(
-        seed, counts[-1], min(_BENCH_SCENES, counts[-1]), config.p_spa, config.dim,
-        noise_rel=_BENCH_NOISE_REL,
+        seed, counts[-1], min(_BENCH_SCENES, counts[-1]), config.p_spa, config.dim
     )
     if keep_all:
         sinks = [_KeepAllBaseline(config) for _ in counts]
@@ -262,7 +257,7 @@ def _sweep_invariants_hold(engine: MemoryEngine, budget: int) -> bool:
 
 def sweep_ablation(
     grid: dict,
-    base_config: MemoryConfig | None = None,
+    base_config: MemoryConfig,
     *,
     frames: int = 120,
     seed: int = 0,
@@ -275,8 +270,6 @@ def sweep_ablation(
     ingest a short synthetic stream while checking the budget cap and weight
     conservation after every frame.
     """
-    if base_config is None:
-        base_config = default_config(dim=16)
     valid_fields = set(MemoryConfig.__dataclass_fields__)
     for key in grid:
         if key not in valid_fields:
@@ -335,7 +328,6 @@ class PcaExport:
     labels: tuple
     banks: tuple
     degenerate: bool
-    eigenvalues: tuple
 
     def to_csv(self) -> str:
         lines = []
@@ -394,10 +386,4 @@ def export_memory_pca(snapshot: MemorySnapshot, raw_frames) -> PcaExport:
             top[:, j] = -top[:, j]
     degenerate = d < 2 or lam[1] <= _PCA_RANK_TOL * max(lam[0], 1.0)
     coords = centered @ top
-    return PcaExport(
-        coords=coords,
-        labels=labels,
-        banks=banks,
-        degenerate=degenerate,
-        eigenvalues=(lam[0], lam[1]),
-    )
+    return PcaExport(coords=coords, labels=labels, banks=banks, degenerate=degenerate)

@@ -1,8 +1,9 @@
 """Command-line front end: synth, ingest, bench, replay, sweep, export-pca.
 
 Stream arguments accept a file path or '-' for a pipe. Config overrides are
-repeatable KEY=VALUE flags against the defaults (with dim taken from the
-stream header where one is available), e.g. --config n_tem=8 --config p_tem=2.
+repeatable KEY=VALUE flags against the defaults, e.g. --config n_tem=8
+--config p_tem=2. dim comes from the stream header where there is one; bench
+and sweep start from dim 32 and 16, and --config dim=N overrides it.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from collections import deque
 from pathlib import Path
 
 from .attention import load_attention_params
-from .bench import bench_latency, export_memory_pca, sweep_ablation
+from .bench import BenchReport, bench_latency, export_memory_pca, sweep_ablation
 from .engine import MemoryEngine
 from .model import MemoryConfig, _is_int_at_least, default_config, max_tokens
 from .streamio import open_endpoint, open_stream, synth_stream, write_stream
@@ -31,23 +32,16 @@ def _parse_override(text: str) -> tuple[str, object]:
     if key not in MemoryConfig.__dataclass_fields__:
         raise argparse.ArgumentTypeError(f"unknown config field {key!r}")
     raw = raw.strip()
-    value: object
-    if raw.lower() in ("true", "false"):
-        value = raw.lower() == "true"
-    else:
+    for parse in (int, float):
         try:
-            value = int(raw)
+            return key, parse(raw)
         except ValueError:
-            try:
-                value = float(raw)
-            except ValueError:
-                raise argparse.ArgumentTypeError(f"cannot parse value in {text!r}")
-    return key, value
+            pass
+    raise argparse.ArgumentTypeError(f"cannot parse value in {text!r}")
 
 
 def _build_config(args, base: MemoryConfig) -> MemoryConfig:
-    overrides = dict(args.config or [])
-    return base.with_overrides(**overrides) if overrides else base
+    return base.with_overrides(**dict(args.config or []))
 
 
 def _make_engine(args, header_dim: int) -> MemoryEngine:
@@ -97,19 +91,13 @@ def _cmd_ingest(args) -> int:
 
 def _cmd_bench(args) -> int:
     counts = [int(c) for c in args.frames.split(",") if c.strip()]
-    config = _build_config(args, default_config(dim=args.dim))
-    report = bench_latency(
-        config, counts, args.queries, seed=args.seed, keep_all=False
-    )
-    rows = list(report.rows)
+    config = _build_config(args, default_config(dim=32))
+    report = bench_latency(config, counts, args.queries, seed=args.seed)
+    rows = report.rows
     if args.keep_all:
-        baseline = bench_latency(
-            config, counts, args.queries, seed=args.seed, keep_all=True
-        )
-        rows.extend(baseline.rows)
-    csv_text = type(report)(rows=tuple(rows)).to_csv()
+        rows += bench_latency(config, counts, args.queries, seed=args.seed, keep_all=True).rows
     with _output(args.csv) as handle:
-        handle.write(csv_text)
+        handle.write(BenchReport(rows).to_csv())
     print(f"flatness_ratio={report.flatness_ratio():.3f}", file=sys.stderr)
     return 0
 
@@ -165,7 +153,7 @@ def _cmd_sweep(args) -> int:
     if not isinstance(grid, dict):
         raise ValueError("sweep grid must be a JSON object of field -> value list")
     grid = {k: v if isinstance(v, list) else [v] for k, v in grid.items()}
-    base = _build_config(args, default_config(dim=args.dim))
+    base = _build_config(args, default_config(dim=16))
     report = sweep_ablation(grid, base, frames=args.frames, seed=args.seed)
     with _output(args.csv) as handle:
         handle.write(report.to_csv())
@@ -237,7 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frames", default="1000,10000", help="comma-separated frame counts")
     p.add_argument("--queries", type=int, default=32, help="timed reads per count")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--dim", type=int, default=32, help="token dimension of the synthetic stream")
     p.add_argument("--keep-all", action="store_true", help="also run the no-compression baseline")
     p.add_argument("--csv", metavar="FILE", help="write rows here instead of stdout")
     _add_config_flag(p)
@@ -254,7 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", required=True, help="JSON object field -> values, or @file.json")
     p.add_argument("--frames", type=int, default=120, help="frames per cell")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--dim", type=int, default=16, help="token dimension of the synthetic stream")
     p.add_argument("--csv", metavar="FILE", help="write rows here instead of stdout")
     _add_config_flag(p)
     p.set_defaults(func=_cmd_sweep)

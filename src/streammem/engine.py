@@ -224,8 +224,8 @@ class MemoryEngine:
         return {bank: length for bank, (_, length) in zip(BANK_ORDER, offsets)}
 
     def resident_token_count(self) -> int:
-        """Bank tokens plus buffer tokens: the engine's full working set,
-        constant in stream length once the buffer fills."""
+        """Snapshot tokens plus the buffered rows of the p_spa ring (the p_tem
+        ring is not counted); constant in stream length once the buffer fills."""
         latest = self._published[-1]
         buffered = min(latest.timestamp_frame, self._config.n_buff)
         return latest.token_count + buffered * self._config.p_spa**2

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import struct
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -21,6 +21,8 @@ __all__ = [
     "MemoryConfig",
     "MemorySnapshot",
     "BANK_ORDER",
+    "MAX_MAGNITUDE",
+    "MAX_BUFFER_BYTES",
     "default_config",
     "max_tokens",
     "validate_config",
@@ -46,16 +48,36 @@ class ConcurrentWriteError(RuntimeError):
 # Snapshot bank concatenation order. Fixed so outputs are bit-reproducible.
 BANK_ORDER = ("spatial", "temporal", "abstract", "retrieved")
 
+# Largest |value| of a frame token or attention projection entry: the float32
+# range, which FVS1 files cannot exceed anyway. Under it the products and
+# squared distances the engine forms stay finite; NaN and inf fail it too.
+MAX_MAGNITUDE = float(np.finfo(np.float32).max)
+
+# Largest float64 state a config may preallocate: the feature buffer's two
+# rings, the abstract bank and the two D x D attention projections. The
+# defaults at dim 1024 need 214 MB.
+MAX_BUFFER_BYTES = 1 << 34
+
+
+def _check_magnitude(arr: np.ndarray, name: str) -> None:
+    """Raise ValueError unless every value satisfies |v| <= MAX_MAGNITUDE."""
+    # Two reductions and no temporary array; a NaN propagates and fails both.
+    if arr.size and not (arr.max() <= MAX_MAGNITUDE and arr.min() >= -MAX_MAGNITUDE):
+        raise ValueError(
+            f"{name} must satisfy |v| <= {MAX_MAGNITUDE!r} (float32 max); "
+            "got non-finite or larger values"
+        )
+
 
 @dataclass(frozen=True, eq=False)
 class FrameFeature:
     """One frame's square grid of feature tokens.
 
     ``tokens`` has shape (grid_size, grid_size, dim), float64, row-major and
-    read-only. All values must be finite; non-finite frames are rejected at
-    construction so they can never enter the engine. Instances compare by
-    identity; the engine copies a frame's tokens into its buffer and keeps no
-    reference to the frame itself.
+    read-only. Every value must satisfy |v| <= MAX_MAGNITUDE, so no other frame
+    can ever enter the engine. Instances compare by identity; the engine
+    copies a frame's tokens into its buffer and keeps no reference to the
+    frame itself.
     """
 
     grid_size: int
@@ -69,8 +91,7 @@ class FrameFeature:
         arr = np.array(self.tokens, dtype=np.float64, order="C", copy=True)
         if arr.shape != (p, p, d):
             raise ShapeError(f"tokens shape {arr.shape} != expected {(p, p, d)}")
-        if not np.isfinite(arr).all():
-            raise ValueError("tokens contain non-finite values")
+        _check_magnitude(arr, "tokens")
         arr.setflags(write=False)
         object.__setattr__(self, "tokens", arr)
 
@@ -159,6 +180,15 @@ def validate_config(config: MemoryConfig) -> None:
         value = getattr(config, name)
         if not _is_int_at_least(value, 1):
             raise ConfigError(f"{name} must be a positive integer, got {value!r}")
+    n_buff, p_spa, p_tem, n_abs, p_abs, dim = map(  # Python ints: no numpy wrap
+        int, (config.n_buff, config.p_spa, config.p_tem, config.n_abs, config.p_abs, config.dim)
+    )
+    nbytes = (n_buff * (p_spa**2 + p_tem**2) + n_abs * p_abs**2 + 2 * dim) * dim * 8
+    if nbytes > MAX_BUFFER_BYTES:
+        raise ConfigError(
+            f"buffer too large: the config preallocates {nbytes} bytes, "
+            f"over the {MAX_BUFFER_BYTES}-byte limit"
+        )
     if config.n_spa > config.n_buff:
         raise ConfigError(
             f"spatial exceeds buffer: n_spa={config.n_spa} > n_buff={config.n_buff}"
@@ -203,7 +233,7 @@ class MemorySnapshot:
     timestamp_frame: int
     tokens: np.ndarray
     bank_offsets: tuple  # ((start, length) per bank, in BANK_ORDER)
-    checksum: int = 0
+    checksum: int = field(init=False)  # computed from the fields above
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.tokens, dtype=np.float64)

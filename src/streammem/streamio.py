@@ -211,7 +211,8 @@ class SyntheticStream:
     Frames are grouped into contiguous scenes; each scene has a fixed anchor
     pattern and every frame is anchor plus small seeded noise, quantized to
     float32. Frame i is reproducible in isolation (frame(i)), so iteration,
-    random access, and file round-trips all agree bit-exactly.
+    random access, and file round-trips all agree bit-exactly. Scene ids are
+    computed per frame, so the stream costs O(n_scenes) memory at any length.
     """
 
     seed: int
@@ -220,7 +221,6 @@ class SyntheticStream:
     grid_side: int
     dim: int
     noise_rel: float
-    scene_ids: tuple
     anchors: np.ndarray  # (n_scenes, P, P, D) float64, f32-quantized values
     separation_ratio: float  # min anchor gap / intra-scene distance bound
 
@@ -231,11 +231,14 @@ class SyntheticStream:
         for i in range(self.n_frames):
             yield self.frame(i)
 
-    def frame(self, i: int) -> FrameFeature:
+    def scene_of(self, i: int) -> int:
+        """Scene of frame i, i * n_scenes // n_frames: contiguous, near-equal runs."""
         if not 0 <= i < self.n_frames:
             raise IndexError(f"frame {i} out of range [0, {self.n_frames})")
-        scene = self.scene_ids[i]
-        anchor = self.anchors[scene]
+        return i * self.n_scenes // self.n_frames
+
+    def frame(self, i: int) -> FrameFeature:
+        anchor = self.anchors[self.scene_of(i)]
         std = self.noise_rel * _rms(anchor)
         rng = np.random.default_rng([self.seed, 1, i])
         tokens = anchor + rng.normal(0.0, std, anchor.shape) if std > 0 else anchor
@@ -243,14 +246,14 @@ class SyntheticStream:
         return FrameFeature(grid_size=self.grid_side, dim=self.dim, tokens=tokens)
 
     def scene_spans(self) -> list[tuple[int, int, int]]:
-        """(start, end, scene_id) per scene, end exclusive."""
-        spans = []
-        start = 0
-        for i in range(1, self.n_frames + 1):
-            if i == self.n_frames or self.scene_ids[i] != self.scene_ids[start]:
-                spans.append((start, i, self.scene_ids[start]))
-                start = i
-        return spans
+        """(start, end, scene_id) per scene, end exclusive.
+
+        scene_of(i) == s exactly for i in [ceil(s*N/S), ceil((s+1)*N/S)),
+        with N frames and S scenes.
+        """
+        n, k = self.n_frames, self.n_scenes
+        starts = [-(-s * n // k) for s in range(k + 1)]
+        return [(starts[s], starts[s + 1], s) for s in range(k)]
 
 
 def _rms(arr: np.ndarray) -> float:
@@ -289,36 +292,26 @@ def synth_stream(
     if noise_rel < 0 or not np.isfinite(noise_rel):
         raise StreamFormatError(f"noise_rel must be finite and >= 0, got {noise_rel}")
 
-    scene_ids = tuple(
-        min(i * n_scenes // n_frames, n_scenes - 1) for i in range(n_frames)
-    )
-
     n_elems = grid_side * grid_side * dim
-    ratio = np.inf
-    anchors = None
     for attempt in range(100):
         rng = np.random.default_rng([seed, 0, attempt])
-        cand = rng.normal(0.0, 1.0, (n_scenes, grid_side, grid_side, dim))
-        cand = cand.astype(np.float32).astype(np.float64)
+        anchors = rng.normal(0.0, 1.0, (n_scenes, grid_side, grid_side, dim))
+        anchors = anchors.astype(np.float32).astype(np.float64)
         # Two same-scene frames differ by two independent noise draws; bound
         # that distance with a generous ~4-sigma tail on the noise norm.
-        worst_rms = max(_rms(a) for a in cand)
+        worst_rms = max(_rms(a) for a in anchors)
         intra_bound = 2.0 * noise_rel * worst_rms * (np.sqrt(n_elems) + 4.0)
-        if n_scenes == 1:
-            ratio = np.inf
-            anchors = cand
-            break
-        flat = cand.reshape(n_scenes, -1)
+        flat = anchors.reshape(n_scenes, -1)
         gaps = [
             float(np.linalg.norm(flat[a] - flat[b]))
             for a in range(n_scenes)
             for b in range(a + 1, n_scenes)
         ]
-        ratio = min(gaps) / intra_bound if intra_bound > 0 else np.inf
-        anchors = cand
+        # One scene, or no noise, separates perfectly: the ratio is inf.
+        ratio = min(gaps, default=np.inf) / intra_bound if intra_bound > 0 else np.inf
         if ratio >= 5.0:
             break
-    if n_scenes > 1 and noise_rel > 0 and ratio < 5.0:
+    else:
         raise StreamFormatError(
             f"could not separate {n_scenes} anchors by 5x the intra-scene "
             f"spread at shape ({grid_side}, {grid_side}, {dim}); "
@@ -332,7 +325,6 @@ def synth_stream(
         grid_side=grid_side,
         dim=dim,
         noise_rel=noise_rel,
-        scene_ids=scene_ids,
         anchors=anchors,
         separation_ratio=float(ratio),
     )

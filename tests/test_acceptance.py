@@ -283,7 +283,7 @@ def test_criterion_8_scene_structure(capsys):
     for seed in range(10):
         stream = synth_stream(seed, 30, 3, 4, 6)
         engine = MemoryEngine(config)
-        centroid_scene = list(stream.scene_ids[: config.n_tem])
+        centroid_scene = [stream.scene_of(i) for i in range(config.n_tem)]
         raw = []
         pure = True
         for idx, frame in enumerate(stream):
@@ -292,7 +292,7 @@ def test_criterion_8_scene_structure(capsys):
             state = engine.last_cluster_state
             if state is None:
                 continue
-            member_scene = centroid_scene + [stream.scene_ids[idx]]
+            member_scene = centroid_scene + [stream.scene_of(idx)]
             scenes = [set() for _ in range(config.n_tem)]
             for point, cluster in enumerate(state.assignments):
                 scenes[cluster].add(member_scene[point])
@@ -315,7 +315,7 @@ def test_criterion_8_scene_structure(capsys):
             scene_rows = [
                 f * per_frame + j
                 for f in range(30)
-                if stream.scene_ids[f] == scene
+                if stream.scene_of(f) == scene
                 for j in range(per_frame)
             ]
             hull = Delaunay(raw_xy[scene_rows])

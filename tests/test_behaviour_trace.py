@@ -9,10 +9,16 @@ Discrete fields must match exactly; floats to 1e-12 relative.
 Re-record only when a change is meant to alter behaviour:
 
     PYTHONPATH=src python tests/test_behaviour_trace.py --record
+
+A refactor that claims bit-identical outputs can compare, before and after,
+one SHA-256 per traced config over every frame's exact bytes:
+
+    PYTHONPATH=src python tests/test_behaviour_trace.py --digest
 """
 
 from __future__ import annotations
 
+import hashlib
 import sys
 from pathlib import Path
 
@@ -71,6 +77,24 @@ def record(config, grid: int) -> dict[str, np.ndarray]:
     }
 
 
+def digest(config, grid: int) -> str:
+    """SHA-256 over every frame's snapshot (tokens, offsets, checksum, version),
+    last k-means run (assignments, centroids, weights) and temporal weights."""
+    engine = MemoryEngine(config)
+    sha = hashlib.sha256()
+    for frame in synth_stream(7, N_FRAMES, 4, grid, config.dim):
+        engine.ingest_frame(frame)
+        snap = engine.read_snapshot()
+        sha.update(snap.tokens.tobytes())
+        sha.update(repr((snap.bank_offsets, snap.checksum, snap.version)).encode())
+        state = engine.last_cluster_state
+        if state is not None:
+            for arr in (state.assignments, state.centroids, state.weights):
+                sha.update(np.ascontiguousarray(arr).tobytes())
+        sha.update(engine.temporal_weights.tobytes())
+    return sha.hexdigest()
+
+
 @pytest.fixture(scope="module")
 def fixture():
     with np.load(FIXTURE) as data:
@@ -95,6 +119,10 @@ def test_trace_matches_fixture(name, fixture):
 
 
 if __name__ == "__main__":
+    if sys.argv[1:] == ["--digest"]:
+        for name, spec in TRACES.items():
+            print(f"{name} {digest(*spec)}")
+        sys.exit(0)
     if sys.argv[1:] != ["--record"]:
         sys.exit(__doc__)
     arrays = {

@@ -189,7 +189,7 @@ def test_pca_three_scene_centroids_inside_scene_hulls():
     cfg = default_config(p_spa=4, p_tem=2, p_abs=1, dim=6, n_abs=5, n_ret=3)
     stream = synth_stream(11, 30, 3, 4, 6)
     engine = MemoryEngine(cfg)
-    scenes_of_centroid = list(stream.scene_ids[:25])
+    scenes_of_centroid = [stream.scene_of(i) for i in range(25)]
     raw = []
     for idx, frame in enumerate(stream):
         engine.ingest_frame(frame)
@@ -197,7 +197,7 @@ def test_pca_three_scene_centroids_inside_scene_hulls():
         state = engine.last_cluster_state
         if state is not None:
             new_scenes = [set() for _ in range(25)]
-            member_scene = scenes_of_centroid + [stream.scene_ids[idx]]
+            member_scene = scenes_of_centroid + [stream.scene_of(idx)]
             for point, cluster in enumerate(state.assignments):
                 new_scenes[cluster].add(member_scene[point])
             assert all(len(s) == 1 for s in new_scenes)  # clusters stay scene-pure
@@ -216,7 +216,7 @@ def test_pca_three_scene_centroids_inside_scene_hulls():
         frame_rows = [
             f * tokens_per_frame + j
             for f in range(30)
-            if stream.scene_ids[f] == scene
+            if stream.scene_of(f) == scene
             for j in range(tokens_per_frame)
         ]
         hull = Delaunay(raw_coords[frame_rows])

@@ -71,6 +71,39 @@ def test_bad_rng_seed_exits_2(tmp_path, capsys):
     assert "rng_seed" in capsys.readouterr().err
 
 
+def test_config_values_are_numbers_and_dim_has_one_flag(tmp_path, capsys):
+    # No config field is a bool, so true/false are not values; bench and
+    # sweep take their dim only as --config dim=N.
+    path = _synth(tmp_path)
+    for argv in (
+        ["ingest", str(path), "--config", "p_spa=true"],
+        ["bench", "--config", "p_spa=false"],
+        ["bench", "--dim", "4"],
+        ["sweep", "--grid", "{}", "--dim", "4"],
+    ):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        err = capsys.readouterr().err
+        assert ("cannot parse value" if "--config" in argv else "--dim") in err, argv
+
+
+def test_oversized_buffer_config_is_refused_before_allocating(tmp_path, capsys):
+    # 10**12 buffered frames would ask numpy for 1.8 PiB, which it refuses
+    # at once; the config check must answer first, with one line.
+    path = _synth(tmp_path)
+    capsys.readouterr()
+    assert main(["ingest", str(path), "--config", "n_buff=1000000000000"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "buffer too large" in err
+    grid = '{"n_buff": [1000000000000, 300]}'
+    assert main(["sweep", "--grid", grid, "--frames", "5"]) == 0
+    rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+    assert [r["ok"] for r in rows] == ["0", "1"]
+    assert "buffer too large" in rows[0]["reason"]
+
+
 def test_params_file_round_trip_sets_decay(tmp_path, capsys):
     # The file carries projections only; the decay comes from --config.
     path = _synth(tmp_path)
@@ -105,8 +138,8 @@ def test_missing_stream_file_exits_2(tmp_path, capsys):
 def test_params_flag_only_where_an_engine_reads_it(tmp_path, capsys):
     # bench and sweep seed their own engines: --params there is a usage error.
     for argv in (
-        ["bench", "--frames", "5", "--queries", "1", "--dim", "4"],
-        ["sweep", "--grid", "{}", "--frames", "5", "--dim", "4"],
+        ["bench", "--frames", "5", "--queries", "1", "--config", "dim=4"],
+        ["sweep", "--grid", "{}", "--frames", "5", "--config", "dim=4"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--params", "/nonexistent/p.atp"])
@@ -176,7 +209,7 @@ def test_replay_rejects_malformed_triplets(tmp_path, capsys):
 def test_bench_writes_csv_rows(tmp_path, capsys):
     out = tmp_path / "bench.csv"
     rc = main([
-        "bench", "--frames", "20,40", "--queries", "2", "--dim", "8",
+        "bench", "--frames", "20,40", "--queries", "2", "--config", "dim=8",
         "--csv", str(out),
     ])
     assert rc == 0
@@ -188,7 +221,7 @@ def test_bench_writes_csv_rows(tmp_path, capsys):
 def test_bench_keep_all_appends_baseline_rows(tmp_path):
     out = tmp_path / "bench.csv"
     rc = main([
-        "bench", "--frames", "10,20", "--queries", "2", "--dim", "8",
+        "bench", "--frames", "10,20", "--queries", "2", "--config", "dim=8",
         "--keep-all", "--csv", str(out),
     ])
     assert rc == 0
@@ -201,7 +234,7 @@ def test_sweep_grid_inline_and_from_file(tmp_path):
     inline = tmp_path / "inline.csv"
     rc = main([
         "sweep", "--grid", '{"n_tem": [4, 8]}', "--frames", "30",
-        "--dim", "8", "--csv", str(inline),
+        "--config", "dim=8", "--csv", str(inline),
     ])
     assert rc == 0
     rows = list(csv.DictReader(inline.read_text().splitlines()))
@@ -212,7 +245,7 @@ def test_sweep_grid_inline_and_from_file(tmp_path):
     grid_file.write_text('{"n_tem": [4, 8]}')
     from_file = tmp_path / "fromfile.csv"
     rc = main(["sweep", "--grid", f"@{grid_file}", "--frames", "30",
-               "--dim", "8", "--csv", str(from_file)])
+               "--config", "dim=8", "--csv", str(from_file)])
     assert rc == 0
 
     def stable(path):  # drop the timing column before comparing
@@ -223,7 +256,7 @@ def test_sweep_grid_inline_and_from_file(tmp_path):
 
 
 def test_sweep_csv_goes_to_stdout_without_csv(capsys):
-    argv = ["sweep", "--grid", '{"n_tem": [4, 8]}', "--frames", "30", "--dim", "8"]
+    argv = ["sweep", "--grid", '{"n_tem": [4, 8]}', "--frames", "30", "--config", "dim=8"]
     assert main(argv) == 0
     rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
     assert [r["overrides"] for r in rows] == ["n_tem=4", "n_tem=8"]

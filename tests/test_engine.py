@@ -5,6 +5,7 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import streammem.engine as engine_module
 from streammem import (
@@ -19,6 +20,7 @@ from streammem import (
     max_tokens,
     synth_stream,
 )
+from streammem.model import MAX_MAGNITUDE
 
 CFG = default_config(dim=6)  # paper-shaped banks, small token dim for speed
 
@@ -428,3 +430,38 @@ def test_concurrent_readers_see_committed_monotonic_versions():
         th.join()
     assert violations == []
     assert engine.read_snapshot().version == 2000
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    signs_only=st.booleans(),
+    overrides=st.sampled_from(
+        [{}, {"n_buff": 15, "p_abs": 2}, {"decay_alpha": 1e-6, "p_abs": 2}]
+    ),
+)
+def test_inputs_at_the_magnitude_bound_keep_every_bank_finite(seed, signs_only, overrides):
+    # Tokens and projections at +-float32 max, through the buffer wrap and
+    # into k-means: no overflow anywhere, so every published bank is finite.
+    cfg = default_config(dim=16, **overrides)
+    rng = np.random.default_rng(seed)
+
+    def at_bound(shape):
+        unit = rng.choice([-1.0, 1.0], shape) if signs_only else rng.uniform(-1, 1, shape)
+        return MAX_MAGNITUDE * unit
+
+    params = AttentionParams(at_bound((16, 16)), at_bound((16, 16)))
+    engine, twin = MemoryEngine(cfg, params), MemoryEngine(cfg, params)
+    with np.errstate(over="raise", invalid="raise"):
+        for _ in range(30):
+            frame = FrameFeature.from_array(at_bound((8, 8, 16)))
+            engine.ingest_frame(frame)
+            twin.ingest_frame(frame)
+            assert np.isfinite(engine.read_snapshot().tokens).all()
+    beyond = at_bound((8, 8, 16))
+    beyond[3, 5, 7] = np.nextafter(MAX_MAGNITUDE, np.inf)
+    with pytest.raises(ValueError, match="float32 max"):
+        engine.ingest_frame(FrameFeature.from_array(beyond))
+    a, b = engine.read_snapshot(), twin.read_snapshot()
+    assert (a.version, a.checksum) == (b.version, b.checksum)
+    assert a.tokens.tobytes() == b.tokens.tobytes()

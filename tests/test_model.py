@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from streammem import (
+    AttentionParams,
     ConfigError,
     FrameFeature,
     MemoryConfig,
@@ -19,6 +20,7 @@ from streammem import (
     max_tokens,
     validate_config,
 )
+from streammem.model import MAX_BUFFER_BYTES, MAX_MAGNITUDE
 
 
 def test_max_tokens_defaults_is_681():
@@ -134,6 +136,48 @@ def test_frame_feature_shape_and_finiteness():
         FrameFeature(grid_size=2, dim=3, tokens=bad)
 
 
+@given(
+    over=st.one_of(st.floats(min_value=MAX_MAGNITUDE, exclude_min=True), st.just(np.nan)),
+    sign=st.sampled_from([1.0, -1.0]),
+    pos=st.integers(0, 15),
+)
+def test_tokens_and_params_are_bounded_by_float32_max(over, sign, pos):
+    at_bound = sign * np.full(16, MAX_MAGNITUDE)
+    assert MAX_MAGNITUDE == float(np.finfo(np.float32).max)
+    FrameFeature(grid_size=2, dim=4, tokens=at_bound.reshape(2, 2, 4))
+    AttentionParams(at_bound.reshape(4, 4), at_bound.reshape(4, 4))
+    beyond = at_bound.copy()
+    beyond[pos] = sign * over
+    with pytest.raises(ValueError, match="float32 max"):
+        FrameFeature(grid_size=2, dim=4, tokens=beyond.reshape(2, 2, 4))
+    with pytest.raises(ValueError, match="float32 max"):
+        AttentionParams(at_bound.reshape(4, 4), beyond.reshape(4, 4))
+
+
+def test_validate_bounds_preallocated_bytes():
+    # The feature buffer's rings, the abstract bank and the two projections,
+    # in float64 bytes.
+    cfg = default_config(dim=1024)
+    assert (300 * (64 + 16) + 25 + 2 * 1024) * 1024 * 8 <= MAX_BUFFER_BYTES
+    validate_config(cfg)
+    for huge in (
+        cfg.with_overrides(n_buff=10**12),
+        cfg.with_overrides(n_abs=10**12),
+        cfg.with_overrides(dim=np.int64(2**40)),  # numpy ints must not wrap
+        MemoryConfig(p_spa=1, p_tem=1, p_abs=1, n_buff=1, n_abs=1, n_tem=1, n_ret=1,
+                     dim=2**17),  # 256 GiB of projections
+    ):
+        with pytest.raises(ConfigError, match=f"over the {MAX_BUFFER_BYTES}-byte limit"):
+            validate_config(huge)
+    # Counted exactly at dim 1: 2 * n_buff ring values, one abstract slot and
+    # two 1 x 1 projections; 2**34 bytes are 2**31 float64 values.
+    edge = MemoryConfig(p_spa=1, p_tem=1, p_abs=1, n_buff=2**30 - 1, n_abs=1, n_spa=1,
+                        n_tem=1, n_ret=1, dim=1)
+    with pytest.raises(ConfigError, match=str(MAX_BUFFER_BYTES + 8)):
+        validate_config(edge)
+    validate_config(edge.with_overrides(n_buff=2**30 - 2))
+
+
 def test_frame_feature_is_immutable_and_copies_input():
     src = np.arange(12, dtype=float).reshape(2, 2, 3)
     frame = FrameFeature.from_array(src)
@@ -215,6 +259,12 @@ def test_snapshot_checksum_is_crc_of_header_then_token_bytes():
     empty = MemorySnapshot(version=0, timestamp_frame=0, tokens=np.zeros((0, 3)),
                            bank_offsets=((0, 0),) * 4)
     assert empty.checksum == zlib.crc32(struct.pack("<qq8q", *[0] * 10))
+
+
+def test_snapshot_checksum_is_computed_not_passed():
+    with pytest.raises(TypeError):
+        MemorySnapshot(version=1, timestamp_frame=1, tokens=np.ones((1, 3)),
+                       bank_offsets=((0, 1), (1, 0), (1, 0), (1, 0)), checksum=7)
 
 
 def test_snapshot_tokens_read_only():

@@ -1,8 +1,10 @@
 """FVS1 format round-trips, corruption handling, synthetic stream properties."""
 
 import io
+import itertools
 import struct
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -248,11 +250,44 @@ def test_synth_scene_separation_self_check():
 
 def test_synth_scene_ids_contiguous_partition():
     stream = synth_stream(2, 20, 3, 2, 2)
-    assert len(stream.scene_ids) == 20
+    assert [stream.scene_of(i) for i in range(20)] == [0] * 7 + [1] * 7 + [2] * 6
     spans = stream.scene_spans()
     assert [s for s, _, _ in spans] == sorted(s for s, _, _ in spans)
     assert sum(e - s for s, e, _ in spans) == 20
     assert [sid for _, _, sid in spans] == [0, 1, 2]
+
+
+@pytest.mark.parametrize("n_frames", [1, 2, 5, 7, 20, 31])
+def test_synth_scene_of_matches_a_per_frame_table(n_frames):
+    # scene_of is arithmetic; the reference is the per-frame table the
+    # generator used to store, and the spans are its runs.
+    for n_scenes in range(1, n_frames + 1):
+        stream = synth_stream(0, n_frames, n_scenes, 1, 1, noise_rel=0.0)
+        table = [min(i * n_scenes // n_frames, n_scenes - 1) for i in range(n_frames)]
+        assert [stream.scene_of(i) for i in range(n_frames)] == table
+        runs, start = [], 0
+        for sid, group in itertools.groupby(table):
+            end = start + len(list(group))
+            runs.append((start, end, sid))
+            start = end
+        assert stream.scene_spans() == runs
+        for bad in (-1, n_frames):
+            with pytest.raises(IndexError):
+                stream.scene_of(bad)
+
+
+def test_synth_stream_of_a_trillion_frames_is_built_lazily():
+    n = 10**12
+    t0 = time.perf_counter()
+    stream = synth_stream(0, n, 4, 2, 8)
+    assert time.perf_counter() - t0 < 1.0
+    assert len(stream) == n
+    assert stream.frame(n - 1).tokens.shape == (2, 2, 8)
+    assert stream.scene_of(n - 1) == 3
+    spans = stream.scene_spans()
+    assert len(spans) == 4 and spans[0][0] == 0 and spans[-1][1] == n
+    assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+    assert [sid for _, _, sid in spans] == [0, 1, 2, 3]
 
 
 def test_synth_random_access_matches_iteration():
