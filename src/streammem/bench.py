@@ -9,11 +9,13 @@ reads and token counts grow linearly. The contrast is the point of the bench.
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
 import statistics
 import time
 import zlib
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -28,7 +30,7 @@ from .model import (
     max_tokens,
 )
 from .pooling import average_pool
-from .streamio import synth_stream
+from .streamio import StreamFormatError, synth_stream
 
 __all__ = [
     "BenchRow",
@@ -47,6 +49,14 @@ __all__ = [
 _BENCH_SCENES = 4
 _SWEEP_SCENES = 3
 _PCA_RANK_TOL = 1e-9
+
+
+def _csv_line(values) -> str:
+    """One CSV row ending in '\\n'. csv quotes the characters of its row end, so
+    writing with its default '\\r\\n' end quotes a lone '\\r' as well as '\\n'."""
+    out = io.StringIO()
+    csv.writer(out).writerow(values)
+    return out.getvalue()[:-2] + "\n"
 
 
 def _rss_mb() -> float:
@@ -237,15 +247,14 @@ class SweepReport:
     rows: tuple
 
     def to_csv(self) -> str:
-        lines = [",".join(f.name for f in fields(SweepCell))]
+        lines = [_csv_line(f.name for f in fields(SweepCell))]
         for r in self.rows:
             spec = ";".join(f"{k}={v}" for k, v in r.overrides)
-            reason = r.reason.replace(",", ";")
-            lines.append(
-                f"{spec},{int(r.ok)},{reason},{r.budget},{r.final_tokens},"
-                f"{int(r.invariants_ok)},{r.ingest_fps:.1f}"
-            )
-        return "\n".join(lines) + "\n"
+            lines.append(_csv_line((
+                spec, int(r.ok), r.reason, r.budget, r.final_tokens,
+                int(r.invariants_ok), f"{r.ingest_fps:.1f}",
+            )))
+        return "".join(lines)
 
 
 def _sweep_invariants_hold(engine: MemoryEngine, budget: int) -> bool:
@@ -265,11 +274,13 @@ def sweep_ablation(
     """Run every config in the Cartesian product of the grid's value lists.
 
     grid maps MemoryConfig field names to candidate values, e.g.
-    {"p_tem": [2, 4], "n_tem": [8, 25]}. Invalid cells are reported as
-    skipped with the violated constraint named, never raised. Valid cells
-    ingest a short synthetic stream while checking the budget cap and weight
-    conservation after every frame.
+    {"p_tem": [2, 4], "n_tem": [8, 25]}. Cells whose config is invalid or
+    whose stream cannot be built are reported as skipped with the reason,
+    never raised. Valid cells ingest a short synthetic stream while checking
+    the budget cap and weight conservation after every frame.
     """
+    if frames < 1:
+        raise ValueError(f"frames must be >= 1, got {frames}")
     valid_fields = set(MemoryConfig.__dataclass_fields__)
     for key in grid:
         if key not in valid_fields:
@@ -278,17 +289,17 @@ def sweep_ablation(
     rows = []
     for values in itertools.product(*(grid[n] for n in names)):
         overrides = tuple(zip(names, values))
-        cfg = base_config.with_overrides(**dict(overrides))
-        # The engine is the validator: it checks the config when built and
-        # each bank's pooling on the first frame (grid p_spa).
+        cfg = replace(base_config, **dict(overrides))
+        # synth_stream checks the stream's shape; the engine checks the config
+        # when built and each bank's pooling on the first frame (grid p_spa).
         try:
-            engine = MemoryEngine(cfg)
             stream = iter(
                 synth_stream(seed, frames, min(_SWEEP_SCENES, frames), cfg.p_spa, cfg.dim)
             )
+            engine = MemoryEngine(cfg)
             t0 = time.perf_counter()
             engine.ingest_frame(next(stream))
-        except (ConfigError, ShapeError) as err:
+        except (ConfigError, ShapeError, StreamFormatError) as err:
             rows.append(SweepCell(overrides, False, str(err), 0, 0, False, 0.0))
             continue
         budget = max_tokens(cfg)
@@ -350,7 +361,7 @@ def export_memory_pca(snapshot: MemorySnapshot, raw_frames) -> PcaExport:
     """
     mem_tokens = snapshot.tokens
     banks: list[str] = []
-    for name, (_, length) in zip(BANK_ORDER, snapshot.bank_offsets):
+    for name, length in zip(BANK_ORDER, snapshot.bank_lengths):
         banks.extend([name] * length)
     raw_rows = [f.token_matrix for f in raw_frames]
     raw = (

@@ -13,10 +13,11 @@ import json
 import sys
 import time
 from collections import deque
+from dataclasses import replace
 from pathlib import Path
 
 from .attention import load_attention_params
-from .bench import BenchReport, bench_latency, export_memory_pca, sweep_ablation
+from .bench import BenchReport, _csv_line, bench_latency, export_memory_pca, sweep_ablation
 from .engine import MemoryEngine
 from .model import MemoryConfig, _is_int_at_least, default_config, max_tokens
 from .streamio import open_endpoint, open_stream, synth_stream, write_stream
@@ -41,7 +42,7 @@ def _parse_override(text: str) -> tuple[str, object]:
 
 
 def _build_config(args, base: MemoryConfig) -> MemoryConfig:
-    return base.with_overrides(**dict(args.config or []))
+    return replace(base, **dict(args.config or []))
 
 
 def _make_engine(args, header_dim: int) -> MemoryEngine:
@@ -129,9 +130,9 @@ def _cmd_replay(args) -> int:
             while queries and queries[0][0] <= now:
                 ts, qid = queries.popleft()
                 result = engine.query_at(qid, ts)
+                snap = result.snapshot
                 handle.write(
-                    f"{qid},{ts},{result.snapshot.version},"
-                    f"{result.snapshot.timestamp_frame},{int(result.stale)}\n"
+                    _csv_line((qid, ts, snap.version, snap.timestamp_frame, int(result.stale)))
                 )
 
         flush_due(0)

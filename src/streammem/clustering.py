@@ -32,8 +32,12 @@ class ClusterState:
     weights: np.ndarray
     assignments: np.ndarray
     objective_history: tuple
-    iterations: int
     converged: bool
+
+    @property
+    def iterations(self) -> int:
+        """Update steps run: one objective value is recorded per step."""
+        return len(self.objective_history)
 
 
 def _squared_distances(flat_points: np.ndarray, flat_centroids: np.ndarray) -> np.ndarray:
@@ -100,7 +104,6 @@ def weighted_kmeans(
 
     prev_assign = None
     history: list[float] = []
-    iterations = 0
     converged = False
     # Each update step ends by computing the distances to the new centroids
     # for the objective; the next assignment step reuses them.
@@ -118,7 +121,6 @@ def weighted_kmeans(
         d2 = _squared_distances(flat, centroids)
         history.append(float(np.sum(point_weights * d2[np.arange(n), assign])))
         prev_assign = assign
-        iterations += 1
 
     weights = np.zeros(k)
     np.add.at(weights, assign, point_weights)
@@ -127,7 +129,6 @@ def weighted_kmeans(
         weights=weights,
         assignments=assign,
         objective_history=tuple(history),
-        iterations=iterations,
         converged=converged,
     )
 

@@ -2,16 +2,15 @@
 
 Write path per frame, in order, each step seeing the previous step's output
 for the same frame: pooling to each bank's grid, temporal clustering,
-abstract attention, FIFO buffer write, key-frame retrieval. After all four the writer publishes a fresh
-immutable snapshot by swapping one reference, so readers never observe a
-half-written state and never block the writer.
+abstract attention, FIFO buffer write, key-frame retrieval. After all five
+the writer publishes a fresh immutable snapshot by swapping one reference,
+so readers never observe a half-written state and never block the writer.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
@@ -50,7 +49,7 @@ def _empty_snapshot(dim: int) -> MemorySnapshot:
         version=0,
         timestamp_frame=0,
         tokens=np.zeros((0, dim)),
-        bank_offsets=((0, 0), (0, 0), (0, 0), (0, 0)),
+        bank_lengths=(0, 0, 0, 0),
     )
 
 
@@ -181,14 +180,12 @@ class MemoryEngine:
             [new_abstract.reshape(-1, cfg.dim)],
             [rows[first + i] for i in picks],
         )
-        lengths = [sum(m.shape[0] for m in bank) for bank in banks]
-        starts = accumulate(lengths[:-1], initial=0)
         version = latest.version + 1
         snapshot = MemorySnapshot(
             version=version,
             timestamp_frame=t,
             tokens=np.concatenate([m for bank in banks for m in bank]),
-            bank_offsets=tuple(zip(starts, lengths)),
+            bank_lengths=[sum(m.shape[0] for m in bank) for bank in banks],
         )
 
         self._temporal = new_temporal
@@ -220,8 +217,7 @@ class MemoryEngine:
     # -- accounting -----------------------------------------------------------
 
     def bank_token_counts(self) -> dict[str, int]:
-        offsets = self._published[-1].bank_offsets
-        return {bank: length for bank, (_, length) in zip(BANK_ORDER, offsets)}
+        return dict(zip(BANK_ORDER, self._published[-1].bank_lengths))
 
     def resident_token_count(self) -> int:
         """Snapshot tokens plus the buffered rows of the p_spa ring (the p_tem

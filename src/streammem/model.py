@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import struct
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -86,8 +87,8 @@ class FrameFeature:
 
     def __post_init__(self) -> None:
         p, d = self.grid_size, self.dim
-        if p < 1 or d < 1:
-            raise ShapeError(f"grid_size and dim must be positive, got ({p}, {d})")
+        if not (_is_int_at_least(p, 1) and _is_int_at_least(d, 1)):
+            raise ShapeError(f"grid_size and dim must be positive integers, got ({p!r}, {d!r})")
         arr = np.array(self.tokens, dtype=np.float64, order="C", copy=True)
         if arr.shape != (p, p, d):
             raise ShapeError(f"tokens shape {arr.shape} != expected {(p, p, d)}")
@@ -129,9 +130,6 @@ class MemoryConfig:
     kmeans_max_iters: int = 10
     decay_alpha: float = 0.1
     rng_seed: int = 0  # seeds the attention projections
-
-    def with_overrides(self, **kwargs) -> "MemoryConfig":
-        return replace(self, **kwargs)
 
 
 def default_config(**overrides) -> MemoryConfig:
@@ -224,15 +222,17 @@ class MemorySnapshot:
     """Immutable, versioned flattening of the four banks into one token sequence.
 
     ``tokens`` is (total, dim) float64, banks concatenated in BANK_ORDER;
-    ``bank_offsets`` maps each bank name to its (start, length) in tokens.
-    The checksum covers version, timestamp, offsets and token bytes and lets
-    readers detect a torn publication (there should never be one).
+    ``bank_lengths`` holds each bank's token count, and ``bank_offsets`` each
+    bank's (start, length) in tokens, derived from them. The checksum covers
+    version, timestamp, offsets and token bytes and lets readers detect a torn
+    publication (there should never be one).
     """
 
     version: int
     timestamp_frame: int
     tokens: np.ndarray
-    bank_offsets: tuple  # ((start, length) per bank, in BANK_ORDER)
+    bank_lengths: tuple  # token count per bank, in BANK_ORDER
+    bank_offsets: tuple = field(init=False)  # (start, length) per bank
     checksum: int = field(init=False)  # computed from the fields above
 
     def __post_init__(self) -> None:
@@ -243,18 +243,14 @@ class MemorySnapshot:
             arr = np.ascontiguousarray(arr)
         arr.setflags(write=False)
         object.__setattr__(self, "tokens", arr)
-        offsets = tuple(tuple(int(v) for v in pair) for pair in self.bank_offsets)
-        if len(offsets) != 4:
-            raise ShapeError("bank_offsets must hold four (start, length) pairs")
-        pos = 0
-        for start, length in offsets:
-            if start != pos or length < 0:
-                raise ShapeError(f"bank_offsets do not partition tokens: {offsets}")
-            pos += length
-        if pos != arr.shape[0]:
+        lengths = tuple(int(n) for n in self.bank_lengths)
+        if len(lengths) != 4 or min(lengths) < 0 or sum(lengths) != arr.shape[0]:
             raise ShapeError(
-                f"bank_offsets cover {pos} tokens but snapshot holds {arr.shape[0]}"
+                "bank_lengths must be four non-negative counts summing to the "
+                f"{arr.shape[0]} token rows, got {lengths}"
             )
+        offsets = tuple(zip(accumulate(lengths[:-1], initial=0), lengths))
+        object.__setattr__(self, "bank_lengths", lengths)
         object.__setattr__(self, "bank_offsets", offsets)
         object.__setattr__(
             self,

@@ -5,7 +5,7 @@ FVS1 layout, all little-endian:
     bytes 4-7   grid side P, u32
     bytes 8-11  token dim D, u32
     bytes 12-19 frame count, u64 (0 = unbounded / unknown, e.g. pipes)
-    byte  20    dtype tag, u8 (0 = float32)
+    byte  20    dtype tag, u8; 0 (float32) is the only one, and the reader checks it
     then frames back to back, each P*P*D float32 values, row-major.
 
 Files carry float32; the engine works in float64 (converted on read). The
@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import FrameFeature
+from .model import FrameFeature, _is_int_at_least
 
 __all__ = [
     "MAX_FRAME_BYTES",
@@ -59,29 +59,29 @@ class StreamHeader:
     grid_side: int
     dim: int
     frame_count: int = 0
-    dtype_tag: int = DTYPE_F32
 
     def __post_init__(self) -> None:
-        if self.grid_side < 1 or self.dim < 1:
+        if not (_is_int_at_least(self.grid_side, 1) and _is_int_at_least(self.dim, 1)):
             raise StreamFormatError(
-                f"grid_side and dim must be >= 1, got ({self.grid_side}, {self.dim})"
+                f"grid_side and dim must be integers >= 1, got ({self.grid_side!r}, {self.dim!r})"
             )
         if self.frame_bytes > MAX_FRAME_BYTES:
             raise StreamFormatError(
                 f"frame size {self.frame_bytes} bytes for grid {self.grid_side}, "
                 f"dim {self.dim} exceeds the {MAX_FRAME_BYTES}-byte limit"
             )
-        if self.frame_count < 0:
-            raise StreamFormatError(f"negative frame count {self.frame_count}")
-        if self.dtype_tag != DTYPE_F32:
-            raise StreamFormatError(f"unknown dtype tag {self.dtype_tag}")
+        if not _is_int_at_least(self.frame_count, 0):
+            raise StreamFormatError(
+                f"frame count must be a non-negative integer, got {self.frame_count!r}"
+            )
 
     @property
     def frame_bytes(self) -> int:
-        return self.grid_side * self.grid_side * self.dim * 4
+        p, d = int(self.grid_side), int(self.dim)  # Python ints: no numpy wrap
+        return p * p * d * 4
 
     def pack(self) -> bytes:
-        return _HEADER.pack(MAGIC, self.grid_side, self.dim, self.frame_count, self.dtype_tag)
+        return _HEADER.pack(MAGIC, self.grid_side, self.dim, self.frame_count, DTYPE_F32)
 
 
 @contextmanager
@@ -112,7 +112,9 @@ def read_header(source) -> StreamHeader:
     magic, grid, dim, count, tag = _HEADER.unpack(raw)
     if magic != MAGIC:
         raise StreamFormatError(f"bad magic {magic!r}, expected {MAGIC!r}")
-    return StreamHeader(grid_side=grid, dim=dim, frame_count=count, dtype_tag=tag)
+    if tag != DTYPE_F32:
+        raise StreamFormatError(f"unknown dtype tag {tag}")
+    return StreamHeader(grid_side=grid, dim=dim, frame_count=count)
 
 
 def _header_then_frames(source) -> Iterator[StreamHeader | FrameFeature]:

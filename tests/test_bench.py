@@ -17,6 +17,7 @@ from streammem import (
     sweep_ablation,
     synth_stream,
 )
+from streammem.bench import SweepReport
 
 SMALL = default_config(dim=8)
 
@@ -112,11 +113,24 @@ def test_sweep_csv_parses():
     assert all(r["ok"] == "1" for r in rows)
 
 
-def _snapshot_from(tokens, offsets=None):
+def test_sweep_csv_round_trips_commas_quotes_and_newlines():
+    # A list value puts commas in the overrides and in the reason; a string
+    # value puts a quote and a newline in the overrides.
+    base = default_config(dim=8)
+    listed = sweep_ablation({"n_tem": [[1, 2], 8]}, base, frames=20)
+    text = SweepReport(listed.rows + sweep_ablation({"dim": ['x"y\nz']}, base).rows).to_csv()
+    rows = list(csv.reader(io.StringIO(text)))
+    assert [len(r) for r in rows] == [7] * 4
+    assert rows[1][:3] == ["n_tem=[1, 2]", "0", "n_tem must be a positive integer, got [1, 2]"]
+    assert rows[2][:2] == ["n_tem=8", "1"]
+    assert rows[3][:2] == ['dim=x"y\nz', "0"] and "dim" in rows[3][2]
+    assert text.splitlines()[2].startswith("n_tem=8,1,,409,409,1,")  # plain cells stay unquoted
+
+
+def _snapshot_from(tokens, lengths=None):
     tokens = np.asarray(tokens, dtype=float)
-    offsets = offsets or ((0, tokens.shape[0]), (tokens.shape[0], 0),
-                          (tokens.shape[0], 0), (tokens.shape[0], 0))
-    return MemorySnapshot(version=1, timestamp_frame=1, tokens=tokens, bank_offsets=offsets)
+    lengths = lengths or (tokens.shape[0], 0, 0, 0)
+    return MemorySnapshot(version=1, timestamp_frame=1, tokens=tokens, bank_lengths=lengths)
 
 
 def test_pca_on_2d_data_preserves_pairwise_distances():
@@ -145,9 +159,8 @@ def test_pca_rank_one_data_degenerate():
 def test_pca_labels_banks_and_csv():
     rng = np.random.default_rng(1)
     tokens = rng.normal(size=(6, 4))
-    offsets = ((0, 2), (2, 2), (4, 1), (5, 1))
     raw = [FrameFeature.from_array(rng.normal(size=(2, 2, 4)))]
-    export = export_memory_pca(_snapshot_from(tokens, offsets), raw)
+    export = export_memory_pca(_snapshot_from(tokens, (2, 2, 1, 1)), raw)
     assert export.labels.count("memory") == 6
     assert export.labels.count("raw") == 4
     assert export.banks[:6] == ("spatial", "spatial", "temporal", "temporal",

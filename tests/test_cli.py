@@ -1,6 +1,7 @@
 """End-to-end CLI coverage: every subcommand in-process, one real pipe."""
 
 import csv
+import io
 import json
 import os
 import subprocess
@@ -186,6 +187,21 @@ def test_replay_log_goes_to_stdout_without_out(tmp_path, capsys):
     assert list(csv.DictReader(capsys.readouterr().out.splitlines())) == rows
 
 
+def test_replay_log_round_trips_ids_with_commas_quotes_and_newlines(tmp_path):
+    stream = _synth(tmp_path, frames=5)
+    ids = ["a,b", "line\nbreak", 'say "hi"', "cr\rx", "plain"]
+    trip = tmp_path / "trip.json"
+    trip.write_text(json.dumps([{"id": q, "frame_timestamp": t} for t, q in enumerate(ids)]))
+    out = tmp_path / "log.csv"
+    assert main(["replay", str(trip), str(stream), "--out", str(out)]) == 0
+    text = out.read_bytes().decode()
+    rows = list(csv.reader(io.StringIO(text)))
+    assert rows[0] == ["question_id", "frame_timestamp", "version", "timestamp_frame", "stale"]
+    assert [r[:2] for r in rows[1:]] == [[q, str(t)] for t, q in enumerate(ids)]
+    assert all(len(r) == 5 for r in rows)
+    assert text.endswith("\nplain,4,4,4,0\n")  # plain cells stay unquoted
+
+
 def test_replay_rejects_malformed_triplets(tmp_path, capsys):
     stream = _synth(tmp_path)
     trip = tmp_path / "bad.json"
@@ -263,6 +279,21 @@ def test_sweep_csv_goes_to_stdout_without_csv(capsys):
     assert all(r["ok"] == "1" for r in rows)
     assert main(argv + ["--csv", "-"]) == 0
     assert len(list(csv.DictReader(capsys.readouterr().out.splitlines()))) == 2
+
+
+def test_sweep_skips_a_cell_whose_stream_cannot_be_built(capsys):
+    # Three scalar anchors (grid 1, dim 1) cannot be separated; grid 8 can.
+    argv = ["sweep", "--grid", '{"p_spa": [1, 8], "p_tem": [1]}', "--config", "dim=1",
+            "--config", "n_tem=4", "--config", "n_ret=1"]
+    assert main(argv + ["--frames", "30"]) == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert [(r["overrides"], r["ok"]) for r in rows] == [
+        ("p_spa=1;p_tem=1", "0"), ("p_spa=8;p_tem=1", "1"),
+    ]
+    assert "could not separate 3 anchors" in rows[0]["reason"]
+    assert rows[1]["invariants_ok"] == "1"
+    assert main(argv + ["--frames", "0"]) == 2
+    assert "frames must be >= 1" in capsys.readouterr().err
 
 
 def test_sweep_rejects_non_object_grid(tmp_path, capsys):

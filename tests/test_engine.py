@@ -2,6 +2,7 @@
 error containment, and a light concurrency shake-out."""
 
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ def _frame(rng, grid=8, dim=6):
 
 
 def _engine(**overrides):
-    return MemoryEngine(CFG.with_overrides(**overrides) if overrides else CFG)
+    return MemoryEngine(replace(CFG, **overrides) if overrides else CFG)
 
 
 def test_empty_engine_snapshot():
@@ -257,7 +258,7 @@ def test_defaults_pool_grid_16_frames():
 )
 def test_frame_some_bank_cannot_pool_is_refused_before_any_change(grids, good_grid, bad_grid):
     p_spa, p_tem, p_abs = grids
-    cfg = CFG.with_overrides(p_spa=p_spa, p_tem=p_tem, p_abs=p_abs, n_buff=4)
+    cfg = replace(CFG, p_spa=p_spa, p_tem=p_tem, p_abs=p_abs, n_buff=4)
     engine, twin = MemoryEngine(cfg), MemoryEngine(cfg)
     rng = np.random.default_rng(14)
     good = [_frame(rng, grid=good_grid) for _ in range(6)]

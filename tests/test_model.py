@@ -136,6 +136,15 @@ def test_frame_feature_shape_and_finiteness():
         FrameFeature(grid_size=2, dim=3, tokens=bad)
 
 
+def test_frame_feature_shape_fields_must_be_ints():
+    # A float or bool compares equal to the array's shape, but no FVS1 header
+    # can hold it.
+    for p, d in ((2.0, 1), (2, True), (np.float64(2), 1)):
+        with pytest.raises(ShapeError, match="positive integers"):
+            FrameFeature(grid_size=p, dim=d, tokens=np.zeros((2, 2, 1)))
+    assert FrameFeature(grid_size=np.int64(2), dim=1, tokens=np.zeros((2, 2, 1))).dim == 1
+
+
 @given(
     over=st.one_of(st.floats(min_value=MAX_MAGNITUDE, exclude_min=True), st.just(np.nan)),
     sign=st.sampled_from([1.0, -1.0]),
@@ -161,9 +170,9 @@ def test_validate_bounds_preallocated_bytes():
     assert (300 * (64 + 16) + 25 + 2 * 1024) * 1024 * 8 <= MAX_BUFFER_BYTES
     validate_config(cfg)
     for huge in (
-        cfg.with_overrides(n_buff=10**12),
-        cfg.with_overrides(n_abs=10**12),
-        cfg.with_overrides(dim=np.int64(2**40)),  # numpy ints must not wrap
+        dataclasses.replace(cfg, n_buff=10**12),
+        dataclasses.replace(cfg, n_abs=10**12),
+        dataclasses.replace(cfg, dim=np.int64(2**40)),  # numpy ints must not wrap
         MemoryConfig(p_spa=1, p_tem=1, p_abs=1, n_buff=1, n_abs=1, n_tem=1, n_ret=1,
                      dim=2**17),  # 256 GiB of projections
     ):
@@ -175,7 +184,7 @@ def test_validate_bounds_preallocated_bytes():
                         n_tem=1, n_ret=1, dim=1)
     with pytest.raises(ConfigError, match=str(MAX_BUFFER_BYTES + 8)):
         validate_config(edge)
-    validate_config(edge.with_overrides(n_buff=2**30 - 2))
+    validate_config(dataclasses.replace(edge, n_buff=2**30 - 2))
 
 
 def test_frame_feature_is_immutable_and_copies_input():
@@ -196,26 +205,31 @@ def test_frame_feature_from_array_rejects_non_square():
         FrameFeature.from_array(np.zeros((2, 2)))
 
 
-def _snapshot(version=1, t=1, rows=5, dim=3, offsets=((0, 2), (2, 1), (3, 0), (3, 2))):
+def _snapshot(version=1, t=1, rows=5, dim=3, lengths=(2, 1, 0, 2)):
     return MemorySnapshot(
         version=version,
         timestamp_frame=t,
         tokens=np.arange(rows * dim, dtype=float).reshape(rows, dim),
-        bank_offsets=offsets,
+        bank_lengths=lengths,
     )
 
 
-def test_snapshot_offsets_must_partition():
-    with pytest.raises(ShapeError):
-        _snapshot(offsets=((0, 2), (2, 2), (4, 0), (4, 2)))  # covers 6 of 5
-    with pytest.raises(ShapeError):
-        _snapshot(offsets=((0, 2), (3, 1), (4, 0), (4, 1)))  # gap at 2
-    with pytest.raises(ShapeError):
-        _snapshot(offsets=((0, 2), (2, 1), (3, 2)))  # three banks
+def test_snapshot_lengths_must_count_the_token_rows():
+    for lengths in (
+        (2, 1, 2),  # three banks
+        (2, 1, 0, 2, 0),  # five banks
+        (2, 1, -1, 3),  # negative, though the sum is right
+        (2, 2, 0, 2),  # covers 6 of 5 rows
+        (2, 1, 0, 1),  # covers 4 of 5 rows
+    ):
+        with pytest.raises(ShapeError, match="bank_lengths"):
+            _snapshot(lengths=lengths)
 
 
 def test_snapshot_bank_slices():
     snap = _snapshot()
+    assert snap.bank_lengths == (2, 1, 0, 2)
+    assert snap.bank_offsets == ((0, 2), (2, 1), (3, 0), (3, 2))
     assert snap.token_count == 5
     assert snap.bank("spatial").shape == (2, 3)
     assert snap.bank("temporal").shape == (1, 3)
@@ -241,7 +255,7 @@ def test_snapshot_checksum_covers_tokens_and_metadata():
         version=1,
         timestamp_frame=1,
         tokens=np.arange(15, dtype=float).reshape(5, 3) + 1.0,
-        bank_offsets=((0, 2), (2, 1), (3, 0), (3, 2)),
+        bank_lengths=(2, 1, 0, 2),
     )
     assert other.checksum != base.checksum
 
@@ -252,19 +266,22 @@ def test_snapshot_checksum_is_crc_of_header_then_token_bytes():
     tokens = np.arange(15, dtype=float).reshape(3, 5).T
     assert not tokens.flags.c_contiguous
     offsets = ((0, 1), (1, 2), (3, 0), (3, 2))
-    snap = MemorySnapshot(version=4, timestamp_frame=9, tokens=tokens, bank_offsets=offsets)
+    snap = MemorySnapshot(version=4, timestamp_frame=9, tokens=tokens, bank_lengths=(1, 2, 0, 2))
     header = struct.pack("<qq", 4, 9) + struct.pack("<8q", *(v for pair in offsets for v in pair))
     assert snap.checksum == zlib.crc32(tokens.tobytes(), zlib.crc32(header))
     assert snap.verify_checksum()
     empty = MemorySnapshot(version=0, timestamp_frame=0, tokens=np.zeros((0, 3)),
-                           bank_offsets=((0, 0),) * 4)
+                           bank_lengths=(0,) * 4)
     assert empty.checksum == zlib.crc32(struct.pack("<qq8q", *[0] * 10))
 
 
 def test_snapshot_checksum_is_computed_not_passed():
     with pytest.raises(TypeError):
         MemorySnapshot(version=1, timestamp_frame=1, tokens=np.ones((1, 3)),
-                       bank_offsets=((0, 1), (1, 0), (1, 0), (1, 0)), checksum=7)
+                       bank_lengths=(1, 0, 0, 0), checksum=7)
+    with pytest.raises(TypeError):
+        MemorySnapshot(version=1, timestamp_frame=1, tokens=np.ones((1, 3)),
+                       bank_lengths=(1, 0, 0, 0), bank_offsets=((0, 1),) + ((1, 0),) * 3)
 
 
 def test_snapshot_tokens_read_only():

@@ -1,5 +1,7 @@
 """Key-frame retrieval against a brute-force scan, tie rules, warm-up errors."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,7 +34,7 @@ def test_top_weight_cluster_selection():
     buffer = _frames(rng, 4)
     centroids = rng.normal(size=(3, 2, 2, 3))
     weights = np.array([5.0, 1.0, 9.0])
-    cfg = CFG.with_overrides(n_ret=2)
+    cfg = replace(CFG, n_ret=2)
     got = retrieve_key_features(_candidates(buffer), centroids, weights, cfg)
     want = retrieve_bruteforce(
         [pool_loops(f.tokens, 2) for f in buffer], centroids, weights, 2
@@ -50,7 +52,7 @@ def test_exact_match_frame_is_retrieved():
     centroids = np.stack([target, rng.normal(size=(2, 2, 3))])
     weights = np.array([10.0, 1.0])
     got = retrieve_key_features(
-        _candidates(buffer), centroids, weights, CFG.with_overrides(n_ret=1)
+        _candidates(buffer), centroids, weights, replace(CFG, n_ret=1)
     )
     assert got == [3]
 
@@ -96,7 +98,7 @@ def test_weight_tie_prefers_lower_cluster_index():
     buffer = _frames(rng, 5)
     centroids = rng.normal(size=(4, 2, 2, 3))
     weights = np.array([2.0, 7.0, 7.0, 7.0])
-    cfg = CFG.with_overrides(n_ret=2, n_tem=4)
+    cfg = replace(CFG, n_ret=2, n_tem=4)
     got = retrieve_key_features(_candidates(buffer), centroids, weights, cfg)
     want = retrieve_bruteforce(
         [pool_loops(f.tokens, 2) for f in buffer], centroids, weights, 2
@@ -130,7 +132,7 @@ def test_duplicate_retrieval_allowed_across_clusters():
     centroids = np.stack([pooled + 0.01, pooled - 0.01])
     weights = np.array([4.0, 3.0])
     got = retrieve_key_features(
-        _candidates([base, far]), centroids, weights, CFG.with_overrides(n_ret=2)
+        _candidates([base, far]), centroids, weights, replace(CFG, n_ret=2)
     )
     assert got == [0, 0]
 
@@ -141,7 +143,7 @@ def test_ordered_by_descending_cluster_weight():
     centroids = np.stack([average_pool(f.tokens, 2) for f in buffer[:4]])
     weights = np.array([2.0, 9.0, 4.0, 7.0])
     got = retrieve_key_features(
-        _candidates(buffer), centroids, weights, CFG.with_overrides(n_ret=4, n_tem=4)
+        _candidates(buffer), centroids, weights, replace(CFG, n_ret=4, n_tem=4)
     )
     assert got == [1, 3, 2, 0]
 

@@ -96,10 +96,27 @@ def test_bad_magic_and_short_header():
 
 
 def test_unknown_dtype_and_bad_dims_rejected():
-    with pytest.raises(StreamFormatError, match="dtype"):
-        list(open_stream(io.BytesIO(_header_bytes(tag=7)))[1])
+    for tag in (1, 7, 255):
+        with pytest.raises(StreamFormatError, match=f"unknown dtype tag {tag}$"):
+            read_header(io.BytesIO(_header_bytes(tag=tag)))
+        with pytest.raises(StreamFormatError, match=f"unknown dtype tag {tag}$"):
+            list(open_stream(io.BytesIO(_header_bytes(tag=tag)))[1])
     with pytest.raises(StreamFormatError):
         list(open_stream(io.BytesIO(_header_bytes(grid=0)))[1])
+    # Frames are always float32, so every header packs dtype byte 0.
+    assert StreamHeader(2, 1).pack() == _header_bytes()
+
+
+def test_header_fields_must_be_ints(tmp_path):
+    for fields in ((2.5, 3), (2, 3.0), (True, 3), (2, 3, 1.0), (2, 3, -1)):
+        with pytest.raises(StreamFormatError, match="integer"):
+            StreamHeader(*fields)
+    frame = FrameFeature.from_array(np.zeros((2, 2, 1)))
+    with pytest.raises(StreamFormatError, match="integer"):
+        write_stream(tmp_path / "s.fvs", [frame], grid_side=2.0, dim=1)
+    # numpy ints are ints, and their frame size must not wrap under the limit.
+    with pytest.raises(StreamFormatError, match="frame size"):
+        StreamHeader(np.int64(2**31), np.int64(2**31))
 
 
 def test_oversized_frame_header_rejected_before_any_frame_read(tmp_path):
