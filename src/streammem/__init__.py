@@ -17,7 +17,6 @@ from .model import (
     WarmupError,
     default_config,
     max_tokens,
-    validate_config,
 )
 from .pooling import average_pool
 from .clustering import ClusterState, temporal_update, weighted_kmeans
@@ -61,7 +60,6 @@ __all__ = [
     "MemorySnapshot",
     "default_config",
     "max_tokens",
-    "validate_config",
     "average_pool",
     "ClusterState",
     "weighted_kmeans",

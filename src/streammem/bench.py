@@ -150,8 +150,8 @@ def _timed_baseline_read(baseline: _KeepAllBaseline) -> float:
 
 def bench_latency(
     config: MemoryConfig,
-    frame_counts=(1000, 10000),
-    queries_per_point: int = 32,
+    frame_counts,
+    queries_per_point: int,
     *,
     seed: int = 0,
     keep_all: bool = False,
@@ -268,7 +268,7 @@ def sweep_ablation(
     grid: dict,
     base_config: MemoryConfig,
     *,
-    frames: int = 120,
+    frames: int,
     seed: int = 0,
 ) -> SweepReport:
     """Run every config in the Cartesian product of the grid's value lists.
@@ -289,10 +289,10 @@ def sweep_ablation(
     rows = []
     for values in itertools.product(*(grid[n] for n in names)):
         overrides = tuple(zip(names, values))
-        cfg = replace(base_config, **dict(overrides))
-        # synth_stream checks the stream's shape; the engine checks the config
-        # when built and each bank's pooling on the first frame (grid p_spa).
+        # The config checks itself when built, synth_stream the stream's
+        # shape, and the engine each bank's pooling on the first frame.
         try:
+            cfg = replace(base_config, **dict(overrides))
             stream = iter(
                 synth_stream(seed, frames, min(_SWEEP_SCENES, frames), cfg.p_spa, cfg.dim)
             )

@@ -50,11 +50,6 @@ def _make_engine(args, header_dim: int) -> MemoryEngine:
     return MemoryEngine(_build_config(args, default_config(dim=header_dim)), params)
 
 
-def _output(path: str | None):
-    """Text output for --csv/--out, stdout when absent or '-'; use with `with`."""
-    return open_endpoint("-" if path is None else path, "w")
-
-
 def _cmd_synth(args) -> int:
     stream = synth_stream(
         args.seed, args.frames, args.scenes, args.grid, args.dim,
@@ -97,7 +92,7 @@ def _cmd_bench(args) -> int:
     rows = report.rows
     if args.keep_all:
         rows += bench_latency(config, counts, args.queries, seed=args.seed, keep_all=True).rows
-    with _output(args.csv) as handle:
+    with open_endpoint(args.csv, "w") as handle:
         handle.write(BenchReport(rows).to_csv())
     print(f"flatness_ratio={report.flatness_ratio():.3f}", file=sys.stderr)
     return 0
@@ -123,7 +118,7 @@ def _cmd_replay(args) -> int:
 
     header, frames = open_stream(args.stream)
     engine = _make_engine(args, header.dim)
-    with _output(args.out) as handle:
+    with open_endpoint(args.out, "w") as handle:
         handle.write("question_id,frame_timestamp,version,timestamp_frame,stale\n")
 
         def flush_due(now: int) -> None:
@@ -156,7 +151,7 @@ def _cmd_sweep(args) -> int:
     grid = {k: v if isinstance(v, list) else [v] for k, v in grid.items()}
     base = _build_config(args, default_config(dim=16))
     report = sweep_ablation(grid, base, frames=args.frames, seed=args.seed)
-    with _output(args.csv) as handle:
+    with open_endpoint(args.csv, "w") as handle:
         handle.write(report.to_csv())
     return 0
 
@@ -179,7 +174,7 @@ def _cmd_export_pca(args) -> int:
             file=sys.stderr,
         )
     export = export_memory_pca(engine.read_snapshot(), raw)
-    with _output(args.out) as handle:
+    with open_endpoint(args.out, "w") as handle:
         handle.write(export.to_csv())
     if export.degenerate:
         print("export-pca: projection axes are degenerate (rank < 2)", file=sys.stderr)
@@ -227,14 +222,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--queries", type=int, default=32, help="timed reads per count")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--keep-all", action="store_true", help="also run the no-compression baseline")
-    p.add_argument("--csv", metavar="FILE", help="write rows here instead of stdout")
+    p.add_argument("--csv", metavar="FILE", default="-", help="write rows here ('-' = stdout)")
     _add_config_flag(p)
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("replay", help="replay timestamped queries against a stream")
     p.add_argument("triplets", help="JSON array of {id, frame_timestamp}")
     p.add_argument("stream", help="FVS1 stream path ('-' = stdin)")
-    p.add_argument("--out", metavar="FILE", help="write the query log here")
+    p.add_argument("--out", metavar="FILE", default="-", help="query log file ('-' = stdout)")
     _add_config_flag(p, params=True)
     p.set_defaults(func=_cmd_replay)
 
@@ -242,14 +237,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", required=True, help="JSON object field -> values, or @file.json")
     p.add_argument("--frames", type=int, default=120, help="frames per cell")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--csv", metavar="FILE", help="write rows here instead of stdout")
+    p.add_argument("--csv", metavar="FILE", default="-", help="write rows here ('-' = stdout)")
     _add_config_flag(p)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("export-pca", help="2-D PCA of memory vs raw tokens at a frame")
     p.add_argument("stream", help="FVS1 stream path ('-' = stdin)")
     p.add_argument("--at-frame", type=int, required=True, help="ingest up to this frame")
-    p.add_argument("--out", metavar="FILE", help="write CSV here instead of stdout")
+    p.add_argument("--out", metavar="FILE", default="-", help="write CSV here ('-' = stdout)")
     _add_config_flag(p, params=True)
     p.set_defaults(func=_cmd_export_pca)
 

@@ -151,7 +151,5 @@ def temporal_update(
     point_weights = np.concatenate([temporal_weights, [1.0]])
     if points.shape[0] <= config.n_tem:
         return points, point_weights, None
-    state = weighted_kmeans(
-        points, point_weights, config.n_tem, max_iters=config.kmeans_max_iters
-    )
+    state = weighted_kmeans(points, point_weights, config.n_tem)
     return state.centroids, state.weights, state

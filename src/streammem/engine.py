@@ -19,13 +19,13 @@ from .clustering import ClusterState, temporal_update
 from .model import (
     BANK_ORDER,
     ConcurrentWriteError,
+    ConfigError,
     FrameFeature,
     MemoryConfig,
     MemorySnapshot,
     ShapeError,
     _is_int_at_least,
     default_config,
-    validate_config,
 )
 from .pooling import average_pool
 from .retrieval import retrieve_key_features
@@ -72,12 +72,12 @@ class MemoryEngine:
     ):
         if config is None:
             config = default_config()
-        # The config is frozen, so this one check holds for every frame.
-        validate_config(config)
+        if not isinstance(config, MemoryConfig):
+            raise ConfigError(f"expected MemoryConfig, got {type(config).__name__}")
         if not _is_int_at_least(ring_depth, 1):
             raise ValueError(f"ring_depth must be a positive integer, got {ring_depth!r}")
         if params is None:
-            params = AttentionParams.seeded(config.dim, config.rng_seed)
+            params = AttentionParams.seeded(config.dim)
         if params.dim != config.dim:
             raise ShapeError(
                 f"attention params dim {params.dim} != config dim {config.dim}"

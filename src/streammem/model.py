@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import accumulate
 
 import numpy as np
@@ -26,7 +26,6 @@ __all__ = [
     "MAX_BUFFER_BYTES",
     "default_config",
     "max_tokens",
-    "validate_config",
 ]
 
 
@@ -109,13 +108,19 @@ class FrameFeature:
         return self.tokens.reshape(self.grid_size * self.grid_size, self.dim)
 
 
+def _is_int_at_least(value, least: int) -> bool:
+    """An int or numpy integer, bools excluded, of at least ``least``."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= least
+
+
 @dataclass(frozen=True)
 class MemoryConfig:
     """Budget and shape hyperparameters for the memory engine.
 
-    Construction never validates (so budget arithmetic can be probed with
-    degenerate values); :func:`validate_config` enforces the invariants at the
-    engine boundary.
+    Every instance is valid: construction, also through ``default_config`` or
+    ``dataclasses.replace``, raises ConfigError naming the first violated
+    rule. Whether a frame's grid pools exactly to each bank grid is a property
+    of the frame, not the config: ``average_pool`` checks it.
     """
 
     p_spa: int = 8
@@ -127,9 +132,44 @@ class MemoryConfig:
     n_abs: int = 25
     n_ret: int = 3
     dim: int = 1024  # stand-in encoder width; tests use smaller
-    kmeans_max_iters: int = 10
     decay_alpha: float = 0.1
-    rng_seed: int = 0  # seeds the attention projections
+
+    def __post_init__(self) -> None:
+        # Every int field is a count or a size. Annotations are strings here
+        # (the __future__ import), so f.type is "int".
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int" and not _is_int_at_least(value, 1):
+                raise ConfigError(f"{f.name} must be a positive integer, got {value!r}")
+        n_buff, p_spa, p_tem, n_abs, p_abs, dim = map(  # Python ints: no numpy wrap
+            int, (self.n_buff, self.p_spa, self.p_tem, self.n_abs, self.p_abs, self.dim)
+        )
+        nbytes = (n_buff * (p_spa**2 + p_tem**2) + n_abs * p_abs**2 + 2 * dim) * dim * 8
+        if nbytes > MAX_BUFFER_BYTES:
+            raise ConfigError(
+                f"buffer too large: the config preallocates {nbytes} bytes, "
+                f"over the {MAX_BUFFER_BYTES}-byte limit"
+            )
+        if self.n_spa > self.n_buff:
+            raise ConfigError(
+                f"spatial exceeds buffer: n_spa={self.n_spa} > n_buff={self.n_buff}"
+            )
+        if self.n_ret > self.n_tem:
+            raise ConfigError(
+                f"retrieval exceeds temporal: n_ret={self.n_ret} > n_tem={self.n_tem}"
+            )
+        if not (self.p_abs <= self.p_tem <= self.p_spa):
+            raise ConfigError(
+                "bank grid order violated: require p_abs <= p_tem <= p_spa, got "
+                f"({self.p_abs}, {self.p_tem}, {self.p_spa})"
+            )
+        alpha = self.decay_alpha
+        if not isinstance(alpha, (int, float, np.floating)) or not np.isfinite(alpha):
+            raise ConfigError(
+                f"decay out of range: decay_alpha must be a finite real, got {alpha!r}"
+            )
+        if not (0.0 < float(alpha) < 1.0):
+            raise ConfigError(f"decay out of range: decay_alpha must lie in (0, 1), got {alpha}")
 
 
 def default_config(**overrides) -> MemoryConfig:
@@ -138,76 +178,12 @@ def default_config(**overrides) -> MemoryConfig:
 
 
 def max_tokens(config: MemoryConfig) -> int:
-    """Total token budget: (n_spa+n_ret)*p_spa^2 + n_tem*p_tem^2 + n_abs*p_abs^2.
-
-    Exact integer arithmetic; assumes a valid config but does not check one.
-    """
+    """Total token budget: (n_spa+n_ret)*p_spa^2 + n_tem*p_tem^2 + n_abs*p_abs^2."""
     return (
         (config.n_spa + config.n_ret) * config.p_spa**2
         + config.n_tem * config.p_tem**2
         + config.n_abs * config.p_abs**2
     )
-
-
-def _is_int_at_least(value, least: int) -> bool:
-    """An int or numpy integer, bools excluded, of at least ``least``."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= least
-
-
-_POSITIVE_INT_FIELDS = (
-    "p_spa",
-    "p_tem",
-    "p_abs",
-    "n_buff",
-    "n_spa",
-    "n_tem",
-    "n_abs",
-    "n_ret",
-    "dim",
-    "kmeans_max_iters",
-)
-
-
-def validate_config(config: MemoryConfig) -> None:
-    """Check every config invariant, raising ConfigError naming the first violation.
-
-    Whether a frame's grid pools exactly to each bank grid is a property of
-    the frame, not the config: ``average_pool`` checks it.
-    """
-    for name in _POSITIVE_INT_FIELDS:
-        value = getattr(config, name)
-        if not _is_int_at_least(value, 1):
-            raise ConfigError(f"{name} must be a positive integer, got {value!r}")
-    n_buff, p_spa, p_tem, n_abs, p_abs, dim = map(  # Python ints: no numpy wrap
-        int, (config.n_buff, config.p_spa, config.p_tem, config.n_abs, config.p_abs, config.dim)
-    )
-    nbytes = (n_buff * (p_spa**2 + p_tem**2) + n_abs * p_abs**2 + 2 * dim) * dim * 8
-    if nbytes > MAX_BUFFER_BYTES:
-        raise ConfigError(
-            f"buffer too large: the config preallocates {nbytes} bytes, "
-            f"over the {MAX_BUFFER_BYTES}-byte limit"
-        )
-    if config.n_spa > config.n_buff:
-        raise ConfigError(
-            f"spatial exceeds buffer: n_spa={config.n_spa} > n_buff={config.n_buff}"
-        )
-    if config.n_ret > config.n_tem:
-        raise ConfigError(
-            f"retrieval exceeds temporal: n_ret={config.n_ret} > n_tem={config.n_tem}"
-        )
-    if not (config.p_abs <= config.p_tem <= config.p_spa):
-        raise ConfigError(
-            "bank grid order violated: require p_abs <= p_tem <= p_spa, got "
-            f"({config.p_abs}, {config.p_tem}, {config.p_spa})"
-        )
-    seed = config.rng_seed
-    if not _is_int_at_least(seed, 0):
-        raise ConfigError(f"rng_seed must be a non-negative integer, got {seed!r}")
-    alpha = config.decay_alpha
-    if not isinstance(alpha, (int, float, np.floating)) or not np.isfinite(alpha):
-        raise ConfigError(f"decay out of range: decay_alpha must be a finite real, got {alpha!r}")
-    if not (0.0 < float(alpha) < 1.0):
-        raise ConfigError(f"decay out of range: decay_alpha must lie in (0, 1), got {alpha}")
 
 
 def _checksum(version: int, timestamp_frame: int, offsets, tokens: np.ndarray) -> int:

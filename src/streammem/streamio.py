@@ -20,7 +20,6 @@ import sys
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -70,9 +69,9 @@ class StreamHeader:
                 f"frame size {self.frame_bytes} bytes for grid {self.grid_side}, "
                 f"dim {self.dim} exceeds the {MAX_FRAME_BYTES}-byte limit"
             )
-        if not _is_int_at_least(self.frame_count, 0):
+        if not (_is_int_at_least(self.frame_count, 0) and self.frame_count < 1 << 64):
             raise StreamFormatError(
-                f"frame count must be a non-negative integer, got {self.frame_count!r}"
+                f"frame count must be an integer in [0, 2**64), got {self.frame_count!r}"
             )
 
     @property
@@ -161,29 +160,21 @@ def write_stream(
     dest,
     frames: Iterable[FrameFeature],
     *,
-    grid_side: int | None = None,
-    dim: int | None = None,
+    grid_side: int,
+    dim: int,
 ) -> int:
-    """Write frames as FVS1; returns the number written.
+    """Write frames of the given shape as FVS1; returns the number written.
 
-    Shape fields default to the first frame's. The frame count is taken from
-    len(frames) when available; otherwise 0 is written first and patched in
-    afterwards when dest is seekable (pipes keep 0 = unbounded).
+    The frame count is taken from len(frames) when available; otherwise 0 is
+    written first and patched in afterwards when dest is seekable (pipes keep
+    0 = unbounded).
     """
-    frames_iter = iter(frames)
     known = len(frames) if hasattr(frames, "__len__") else None
-    if grid_side is None or dim is None:
-        first = next(frames_iter, None)
-        if first is None:
-            raise StreamFormatError("cannot infer header from an empty stream")
-        grid_side, dim = first.grid_size, first.dim
-        frames_iter = chain([first], frames_iter)
-
     with open_endpoint(dest, "wb") as f:
         header_pos = f.tell() if f.seekable() else None
         f.write(StreamHeader(grid_side, dim, known or 0).pack())
         written = 0
-        for frame in frames_iter:
+        for frame in frames:
             f.write(_frame_bytes(frame, grid_side, dim))
             written += 1
         if known is None and header_pos is not None:
@@ -279,8 +270,8 @@ def synth_stream(
     structure is unambiguous by construction. noise_rel scales per-token noise
     relative to the anchor's RMS value; 0 gives identical frames per scene.
     """
-    if n_frames < 1:
-        raise StreamFormatError(f"n_frames must be >= 1, got {n_frames}")
+    if not 1 <= n_frames <= sys.maxsize:  # len() of the stream is a Py_ssize_t
+        raise StreamFormatError(f"n_frames must lie in [1, {sys.maxsize}], got {n_frames}")
     if not 1 <= n_scenes <= n_frames:
         raise StreamFormatError(
             f"need 1 <= n_scenes <= n_frames, got {n_scenes} scenes, {n_frames} frames"

@@ -103,7 +103,7 @@ def test_sweep_skips_invalid_cells_with_reason():
 
 def test_sweep_rejects_unknown_fields():
     with pytest.raises(ConfigError, match="unknown config field"):
-        sweep_ablation({"bogus": [1]}, default_config(dim=8))
+        sweep_ablation({"bogus": [1]}, default_config(dim=8), frames=20)
 
 
 def test_sweep_csv_parses():
@@ -118,7 +118,7 @@ def test_sweep_csv_round_trips_commas_quotes_and_newlines():
     # value puts a quote and a newline in the overrides.
     base = default_config(dim=8)
     listed = sweep_ablation({"n_tem": [[1, 2], 8]}, base, frames=20)
-    text = SweepReport(listed.rows + sweep_ablation({"dim": ['x"y\nz']}, base).rows).to_csv()
+    text = SweepReport(listed.rows + sweep_ablation({"dim": ['x"y\nz']}, base, frames=20).rows).to_csv()
     rows = list(csv.reader(io.StringIO(text)))
     assert [len(r) for r in rows] == [7] * 4
     assert rows[1][:3] == ["n_tem=[1, 2]", "0", "n_tem must be a positive integer, got [1, 2]"]

@@ -66,10 +66,15 @@ def test_ingest_grid_config_mismatch_exits_2(tmp_path, capsys):
 
 
 def test_bad_rng_seed_exits_2(tmp_path, capsys):
+    # Projections are seeded from dim alone and k-means keeps its own cap:
+    # neither is a config field.
     path = _synth(tmp_path)
-    capsys.readouterr()
-    assert main(["ingest", str(path), "--config", "rng_seed=1.5"]) == 2
-    assert "rng_seed" in capsys.readouterr().err
+    for override in ("rng_seed=0", "kmeans_max_iters=10"):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["ingest", str(path), "--config", override])
+        assert exc.value.code == 2
+        assert "unknown config field" in capsys.readouterr().err
 
 
 def test_config_values_are_numbers_and_dim_has_one_flag(tmp_path, capsys):
@@ -296,6 +301,21 @@ def test_sweep_skips_a_cell_whose_stream_cannot_be_built(capsys):
     assert "frames must be >= 1" in capsys.readouterr().err
 
 
+def test_sweep_invalid_base_config_exits_2(capsys):
+    # The base is checked when built, as for ingest and bench: no cell runs.
+    assert main(["sweep", "--grid", '{"n_tem": [4, 30]}', "--config", "n_ret=30"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "retrieval exceeds temporal" in err
+
+
+def test_synth_refuses_a_frame_count_len_cannot_hold(tmp_path, capsys):
+    out = tmp_path / "x.fvs"
+    assert main(["synth", "--frames", "100000000000000000000", "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "n_frames must lie in" in err
+    assert not out.exists()
+
+
 def test_sweep_rejects_non_object_grid(tmp_path, capsys):
     assert main(["sweep", "--grid", "[1, 2]"]) == 2
     assert "JSON object" in capsys.readouterr().err
@@ -341,7 +361,7 @@ def test_stream_file_closed_when_main_returns(tmp_path, opened_files):
     params = tmp_path / "p.atp"
     save_attention_params(AttentionParams.seeded(5, seed=3), params)  # stream dim is 6
     cases = [
-        (["ingest", str(stream), "--config", "rng_seed=1.5"], 2),
+        (["ingest", str(stream), "--config", "decay_alpha=1.5"], 2),
         (["ingest", str(stream), "--params", str(params)], 2),
         (["export-pca", str(stream), "--at-frame", "5",
           "--out", str(tmp_path / "pca.csv")], 0),

@@ -2,6 +2,7 @@
 error containment, and a light concurrency shake-out."""
 
 import threading
+import types
 from dataclasses import replace
 
 import numpy as np
@@ -278,6 +279,13 @@ def test_constructor_validation():
         MemoryEngine(default_config(decay_alpha=2.0))
     with pytest.raises(ShapeError, match="dim"):
         MemoryEngine(CFG, AttentionParams.seeded(7))
+
+
+def test_engine_takes_only_a_memory_config():
+    # A look-alike object never went through MemoryConfig's checks.
+    look_alike = types.SimpleNamespace(**vars(CFG))
+    with pytest.raises(ConfigError, match="expected MemoryConfig, got SimpleNamespace"):
+        MemoryEngine(look_alike)
 
 
 def test_retrieved_entries_live_in_buffer():

@@ -18,7 +18,6 @@ from streammem import (
     ShapeError,
     default_config,
     max_tokens,
-    validate_config,
 )
 from streammem.model import MAX_BUFFER_BYTES, MAX_MAGNITUDE
 
@@ -28,8 +27,12 @@ def test_max_tokens_defaults_is_681():
 
 
 def test_max_tokens_single_token_degenerate():
-    cfg = MemoryConfig(n_spa=0, n_ret=0, n_tem=1, p_tem=1, n_abs=0)
-    assert max_tokens(cfg) == 1
+    # A one-token budget needs empty banks, which no config can have; the
+    # smallest config that can be built holds one token per bank slot.
+    with pytest.raises(ConfigError, match="n_spa"):
+        MemoryConfig(n_spa=0, n_ret=0, n_tem=1, p_tem=1, n_abs=0)
+    cfg = MemoryConfig(p_spa=1, p_tem=1, p_abs=1, n_buff=1, n_spa=1, n_tem=1, n_abs=1, n_ret=1)
+    assert max_tokens(cfg) == 4
 
 
 def test_max_tokens_hand_arithmetic():
@@ -38,21 +41,20 @@ def test_max_tokens_hand_arithmetic():
 
 
 @given(
-    p_spa=st.integers(1, 32),
-    p_tem=st.integers(1, 32),
-    p_abs=st.integers(1, 32),
-    n_buff=st.integers(1, 500),
-    n_spa=st.integers(0, 10),
-    n_tem=st.integers(0, 50),
-    n_abs=st.integers(0, 50),
-    n_ret=st.integers(0, 10),
+    grids=st.lists(st.integers(1, 32), min_size=3, max_size=3).map(sorted),
+    n_buff=st.integers(10, 500),
+    n_spa=st.integers(1, 10),
+    n_tem=st.integers(10, 50),
+    n_abs=st.integers(1, 50),
+    n_ret=st.integers(1, 10),
 )
-def test_max_tokens_is_exact_integer_arithmetic(
-    p_spa, p_tem, p_abs, n_buff, n_spa, n_tem, n_abs, n_ret
-):
+def test_max_tokens_is_exact_integer_arithmetic(grids, n_buff, n_spa, n_tem, n_abs, n_ret):
+    # Only valid configs exist: p_abs <= p_tem <= p_spa, n_spa <= n_buff and
+    # n_ret <= n_tem hold by the ranges drawn.
+    p_abs, p_tem, p_spa = grids
     cfg = MemoryConfig(
         p_spa=p_spa, p_tem=p_tem, p_abs=p_abs, n_buff=n_buff,
-        n_spa=n_spa, n_tem=n_tem, n_abs=n_abs, n_ret=n_ret,
+        n_spa=n_spa, n_tem=n_tem, n_abs=n_abs, n_ret=n_ret, dim=16,
     )
     expected = (n_spa + n_ret) * p_spa**2 + n_tem * p_tem**2 + n_abs * p_abs**2
     value = max_tokens(cfg)
@@ -60,54 +62,46 @@ def test_max_tokens_is_exact_integer_arithmetic(
     assert value == expected
 
 
+def _refused(match, **overrides):
+    """Every way to build a config with these overrides raises ConfigError."""
+    for build in (
+        lambda: MemoryConfig(**overrides),
+        lambda: default_config(**overrides),
+        lambda: dataclasses.replace(default_config(), **overrides),
+    ):
+        with pytest.raises(ConfigError, match=match):
+            build()
+
+
 def test_validate_decay_out_of_range():
-    with pytest.raises(ConfigError, match="decay out of range"):
-        validate_config(default_config(decay_alpha=1.5))
-    with pytest.raises(ConfigError, match="decay out of range"):
-        validate_config(default_config(decay_alpha=0.0))
-    with pytest.raises(ConfigError, match="decay out of range"):
-        validate_config(default_config(decay_alpha=float("nan")))
+    for alpha in (1.5, 0.0, float("nan")):
+        _refused("decay out of range", decay_alpha=alpha)
 
 
 def test_validate_capacity_orderings():
-    with pytest.raises(ConfigError, match="n_spa"):
-        validate_config(default_config(n_spa=301))
-    with pytest.raises(ConfigError, match="n_ret"):
-        validate_config(default_config(n_ret=26))
-    with pytest.raises(ConfigError, match="bank grid order"):
-        validate_config(default_config(p_tem=16))
+    _refused("n_spa", n_spa=301)
+    _refused("n_ret", n_ret=26)
+    _refused("bank grid order", p_tem=16)
 
 
 def test_validate_positive_integer_fields():
-    with pytest.raises(ConfigError, match="n_tem"):
-        validate_config(default_config(n_tem=0))
-    with pytest.raises(ConfigError, match="dim"):
-        validate_config(default_config(dim=-4))
+    _refused("n_tem", n_tem=0)
+    _refused("dim", dim=-4)
     # bools are ints in Python; they must still be rejected as capacities
-    with pytest.raises(ConfigError, match="n_ret"):
-        validate_config(default_config(n_ret=True))
-    with pytest.raises(ConfigError, match="kmeans_max_iters"):
-        validate_config(default_config(kmeans_max_iters=2.5))
+    _refused("n_ret", n_ret=True)
+    _refused("p_abs", p_abs=2.5)
+    assert default_config(n_buff=np.int64(3)).n_buff == 3
 
 
 def test_validate_checks_every_field():
     # One bad value per field; a new field must join this table to pass.
     bad = {
         "p_spa": 0, "p_tem": -1, "p_abs": 1.0, "n_buff": 0, "n_spa": True,
-        "n_tem": 0, "n_abs": 0, "n_ret": -3, "dim": 0, "kmeans_max_iters": 0,
-        "decay_alpha": 1.0, "rng_seed": 1.5,
+        "n_tem": 0, "n_abs": 0, "n_ret": -3, "dim": 0, "decay_alpha": 1.0,
     }
     assert set(bad) == {f.name for f in dataclasses.fields(MemoryConfig)}
     for name, value in bad.items():
-        with pytest.raises(ConfigError, match=name):
-            validate_config(default_config(**{name: value}))
-
-
-def test_validate_rng_seed_and_warm_start_types():
-    for seed in (-1, 1.5, True, "0"):
-        with pytest.raises(ConfigError, match="rng_seed"):
-            validate_config(default_config(rng_seed=seed))
-    validate_config(default_config(rng_seed=np.int64(3)))
+        _refused(name, **{name: value})
 
 
 @given(
@@ -115,9 +109,8 @@ def test_validate_rng_seed_and_warm_start_types():
     n_tem=st.integers(-5, 50),
 )
 def test_validate_is_total(alpha, n_tem):
-    cfg = default_config(decay_alpha=alpha, n_tem=n_tem)
     try:
-        validate_config(cfg)
+        default_config(decay_alpha=alpha, n_tem=n_tem)
     except ConfigError:
         pass  # named rejection is the only acceptable failure mode
 
@@ -166,25 +159,20 @@ def test_tokens_and_params_are_bounded_by_float32_max(over, sign, pos):
 def test_validate_bounds_preallocated_bytes():
     # The feature buffer's rings, the abstract bank and the two projections,
     # in float64 bytes.
-    cfg = default_config(dim=1024)
     assert (300 * (64 + 16) + 25 + 2 * 1024) * 1024 * 8 <= MAX_BUFFER_BYTES
-    validate_config(cfg)
-    for huge in (
-        dataclasses.replace(cfg, n_buff=10**12),
-        dataclasses.replace(cfg, n_abs=10**12),
-        dataclasses.replace(cfg, dim=np.int64(2**40)),  # numpy ints must not wrap
-        MemoryConfig(p_spa=1, p_tem=1, p_abs=1, n_buff=1, n_abs=1, n_tem=1, n_ret=1,
-                     dim=2**17),  # 256 GiB of projections
-    ):
-        with pytest.raises(ConfigError, match=f"over the {MAX_BUFFER_BYTES}-byte limit"):
-            validate_config(huge)
+    default_config(dim=1024)
+    limit = f"over the {MAX_BUFFER_BYTES}-byte limit"
+    _refused(limit, n_buff=10**12)
+    _refused(limit, n_abs=10**12)
+    _refused(limit, dim=np.int64(2**40))  # numpy ints must not wrap
+    with pytest.raises(ConfigError, match=limit):  # 256 GiB of projections
+        MemoryConfig(p_spa=1, p_tem=1, p_abs=1, n_buff=1, n_abs=1, n_tem=1, n_ret=1, dim=2**17)
     # Counted exactly at dim 1: 2 * n_buff ring values, one abstract slot and
     # two 1 x 1 projections; 2**34 bytes are 2**31 float64 values.
-    edge = MemoryConfig(p_spa=1, p_tem=1, p_abs=1, n_buff=2**30 - 1, n_abs=1, n_spa=1,
+    edge = MemoryConfig(p_spa=1, p_tem=1, p_abs=1, n_buff=2**30 - 2, n_abs=1, n_spa=1,
                         n_tem=1, n_ret=1, dim=1)
     with pytest.raises(ConfigError, match=str(MAX_BUFFER_BYTES + 8)):
-        validate_config(edge)
-    validate_config(dataclasses.replace(edge, n_buff=2**30 - 2))
+        dataclasses.replace(edge, n_buff=2**30 - 1)
 
 
 def test_frame_feature_is_immutable_and_copies_input():

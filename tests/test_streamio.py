@@ -46,7 +46,7 @@ def test_round_trip_bit_exact_at_f32(tmp_path):
         for _ in range(5)
     ]
     path = tmp_path / "round.fvs"
-    assert write_stream(path, frames) == 5
+    assert write_stream(path, frames, grid_side=4, dim=3) == 5
     header, loaded = open_stream(path)
     loaded = list(loaded)
     assert header == StreamHeader(grid_side=4, dim=3, frame_count=5)
@@ -58,7 +58,7 @@ def test_round_trip_bit_exact_at_f32(tmp_path):
 def test_truncated_frame_reports_exact_offset(tmp_path):
     frames = [FrameFeature.from_array(np.ones((2, 2, 2)))] * 2
     path = tmp_path / "trunc.fvs"
-    write_stream(path, frames)
+    write_stream(path, frames, grid_side=2, dim=2)
     frame_bytes = 2 * 2 * 2 * 4
     whole = path.read_bytes()
     cut = whole[: HEADER_SIZE + frame_bytes + 5]  # second frame cut short
@@ -193,7 +193,7 @@ def test_write_patches_count_for_generators(tmp_path):
             yield FrameFeature.from_array(np.full((2, 2, 1), float(i)))
 
     path = tmp_path / "gen.fvs"
-    assert write_stream(path, gen()) == 3
+    assert write_stream(path, gen(), grid_side=2, dim=1) == 3
     header, frames = open_stream(path)
     assert header.frame_count == 3  # patched after the fact
     assert len(list(frames)) == 3
@@ -205,7 +205,8 @@ def test_write_to_non_seekable_leaves_count_zero():
             return False
 
     sink = Pipe()
-    write_stream(sink, (FrameFeature.from_array(np.zeros((2, 2, 1))) for _ in range(2)))
+    frames = (FrameFeature.from_array(np.zeros((2, 2, 1))) for _ in range(2))
+    write_stream(sink, frames, grid_side=2, dim=1)
     header, frames = open_stream(io.BytesIO(sink.getvalue()))
     assert header.frame_count == 0  # unbounded marker for pipes
     assert len(list(frames)) == 2
@@ -217,13 +218,11 @@ def test_write_rejects_mismatched_frames(tmp_path):
         FrameFeature.from_array(np.zeros((4, 4, 1))),
     ]
     with pytest.raises(StreamFormatError, match="match"):
-        write_stream(tmp_path / "bad.fvs", frames)
+        write_stream(tmp_path / "bad.fvs", frames, grid_side=2, dim=1)
 
 
 def test_write_empty_without_shape_errors(tmp_path):
-    with pytest.raises(StreamFormatError, match="empty"):
-        write_stream(tmp_path / "empty.fvs", [])
-    # explicit shape makes an empty stream legal
+    # The shape comes from the caller, so an empty stream is legal.
     path = tmp_path / "empty2.fvs"
     assert write_stream(path, [], grid_side=2, dim=1) == 0
     header, frames = open_stream(path)
@@ -240,8 +239,8 @@ def test_synth_single_scene_zero_noise_identical_frames():
 def test_synth_same_seed_identical_bytes(tmp_path):
     a, b = (synth_stream(9, 12, 3, 4, 5) for _ in range(2))
     buf_a, buf_b = io.BytesIO(), io.BytesIO()
-    write_stream(buf_a, a)
-    write_stream(buf_b, b)
+    write_stream(buf_a, a, grid_side=4, dim=5)
+    write_stream(buf_b, b, grid_side=4, dim=5)
     assert buf_a.getvalue() == buf_b.getvalue()
     assert synth_stream(10, 12, 3, 4, 5) is not None  # different seed still works
 
@@ -319,7 +318,7 @@ def test_synth_random_access_matches_iteration():
 def test_synth_file_round_trip_bit_exact(tmp_path):
     stream = synth_stream(4, 8, 2, 4, 4)
     path = tmp_path / "synth.fvs"
-    write_stream(path, stream)
+    write_stream(path, stream, grid_side=4, dim=4)
     loaded = list(open_stream(path)[1])
     for a, b in zip(stream, loaded):
         assert a.tokens.tobytes() == b.tokens.tobytes()
@@ -334,6 +333,16 @@ def test_synth_validation():
         synth_stream(0, 3, 1, 0, 2)
     with pytest.raises(StreamFormatError):
         synth_stream(0, 3, 1, 2, 2, noise_rel=-0.5)
+
+
+def test_frame_counts_past_their_fields_are_named_errors():
+    # The header's count is a u64, and len() of a stream is a Py_ssize_t.
+    assert StreamHeader(2, 2, 2**64 - 1).pack() == _header_bytes(grid=2, dim=2, count=2**64 - 1)
+    with pytest.raises(StreamFormatError, match="frame count"):
+        StreamHeader(2, 2, 2**64)
+    assert len(synth_stream(0, sys.maxsize, 1, 2, 3)) == sys.maxsize
+    with pytest.raises(StreamFormatError, match="n_frames"):
+        synth_stream(0, sys.maxsize + 1, 1, 2, 3)
 
 
 def test_synth_refuses_oversized_anchors_before_drawing(monkeypatch):
@@ -360,7 +369,7 @@ def test_open_endpoint_closes_only_what_it_opens(tmp_path, monkeypatch):
     with open_endpoint(buf, "wb") as f:
         assert f is buf
     assert not buf.closed
-    write_stream(buf, synth_stream(0, 2, 1, 2, 3))
+    write_stream(buf, synth_stream(0, 2, 1, 2, 3), grid_side=2, dim=3)
     assert not buf.closed
     assert read_header(io.BytesIO(buf.getvalue())).frame_count == 2
 
@@ -382,7 +391,7 @@ def test_open_endpoint_closes_only_what_it_opens(tmp_path, monkeypatch):
 
 def test_reader_closes_its_file_when_done_failed_or_dropped(tmp_path, opened_files):
     good = tmp_path / "good.fvs"
-    write_stream(good, synth_stream(0, 3, 1, 2, 3))
+    write_stream(good, synth_stream(0, 3, 1, 2, 3), grid_side=2, dim=3)
     cut = tmp_path / "cut.fvs"
     cut.write_bytes(good.read_bytes()[:-5])
     bad = tmp_path / "bad.fvs"
