@@ -169,13 +169,11 @@ def abstract_update(
     """Fold one frame, pooled to p_abs, into the abstract bank; bank shape never changes.
 
     The (p_abs, p_abs, D) tokens of ``pooled_frame`` are the incoming set, and
-    every slot token of the (n_abs, p_abs, p_abs, D) bank attends to them.
+    every token row of the (n_abs * p_abs**2, D) bank attends to them.
     """
-    slots = abstract_bank.reshape(-1, config.dim)
-    updated = semantic_attention(
-        slots, pooled_frame.reshape(-1, config.dim), params, config.decay_alpha
+    return semantic_attention(
+        abstract_bank, pooled_frame.reshape(-1, config.dim), params, config.decay_alpha
     )
-    return updated.reshape(abstract_bank.shape)
 
 
 _MAGIC = b"ATP2"

@@ -126,11 +126,8 @@ class _KeepAllBaseline:
             return np.zeros((0, self._config.dim))
         return np.concatenate(self._frames, axis=0)
 
-    def bank_token_count(self) -> int:
-        return len(self._frames) * self._config.p_spa**2
-
     def resident_token_count(self) -> int:
-        return self.bank_token_count()
+        return len(self._frames) * self._config.p_spa**2
 
 
 def _timed_engine_read(engine: MemoryEngine) -> float:
@@ -207,10 +204,7 @@ def bench_latency(
     rows = []
     for i, count in enumerate(counts):
         sink = sinks[i]
-        if keep_all:
-            bank = sink.bank_token_count()
-        else:
-            bank = sink.read_snapshot().token_count
+        bank = sink.resident_token_count() if keep_all else sink.read_snapshot().token_count
         segment = count - starts[i]
         rows.append(
             BenchRow(
@@ -363,7 +357,7 @@ def export_memory_pca(snapshot: MemorySnapshot, raw_frames) -> PcaExport:
     banks: list[str] = []
     for name, length in zip(BANK_ORDER, snapshot.bank_lengths):
         banks.extend([name] * length)
-    raw_rows = [f.token_matrix for f in raw_frames]
+    raw_rows = [f.tokens.reshape(-1, f.dim) for f in raw_frames]
     raw = (
         np.concatenate(raw_rows, axis=0)
         if raw_rows

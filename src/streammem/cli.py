@@ -19,7 +19,7 @@ from pathlib import Path
 from .attention import load_attention_params
 from .bench import BenchReport, _csv_line, bench_latency, export_memory_pca, sweep_ablation
 from .engine import MemoryEngine
-from .model import MemoryConfig, _is_int_at_least, default_config, max_tokens
+from .model import BANK_ORDER, MemoryConfig, _is_int_at_least, default_config, max_tokens
 from .streamio import open_endpoint, open_stream, synth_stream, write_stream
 
 __all__ = ["main"]
@@ -74,12 +74,11 @@ def _cmd_ingest(args) -> int:
         count += 1
     elapsed = time.perf_counter() - t0
     snapshot = engine.read_snapshot()
-    per_bank = engine.bank_token_counts()
     fps = count / elapsed if elapsed > 0 else float("inf")
     print(f"frames={count} version={snapshot.version} elapsed_s={elapsed:.3f} fps={fps:.1f}")
     print(
         "tokens: "
-        + " ".join(f"{name}={per_bank[name]}" for name in per_bank)
+        + " ".join(f"{name}={n}" for name, n in zip(BANK_ORDER, snapshot.bank_lengths))
         + f" total={snapshot.token_count} budget={max_tokens(engine.config)}"
     )
     return 0

@@ -1,4 +1,4 @@
-"""Weighted k-means over flattened feature grids, and the temporal bank update.
+"""Weighted k-means over feature rows, and the temporal bank update.
 
 The temporal bank summarizes the whole stream as at most n_tem weighted
 centroids. Each new frame either extends the bank (while it is filling) or is
@@ -16,16 +16,19 @@ from .model import MemoryConfig
 
 __all__ = ["ClusterState", "weighted_kmeans", "temporal_update"]
 
+_MAX_ITERS = 10  # Lloyd update steps per weighted_kmeans call
+
 
 @dataclass(frozen=True, eq=False)
 class ClusterState:
     """Result of one weighted k-means run.
 
-    centroids keep the trailing shape of the input points; weights[i] is the
-    total point weight merged into centroid i. objective_history holds the
-    weighted within-cluster squared distance after each update step and is
-    non-increasing. converged is True when assignments repeated before
-    max_iters ran out.
+    centroids are (k, m) rows; weights[i] is the total point weight merged
+    into centroid i. objective_history holds the weighted within-cluster
+    squared distance after each update step and is non-increasing. converged
+    is True when assignments repeated before the iteration cap ran out. The
+    three arrays are made read-only in place: the engine keeps the centroids
+    and weights as its temporal bank.
     """
 
     centroids: np.ndarray
@@ -33,6 +36,10 @@ class ClusterState:
     assignments: np.ndarray
     objective_history: tuple
     converged: bool
+
+    def __post_init__(self) -> None:
+        for arr in (self.centroids, self.weights, self.assignments):
+            arr.setflags(write=False)
 
     @property
     def iterations(self) -> int:
@@ -69,25 +76,20 @@ def _repair_empty(assign: np.ndarray, d2: np.ndarray, point_weights: np.ndarray,
     return assign
 
 
-def weighted_kmeans(
-    points: np.ndarray,
-    point_weights: np.ndarray,
-    k: int,
-    *,
-    max_iters: int = 10,
-) -> ClusterState:
+def weighted_kmeans(points: np.ndarray, point_weights: np.ndarray, k: int) -> ClusterState:
     """Lloyd iterations with per-point weights and deterministic tie-breaking.
 
-    points: (n, ...) array, n >= k >= 1; trailing axes are flattened for the
-    distance computation and restored on the returned centroids. Point weights
-    must be positive and are frozen for the whole call.
+    points: (n, m) rows, n >= k >= 1. Point weights must be positive and are
+    frozen for the whole call.
 
     The centroids start at points[:k] (callers put the carried bank entries
     first), so identical inputs give bit-equal output. Iteration stops when
-    assignments repeat or after max_iters update steps.
+    assignments repeat or after _MAX_ITERS update steps.
     """
     points = np.asarray(points, dtype=np.float64)
     point_weights = np.asarray(point_weights, dtype=np.float64)
+    if points.ndim != 2:
+        raise ValueError(f"points must be 2-D (n, m) rows, got shape {points.shape}")
     n = points.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
@@ -95,20 +97,16 @@ def weighted_kmeans(
         raise ValueError(f"point_weights shape {point_weights.shape} != ({n},)")
     if not (point_weights > 0).all():
         raise ValueError("point weights must be positive")
-    if max_iters < 1:
-        raise ValueError(f"max_iters must be positive, got {max_iters}")
 
-    trailing = points.shape[1:]
-    flat = points.reshape(n, -1)
-    centroids = flat[:k].copy()
+    centroids = points[:k].copy()
 
     prev_assign = None
     history: list[float] = []
     converged = False
     # Each update step ends by computing the distances to the new centroids
     # for the objective; the next assignment step reuses them.
-    d2 = _squared_distances(flat, centroids)
-    for _ in range(max_iters):
+    d2 = _squared_distances(points, centroids)
+    for _ in range(_MAX_ITERS):
         assign = np.argmin(d2, axis=1)  # ties break to the lowest index
         if prev_assign is not None and np.array_equal(assign, prev_assign):
             converged = True
@@ -117,16 +115,14 @@ def weighted_kmeans(
         for c in range(k):
             members = assign == c
             w = point_weights[members]
-            centroids[c] = (w[:, None] * flat[members]).sum(axis=0) / w.sum()
-        d2 = _squared_distances(flat, centroids)
+            centroids[c] = (w[:, None] * points[members]).sum(axis=0) / w.sum()
+        d2 = _squared_distances(points, centroids)
         history.append(float(np.sum(point_weights * d2[np.arange(n), assign])))
         prev_assign = assign
 
-    weights = np.zeros(k)
-    np.add.at(weights, assign, point_weights)
     return ClusterState(
-        centroids=centroids.reshape((k,) + trailing),
-        weights=weights,
+        centroids=centroids,
+        weights=np.bincount(assign, weights=point_weights, minlength=k),
         assignments=assign,
         objective_history=tuple(history),
         converged=converged,
@@ -136,18 +132,19 @@ def weighted_kmeans(
 def temporal_update(
     temporal: np.ndarray,
     temporal_weights: np.ndarray,
-    pooled_frame: np.ndarray,
+    pooled_row: np.ndarray,
     config: MemoryConfig,
 ) -> tuple[np.ndarray, np.ndarray, ClusterState | None]:
-    """Fold one pooled frame (grid p_tem) into the temporal bank.
+    """Fold one frame into the temporal bank of (k, p_tem**2 * D) rows.
 
-    While the bank holds fewer than n_tem centroids the frame is appended
-    with weight 1 and no clustering runs (returned state is None). Once full,
-    the previous centroids plus the new frame are re-clustered back down to
-    n_tem, warm-started from the previous centroids; total weight grows by
-    exactly 1 per frame.
+    ``pooled_row`` is the frame pooled to p_tem and flattened. While the bank
+    holds fewer than n_tem centroids the row is appended with weight 1 and no
+    clustering runs (returned state is None). Once full, the previous
+    centroids plus the new row are re-clustered back down to n_tem,
+    warm-started from the previous centroids; total weight grows by exactly 1
+    per frame.
     """
-    points = np.concatenate([temporal, pooled_frame[None]], axis=0)
+    points = np.concatenate([temporal, pooled_row[None]], axis=0)
     point_weights = np.concatenate([temporal_weights, [1.0]])
     if points.shape[0] <= config.n_tem:
         return points, point_weights, None

@@ -17,7 +17,6 @@ import numpy as np
 from .attention import AttentionParams, abstract_update
 from .clustering import ClusterState, temporal_update
 from .model import (
-    BANK_ORDER,
     ConcurrentWriteError,
     ConfigError,
     FrameFeature,
@@ -42,15 +41,6 @@ class QueryResult:
     question_id: str
     snapshot: MemorySnapshot
     stale: bool
-
-
-def _empty_snapshot(dim: int) -> MemorySnapshot:
-    return MemorySnapshot(
-        version=0,
-        timestamp_frame=0,
-        tokens=np.zeros((0, dim)),
-        bank_lengths=(0, 0, 0, 0),
-    )
 
 
 class MemoryEngine:
@@ -93,13 +83,18 @@ class MemoryEngine:
         # first. Rows are read only after they are written, hence np.empty.
         self._spatial_ring = np.empty((config.n_buff, config.p_spa**2, config.dim))
         self._pooled_ring = np.empty((config.n_buff, config.p_tem**2 * config.dim))
-        self._temporal = np.zeros((0, config.p_tem, config.p_tem, config.dim))
+        # The temporal bank holds centroids in the p_tem ring's row layout, the
+        # abstract bank the token rows a snapshot lists.
+        self._temporal = np.zeros((0, config.p_tem**2 * config.dim))
         self._temporal_weights = np.zeros(0)
-        self._abstract = np.zeros((config.n_abs, config.p_abs, config.p_abs, config.dim))
+        self._abstract = np.zeros((config.n_abs * config.p_abs**2, config.dim))
         self._last_cluster_state: ClusterState | None = None
         # Retained snapshots, oldest first; the last is the latest. The writer
         # swaps in a whole new tuple, so one read of it is consistent.
-        self._published = (_empty_snapshot(config.dim),)
+        empty = MemorySnapshot(
+            version=0, timestamp_frame=0, tokens=np.zeros((0, config.dim)), bank_lengths=(0,) * 4
+        )
+        self._published = (empty,)
 
     @property
     def config(self) -> MemoryConfig:
@@ -152,10 +147,10 @@ class MemoryEngine:
         # exactly. That write goes to the row of the oldest buffered frame,
         # which this frame evicts in any case.
         spa_frame = average_pool(feature.tokens, cfg.p_spa)
-        tem_frame = average_pool(feature.tokens, cfg.p_tem)
+        tem_row = average_pool(feature.tokens, cfg.p_tem).reshape(-1)
         abs_frame = average_pool(feature.tokens, cfg.p_abs)
         new_temporal, new_weights, cluster_state = temporal_update(
-            self._temporal, self._temporal_weights, tem_frame, cfg
+            self._temporal, self._temporal_weights, tem_row, cfg
         )
         new_abstract = abstract_update(self._abstract, abs_frame, self._params, cfg)
 
@@ -164,7 +159,7 @@ class MemoryEngine:
         t = latest.timestamp_frame + 1
         slot = -t % n
         self._spatial_ring[slot] = spa_frame.reshape(-1, cfg.dim)
-        self._pooled_ring[slot] = tem_frame.reshape(-1)
+        self._pooled_ring[slot] = tem_row
 
         # Retrieval sees the new frame and this frame's refreshed clusters.
         first = n - min(t, n)  # first valid row
@@ -177,7 +172,7 @@ class MemoryEngine:
         banks = (
             [rows[(slot + i) % n] for i in range(min(cfg.n_spa, t))],
             [new_temporal.reshape(-1, cfg.dim)],
-            [new_abstract.reshape(-1, cfg.dim)],
+            [new_abstract],
             [rows[first + i] for i in picks],
         )
         version = latest.version + 1
@@ -215,9 +210,6 @@ class MemoryEngine:
         return QueryResult(question_id, published[-1], stale=True)
 
     # -- accounting -----------------------------------------------------------
-
-    def bank_token_counts(self) -> dict[str, int]:
-        return dict(zip(BANK_ORDER, self._published[-1].bank_lengths))
 
     def resident_token_count(self) -> int:
         """Snapshot tokens plus the buffered rows of the p_spa ring (the p_tem

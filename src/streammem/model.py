@@ -102,11 +102,6 @@ class FrameFeature:
             raise ShapeError(f"expected a (P, P, D) array, got shape {tokens.shape}")
         return cls(grid_size=tokens.shape[0], dim=tokens.shape[2], tokens=tokens)
 
-    @property
-    def token_matrix(self) -> np.ndarray:
-        """Tokens flattened to (grid_size**2, dim), row-major."""
-        return self.tokens.reshape(self.grid_size * self.grid_size, self.dim)
-
 
 def _is_int_at_least(value, least: int) -> bool:
     """An int or numpy integer, bools excluded, of at least ``least``."""

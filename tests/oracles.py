@@ -1,8 +1,15 @@
 """Independent reference implementations used to cross-check the package.
 
-Everything here is deliberately naive: explicit Python loops, exhaustive
-enumeration, no code shared with the package beyond its public data types.
-Slow on purpose; only run at toy sizes.
+Everything in the first part is deliberately naive: explicit Python loops,
+exhaustive enumeration, no code shared with the package beyond its public
+data types. Slow on purpose; only run at toy sizes.
+
+The second part holds frozen copies of the engine's three per-frame stages
+(``temporal_update``, ``abstract_update`` and ``retrieve_key_features``, each
+with its private helpers), copied verbatim from the package before its banks
+moved to row layouts. They only reshape, so they accept the row layouts
+unchanged. ``test_differential`` patches them into a twin engine: any later
+shortcut in the package must reproduce their output bit for bit.
 """
 
 from __future__ import annotations
@@ -10,6 +17,8 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+
+from streammem import AttentionParams, ClusterState, MemoryConfig, ShapeError, WarmupError
 
 
 def pool_loops(tokens: np.ndarray, target: int) -> np.ndarray:
@@ -139,3 +148,237 @@ def finite_difference(f, x: np.ndarray, eps: float = 1e-5) -> np.ndarray:
         xf[i] = orig
         flat[i] = (hi - lo) / (2 * eps)
     return grad
+
+
+# -- frozen stage copies ------------------------------------------------------
+
+
+def _squared_distances(flat_points: np.ndarray, flat_centroids: np.ndarray) -> np.ndarray:
+    # (n, k) matrix of squared Euclidean distances, clipped at zero to absorb
+    # the tiny negatives the expansion trick can produce.
+    sq = (
+        np.sum(flat_points**2, axis=1)[:, None]
+        - 2.0 * flat_points @ flat_centroids.T
+        + np.sum(flat_centroids**2, axis=1)[None, :]
+    )
+    return np.maximum(sq, 0.0)
+
+
+def _repair_empty(assign: np.ndarray, d2: np.ndarray, point_weights: np.ndarray, k: int) -> np.ndarray:
+    """Give every empty cluster one point, stolen from a cluster with >= 2 members.
+
+    The stolen point is the one with the largest weighted distance to its
+    current centroid (ties to the lowest index), so re-centering it alone can
+    only lower the objective. Repairs happen in cluster-index order.
+    """
+    counts = np.bincount(assign, minlength=k)
+    for empty in np.flatnonzero(counts == 0):
+        movable = counts[assign] >= 2
+        cost = np.where(movable, point_weights * d2[np.arange(len(assign)), assign], -np.inf)
+        donor = int(np.argmax(cost))
+        counts[assign[donor]] -= 1
+        counts[empty] += 1
+        assign[donor] = empty
+    return assign
+
+
+def weighted_kmeans(
+    points: np.ndarray,
+    point_weights: np.ndarray,
+    k: int,
+    *,
+    max_iters: int = 10,
+) -> ClusterState:
+    """Lloyd iterations with per-point weights and deterministic tie-breaking.
+
+    points: (n, ...) array, n >= k >= 1; trailing axes are flattened for the
+    distance computation and restored on the returned centroids. Point weights
+    must be positive and are frozen for the whole call.
+
+    The centroids start at points[:k] (callers put the carried bank entries
+    first), so identical inputs give bit-equal output. Iteration stops when
+    assignments repeat or after max_iters update steps.
+    """
+    points = np.asarray(points, dtype=np.float64)
+    point_weights = np.asarray(point_weights, dtype=np.float64)
+    n = points.shape[0]
+    if not 1 <= k <= n:
+        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    if point_weights.shape != (n,):
+        raise ValueError(f"point_weights shape {point_weights.shape} != ({n},)")
+    if not (point_weights > 0).all():
+        raise ValueError("point weights must be positive")
+    if max_iters < 1:
+        raise ValueError(f"max_iters must be positive, got {max_iters}")
+
+    trailing = points.shape[1:]
+    flat = points.reshape(n, -1)
+    centroids = flat[:k].copy()
+
+    prev_assign = None
+    history: list[float] = []
+    converged = False
+    # Each update step ends by computing the distances to the new centroids
+    # for the objective; the next assignment step reuses them.
+    d2 = _squared_distances(flat, centroids)
+    for _ in range(max_iters):
+        assign = np.argmin(d2, axis=1)  # ties break to the lowest index
+        if prev_assign is not None and np.array_equal(assign, prev_assign):
+            converged = True
+            break
+        assign = _repair_empty(assign, d2, point_weights, k)
+        for c in range(k):
+            members = assign == c
+            w = point_weights[members]
+            centroids[c] = (w[:, None] * flat[members]).sum(axis=0) / w.sum()
+        d2 = _squared_distances(flat, centroids)
+        history.append(float(np.sum(point_weights * d2[np.arange(n), assign])))
+        prev_assign = assign
+
+    weights = np.zeros(k)
+    np.add.at(weights, assign, point_weights)
+    return ClusterState(
+        centroids=centroids.reshape((k,) + trailing),
+        weights=weights,
+        assignments=assign,
+        objective_history=tuple(history),
+        converged=converged,
+    )
+
+
+def temporal_update(
+    temporal: np.ndarray,
+    temporal_weights: np.ndarray,
+    pooled_frame: np.ndarray,
+    config: MemoryConfig,
+) -> tuple[np.ndarray, np.ndarray, ClusterState | None]:
+    """Fold one pooled frame (grid p_tem) into the temporal bank.
+
+    While the bank holds fewer than n_tem centroids the frame is appended
+    with weight 1 and no clustering runs (returned state is None). Once full,
+    the previous centroids plus the new frame are re-clustered back down to
+    n_tem, warm-started from the previous centroids; total weight grows by
+    exactly 1 per frame.
+    """
+    points = np.concatenate([temporal, pooled_frame[None]], axis=0)
+    point_weights = np.concatenate([temporal_weights, [1.0]])
+    if points.shape[0] <= config.n_tem:
+        return points, point_weights, None
+    state = weighted_kmeans(points, point_weights, config.n_tem)
+    return state.centroids, state.weights, state
+
+
+def _check_attention_shapes(
+    abstract: np.ndarray, new_features: np.ndarray, params: AttentionParams
+) -> tuple[np.ndarray, np.ndarray]:
+    abstract = np.asarray(abstract, dtype=np.float64)
+    new_features = np.asarray(new_features, dtype=np.float64)
+    d = params.dim
+    if abstract.ndim != 2 or abstract.shape[1] != d:
+        raise ShapeError(f"abstract must be (n_abs, {d}), got {abstract.shape}")
+    if new_features.ndim != 2 or new_features.shape[1] != d:
+        raise ShapeError(f"new_features must be (n, {d}), got {new_features.shape}")
+    if new_features.shape[0] == 0:
+        raise ShapeError("new_features is empty; attention needs at least one token")
+    return abstract, new_features
+
+
+def _row_softmax(scores: np.ndarray) -> np.ndarray:
+    shifted = scores - scores.max(axis=1, keepdims=True)
+    exp = np.exp(shifted)
+    return exp / exp.sum(axis=1, keepdims=True)
+
+
+def _attend(
+    abstract: np.ndarray, new_features: np.ndarray, params: AttentionParams
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Keys, queries and the row-softmax attention of one forward pass."""
+    keys = new_features @ params.key_proj.T
+    queries = abstract @ params.query_proj.T
+    return keys, queries, _row_softmax(queries @ keys.T)
+
+
+def semantic_attention(
+    abstract: np.ndarray,
+    new_features: np.ndarray,
+    params: AttentionParams,
+    decay_alpha: float,
+) -> np.ndarray:
+    """One attention update of the abstract slots against incoming tokens.
+
+    K = new_features @ key_proj.T, Q = abstract @ query_proj.T, and each slot's
+    attention row is softmax over the incoming-token axis of Q @ K.T (scores
+    are not divided by sqrt(D)). Output is
+    (1 - decay_alpha) * abstract + attention @ new_features. The decay is used
+    as given, so edge values such as 1 (full decay) can be probed here; the
+    engine passes its config's range-checked decay.
+    """
+    abstract, new_features = _check_attention_shapes(abstract, new_features, params)
+    _, _, attn = _attend(abstract, new_features, params)
+    return (1.0 - decay_alpha) * abstract + attn @ new_features
+
+
+def abstract_update(
+    abstract_bank: np.ndarray,
+    pooled_frame: np.ndarray,
+    params: AttentionParams,
+    config: MemoryConfig,
+) -> np.ndarray:
+    """Fold one frame, pooled to p_abs, into the abstract bank; bank shape never changes.
+
+    The (p_abs, p_abs, D) tokens of ``pooled_frame`` are the incoming set, and
+    every slot token of the (n_abs, p_abs, p_abs, D) bank attends to them.
+    """
+    slots = abstract_bank.reshape(-1, config.dim)
+    updated = semantic_attention(
+        slots, pooled_frame.reshape(-1, config.dim), params, config.decay_alpha
+    )
+    return updated.reshape(abstract_bank.shape)
+
+
+def retrieve_key_features(
+    candidates: np.ndarray,
+    temporal: np.ndarray,
+    temporal_weights: np.ndarray,
+    config: MemoryConfig,
+    newest: int = 0,
+) -> list[int]:
+    """Return the candidate rows nearest the top-weight temporal centroids.
+
+    candidates holds the buffer frames pooled to the centroid grid p_tem, one
+    flattened frame per row, shape (n, p_tem**2 * D). Row ``newest`` is the
+    newest frame and each following row, cyclically, the next older one, so a
+    ring buffer passes its rows as stored.
+
+    Selects the min(n_ret, bank size) heaviest clusters (weight ties go to the
+    lower cluster index), finds for each the row minimizing squared Euclidean
+    distance to the centroid (distance ties go to the newer frame), and
+    returns those row indices ordered by descending cluster weight. The same
+    row may serve several clusters.
+    """
+    k = temporal.shape[0]
+    n = candidates.shape[0]
+    if n == 0 or k == 0:
+        raise WarmupError("retrieval needs a non-empty buffer and temporal bank")
+    if temporal_weights.shape[0] != k:
+        raise ValueError(
+            f"weights length {temporal_weights.shape[0]} != bank size {k}"
+        )
+    flat_centroids = temporal.reshape(k, -1)
+    if candidates.shape[1:] != flat_centroids.shape[1:]:
+        raise ShapeError(
+            f"candidate rows {candidates.shape[1:]} != flattened centroids "
+            f"{flat_centroids.shape[1:]}"
+        )
+    if not 0 <= newest < n:
+        raise ValueError(f"newest row {newest} outside [0, {n})")
+
+    # Stable sort on negated weights: descending weight, ties to lower index.
+    order = np.argsort(-temporal_weights, kind="stable")[: min(config.n_ret, k)]
+    picks = []
+    for c in order:
+        d2 = np.sum((candidates - flat_centroids[c]) ** 2, axis=1)
+        # argmin keeps the first minimum; in age order that is the newest frame.
+        age = int(np.argmin(np.concatenate((d2[newest:], d2[:newest]))))
+        picks.append((newest + age) % n)
+    return picks

@@ -89,7 +89,7 @@ def test_criterion_3_clustering_oracle(capsys):
         points = rng.normal(size=(n, d))
         weights = rng.integers(1, 5, size=n).astype(float)
 
-        state = weighted_kmeans(points, weights, k, max_iters=10)
+        state = weighted_kmeans(points, weights, k)
         hist = state.objective_history
         monotone = all(hist[i + 1] <= hist[i] + 1e-12 for i in range(len(hist) - 1))
 
@@ -102,7 +102,7 @@ def test_criterion_3_clustering_oracle(capsys):
             if np.max(np.abs(state.centroids[c].reshape(-1) - mean)) > 1e-9:
                 means_ok = False
 
-        rerun = weighted_kmeans(points, weights, k, max_iters=10)
+        rerun = weighted_kmeans(points, weights, k)
         exact = (
             state.centroids.tobytes() == rerun.centroids.tobytes()
             and state.weights.tobytes() == rerun.weights.tobytes()

@@ -58,7 +58,7 @@ def record(config, grid: int) -> dict[str, np.ndarray]:
         spatial = average_pool(frame.tokens, config.p_spa).reshape(-1, config.dim)
         history = [spatial] + history[: config.n_buff - 1]
         snap = engine.read_snapshot()
-        counts.append(list(engine.bank_token_counts().values()) + [engine.resident_token_count()])
+        counts.append(list(snap.bank_lengths) + [engine.resident_token_count()])
         state = engine.last_cluster_state
         row = np.full(config.n_tem + 1, -1)
         if state is not None:
@@ -77,21 +77,33 @@ def record(config, grid: int) -> dict[str, np.ndarray]:
     }
 
 
+def frame_record(engine) -> list[bytes]:
+    """Exact bytes of the engine's state after a frame: the snapshot (tokens,
+    offsets, checksum, version), the last k-means run (assignments, centroids,
+    weights) and the temporal weights."""
+    snap = engine.read_snapshot()
+    parts = [
+        snap.tokens.tobytes(),
+        repr((snap.bank_offsets, snap.checksum, snap.version)).encode(),
+    ]
+    state = engine.last_cluster_state
+    if state is not None:
+        parts += [
+            np.ascontiguousarray(arr).tobytes()
+            for arr in (state.assignments, state.centroids, state.weights)
+        ]
+    parts.append(engine.temporal_weights.tobytes())
+    return parts
+
+
 def digest(config, grid: int) -> str:
-    """SHA-256 over every frame's snapshot (tokens, offsets, checksum, version),
-    last k-means run (assignments, centroids, weights) and temporal weights."""
+    """SHA-256 over every frame's ``frame_record``."""
     engine = MemoryEngine(config)
     sha = hashlib.sha256()
     for frame in synth_stream(7, N_FRAMES, 4, grid, config.dim):
         engine.ingest_frame(frame)
-        snap = engine.read_snapshot()
-        sha.update(snap.tokens.tobytes())
-        sha.update(repr((snap.bank_offsets, snap.checksum, snap.version)).encode())
-        state = engine.last_cluster_state
-        if state is not None:
-            for arr in (state.assignments, state.centroids, state.weights):
-                sha.update(np.ascontiguousarray(arr).tobytes())
-        sha.update(engine.temporal_weights.tobytes())
+        for part in frame_record(engine):
+            sha.update(part)
     return sha.hexdigest()
 
 

@@ -31,17 +31,15 @@ def test_toy_instances_against_exhaustive_oracle():
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 7))
         k = int(rng.integers(1, min(n, 3) + 1))
-        points = rng.normal(size=(n, 1, 1, 2))
+        points = rng.normal(size=(n, 2))
         weights = np.ones(n)
         state = weighted_kmeans(points, weights, k=k)
         final = partition_objective(points, weights, state.assignments, k)
         # centroids are exactly the weighted means of their members
         for c in range(k):
             members = state.assignments == c
-            expect = np.average(
-                points.reshape(n, -1)[members], axis=0, weights=weights[members]
-            )
-            assert np.max(np.abs(state.centroids[c].reshape(-1) - expect)) < 1e-9
+            expect = np.average(points[members], axis=0, weights=weights[members])
+            assert np.max(np.abs(state.centroids[c] - expect)) < 1e-9
         # Lloyd's result is a local optimum: no enumerated assignment that it
         # itself settled on can beat it, and the global optimum bounds it below
         best = exhaustive_best_objective(points, weights, k)
@@ -54,7 +52,7 @@ def test_toy_instances_against_exhaustive_oracle():
 
 def test_bit_exact_determinism():
     rng = np.random.default_rng(123)
-    points = rng.normal(size=(10, 2, 2, 3))
+    points = rng.normal(size=(10, 12))
     weights = rng.integers(1, 5, size=10).astype(float)
     a = weighted_kmeans(points, weights, k=4)
     b = weighted_kmeans(points, weights, k=4)
@@ -109,9 +107,9 @@ def test_empty_cluster_repair_keeps_k_clusters():
 def test_objective_history_non_increasing_on_larger_runs():
     for seed in range(20):
         rng = np.random.default_rng(seed)
-        points = rng.normal(size=(26, 4, 4, 6))
+        points = rng.normal(size=(26, 96))
         weights = rng.integers(1, 40, size=26).astype(float)
-        state = weighted_kmeans(points, weights, k=25, max_iters=10)
+        state = weighted_kmeans(points, weights, k=25)
         history = np.array(state.objective_history)
         assert len(history) >= 1
         assert np.all(np.diff(history) <= 1e-9 * np.maximum(history[:-1], 1.0))
@@ -129,17 +127,19 @@ def test_input_validation():
         weighted_kmeans(points, np.array([1.0, 0.0, 1.0]), k=2)
     with pytest.raises(ValueError, match="shape"):
         weighted_kmeans(points, np.ones(4), k=2)
-    with pytest.raises(ValueError, match="max_iters"):
-        weighted_kmeans(points, np.ones(3), k=2, max_iters=0)
+    with pytest.raises(ValueError, match=r"2-D.*\(3, 1, 2\)"):
+        weighted_kmeans(points.reshape(3, 1, 2), np.ones(3), k=2)
+    with pytest.raises(ValueError, match="2-D"):
+        weighted_kmeans(np.zeros(3), np.ones(3), k=2)
 
 
 def test_temporal_update_appends_until_full():
     cfg = default_config(n_tem=4, p_tem=2, dim=3)
-    temporal = np.zeros((0, 2, 2, 3))
+    temporal = np.zeros((0, 12))
     weights = np.zeros(0)
     rng = np.random.default_rng(0)
     for t in range(1, 5):
-        frame = rng.normal(size=(2, 2, 3))
+        frame = rng.normal(size=12)
         temporal, weights, state = temporal_update(temporal, weights, frame, cfg)
         assert state is None  # no clustering while filling
         assert temporal.shape[0] == t
@@ -150,10 +150,10 @@ def test_temporal_update_appends_until_full():
 def test_temporal_update_clusters_once_full():
     cfg = default_config(n_tem=4, p_tem=2, dim=3)
     rng = np.random.default_rng(1)
-    temporal = np.zeros((0, 2, 2, 3))
+    temporal = np.zeros((0, 12))
     weights = np.zeros(0)
     for t in range(1, 10):
-        frame = rng.normal(size=(2, 2, 3))
+        frame = rng.normal(size=12)
         temporal, weights, state = temporal_update(temporal, weights, frame, cfg)
         assert temporal.shape[0] == min(t, 4)
         assert abs(weights.sum() - t) < 1e-9
@@ -164,8 +164,8 @@ def test_temporal_update_clusters_once_full():
 
 def test_identical_frame_repeated_collapses_values():
     cfg = default_config(n_tem=5, p_tem=2, dim=2)
-    frame = np.full((2, 2, 2), 3.25)
-    temporal = np.zeros((0, 2, 2, 2))
+    frame = np.full(8, 3.25)
+    temporal = np.zeros((0, 8))
     weights = np.zeros(0)
     total = cfg.n_tem + 5
     for _ in range(total):

@@ -1,0 +1,122 @@
+"""Differential harness: the engine against a twin running the frozen stage copies.
+
+Each stream is ingested twice: once by the package's engine, and once by an
+engine whose ``streammem.engine`` stage names (``temporal_update``,
+``abstract_update``, ``retrieve_key_features``) are patched to the verbatim
+copies in ``oracles``. After every frame the two must agree bit for bit on
+``frame_record`` (snapshot bytes, offsets, checksum and version; k-means
+assignments, centroids and weights; temporal weights) and on the retrieval
+picks. The picks are recorded separately because exact duplicate frames give
+the same snapshot bytes whichever of them is picked.
+
+The streams aim at the decisions an exact shortcut could get wrong: exact
+duplicates, power-of-two patterns and their midpoints (so ties are exact),
+constant, one-scene and noise-free streams, tokens at +-MAX_MAGNITUDE, and
+rings small enough to wrap.
+"""
+
+from __future__ import annotations
+
+from unittest.mock import patch
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+import oracles
+import streammem.engine as engine_module
+from streammem import AttentionParams, FrameFeature, MemoryEngine, default_config, synth_stream
+from streammem.model import MAX_MAGNITUDE
+from test_behaviour_trace import frame_record
+
+GRID = 4
+STAGES = ("temporal_update", "abstract_update", "retrieve_key_features")
+PACKAGE = {name: getattr(engine_module, name) for name in STAGES}
+FROZEN = {name: getattr(oracles, name) for name in STAGES}
+
+
+def _pool(rng, kind: str, dim: int) -> list[np.ndarray]:
+    """A few (GRID, GRID, dim) patterns for the pattern-based stream kinds."""
+    shape = (int(rng.integers(1, 4)), GRID, GRID, dim)
+    if kind == "duplicates":
+        return list(rng.normal(size=shape))
+    if kind == "pow2":
+        patterns = rng.choice([-1.0, 1.0], shape) * 2.0 ** rng.integers(-2, 3, shape)
+        # Midpoints of power-of-two values are exact, so distances tie exactly.
+        mids = [(a + b) / 2 for a in patterns for b in patterns]
+        return list(patterns) + mids
+    if kind == "constant":
+        return [np.full(shape[1:], rng.normal())]
+    assert kind == "extreme"
+    return list(MAX_MAGNITUDE * rng.choice([-1.0, 1.0], shape))
+
+
+def _stream(kind: str, seed: int, n_frames: int, dim: int) -> list[FrameFeature]:
+    rng = np.random.default_rng(seed)
+    if kind in ("one_scene", "noise_free", "scenes"):
+        scenes = 1 if kind == "one_scene" else int(rng.integers(1, min(4, n_frames) + 1))
+        noise = 0.0 if kind == "noise_free" else 0.05
+        return list(synth_stream(seed, n_frames, scenes, GRID, dim, noise_rel=noise))
+    pool = _pool(rng, kind, dim)
+    return [FrameFeature.from_array(pool[i]) for i in rng.integers(0, len(pool), n_frames)]
+
+
+@st.composite
+def cases(draw):
+    p_spa = draw(st.sampled_from([1, 2, 4]))
+    p_tem = draw(st.sampled_from([p for p in (1, 2) if p <= p_spa]))
+    n_buff = draw(st.integers(1, 8))
+    n_tem = draw(st.integers(1, 6))
+    config = default_config(
+        dim=draw(st.integers(1, 32)),
+        p_spa=p_spa,
+        p_tem=p_tem,
+        p_abs=draw(st.sampled_from([p for p in (1, 2) if p <= p_tem])),
+        n_buff=n_buff,
+        n_spa=draw(st.integers(1, n_buff)),
+        n_tem=n_tem,
+        n_abs=draw(st.integers(1, 3)),
+        n_ret=draw(st.integers(1, min(3, n_tem))),
+    )
+    kind = draw(
+        st.sampled_from(
+            ["duplicates", "pow2", "constant", "extreme", "one_scene", "noise_free", "scenes"]
+        )
+    )
+    frames = _stream(kind, draw(st.integers(0, 2**32 - 1)), draw(st.integers(1, 30)), config.dim)
+    return config, frames
+
+
+def _run(config, params, frames, stages) -> tuple[list, list]:
+    """Per-frame records and retrieval picks of one engine using ``stages``."""
+    picks = []
+
+    def recording_retrieval(*args, **kwargs):
+        got = stages["retrieve_key_features"](*args, **kwargs)
+        picks.append(list(got))
+        return got
+
+    with (
+        patch.object(engine_module, "temporal_update", stages["temporal_update"]),
+        patch.object(engine_module, "abstract_update", stages["abstract_update"]),
+        patch.object(engine_module, "retrieve_key_features", recording_retrieval),
+    ):
+        engine = MemoryEngine(config, params)
+        records = []
+        for frame in frames:
+            engine.ingest_frame(frame)
+            records.append(frame_record(engine))
+    return records, picks
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=cases())
+def test_engine_matches_frozen_stages_bit_for_bit(case):
+    config, frames = case
+    params = AttentionParams.seeded(config.dim)
+    got_records, got_picks = _run(config, params, frames, PACKAGE)
+    want_records, want_picks = _run(config, params, frames, FROZEN)
+    assert len(got_picks) == len(want_picks) == len(frames)
+    for t, (got, want) in enumerate(zip(got_picks, want_picks), start=1):
+        assert got == want, f"retrieval picks differ at frame {t}"
+    for t, (got, want) in enumerate(zip(got_records, want_records), start=1):
+        assert got == want, f"engine state differs at frame {t}"

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import streammem.engine as engine_module
 from streammem import (
+    BANK_ORDER,
     AttentionParams,
     ConcurrentWriteError,
     ConfigError,
@@ -61,7 +62,7 @@ def test_token_bookkeeping_through_warmup():
         if t >= 26:
             assert snap.token_count == 681
         assert snap.token_count <= max_tokens(engine.config)
-        counts = engine.bank_token_counts()
+        counts = dict(zip(BANK_ORDER, snap.bank_lengths))
         assert counts["spatial"] == 64
         assert counts["temporal"] == 16 * min(t, 25)
         assert counts["abstract"] == 25
@@ -78,7 +79,7 @@ def test_bank_offsets_and_contents():
     snap = engine.read_snapshot()
     spatial = snap.bank("spatial")
     # spatial bank is the newest buffer entry pooled to p_spa (identity at 8)
-    assert np.array_equal(spatial, frames[-1].token_matrix)
+    assert np.array_equal(spatial, frames[-1].tokens.reshape(-1, 6))
     assert snap.bank("temporal").shape == (5 * 16, 6)
     assert snap.bank("abstract").shape == (25, 6)
     assert snap.bank("retrieved").shape == (3 * 64, 6)
@@ -238,6 +239,25 @@ def test_bad_frames_abort_without_corruption(monkeypatch):
         assert _observed(engine) == _observed(twin)
 
 
+def test_last_cluster_state_cannot_write_into_the_temporal_bank():
+    # The state's centroids and weights are the engine's temporal bank, not
+    # copies, so every array it exposes must refuse writes.
+    engine, twin = _engine(dim=16), _engine(dim=16)
+    frames = list(synth_stream(0, 41, 3, 8, 16))
+    for frame in frames[:40]:
+        engine.ingest_frame(frame)
+        twin.ingest_frame(frame)
+    state = engine.last_cluster_state
+    for arr, value in ((state.centroids, 0.0), (state.weights, 5.0), (state.assignments, 0)):
+        with pytest.raises(ValueError):
+            arr[...] = value
+    assert engine.temporal_weights.sum() == 40
+    engine.ingest_frame(frames[40])
+    twin.ingest_frame(frames[40])
+    assert _observed(engine) == _observed(twin)
+    assert engine.temporal_weights.flags.writeable  # a copy, not the bank
+
+
 def test_defaults_pool_grid_16_frames():
     # Every default grid (8, 4, 1) divides 16.
     engine = _engine()
@@ -310,11 +330,11 @@ def test_spatial_bank_is_newest_frames_newest_first():
     for t in range(1, 12):
         frame = _frame(rng)
         engine.ingest_frame(frame)
-        history.insert(0, frame.token_matrix)
+        history.insert(0, frame.tokens.reshape(-1, 6))
         assert np.array_equal(
             engine.read_snapshot().bank("spatial"), np.concatenate(history[:3])
         )
-        assert engine.bank_token_counts()["spatial"] == 64 * min(t, 3)
+        assert engine.read_snapshot().bank_lengths[0] == 64 * min(t, 3)
 
 
 def test_distance_ties_go_to_newer_frame_after_wrap():
@@ -370,7 +390,7 @@ def test_second_writer_is_refused(monkeypatch):
     assert outcome["first"] == 1
     snap = engine.read_snapshot()
     assert snap.version == 1
-    assert np.array_equal(snap.bank("spatial"), first.token_matrix)
+    assert np.array_equal(snap.bank("spatial"), first.tokens.reshape(-1, 6))
     monkeypatch.undo()
     assert engine.ingest_frame(second) == 2  # the writer slot was released
 
@@ -383,7 +403,7 @@ def test_each_bank_pools_from_the_input_grid():
     for frame in synth_stream(0, 40, 4, 12, 8):
         engine.ingest_frame(frame)
     snap = engine.read_snapshot()
-    assert engine.bank_token_counts() == {
+    assert dict(zip(BANK_ORDER, snap.bank_lengths)) == {
         "spatial": 16, "temporal": 225, "abstract": 25, "retrieved": 48,
     }
     assert snap.verify_checksum()

@@ -182,8 +182,6 @@ def test_frame_feature_is_immutable_and_copies_input():
     assert frame.tokens[0, 0, 0] == 0.0
     with pytest.raises(ValueError):
         frame.tokens[0, 0, 0] = 1.0
-    assert frame.token_matrix.shape == (4, 3)
-    assert np.array_equal(frame.token_matrix[3], frame.tokens[1, 1])
 
 
 def test_frame_feature_from_array_rejects_non_square():
