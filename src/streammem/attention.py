@@ -58,9 +58,9 @@ class AttentionParams:
         return self.key_proj.shape[0]
 
     @classmethod
-    def seeded(cls, dim: int, seed: int = 0) -> "AttentionParams":
-        """Gaussian init, std 1/sqrt(dim), deterministic in the seed."""
-        rng = np.random.default_rng(seed)
+    def seeded(cls, dim: int) -> "AttentionParams":
+        """Gaussian init, std 1/sqrt(dim), drawn from default_rng(0)."""
+        rng = np.random.default_rng(0)
         std = dim**-0.5
         return cls(
             key_proj=rng.normal(0.0, std, (dim, dim)),

@@ -27,6 +27,7 @@ from .model import (
     MemoryConfig,
     MemorySnapshot,
     ShapeError,
+    _is_int_at_least,
     max_tokens,
 )
 from .pooling import average_pool
@@ -95,14 +96,14 @@ class BenchReport:
         return max(medians) / min(medians)
 
     def to_csv(self) -> str:
-        lines = [",".join(f.name for f in fields(BenchRow))]
+        lines = [_csv_line(f.name for f in fields(BenchRow))]
         for r in self.rows:
-            lines.append(
-                f"{r.mode},{r.frames},{r.queries},{r.median_read_ms:.6f},"
-                f"{r.p95_read_ms:.6f},{r.ingest_fps:.1f},{r.bank_tokens},"
-                f"{r.resident_tokens},{r.rss_mb:.1f}"
-            )
-        return "\n".join(lines) + "\n"
+            lines.append(_csv_line((
+                r.mode, r.frames, r.queries, f"{r.median_read_ms:.6f}",
+                f"{r.p95_read_ms:.6f}", f"{r.ingest_fps:.1f}", r.bank_tokens,
+                r.resident_tokens, f"{r.rss_mb:.1f}",
+            )))
+        return "".join(lines)
 
 
 class _KeepAllBaseline:
@@ -121,28 +122,12 @@ class _KeepAllBaseline:
         self._frames.append(pooled.reshape(-1, self._config.dim))
         return len(self._frames)
 
-    def read_tokens(self) -> np.ndarray:
-        if not self._frames:
-            return np.zeros((0, self._config.dim))
-        return np.concatenate(self._frames, axis=0)
+    def read_tokens(self, n: int) -> np.ndarray:
+        """The tokens of the first n frames, as the baseline held them then."""
+        return np.concatenate(self._frames[:n], axis=0)
 
     def resident_token_count(self) -> int:
         return len(self._frames) * self._config.p_spa**2
-
-
-def _timed_engine_read(engine: MemoryEngine) -> float:
-    t0 = time.perf_counter()
-    snapshot = engine.read_snapshot()
-    if not snapshot.verify_checksum():
-        raise AssertionError(f"torn snapshot observed at version {snapshot.version}")
-    return (time.perf_counter() - t0) * 1000.0
-
-
-def _timed_baseline_read(baseline: _KeepAllBaseline) -> float:
-    t0 = time.perf_counter()
-    tokens = baseline.read_tokens()
-    zlib.crc32(tokens)  # C-contiguous, as the engine's checksum reads it
-    return (time.perf_counter() - t0) * 1000.0
 
 
 def bench_latency(
@@ -153,73 +138,75 @@ def bench_latency(
     seed: int = 0,
     keep_all: bool = False,
 ) -> BenchReport:
-    """Ingest a synthetic stream into one sink per frame count, then time reads.
+    """Ingest a synthetic stream once into one sink, then time its reads at each count.
 
-    Each sink stops at its own count. The reads are then timed in
-    queries_per_point rounds on the calling thread, one read per count in
-    each round, so a change of machine speed during the run hits every count
-    alike; the row keeps the median and 95th percentile. ingest_fps is the
-    rate of the frames since the previous count. keep_all swaps the engine
-    for the no-compression baseline. Timing columns vary run to run; every
-    other column is seed-deterministic.
+    When the sink reaches a frame count, the bench records that count's
+    columns and keeps its read: verify_checksum of the engine snapshot
+    published then (snapshots are immutable), or for keep_all, which swaps
+    the engine for the no-compression baseline, the CRC of the baseline's
+    first count frames. The kept reads are then timed in queries_per_point
+    rounds on the calling thread, one read per count in each round, so a
+    change of machine speed during the run hits every count alike; the row
+    keeps the median and 95th percentile. ingest_fps is the rate of the
+    frames since the previous count, and rss_mb the process's peak resident
+    set so far. Timing and rss_mb columns vary run to run; the token columns
+    are seed-deterministic.
     """
-    counts = sorted(set(int(c) for c in frame_counts))
-    if not counts or counts[0] < 1:
-        raise ValueError(f"frame_counts must be positive, got {frame_counts}")
-    if queries_per_point < 1:
-        raise ValueError(f"queries_per_point must be >= 1, got {queries_per_point}")
+    counts = list(frame_counts)
+    if not counts or not all(_is_int_at_least(c, 1) for c in counts):
+        raise ValueError(f"frame_counts must be positive integers, got {counts}")
+    if not _is_int_at_least(queries_per_point, 1):
+        raise ValueError(f"queries_per_point must be an integer >= 1, got {queries_per_point!r}")
+    counts = sorted(set(counts))
 
-    stream = synth_stream(
-        seed, counts[-1], min(_BENCH_SCENES, counts[-1]), config.p_spa, config.dim
+    stream = iter(
+        synth_stream(seed, counts[-1], min(_BENCH_SCENES, counts[-1]), config.p_spa, config.dim)
     )
-    if keep_all:
-        sinks = [_KeepAllBaseline(config) for _ in counts]
-        timed_read = _timed_baseline_read
-        mode = "keep-all"
-    else:
-        sinks = [MemoryEngine(config) for _ in counts]
-        timed_read = _timed_engine_read
-        mode = "engine"
-
-    starts = [0] + counts[:-1]
-    ingest_s = [0.0] * len(counts)
-    rss = [0.0] * len(counts)
-    for done, frame in enumerate(stream, start=1):
-        for i, sink in enumerate(sinks):
-            if done > counts[i]:
-                continue
+    sink = _KeepAllBaseline(config) if keep_all else MemoryEngine(config)
+    columns, reads = [], []
+    for previous, count in zip([0] + counts, counts):
+        ingest_s = 0.0
+        for frame in itertools.islice(stream, count - previous):
             t0 = time.perf_counter()
             sink.ingest_frame(frame)
-            if done > starts[i]:
-                ingest_s[i] += time.perf_counter() - t0
-            if done == counts[i]:
-                rss[i] = _rss_mb()
+            ingest_s += time.perf_counter() - t0
+        if keep_all:
+            bank = sink.resident_token_count()
+            reads.append(lambda n=count: zlib.crc32(sink.read_tokens(n)))
+        else:
+            snapshot = sink.read_snapshot()
+            bank = snapshot.token_count
+            reads.append(snapshot.verify_checksum)
+        columns.append(dict(
+            frames=count,
+            ingest_fps=(count - previous) / ingest_s if ingest_s > 0 else float("inf"),
+            bank_tokens=bank,
+            resident_tokens=sink.resident_token_count(),
+            rss_mb=_rss_mb(),
+        ))
 
     read_ms = [[] for _ in counts]
     for q in range(queries_per_point):
-        for j in range(len(sinks)):
-            i = (q + j) % len(sinks)  # rotate which count reads first
-            read_ms[i].append(timed_read(sinks[i]))
+        for j in range(len(counts)):
+            i = (q + j) % len(counts)  # rotate which count reads first
+            t0 = time.perf_counter()
+            # An engine read returns whether the checksum verified, a keep-all
+            # read the CRC itself.
+            if reads[i]() is False:
+                raise AssertionError(f"torn snapshot observed at frame {counts[i]}")
+            read_ms[i].append((time.perf_counter() - t0) * 1000.0)
 
-    rows = []
-    for i, count in enumerate(counts):
-        sink = sinks[i]
-        bank = sink.resident_token_count() if keep_all else sink.read_snapshot().token_count
-        segment = count - starts[i]
-        rows.append(
-            BenchRow(
-                mode=mode,
-                frames=count,
-                queries=queries_per_point,
-                median_read_ms=statistics.median(read_ms[i]),
-                p95_read_ms=float(np.percentile(read_ms[i], 95)),
-                ingest_fps=segment / ingest_s[i] if ingest_s[i] > 0 else float("inf"),
-                bank_tokens=bank,
-                resident_tokens=sink.resident_token_count(),
-                rss_mb=rss[i],
-            )
+    mode = "keep-all" if keep_all else "engine"
+    return BenchReport(rows=tuple(
+        BenchRow(
+            mode=mode,
+            queries=queries_per_point,
+            median_read_ms=statistics.median(ms),
+            p95_read_ms=float(np.percentile(ms, 95)),
+            **cols,
         )
-    return BenchReport(rows=tuple(rows))
+        for cols, ms in zip(columns, read_ms)
+    ))
 
 
 # -- budget/shape ablation sweep ----------------------------------------------
@@ -273,8 +260,8 @@ def sweep_ablation(
     never raised. Valid cells ingest a short synthetic stream while checking
     the budget cap and weight conservation after every frame.
     """
-    if frames < 1:
-        raise ValueError(f"frames must be >= 1, got {frames}")
+    if not _is_int_at_least(frames, 1):
+        raise ValueError(f"frames must be >= 1, got {frames!r}")
     valid_fields = set(MemoryConfig.__dataclass_fields__)
     for key in grid:
         if key not in valid_fields:
@@ -335,13 +322,11 @@ class PcaExport:
     degenerate: bool
 
     def to_csv(self) -> str:
-        lines = []
-        if self.degenerate:
-            lines.append("# degenerate_axes=true")
-        lines.append("x,y,label,bank")
+        lines = ["# degenerate_axes=true\n"] if self.degenerate else []
+        lines.append(_csv_line(("x", "y", "label", "bank")))
         for (x, y), label, bank in zip(self.coords, self.labels, self.banks):
-            lines.append(f"{float(x)!r},{float(y)!r},{label},{bank}")
-        return "\n".join(lines) + "\n"
+            lines.append(_csv_line((repr(float(x)), repr(float(y)), label, bank)))
+        return "".join(lines)
 
 
 def export_memory_pca(snapshot: MemorySnapshot, raw_frames) -> PcaExport:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import MemoryConfig
+from .model import MemoryConfig, _is_int_at_least
 
 __all__ = ["ClusterState", "weighted_kmeans", "temporal_update"]
 
@@ -91,7 +91,7 @@ def weighted_kmeans(points: np.ndarray, point_weights: np.ndarray, k: int) -> Cl
     if points.ndim != 2:
         raise ValueError(f"points must be 2-D (n, m) rows, got shape {points.shape}")
     n = points.shape[0]
-    if not 1 <= k <= n:
+    if not (_is_int_at_least(k, 1) and k <= n):
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     if point_weights.shape != (n,):
         raise ValueError(f"point_weights shape {point_weights.shape} != ({n},)")

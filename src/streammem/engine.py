@@ -24,7 +24,6 @@ from .model import (
     MemorySnapshot,
     ShapeError,
     _is_int_at_least,
-    default_config,
 )
 from .pooling import average_pool
 from .retrieval import retrieve_key_features
@@ -55,19 +54,19 @@ class MemoryEngine:
 
     def __init__(
         self,
-        config: MemoryConfig | None = None,
+        config: MemoryConfig,
         params: AttentionParams | None = None,
         *,
         ring_depth: int = 8,
     ):
-        if config is None:
-            config = default_config()
         if not isinstance(config, MemoryConfig):
             raise ConfigError(f"expected MemoryConfig, got {type(config).__name__}")
         if not _is_int_at_least(ring_depth, 1):
             raise ValueError(f"ring_depth must be a positive integer, got {ring_depth!r}")
         if params is None:
             params = AttentionParams.seeded(config.dim)
+        if not isinstance(params, AttentionParams):
+            raise ShapeError(f"expected AttentionParams, got {type(params).__name__}")
         if params.dim != config.dim:
             raise ShapeError(
                 f"attention params dim {params.dim} != config dim {config.dim}"

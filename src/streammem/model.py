@@ -207,11 +207,9 @@ class MemorySnapshot:
     checksum: int = field(init=False)  # computed from the fields above
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.tokens, dtype=np.float64)
+        arr = np.ascontiguousarray(self.tokens, dtype=np.float64)
         if arr.ndim != 2:
             raise ShapeError(f"snapshot tokens must be 2-D, got shape {arr.shape}")
-        if not arr.flags.c_contiguous:
-            arr = np.ascontiguousarray(arr)
         arr.setflags(write=False)
         object.__setattr__(self, "tokens", arr)
         lengths = tuple(int(n) for n in self.bank_lengths)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import ShapeError
+from .model import ShapeError, _is_int_at_least
 
 __all__ = ["average_pool"]
 
@@ -19,8 +19,8 @@ def average_pool(tokens: np.ndarray, target_grid: int) -> np.ndarray:
     if tokens.ndim != 3 or tokens.shape[0] != tokens.shape[1]:
         raise ShapeError(f"expected a (P, P, D) array, got shape {tokens.shape}")
     p_in, _, dim = tokens.shape
-    if target_grid < 1:
-        raise ShapeError(f"target grid must be positive, got {target_grid}")
+    if not _is_int_at_least(target_grid, 1):
+        raise ShapeError(f"target grid must be a positive integer, got {target_grid!r}")
     if p_in % target_grid != 0:
         raise ShapeError(
             f"pooling not exact: target grid {target_grid} does not divide input grid {p_in}"

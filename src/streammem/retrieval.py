@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import MemoryConfig, ShapeError, WarmupError
+from .model import MemoryConfig, ShapeError, WarmupError, _is_int_at_least
 
 __all__ = ["retrieve_key_features"]
 
@@ -43,7 +43,7 @@ def retrieve_key_features(
             f"candidate rows {candidates.shape[1:]} != flattened centroids "
             f"{flat_centroids.shape[1:]}"
         )
-    if not 0 <= newest < n:
+    if not (_is_int_at_least(newest, 0) and newest < n):
         raise ValueError(f"newest row {newest} outside [0, {n})")
 
     # Stable sort on negated weights: descending weight, ties to lower index.

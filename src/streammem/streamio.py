@@ -270,11 +270,12 @@ def synth_stream(
     structure is unambiguous by construction. noise_rel scales per-token noise
     relative to the anchor's RMS value; 0 gives identical frames per scene.
     """
-    if not 1 <= n_frames <= sys.maxsize:  # len() of the stream is a Py_ssize_t
-        raise StreamFormatError(f"n_frames must lie in [1, {sys.maxsize}], got {n_frames}")
-    if not 1 <= n_scenes <= n_frames:
+    # len() of the stream is a Py_ssize_t.
+    if not (_is_int_at_least(n_frames, 1) and n_frames <= sys.maxsize):
+        raise StreamFormatError(f"n_frames must lie in [1, {sys.maxsize}], got {n_frames!r}")
+    if not (_is_int_at_least(n_scenes, 1) and n_scenes <= n_frames):
         raise StreamFormatError(
-            f"need 1 <= n_scenes <= n_frames, got {n_scenes} scenes, {n_frames} frames"
+            f"need 1 <= n_scenes <= n_frames, got {n_scenes!r} scenes, {n_frames} frames"
         )
     frame_bytes = StreamHeader(grid_side, dim).frame_bytes
     if n_scenes * frame_bytes > MAX_FRAME_BYTES:

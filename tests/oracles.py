@@ -2,7 +2,8 @@
 
 Everything in the first part is deliberately naive: explicit Python loops,
 exhaustive enumeration, no code shared with the package beyond its public
-data types. Slow on purpose; only run at toy sizes.
+data types. Slow on purpose; only run at toy sizes. It ends with
+``seeded_params``, attention projections drawn from any seed.
 
 The second part holds frozen copies of the engine's three per-frame stages
 (``temporal_update``, ``abstract_update`` and ``retrieve_key_features``, each
@@ -148,6 +149,17 @@ def finite_difference(f, x: np.ndarray, eps: float = 1e-5) -> np.ndarray:
         xf[i] = orig
         flat[i] = (hi - lo) / (2 * eps)
     return grad
+
+
+def seeded_params(dim: int, seed: int) -> AttentionParams:
+    """Gaussian projections, std 1/sqrt(dim), drawn from default_rng(seed) as
+    ``AttentionParams.seeded(dim)`` draws them from default_rng(0)."""
+    rng = np.random.default_rng(seed)
+    std = dim**-0.5
+    return AttentionParams(
+        key_proj=rng.normal(0.0, std, (dim, dim)),
+        query_proj=rng.normal(0.0, std, (dim, dim)),
+    )
 
 
 # -- frozen stage copies ------------------------------------------------------

@@ -26,7 +26,7 @@ from streammem import (
     synth_stream,
     weighted_kmeans,
 )
-from oracles import finite_difference, retrieve_bruteforce
+from oracles import finite_difference, retrieve_bruteforce, seeded_params
 
 import streammem
 
@@ -156,7 +156,7 @@ def test_criterion_5_attention_correctness(capsys):
         n_abs = int(rng.integers(1, 5))
         n = int(rng.integers(1, 5))
         d = int(rng.integers(2, 6))
-        params = AttentionParams.seeded(d, seed=seed)
+        params = seeded_params(d, seed)
         abstract = rng.normal(size=(n_abs, d))
         new = rng.normal(size=(n, d))
         new[:, -1] = 1.0
@@ -172,7 +172,7 @@ def test_criterion_5_attention_correctness(capsys):
         n = int(rng.integers(1, 4))
         d = int(rng.integers(2, 5))
         alpha = float(rng.choice([0.1, 0.5, 0.9]))
-        params = AttentionParams.seeded(d, seed=seed)
+        params = seeded_params(d, seed)
         abstract = rng.normal(size=(n_abs, d))
         new = rng.normal(size=(n, d))
         upstream = rng.normal(size=(n_abs, d))

@@ -22,14 +22,14 @@ from streammem import (
     semantic_attention_grad,
 )
 
-from oracles import attention_loops, finite_difference
+from oracles import attention_loops, finite_difference, seeded_params
 
 
 def _case(seed, n_abs=4, n=2, d=3):
     rng = np.random.default_rng(seed)
     abstract = rng.normal(size=(n_abs, d))
     new = rng.normal(size=(n, d))
-    params = AttentionParams.seeded(d, seed=seed + 1)
+    params = seeded_params(d, seed + 1)
     return abstract, new, params
 
 
@@ -54,7 +54,7 @@ def test_alpha_one_full_decay_returns_new_feature():
     rng = np.random.default_rng(2)
     abstract = rng.normal(size=(4, 3))
     new = rng.normal(size=(1, 3))
-    params = AttentionParams.seeded(3, seed=3)
+    params = seeded_params(3, 3)
     out = semantic_attention(abstract, new, params, 1.0)
     assert np.max(np.abs(out - new)) < 1e-12  # every row equals the new token
 
@@ -78,7 +78,7 @@ def test_rows_stochastic_and_output_finite(seed, n_abs, n, d):
     rng = np.random.default_rng(seed)
     abstract = rng.normal(size=(n_abs, d))
     new = rng.normal(size=(n, d))
-    params = AttentionParams.seeded(d, seed=seed)
+    params = seeded_params(d, seed)
     weights = _attn_weights(abstract, new, params)
     assert np.max(np.abs(weights.sum(axis=1) - 1.0)) < 1e-9
     assert (weights > 0).all() and (weights <= 1).all()
@@ -206,7 +206,7 @@ def test_gradient_descent_reduces_loss():
 
 def test_abstract_update_rows_equal_first_frame():
     cfg = default_config(n_abs=4, p_abs=1, dim=3)
-    params = AttentionParams.seeded(3, seed=0)
+    params = seeded_params(3, 0)
     bank = np.zeros((4, 3))
     frame = FrameFeature.from_array(np.random.default_rng(1).normal(size=(2, 2, 3)))
     updated = abstract_update(bank, average_pool(frame.tokens, cfg.p_abs), params, cfg)
@@ -218,7 +218,7 @@ def test_abstract_update_rows_equal_first_frame():
 
 def test_abstract_update_converges_geometrically():
     cfg = default_config(n_abs=3, p_abs=1, dim=2, decay_alpha=0.25)
-    params = AttentionParams.seeded(2, seed=5)
+    params = seeded_params(2, 5)
     frame = FrameFeature.from_array(np.full((2, 2, 2), 1.5))
     fixed_point = 1.5 / 0.25  # alpha * M = f at the fixed point
     bank = np.zeros((3, 2))
@@ -233,7 +233,7 @@ def test_abstract_update_converges_geometrically():
 
 def test_abstract_update_multi_token_grids():
     cfg = default_config(n_abs=2, p_abs=2, p_tem=2, p_spa=4, dim=3)
-    params = AttentionParams.seeded(3, seed=9)
+    params = seeded_params(3, 9)
     bank = np.random.default_rng(3).normal(size=(8, 3))  # n_abs * p_abs**2 token rows
     frame = FrameFeature.from_array(np.random.default_rng(4).normal(size=(4, 4, 3)))
     updated = abstract_update(bank, average_pool(frame.tokens, cfg.p_abs), params, cfg)
@@ -245,7 +245,7 @@ def test_abstract_update_multi_token_grids():
 
 
 def test_params_file_round_trip(tmp_path):
-    params = AttentionParams.seeded(5, seed=77)
+    params = seeded_params(5, 77)
     path = tmp_path / "proj.atp"
     save_attention_params(params, path)
     assert path.read_bytes()[:8] == struct.pack("<4sI", b"ATP2", 5)
@@ -255,7 +255,7 @@ def test_params_file_round_trip(tmp_path):
 
 
 def test_params_file_rejects_corruption(tmp_path):
-    params = AttentionParams.seeded(3, seed=1)
+    params = seeded_params(3, 1)
     path = tmp_path / "proj.atp"
     save_attention_params(params, path)
     blob = bytearray(path.read_bytes())
@@ -322,8 +322,9 @@ def test_params_validation():
         AttentionParams(np.zeros((2, 2)), np.zeros((3, 3)))
     with pytest.raises(ValueError):
         AttentionParams(np.full((2, 2), np.nan), np.zeros((2, 2)))
-    params = AttentionParams.seeded(4, seed=0)
-    again = AttentionParams.seeded(4, seed=0)
+    params = AttentionParams.seeded(4)
+    again = AttentionParams.seeded(4)
     assert params.key_proj.tobytes() == again.key_proj.tobytes()
+    assert params.query_proj.tobytes() == seeded_params(4, 0).query_proj.tobytes()
     with pytest.raises(ValueError):
         params.key_proj[0, 0] = 1.0

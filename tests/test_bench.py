@@ -17,7 +17,8 @@ from streammem import (
     sweep_ablation,
     synth_stream,
 )
-from streammem.bench import SweepReport
+import streammem.bench as bench
+from streammem.bench import BenchReport, BenchRow, PcaExport, SweepReport
 
 SMALL = default_config(dim=8)
 
@@ -60,6 +61,47 @@ def test_bench_csv_schema():
         "ingest_fps", "bank_tokens", "resident_tokens", "rss_mb",
     }
     assert rows[0]["bank_tokens"] == "681"
+
+
+@pytest.mark.parametrize("sink", ["MemoryEngine", "_KeepAllBaseline"])
+def test_bench_builds_one_sink_and_ingests_each_frame_once(monkeypatch, sink):
+    built, ingested = [], []
+
+    class Counting(getattr(bench, sink)):
+        def __init__(self, *args, **kwargs):
+            built.append(self)
+            super().__init__(*args, **kwargs)
+
+        def ingest_frame(self, feature):
+            ingested.append(feature)
+            return super().ingest_frame(feature)
+
+    monkeypatch.setattr(bench, sink, Counting)
+    report = bench_latency(SMALL, [3, 5], 2, keep_all=sink == "_KeepAllBaseline")
+    assert [r.frames for r in report.rows] == [3, 5]
+    assert len(built) == 1
+    assert len(ingested) == 5  # max(counts), not sum(counts)
+
+
+def test_bench_rows_read_the_state_at_their_own_count():
+    report = bench_latency(SMALL, [1, 30], 2, seed=1)
+    # At one frame: 64 spatial, 16 temporal, 25 abstract and 64 retrieved tokens.
+    assert [r.bank_tokens for r in report.rows] == [169, 681]
+    # The snapshot plus one buffered 64-token frame per frame so far.
+    assert [r.resident_tokens for r in report.rows] == [169 + 64, 681 + 30 * 64]
+
+
+def test_bench_csv_text_is_exact():
+    rows = (
+        BenchRow("engine", 30, 2, 0.0123456789, 1.5, 1234.56, 681, 2601, 97.25),
+        BenchRow("keep-all", 1, 1, 0.5, 0.75, float("inf"), 64, 128, float("nan")),
+    )
+    assert BenchReport(rows=rows).to_csv() == (
+        "mode,frames,queries,median_read_ms,p95_read_ms,ingest_fps,bank_tokens,"
+        "resident_tokens,rss_mb\n"
+        "engine,30,2,0.012346,1.500000,1234.6,681,2601,97.2\n"
+        "keep-all,1,1,0.500000,0.750000,inf,64,128,nan\n"
+    )
 
 
 def test_bench_input_validation():
@@ -172,6 +214,16 @@ def test_pca_labels_banks_and_csv():
     rows = list(csv.DictReader(io.StringIO("\n".join(lines[header_at:]))))
     assert len(rows) == 10
     assert {r["label"] for r in rows} == {"memory", "raw"}
+
+
+def test_pca_csv_text_is_exact():
+    coords = np.array([[0.1, -2.0], [3e-05, 0.0]])
+    export = PcaExport(coords, ("memory", "raw"), ("spatial", "raw"), degenerate=True)
+    assert export.to_csv() == (
+        "# degenerate_axes=true\nx,y,label,bank\n0.1,-2.0,memory,spatial\n3e-05,0.0,raw,raw\n"
+    )
+    plain = PcaExport(coords[:1], ("memory",), ("spatial",), degenerate=False)
+    assert plain.to_csv() == "x,y,label,bank\n0.1,-2.0,memory,spatial\n"
 
 
 def test_pca_needs_three_tokens():

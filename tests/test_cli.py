@@ -11,9 +11,11 @@ from pathlib import Path
 import pytest
 
 import streammem
-from streammem import AttentionParams, save_attention_params
+from streammem import save_attention_params
 from streammem.cli import _make_engine, build_parser, main
 from streammem.streamio import read_header
+
+from oracles import seeded_params
 
 
 def _synth(tmp_path, name="s.fvs", frames=30, grid=8, dim=6, scenes=3, seed=0):
@@ -114,7 +116,7 @@ def test_params_file_round_trip_sets_decay(tmp_path, capsys):
     # The file carries projections only; the decay comes from --config.
     path = _synth(tmp_path)
     params = tmp_path / "p.atp"
-    saved = AttentionParams.seeded(6, seed=3)
+    saved = seeded_params(6, 3)
     save_attention_params(saved, params)
     argv = ["ingest", str(path), "--params", str(params), "--config", "decay_alpha=0.3"]
     capsys.readouterr()
@@ -359,7 +361,7 @@ def test_stream_file_closed_when_main_returns(tmp_path, opened_files):
     # returns, also when the engine cannot be built after the header is read.
     stream = _synth(tmp_path)
     params = tmp_path / "p.atp"
-    save_attention_params(AttentionParams.seeded(5, seed=3), params)  # stream dim is 6
+    save_attention_params(seeded_params(5, 3), params)  # stream dim is 6
     cases = [
         (["ingest", str(stream), "--config", "decay_alpha=1.5"], 2),
         (["ingest", str(stream), "--params", str(params)], 2),

@@ -14,10 +14,18 @@ from streammem import (
     ConfigError,
     FrameFeature,
     MemoryConfig,
+    MemoryEngine,
     MemorySnapshot,
     ShapeError,
+    StreamFormatError,
+    average_pool,
+    bench_latency,
     default_config,
     max_tokens,
+    retrieve_key_features,
+    sweep_ablation,
+    synth_stream,
+    weighted_kmeans,
 )
 from streammem.model import MAX_BUFFER_BYTES, MAX_MAGNITUDE
 
@@ -136,6 +144,34 @@ def test_frame_feature_shape_fields_must_be_ints():
         with pytest.raises(ShapeError, match="positive integers"):
             FrameFeature(grid_size=p, dim=d, tokens=np.zeros((2, 2, 1)))
     assert FrameFeature(grid_size=np.int64(2), dim=1, tokens=np.zeros((2, 2, 1))).dim == 1
+
+
+_TINY = default_config(dim=4)
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: synth_stream(0, 10.5, 2, 4, 4), StreamFormatError),
+        (lambda: synth_stream(0, 10, 2.0, 4, 4), StreamFormatError),
+        (lambda: weighted_kmeans(np.zeros((3, 2)), np.ones(3), 2.0), ValueError),
+        (lambda: average_pool(np.zeros((4, 4, 1)), 2.0), ShapeError),
+        (lambda: retrieve_key_features(np.zeros((3, 2)), np.zeros((1, 2)), np.ones(1), _TINY,
+                                       newest=1.5), ValueError),
+        (lambda: bench_latency(_TINY, [2.7], 1), ValueError),
+        (lambda: bench_latency(_TINY, [2], 1.5), ValueError),
+        (lambda: sweep_ablation({}, _TINY, frames=2.5), ValueError),
+        (lambda: MemoryEngine(_TINY, "x"), ShapeError),
+    ],
+    ids=["n_frames", "n_scenes", "k", "target_grid", "newest", "frame_counts",
+         "queries_per_point", "sweep_frames", "params"],
+)
+def test_entry_points_refuse_non_integers_with_their_named_error(call, error):
+    # A float count is never rounded: each entry point raises the error it
+    # uses for any other bad value of that argument.
+    with pytest.raises(error) as raised:
+        call()
+    assert raised.type is error
 
 
 @given(
