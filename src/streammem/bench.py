@@ -262,6 +262,9 @@ def sweep_ablation(
     """
     if not _is_int_at_least(frames, 1):
         raise ValueError(f"frames must be >= 1, got {frames!r}")
+    # Checked here: a bad seed would make synth_stream skip every cell.
+    if not _is_int_at_least(seed, 0):
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     valid_fields = set(MemoryConfig.__dataclass_fields__)
     for key in grid:
         if key not in valid_fields:

@@ -13,13 +13,17 @@ import json
 import sys
 import time
 from collections import deque
+from collections.abc import Iterator
 from dataclasses import replace
+from itertools import islice
 from pathlib import Path
 
 from .attention import load_attention_params
 from .bench import BenchReport, _csv_line, bench_latency, export_memory_pca, sweep_ablation
 from .engine import MemoryEngine
-from .model import BANK_ORDER, MemoryConfig, _is_int_at_least, default_config, max_tokens
+from .model import (
+    BANK_ORDER, FrameFeature, MemoryConfig, _is_int_at_least, default_config, max_tokens
+)
 from .streamio import open_endpoint, open_stream, synth_stream, write_stream
 
 __all__ = ["main"]
@@ -45,9 +49,15 @@ def _build_config(args, base: MemoryConfig) -> MemoryConfig:
     return replace(base, **dict(args.config or []))
 
 
-def _make_engine(args, header_dim: int) -> MemoryEngine:
-    params = load_attention_params(args.params) if args.params else None
-    return MemoryEngine(_build_config(args, default_config(dim=header_dim)), params)
+def _open_engine(args) -> tuple[MemoryEngine, Iterator[FrameFeature]]:
+    """Open args.stream; return an engine for its header's dim and its frames."""
+    header, frames = open_stream(args.stream)
+    try:
+        params = load_attention_params(args.params) if args.params else None
+        return MemoryEngine(_build_config(args, default_config(dim=header.dim)), params), frames
+    except Exception:
+        frames.close()  # no engine, so no caller to hand the open stream to
+        raise
 
 
 def _cmd_synth(args) -> int:
@@ -65,15 +75,13 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_ingest(args) -> int:
-    header, frames = open_stream(args.stream)
-    engine = _make_engine(args, header.dim)
+    engine, frames = _open_engine(args)
     t0 = time.perf_counter()
-    count = 0
     for frame in frames:
         engine.ingest_frame(frame)
-        count += 1
     elapsed = time.perf_counter() - t0
     snapshot = engine.read_snapshot()
+    count = snapshot.timestamp_frame
     fps = count / elapsed if elapsed > 0 else float("inf")
     print(f"frames={count} version={snapshot.version} elapsed_s={elapsed:.3f} fps={fps:.1f}")
     print(
@@ -115,12 +123,11 @@ def _cmd_replay(args) -> int:
         queries.append((ts, str(item["id"])))
     queries = deque(sorted(queries, key=lambda q: q[0]))
 
-    header, frames = open_stream(args.stream)
-    engine = _make_engine(args, header.dim)
+    engine, frames = _open_engine(args)
     with open_endpoint(args.out, "w") as handle:
         handle.write("question_id,frame_timestamp,version,timestamp_frame,stale\n")
 
-        def flush_due(now: int) -> None:
+        def flush_due(now: float) -> None:
             while queries and queries[0][0] <= now:
                 ts, qid = queries.popleft()
                 result = engine.query_at(qid, ts)
@@ -130,13 +137,10 @@ def _cmd_replay(args) -> int:
                 )
 
         flush_due(0)
-        t = 0
         for frame in frames:
-            engine.ingest_frame(frame)
-            t += 1
-            flush_due(t)
+            flush_due(engine.ingest_frame(frame))  # the version is the frame count
         # Timestamps beyond the stream end resolve against the final state.
-        flush_due(max(t, queries[-1][0]) if queries else t)
+        flush_due(float("inf"))
     return 0
 
 
@@ -158,17 +162,13 @@ def _cmd_sweep(args) -> int:
 def _cmd_export_pca(args) -> int:
     if args.at_frame < 1:
         raise ValueError(f"--at-frame must be >= 1, got {args.at_frame}")
-    header, frames = open_stream(args.stream)
-    engine = _make_engine(args, header.dim)
-    raw = []
-    for frame in frames:
+    engine, frames = _open_engine(args)
+    raw = list(islice(frames, min(args.at_frame, sys.maxsize)))  # islice's stop limit
+    for frame in raw:
         engine.ingest_frame(frame)
-        raw.append(frame)
-        if engine.frames_ingested >= args.at_frame:
-            break
-    if engine.frames_ingested < args.at_frame:
+    if len(raw) < args.at_frame:
         print(
-            f"export-pca: stream ended at frame {engine.frames_ingested}, "
+            f"export-pca: stream ended at frame {len(raw)}, "
             f"before --at-frame {args.at_frame}; exporting there",
             file=sys.stderr,
         )
@@ -188,7 +188,7 @@ def _add_config_flag(parser: argparse.ArgumentParser, *, params: bool = False) -
         metavar="KEY=VALUE",
         help="override a config field (repeatable)",
     )
-    if params:  # only where _make_engine builds the engine
+    if params:  # only where _open_engine builds the engine
         parser.add_argument(
             "--params", metavar="FILE", help="load attention projections from an ATP2 file"
         )

@@ -201,7 +201,12 @@ class MemoryEngine:
 
         The engine retains a short ring of recent versions. A timestamp older
         than everything retained yields the current snapshot with stale=True.
+        frame_timestamp must be a non-negative integer.
         """
+        if not _is_int_at_least(frame_timestamp, 0):
+            raise ValueError(
+                f"frame_timestamp must be a non-negative integer, got {frame_timestamp!r}"
+            )
         published = self._published  # one read: a consistent set of versions
         for snapshot in reversed(published):
             if snapshot.timestamp_frame <= frame_timestamp:

@@ -20,6 +20,7 @@ import sys
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass
+from numbers import Real
 from pathlib import Path
 
 import numpy as np
@@ -238,16 +239,6 @@ class SyntheticStream:
         tokens = tokens.astype(np.float32).astype(np.float64)
         return FrameFeature(grid_size=self.grid_side, dim=self.dim, tokens=tokens)
 
-    def scene_spans(self) -> list[tuple[int, int, int]]:
-        """(start, end, scene_id) per scene, end exclusive.
-
-        scene_of(i) == s exactly for i in [ceil(s*N/S), ceil((s+1)*N/S)),
-        with N frames and S scenes.
-        """
-        n, k = self.n_frames, self.n_scenes
-        starts = [-(-s * n // k) for s in range(k + 1)]
-        return [(starts[s], starts[s + 1], s) for s in range(k)]
-
 
 def _rms(arr: np.ndarray) -> float:
     return float(np.sqrt(np.mean(arr**2)))
@@ -283,8 +274,11 @@ def synth_stream(
             f"{n_scenes} scene anchors of {frame_bytes} bytes each exceed the "
             f"{MAX_FRAME_BYTES}-byte limit"
         )
-    if noise_rel < 0 or not np.isfinite(noise_rel):
-        raise StreamFormatError(f"noise_rel must be finite and >= 0, got {noise_rel}")
+    if not _is_int_at_least(seed, 0):
+        raise StreamFormatError(f"seed must be a non-negative integer, got {seed!r}")
+    real = isinstance(noise_rel, Real) and not isinstance(noise_rel, bool)
+    if not (real and 0 <= noise_rel and np.isfinite(noise_rel)):
+        raise StreamFormatError(f"noise_rel must be a finite real >= 0, got {noise_rel!r}")
 
     n_elems = grid_side * grid_side * dim
     for attempt in range(100):

@@ -113,6 +113,15 @@ def test_bench_input_validation():
         bench_latency(SMALL, [10], 0)
 
 
+@pytest.mark.parametrize("seed", [1.5, -1, "x", True])
+def test_bench_and_sweep_refuse_a_bad_seed_up_front(seed):
+    # A bad seed is the caller's error, never a row of skipped cells.
+    with pytest.raises(ValueError, match="seed"):
+        bench_latency(SMALL, [2], 1, seed=seed)
+    with pytest.raises(ValueError, match="seed"):
+        sweep_ablation({"n_tem": [8, 25]}, SMALL, frames=2, seed=seed)
+
+
 def test_sweep_known_budgets():
     base = default_config(dim=8)
     report = sweep_ablation({"p_spa": [8, 16]}, base, frames=40)

@@ -12,7 +12,7 @@ import pytest
 
 import streammem
 from streammem import save_attention_params
-from streammem.cli import _make_engine, build_parser, main
+from streammem.cli import _open_engine, build_parser, main
 from streammem.streamio import read_header
 
 from oracles import seeded_params
@@ -122,7 +122,8 @@ def test_params_file_round_trip_sets_decay(tmp_path, capsys):
     capsys.readouterr()
     assert main(argv) == 0
     assert "total=681 budget=681" in capsys.readouterr().out
-    engine = _make_engine(build_parser().parse_args(argv), 6)
+    engine, frames = _open_engine(build_parser().parse_args(argv))
+    frames.close()
     assert engine.config.decay_alpha == 0.3
     assert engine.params.key_proj.tobytes() == saved.key_proj.tobytes()
     assert engine.params.query_proj.tobytes() == saved.query_proj.tobytes()

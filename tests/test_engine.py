@@ -174,6 +174,14 @@ def test_query_before_any_frames():
     assert not result.stale  # the initial empty snapshot is retained
 
 
+@pytest.mark.parametrize("bad", [1.5, True, "3", -1, None])
+def test_query_at_takes_only_a_non_negative_int_timestamp(bad):
+    engine = _engine()
+    with pytest.raises(ValueError, match="frame_timestamp"):
+        engine.query_at("q", bad)
+    assert engine.query_at("q", np.int64(0)).snapshot.version == 0
+
+
 def test_custom_ring_depth():
     engine = MemoryEngine(CFG, ring_depth=3)
     rng = np.random.default_rng(9)
@@ -494,3 +502,33 @@ def test_inputs_at_the_magnitude_bound_keep_every_bank_finite(seed, signs_only, 
     a, b = engine.read_snapshot(), twin.read_snapshot()
     assert (a.version, a.checksum) == (b.version, b.checksum)
     assert a.tokens.tobytes() == b.tokens.tobytes()
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    dim=st.integers(1, 32),
+    seed=st.integers(0, 2**32 - 1),
+    kinds=st.lists(st.sampled_from(["normal", "bound", "mixed"]), min_size=1, max_size=16),
+    decay_alpha=st.sampled_from([0.1, 0.5, 1e-6]),
+)
+def test_one_token_abstract_update_is_decay_plus_frame_mean(dim, seed, kinds, decay_alpha):
+    # At p_abs=1 the softmax over one incoming token is exactly 1, so every
+    # abstract row must be (1 - alpha) * previous + the frame pooled to one
+    # token, bit for bit: the identity a one-token shortcut relies on.
+    cfg = default_config(dim=dim, decay_alpha=decay_alpha)
+    assert cfg.p_abs == 1
+    rng = np.random.default_rng(seed)
+    draw = {
+        "normal": lambda shape: rng.normal(size=shape),
+        "bound": lambda shape: MAX_MAGNITUDE * rng.choice([-1.0, 1.0], shape),
+        "mixed": lambda shape: rng.choice([-2.0, -0.0, 0.0, 0.5], shape),
+    }
+    engine = MemoryEngine(cfg)
+    previous = np.zeros((1, dim))
+    for kind in kinds:
+        frame = FrameFeature.from_array(draw[kind]((8, 8, dim)))
+        engine.ingest_frame(frame)
+        expected = (1 - decay_alpha) * previous + average_pool(frame.tokens, 1).reshape(1, dim)
+        bank = engine.read_snapshot().bank("abstract")
+        assert bank.tobytes() == np.repeat(expected, cfg.n_abs, axis=0).tobytes()
+        previous = expected

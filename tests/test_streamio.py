@@ -1,7 +1,6 @@
 """FVS1 format round-trips, corruption handling, synthetic stream properties."""
 
 import io
-import itertools
 import struct
 import sys
 import time
@@ -249,12 +248,11 @@ def test_synth_scene_separation_self_check():
     stream = synth_stream(0, 30, 3, 4, 8)
     assert stream.separation_ratio >= 5.0
     # measured: sampled same-scene frame gaps stay far below anchor gaps
-    frames = [f.tokens.reshape(-1) for f in stream]
-    spans = stream.scene_spans()
-    intra = max(
-        float(np.linalg.norm(frames[s] - frames[e - 1]))
-        for s, e, _ in spans
-    )
+    by_scene = {}
+    for i, f in enumerate(stream):
+        by_scene.setdefault(stream.scene_of(i), []).append(f.tokens.reshape(-1))
+    assert sorted(by_scene) == [0, 1, 2]
+    intra = max(float(np.linalg.norm(fs[0] - fs[-1])) for fs in by_scene.values())
     anchors = stream.anchors.reshape(3, -1)
     inter = min(
         float(np.linalg.norm(anchors[i] - anchors[j]))
@@ -266,27 +264,21 @@ def test_synth_scene_separation_self_check():
 
 def test_synth_scene_ids_contiguous_partition():
     stream = synth_stream(2, 20, 3, 2, 2)
-    assert [stream.scene_of(i) for i in range(20)] == [0] * 7 + [1] * 7 + [2] * 6
-    spans = stream.scene_spans()
-    assert [s for s, _, _ in spans] == sorted(s for s, _, _ in spans)
-    assert sum(e - s for s, e, _ in spans) == 20
-    assert [sid for _, _, sid in spans] == [0, 1, 2]
+    scenes = [stream.scene_of(i) for i in range(20)]
+    assert scenes == [0] * 7 + [1] * 7 + [2] * 6
+    assert scenes == sorted(scenes) and set(scenes) == {0, 1, 2}
 
 
 @pytest.mark.parametrize("n_frames", [1, 2, 5, 7, 20, 31])
 def test_synth_scene_of_matches_a_per_frame_table(n_frames):
     # scene_of is arithmetic; the reference is the per-frame table the
-    # generator used to store, and the spans are its runs.
+    # generator used to store. Scene s starts at frame ceil(s * N / S).
     for n_scenes in range(1, n_frames + 1):
         stream = synth_stream(0, n_frames, n_scenes, 1, 1, noise_rel=0.0)
         table = [min(i * n_scenes // n_frames, n_scenes - 1) for i in range(n_frames)]
         assert [stream.scene_of(i) for i in range(n_frames)] == table
-        runs, start = [], 0
-        for sid, group in itertools.groupby(table):
-            end = start + len(list(group))
-            runs.append((start, end, sid))
-            start = end
-        assert stream.scene_spans() == runs
+        starts = [table.index(sid) for sid in range(n_scenes)]
+        assert starts == [-(-sid * n_frames // n_scenes) for sid in range(n_scenes)]
         for bad in (-1, n_frames):
             with pytest.raises(IndexError):
                 stream.scene_of(bad)
@@ -299,11 +291,10 @@ def test_synth_stream_of_a_trillion_frames_is_built_lazily():
     assert time.perf_counter() - t0 < 1.0
     assert len(stream) == n
     assert stream.frame(n - 1).tokens.shape == (2, 2, 8)
-    assert stream.scene_of(n - 1) == 3
-    spans = stream.scene_spans()
-    assert len(spans) == 4 and spans[0][0] == 0 and spans[-1][1] == n
-    assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
-    assert [sid for _, _, sid in spans] == [0, 1, 2, 3]
+    assert stream.scene_of(0) == 0 and stream.scene_of(n - 1) == 3
+    for sid in range(1, 4):  # scene sid starts at frame sid * n / 4
+        assert stream.scene_of(sid * n // 4 - 1) == sid - 1
+        assert stream.scene_of(sid * n // 4) == sid
 
 
 def test_synth_random_access_matches_iteration():
@@ -343,6 +334,20 @@ def test_frame_counts_past_their_fields_are_named_errors():
     assert len(synth_stream(0, sys.maxsize, 1, 2, 3)) == sys.maxsize
     with pytest.raises(StreamFormatError, match="n_frames"):
         synth_stream(0, sys.maxsize + 1, 1, 2, 3)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"seed": 1.5}, {"seed": -1}, {"seed": "x"}, {"seed": True}, {"seed": None},
+        {"noise_rel": "x"}, {"noise_rel": True}, {"noise_rel": None},
+        {"noise_rel": float("nan")}, {"noise_rel": -0.5},
+    ],
+)
+def test_synth_checks_seed_and_noise_where_they_enter(kwargs):
+    args = {"seed": 0, "noise_rel": 0.05, **kwargs}
+    with pytest.raises(StreamFormatError, match=next(iter(kwargs))):
+        synth_stream(args["seed"], 5, 1, 2, 2, noise_rel=args["noise_rel"])
 
 
 def test_synth_refuses_oversized_anchors_before_drawing(monkeypatch):
