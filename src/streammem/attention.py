@@ -191,24 +191,31 @@ def save_attention_params(params: AttentionParams, path) -> None:
 
 
 def load_attention_params(path) -> AttentionParams:
-    data = Path(path).read_bytes()
-    if len(data) < _HEADER.size:
-        raise ValueError(f"attention params file too short: {len(data)} bytes")
-    magic, dim = _HEADER.unpack_from(data, 0)
-    if magic != _MAGIC:
-        raise ValueError(f"bad attention params magic: {magic!r}")
-    if dim < 1:
-        raise ValueError(f"bad attention params dim: {dim}")
-    mat_bytes = dim * dim * 8
-    expected = _HEADER.size + 2 * (1 + mat_bytes)
+    """Read an ATP2 file, reading at most one byte more than its header declares."""
+    with open(path, "rb") as f:
+        data = bytearray(f.read(_HEADER.size))
+        if len(data) < _HEADER.size:
+            raise ValueError(f"attention params file too short: {len(data)} bytes")
+        magic, dim = _HEADER.unpack(data)
+        if magic != _MAGIC:
+            raise ValueError(f"bad attention params magic: {magic!r}")
+        if dim < 1:
+            raise ValueError(f"bad attention params dim: {dim}")
+        mat_bytes = dim * dim * 8
+        expected = _HEADER.size + 2 * (1 + mat_bytes)
+        # In pieces: read(n) allocates n bytes before it reads, and a u32 dim
+        # can declare far more bytes than the file holds.
+        while len(data) <= expected and (piece := f.read(min(expected + 1 - len(data), 1 << 20))):
+            data += piece
     if len(data) != expected:
+        size = len(data) if len(data) < expected else f"over {expected}"
         raise ValueError(
-            f"attention params file is {len(data)} bytes, expected {expected} for dim {dim}"
+            f"attention params file is {size} bytes, expected {expected} for dim {dim}"
         )
     offset = _HEADER.size
     mats = []
     for role in (b"K", b"Q"):
-        tag = data[offset : offset + 1]
+        tag = bytes(data[offset : offset + 1])
         if tag != role:
             raise ValueError(f"expected matrix role tag {role!r} at offset {offset}, got {tag!r}")
         offset += 1

@@ -15,6 +15,7 @@ import itertools
 import statistics
 import time
 import zlib
+from collections.abc import Iterable
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -254,8 +255,9 @@ def sweep_ablation(
 ) -> SweepReport:
     """Run every config in the Cartesian product of the grid's value lists.
 
-    grid maps MemoryConfig field names to candidate values, e.g.
-    {"p_tem": [2, 4], "n_tem": [8, 25]}. Cells whose config is invalid or
+    grid maps MemoryConfig field names to lists of candidate values, e.g.
+    {"p_tem": [2, 4], "n_tem": [8, 25]}; a value that is a str, bytes or not
+    iterable is a ValueError before any cell runs. Cells whose config is invalid or
     whose stream cannot be built are reported as skipped with the reason,
     never raised. Valid cells ingest a short synthetic stream while checking
     the budget cap and weight conservation after every frame.
@@ -266,9 +268,12 @@ def sweep_ablation(
     if not _is_int_at_least(seed, 0):
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     valid_fields = set(MemoryConfig.__dataclass_fields__)
-    for key in grid:
+    for key, values in grid.items():
         if key not in valid_fields:
             raise ConfigError(f"unknown config field in grid: {key!r}")
+        # A string is iterable too, but sweeping its characters is never meant.
+        if isinstance(values, (str, bytes)) or not isinstance(values, Iterable):
+            raise ValueError(f"grid values for {key!r} must be a list, got {values!r}")
     names = sorted(grid)
     rows = []
     for values in itertools.product(*(grid[n] for n in names)):

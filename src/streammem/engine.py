@@ -17,6 +17,7 @@ import numpy as np
 from .attention import AttentionParams, abstract_update
 from .clustering import ClusterState, temporal_update
 from .model import (
+    MAX_BUFFER_BYTES,
     ConcurrentWriteError,
     ConfigError,
     FrameFeature,
@@ -24,6 +25,7 @@ from .model import (
     MemorySnapshot,
     ShapeError,
     _is_int_at_least,
+    max_tokens,
 )
 from .pooling import average_pool
 from .retrieval import retrieve_key_features
@@ -63,6 +65,12 @@ class MemoryEngine:
             raise ConfigError(f"expected MemoryConfig, got {type(config).__name__}")
         if not _is_int_at_least(ring_depth, 1):
             raise ValueError(f"ring_depth must be a positive integer, got {ring_depth!r}")
+        retained = int(ring_depth) * max_tokens(config) * int(config.dim) * 8
+        if retained > MAX_BUFFER_BYTES:
+            raise ValueError(
+                f"ring_depth {ring_depth} retains up to {retained} snapshot bytes, "
+                f"over the {MAX_BUFFER_BYTES}-byte limit"
+            )
         if params is None:
             params = AttentionParams.seeded(config.dim)
         if not isinstance(params, AttentionParams):
@@ -98,10 +106,6 @@ class MemoryEngine:
     @property
     def config(self) -> MemoryConfig:
         return self._config
-
-    @property
-    def params(self) -> AttentionParams:
-        return self._params
 
     @property
     def frames_ingested(self) -> int:

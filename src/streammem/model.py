@@ -53,9 +53,10 @@ BANK_ORDER = ("spatial", "temporal", "abstract", "retrieved")
 # squared distances the engine forms stay finite; NaN and inf fail it too.
 MAX_MAGNITUDE = float(np.finfo(np.float32).max)
 
-# Largest float64 state a config may preallocate: the feature buffer's two
-# rings, the abstract bank and the two D x D attention projections. The
-# defaults at dim 1024 need 214 MB.
+# Largest float64 state a config may hold: the feature buffer's two rings, the
+# temporal bank at n_tem centroids, the abstract bank, one snapshot at budget
+# and the two D x D attention projections. The defaults at dim 1024 need 222
+# MB. The engine bounds the snapshots it retains by the same limit.
 MAX_BUFFER_BYTES = 1 << 34
 
 
@@ -136,13 +137,15 @@ class MemoryConfig:
             value = getattr(self, f.name)
             if f.type == "int" and not _is_int_at_least(value, 1):
                 raise ConfigError(f"{f.name} must be a positive integer, got {value!r}")
-        n_buff, p_spa, p_tem, n_abs, p_abs, dim = map(  # Python ints: no numpy wrap
-            int, (self.n_buff, self.p_spa, self.p_tem, self.n_abs, self.p_abs, self.dim)
+        n_buff, p_spa, p_tem, n_tem, n_abs, p_abs, dim = map(  # Python ints: no numpy wrap
+            int, (self.n_buff, self.p_spa, self.p_tem, self.n_tem, self.n_abs, self.p_abs,
+                  self.dim)
         )
-        nbytes = (n_buff * (p_spa**2 + p_tem**2) + n_abs * p_abs**2 + 2 * dim) * dim * 8
+        rows = n_buff * (p_spa**2 + p_tem**2) + n_tem * p_tem**2 + n_abs * p_abs**2
+        nbytes = (rows + max_tokens(self) + 2 * dim) * dim * 8
         if nbytes > MAX_BUFFER_BYTES:
             raise ConfigError(
-                f"buffer too large: the config preallocates {nbytes} bytes, "
+                f"buffer too large: the config holds up to {nbytes} bytes, "
                 f"over the {MAX_BUFFER_BYTES}-byte limit"
             )
         if self.n_spa > self.n_buff:
@@ -174,11 +177,11 @@ def default_config(**overrides) -> MemoryConfig:
 
 def max_tokens(config: MemoryConfig) -> int:
     """Total token budget: (n_spa+n_ret)*p_spa^2 + n_tem*p_tem^2 + n_abs*p_abs^2."""
-    return (
-        (config.n_spa + config.n_ret) * config.p_spa**2
-        + config.n_tem * config.p_tem**2
-        + config.n_abs * config.p_abs**2
+    n_spa, n_ret, p_spa, n_tem, p_tem, n_abs, p_abs = map(  # Python ints: no numpy wrap
+        int, (config.n_spa, config.n_ret, config.p_spa, config.n_tem, config.p_tem,
+              config.n_abs, config.p_abs)
     )
+    return (n_spa + n_ret) * p_spa**2 + n_tem * p_tem**2 + n_abs * p_abs**2
 
 
 def _checksum(version: int, timestamp_frame: int, offsets, tokens: np.ndarray) -> int:

@@ -19,7 +19,8 @@ import struct
 import sys
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass, field
+from itertools import combinations
 from numbers import Real
 from pathlib import Path
 
@@ -200,13 +201,18 @@ def _frame_bytes(frame: FrameFeature, grid_side: int, dim: int) -> bytes:
 
 @dataclass(frozen=True, eq=False)
 class SyntheticStream:
-    """Deterministic scene-structured stream; iterable any number of times.
+    """Deterministic stream of n_frames across n_scenes contiguous scenes.
 
-    Frames are grouped into contiguous scenes; each scene has a fixed anchor
-    pattern and every frame is anchor plus small seeded noise, quantized to
+    Building one checks every argument and draws the scene anchors: standard
+    normal, re-drawn (bounded, deterministic) until every pair of anchors is at
+    least 5x farther apart than an upper bound on the distance between two
+    frames of the same scene, so scene structure is unambiguous by
+    construction. separation_ratio is that least ratio. noise_rel scales
+    per-token noise relative to the anchor's RMS value; 0 gives identical
+    frames per scene. Each frame is its anchor plus seeded noise, quantized to
     float32. Frame i is reproducible in isolation (frame(i)), so iteration,
-    random access, and file round-trips all agree bit-exactly. Scene ids are
-    computed per frame, so the stream costs O(n_scenes) memory at any length.
+    random access, and file round-trips all agree bit-exactly; the stream is
+    iterable any number of times and costs O(n_scenes) memory at any length.
     """
 
     seed: int
@@ -214,9 +220,63 @@ class SyntheticStream:
     n_scenes: int
     grid_side: int
     dim: int
-    noise_rel: float
-    anchors: np.ndarray  # (n_scenes, P, P, D) float64, f32-quantized values
-    separation_ratio: float  # min anchor gap / intra-scene distance bound
+    _: KW_ONLY
+    noise_rel: float = 0.05
+    anchors: np.ndarray = field(init=False)  # (n_scenes, P, P, D) float64, f32-quantized
+    separation_ratio: float = field(init=False)  # min anchor gap / intra-scene bound
+
+    def __post_init__(self) -> None:
+        seed, n_frames, n_scenes = self.seed, self.n_frames, self.n_scenes
+        grid_side, dim, noise_rel = self.grid_side, self.dim, self.noise_rel
+        # len() of the stream is a Py_ssize_t.
+        if not (_is_int_at_least(n_frames, 1) and n_frames <= sys.maxsize):
+            raise StreamFormatError(f"n_frames must lie in [1, {sys.maxsize}], got {n_frames!r}")
+        if not (_is_int_at_least(n_scenes, 1) and n_scenes <= n_frames):
+            raise StreamFormatError(
+                f"need 1 <= n_scenes <= n_frames, got {n_scenes!r} scenes, {n_frames} frames"
+            )
+        frame_bytes = StreamHeader(grid_side, dim).frame_bytes
+        if n_scenes * frame_bytes > MAX_FRAME_BYTES:
+            raise StreamFormatError(
+                f"{n_scenes} scene anchors of {frame_bytes} bytes each exceed the "
+                f"{MAX_FRAME_BYTES}-byte limit"
+            )
+        if not _is_int_at_least(seed, 0):
+            raise StreamFormatError(f"seed must be a non-negative integer, got {seed!r}")
+        real = isinstance(noise_rel, Real) and not isinstance(noise_rel, bool)
+        if not (real and 0 <= noise_rel and np.isfinite(noise_rel)):
+            raise StreamFormatError(f"noise_rel must be a finite real >= 0, got {noise_rel!r}")
+
+        n_elems = grid_side * grid_side * dim
+        for attempt in range(100):
+            rng = np.random.default_rng([seed, 0, attempt])
+            anchors = rng.normal(0.0, 1.0, (n_scenes, grid_side, grid_side, dim))
+            anchors = anchors.astype(np.float32).astype(np.float64)
+            # Two same-scene frames differ by two independent noise draws;
+            # bound that distance with a generous ~4-sigma tail on the noise norm.
+            worst_rms = max(_rms(a) for a in anchors)
+            intra_bound = 2.0 * noise_rel * worst_rms * (np.sqrt(n_elems) + 4.0)
+            flat = anchors.reshape(n_scenes, -1)
+            # One scene, or no noise, separates perfectly: the ratio is inf.
+            # Dividing by a positive constant keeps order under rounding, so
+            # the least ratio is the least gap's, and a pair under 5x ends it.
+            ratio = np.inf
+            pairs = combinations(range(n_scenes), 2) if intra_bound > 0 else ()
+            for a, b in pairs:
+                ratio = min(ratio, float(np.linalg.norm(flat[a] - flat[b])) / intra_bound)
+                if ratio < 5.0:
+                    break
+            if ratio >= 5.0:
+                break
+        else:
+            raise StreamFormatError(
+                f"could not separate {n_scenes} anchors by 5x the intra-scene "
+                f"spread at shape ({grid_side}, {grid_side}, {dim}); "
+                "increase dim or lower noise_rel"
+            )
+        anchors.setflags(write=False)
+        object.__setattr__(self, "anchors", anchors)
+        object.__setattr__(self, "separation_ratio", float(ratio))
 
     def __len__(self) -> int:
         return self.n_frames
@@ -240,79 +300,9 @@ class SyntheticStream:
         return FrameFeature(grid_size=self.grid_side, dim=self.dim, tokens=tokens)
 
 
+# The name callers build streams by; it is the class, so every stream is checked.
+synth_stream = SyntheticStream
+
+
 def _rms(arr: np.ndarray) -> float:
     return float(np.sqrt(np.mean(arr**2)))
-
-
-def synth_stream(
-    seed: int,
-    n_frames: int,
-    n_scenes: int,
-    grid_side: int,
-    dim: int,
-    *,
-    noise_rel: float = 0.05,
-) -> SyntheticStream:
-    """Build a deterministic stream of n_frames across n_scenes contiguous scenes.
-
-    Anchors are drawn standard normal and re-drawn (bounded, deterministic)
-    until every pair of anchors is at least 5x farther apart than an upper
-    bound on the distance between two frames of the same scene, so scene
-    structure is unambiguous by construction. noise_rel scales per-token noise
-    relative to the anchor's RMS value; 0 gives identical frames per scene.
-    """
-    # len() of the stream is a Py_ssize_t.
-    if not (_is_int_at_least(n_frames, 1) and n_frames <= sys.maxsize):
-        raise StreamFormatError(f"n_frames must lie in [1, {sys.maxsize}], got {n_frames!r}")
-    if not (_is_int_at_least(n_scenes, 1) and n_scenes <= n_frames):
-        raise StreamFormatError(
-            f"need 1 <= n_scenes <= n_frames, got {n_scenes!r} scenes, {n_frames} frames"
-        )
-    frame_bytes = StreamHeader(grid_side, dim).frame_bytes
-    if n_scenes * frame_bytes > MAX_FRAME_BYTES:
-        raise StreamFormatError(
-            f"{n_scenes} scene anchors of {frame_bytes} bytes each exceed the "
-            f"{MAX_FRAME_BYTES}-byte limit"
-        )
-    if not _is_int_at_least(seed, 0):
-        raise StreamFormatError(f"seed must be a non-negative integer, got {seed!r}")
-    real = isinstance(noise_rel, Real) and not isinstance(noise_rel, bool)
-    if not (real and 0 <= noise_rel and np.isfinite(noise_rel)):
-        raise StreamFormatError(f"noise_rel must be a finite real >= 0, got {noise_rel!r}")
-
-    n_elems = grid_side * grid_side * dim
-    for attempt in range(100):
-        rng = np.random.default_rng([seed, 0, attempt])
-        anchors = rng.normal(0.0, 1.0, (n_scenes, grid_side, grid_side, dim))
-        anchors = anchors.astype(np.float32).astype(np.float64)
-        # Two same-scene frames differ by two independent noise draws; bound
-        # that distance with a generous ~4-sigma tail on the noise norm.
-        worst_rms = max(_rms(a) for a in anchors)
-        intra_bound = 2.0 * noise_rel * worst_rms * (np.sqrt(n_elems) + 4.0)
-        flat = anchors.reshape(n_scenes, -1)
-        gaps = [
-            float(np.linalg.norm(flat[a] - flat[b]))
-            for a in range(n_scenes)
-            for b in range(a + 1, n_scenes)
-        ]
-        # One scene, or no noise, separates perfectly: the ratio is inf.
-        ratio = min(gaps, default=np.inf) / intra_bound if intra_bound > 0 else np.inf
-        if ratio >= 5.0:
-            break
-    else:
-        raise StreamFormatError(
-            f"could not separate {n_scenes} anchors by 5x the intra-scene "
-            f"spread at shape ({grid_side}, {grid_side}, {dim}); "
-            "increase dim or lower noise_rel"
-        )
-    anchors.setflags(write=False)
-    return SyntheticStream(
-        seed=seed,
-        n_frames=n_frames,
-        n_scenes=n_scenes,
-        grid_side=grid_side,
-        dim=dim,
-        noise_rel=noise_rel,
-        anchors=anchors,
-        separation_ratio=float(ratio),
-    )

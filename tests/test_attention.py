@@ -3,6 +3,7 @@ differences, bank-update recurrence, and params file round-trips."""
 
 import struct
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -290,6 +291,27 @@ def test_params_file_rejects_corruption(tmp_path):
     bad.write_bytes(bytes(blob))
     with pytest.raises(ValueError, match=f"role tag b'Q' at offset {second}"):
         load_attention_params(bad)
+
+
+def test_params_file_is_read_no_further_than_its_header_declares(tmp_path):
+    # A dim-4 file is 266 bytes. Behind that header sits a sparse 1 GiB file:
+    # the whole read once peaked at 1024 MB before the size check ran.
+    big = tmp_path / "big.atp"
+    with open(big, "wb") as f:
+        f.write(struct.pack("<4sI", b"ATP2", 4))
+        f.truncate(2**30 + 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="is over 266 bytes, expected 266 for dim 4"):
+            load_attention_params(big)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # A dim whose matrices would take 2**67 bytes costs no more than the file.
+    big.write_bytes(struct.pack("<4sI", b"ATP2", 2**32 - 1) + bytes(10))
+    with pytest.raises(ValueError, match="is 18 bytes"):
+        load_attention_params(big)
 
 
 @settings(max_examples=300, deadline=None)

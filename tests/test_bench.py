@@ -157,6 +157,14 @@ def test_sweep_rejects_unknown_fields():
         sweep_ablation({"bogus": [1]}, default_config(dim=8), frames=20)
 
 
+@pytest.mark.parametrize("values", ["48", b"48", 8, None], ids=["str", "bytes", "int", "None"])
+def test_sweep_refuses_grid_values_that_are_not_a_list_up_front(values, monkeypatch):
+    # "48" once swept the cells '4' and '8', and 8 raised a raw TypeError.
+    monkeypatch.setattr(bench, "MemoryEngine", None)  # no cell may run
+    with pytest.raises(ValueError, match="grid values for 'n_tem' must be a list"):
+        sweep_ablation({"n_ret": [3], "n_tem": values}, SMALL, frames=2)
+
+
 def test_sweep_csv_parses():
     report = sweep_ablation({"n_tem": [4, 8]}, default_config(dim=8), frames=20)
     rows = list(csv.DictReader(io.StringIO(report.to_csv())))

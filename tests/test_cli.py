@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import streammem
-from streammem import save_attention_params
+from streammem import MemoryEngine, save_attention_params
 from streammem.cli import _open_engine, build_parser, main
 from streammem.streamio import read_header
 
@@ -122,11 +122,19 @@ def test_params_file_round_trip_sets_decay(tmp_path, capsys):
     capsys.readouterr()
     assert main(argv) == 0
     assert "total=681 budget=681" in capsys.readouterr().out
+    # The projections act only at p_abs > 1, where the file must decide the
+    # snapshot: the same as an engine given the saved params, unlike one
+    # seeded by default.
+    argv += ["--config", "p_abs=2"]
     engine, frames = _open_engine(build_parser().parse_args(argv))
-    frames.close()
-    assert engine.config.decay_alpha == 0.3
-    assert engine.params.key_proj.tobytes() == saved.key_proj.tobytes()
-    assert engine.params.query_proj.tobytes() == saved.query_proj.tobytes()
+    cfg = engine.config
+    assert (cfg.decay_alpha, cfg.p_abs) == (0.3, 2)
+    with_file, seeded = MemoryEngine(cfg, saved), MemoryEngine(cfg)
+    for frame in frames:
+        for sink in (engine, with_file, seeded):
+            sink.ingest_frame(frame)
+    tokens = [e.read_snapshot().tokens.tobytes() for e in (engine, with_file, seeded)]
+    assert tokens[0] == tokens[1] != tokens[2]
 
 
 def test_config_flag_rejects_unknown_field(tmp_path):

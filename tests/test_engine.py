@@ -23,7 +23,7 @@ from streammem import (
     max_tokens,
     synth_stream,
 )
-from streammem.model import MAX_MAGNITUDE
+from streammem.model import MAX_BUFFER_BYTES, MAX_MAGNITUDE
 
 CFG = default_config(dim=6)  # paper-shaped banks, small token dim for speed
 
@@ -199,6 +199,17 @@ def test_custom_ring_depth():
     assert numpy_depth.frames_ingested == 1
 
 
+def test_ring_depth_is_bounded_by_the_byte_limit():
+    # The retained snapshots at budget take ring_depth * max_tokens * dim * 8
+    # bytes; a depth of 10**9 once grew the process by gigabytes.
+    cap = MAX_BUFFER_BYTES // (max_tokens(CFG) * CFG.dim * 8)
+    MemoryEngine(CFG, ring_depth=cap)
+    for bad in (cap + 1, 10**9, np.int64(2**62)):  # numpy ints must not wrap
+        with pytest.raises(ValueError, match=f"ring_depth {bad} .* {MAX_BUFFER_BYTES}-byte"):
+            MemoryEngine(CFG, ring_depth=bad)
+    assert MAX_BUFFER_BYTES // (681 * 1024 * 8) == 3079  # the cap at the default dim
+
+
 def _observed(engine):
     snap = engine.read_snapshot()
     state = engine.last_cluster_state
@@ -264,6 +275,45 @@ def test_last_cluster_state_cannot_write_into_the_temporal_bank():
     twin.ingest_frame(frames[40])
     assert _observed(engine) == _observed(twin)
     assert engine.temporal_weights.flags.writeable  # a copy, not the bank
+
+
+def test_re_centring_a_carried_singleton_keeps_every_bit():
+    # Every carried centroid is S / w for its weight w, and re-centring it
+    # alone computes (w * (S / w)) / w, which rounds back to S / w (the
+    # property test below). So a cluster whose one member is a carried
+    # centroid keeps that row bit for bit, whatever its weight.
+    cfg = default_config(dim=16)
+    engine = MemoryEngine(cfg)
+    stream = synth_stream(0, 40, 4, 8, 16)
+    singletons = heavy = 0
+    for i in range(300):
+        previous = engine.read_snapshot().bank("temporal").reshape(-1, cfg.p_tem**2 * cfg.dim)
+        weights = engine.temporal_weights
+        engine.ingest_frame(stream.frame((i % 4) * 10 + (i // 4) % 10))  # scenes in turn
+        state = engine.last_cluster_state
+        if state is None:  # the bank is still filling
+            continue
+        members = np.bincount(state.assignments, minlength=cfg.n_tem)
+        for j, c in enumerate(state.assignments[:-1]):  # the last point is the new frame
+            if members[c] == 1:
+                assert state.centroids[c].tobytes() == previous[j].tobytes()
+                singletons += 1
+                heavy += weights[j] >= 3
+    assert singletons and heavy
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    total=st.floats(2.0**-900, 2.0**900) | st.floats(-(2.0**900), -(2.0**-900)),
+    weight=st.integers(1, 2**31),
+)
+def test_re_centring_a_quotient_by_its_weight_is_the_identity(total, weight):
+    # q = fl(S / w). fl(w * q) is the float nearest w * q, so at least as near
+    # as S is, and fl(w * q) / w lies at least as near q as S / w did: it
+    # rounds to q too. Where q is a power of two, w * q is exact.
+    w = np.float64(weight)
+    q = total / w
+    assert (w * q) / w == q
 
 
 def test_defaults_pool_grid_16_frames():

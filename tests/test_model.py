@@ -193,9 +193,10 @@ def test_tokens_and_params_are_bounded_by_float32_max(over, sign, pos):
 
 
 def test_validate_bounds_preallocated_bytes():
-    # The feature buffer's rings, the abstract bank and the two projections,
-    # in float64 bytes.
-    assert (300 * (64 + 16) + 25 + 2 * 1024) * 1024 * 8 <= MAX_BUFFER_BYTES
+    # The feature buffer's rings, the temporal bank, the abstract bank, one
+    # snapshot at budget and the two projections, in float64 bytes.
+    assert (300 * (64 + 16) + 25 * 16 + 25 + 681 + 2 * 1024) * 1024 * 8 == 222_445_568
+    assert 222_445_568 <= MAX_BUFFER_BYTES
     default_config(dim=1024)
     limit = f"over the {MAX_BUFFER_BYTES}-byte limit"
     _refused(limit, n_buff=10**12)
@@ -203,12 +204,24 @@ def test_validate_bounds_preallocated_bytes():
     _refused(limit, dim=np.int64(2**40))  # numpy ints must not wrap
     with pytest.raises(ConfigError, match=limit):  # 256 GiB of projections
         MemoryConfig(p_spa=1, p_tem=1, p_abs=1, n_buff=1, n_abs=1, n_tem=1, n_ret=1, dim=2**17)
-    # Counted exactly at dim 1: 2 * n_buff ring values, one abstract slot and
-    # two 1 x 1 projections; 2**34 bytes are 2**31 float64 values.
-    edge = MemoryConfig(p_spa=1, p_tem=1, p_abs=1, n_buff=2**30 - 2, n_abs=1, n_spa=1,
+    # Counted exactly at dim 1: 2 * n_buff ring values, one temporal centroid,
+    # one abstract slot, a 4-token snapshot and two 1 x 1 projections, so
+    # 2 * n_buff + 8 values; 2**34 bytes are 2**31 float64 values.
+    edge = MemoryConfig(p_spa=1, p_tem=1, p_abs=1, n_buff=2**30 - 4, n_abs=1, n_spa=1,
                         n_tem=1, n_ret=1, dim=1)
-    with pytest.raises(ConfigError, match=str(MAX_BUFFER_BYTES + 8)):
-        dataclasses.replace(edge, n_buff=2**30 - 1)
+    assert max_tokens(edge) == 4
+    with pytest.raises(ConfigError, match=str(MAX_BUFFER_BYTES + 16)):
+        dataclasses.replace(edge, n_buff=2**30 - 3)
+
+
+def test_byte_limit_counts_the_temporal_bank_and_a_snapshot():
+    # Neither grows with n_buff: a billion centroids once passed with a
+    # ten-frame buffer, and the temporal bank grew by 4 rows a frame.
+    limit = f"buffer too large: .* over the {MAX_BUFFER_BYTES}-byte limit"
+    _refused(limit, n_tem=10**9, n_ret=1, dim=64, p_spa=2, p_tem=2, n_buff=10)
+    # A numpy n_tem once wrapped max_tokens to 153; the rule uses Python ints.
+    _refused(limit, n_tem=np.int64(2**61), n_ret=1, dim=16)
+    assert max_tokens(MemoryConfig(n_tem=np.int64(25), dim=16)) == 681
 
 
 def test_frame_feature_is_immutable_and_copies_input():

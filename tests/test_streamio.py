@@ -13,6 +13,7 @@ from streammem import (
     FrameFeature,
     StreamFormatError,
     StreamHeader,
+    SyntheticStream,
     open_stream,
     synth_stream,
     write_stream,
@@ -348,6 +349,36 @@ def test_synth_checks_seed_and_noise_where_they_enter(kwargs):
     args = {"seed": 0, "noise_rel": 0.05, **kwargs}
     with pytest.raises(StreamFormatError, match=next(iter(kwargs))):
         synth_stream(args["seed"], 5, 1, 2, 2, noise_rel=args["noise_rel"])
+
+
+def test_synthetic_stream_is_built_only_through_its_checks():
+    # One class, one signature: the anchors and the ratio are drawn, never passed.
+    assert synth_stream is SyntheticStream
+    with pytest.raises(TypeError):
+        SyntheticStream(seed=-3, n_frames=10, n_scenes=3, grid_side=2, dim=2,
+                        noise_rel=float("nan"), anchors=np.zeros((1, 2, 2, 2)),
+                        separation_ratio=-1.0)
+    with pytest.raises(TypeError):
+        SyntheticStream(0, 10, 3, 2, 2, 0.05)  # noise_rel is keyword-only
+    with pytest.raises(StreamFormatError, match="seed"):
+        SyntheticStream(-3, 10, 3, 2, 2)
+    stream = SyntheticStream(0, 300, 3, 8, 16)
+    assert stream.separation_ratio == 11.46715147054404  # as before the merge
+    assert not stream.anchors.flags.writeable
+
+
+def test_synth_anchor_check_stops_at_the_first_failing_pair(monkeypatch):
+    # 120 scenes cannot be separated at dim 1: each of the 100 draws fails on
+    # its first pair, so it computes one gap, not all 7140.
+    calls = []
+    norm = np.linalg.norm
+    monkeypatch.setattr(np.linalg, "norm", lambda *a, **k: calls.append(1) or norm(*a, **k))
+    with pytest.raises(StreamFormatError, match="could not separate 120 anchors"):
+        synth_stream(0, 120, 120, 1, 1)
+    assert len(calls) == 100
+    calls.clear()
+    synth_stream(0, 20, 20, 2, 2, noise_rel=0.0)  # no noise: no gap is needed
+    assert calls == []
 
 
 def test_synth_refuses_oversized_anchors_before_drawing(monkeypatch):
