@@ -8,6 +8,7 @@ the old centroid weights so long-lived clusters stay heavy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +57,48 @@ def _squared_distances(flat_points: np.ndarray, flat_centroids: np.ndarray) -> n
         + np.sum(flat_centroids**2, axis=1)[None, :]
     )
     return np.maximum(sq, 0.0)
+
+
+def _nearest_rows(
+    points: np.ndarray, sq_norms: np.ndarray, centroids: np.ndarray, start: int
+) -> np.ndarray:
+    """Per centroid row, the point row at least direct squared distance.
+
+    The direct distance is ``np.sum((points[i] - c) ** 2)``, and exact ties go
+    to the first row in cyclic order from row ``start``. ``sq_norms`` holds
+    each point row's squared norm. One product ranks every row by the expanded
+    distance ``‖x‖² − 2·x·c`` (``‖c‖²`` is the same for all rows). E bounds
+    |expanded − direct| by rounding: Higham's gamma_m for both forms, times 4
+    for slack, plus an absolute term for underflow. So the direct minimum is
+    among the rows whose score is within 2E of the column minimum. A column
+    with one such row is settled; the others are re-ranked by ``_rerank``.
+    """
+    m = points.shape[1]
+    score = sq_norms[:, None] - 2.0 * (points @ centroids.T)
+    info = np.finfo(points.dtype if points.dtype.kind == "f" else np.float64)
+    # The Frobenius norm of all centroids bounds each one's norm.
+    radius = math.sqrt(sq_norms.max()) + math.sqrt(np.vdot(centroids, centroids))
+    bound = 4 * (m + 4) * (info.eps * radius * radius + info.smallest_subnormal)
+    limit = score.min(axis=0) + 2.0 * bound
+    # NaN compares false, so a column with a NaN limit keeps every row, and
+    # every column keeps at least its minimum.
+    near = ~(score > limit)
+    best = score.argmin(axis=0)
+    if np.count_nonzero(near) == near.shape[1]:
+        return best  # each column's minimum is its only near row
+    for j in np.flatnonzero(near.sum(axis=0) != 1):
+        # A limit of -inf (the product overflowed) certifies nothing either.
+        rows = np.flatnonzero(near[:, j]) if np.isfinite(limit[j]) else np.arange(len(points))
+        best[j] = _rerank(points, centroids[j], rows, start)
+    return best
+
+
+def _rerank(points: np.ndarray, centroid: np.ndarray, rows: np.ndarray, start: int) -> int:
+    """The row of ``rows`` (ascending) nearest ``centroid`` by the direct
+    distance; ties to the first in cyclic order from ``start``."""
+    rows = np.roll(rows, -int(np.searchsorted(rows, start)))
+    d2 = np.sum((points[rows] - centroid) ** 2, axis=1)
+    return int(rows[np.argmin(d2)])  # argmin keeps the first minimum
 
 
 def _repair_empty(assign: np.ndarray, d2: np.ndarray, point_weights: np.ndarray, k: int) -> np.ndarray:

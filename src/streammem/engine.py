@@ -83,13 +83,15 @@ class MemoryEngine:
         self._params = params
         self._ring_depth = ring_depth
         self._writer = threading.Lock()
-        # The feature buffer, as two rings written in the same row: frame t
-        # pooled to p_spa, and frame t pooled to p_tem and flattened, which is
-        # what retrieval compares. Frame t goes in row (-t) % n_buff, so before
+        # The feature buffer, as three rings written in the same row: frame t
+        # pooled to p_spa, frame t pooled to p_tem and flattened, which is what
+        # retrieval compares, and that row's squared norm, which retrieval's
+        # product needs. Frame t goes in row (-t) % n_buff, so before
         # the rings fill the valid rows are the tail [n_buff - t:], newest
         # first. Rows are read only after they are written, hence np.empty.
         self._spatial_ring = np.empty((config.n_buff, config.p_spa**2, config.dim))
         self._pooled_ring = np.empty((config.n_buff, config.p_tem**2 * config.dim))
+        self._sq_norm_ring = np.empty(config.n_buff)
         # The temporal bank holds centroids in the p_tem ring's row layout, the
         # abstract bank the token rows a snapshot lists.
         self._temporal = np.zeros((0, config.p_tem**2 * config.dim))
@@ -163,11 +165,17 @@ class MemoryEngine:
         slot = -t % n
         self._spatial_ring[slot] = spa_frame.reshape(-1, cfg.dim)
         self._pooled_ring[slot] = tem_row
+        self._sq_norm_ring[slot] = tem_row @ tem_row
 
         # Retrieval sees the new frame and this frame's refreshed clusters.
         first = n - min(t, n)  # first valid row
         picks = retrieve_key_features(
-            self._pooled_ring[first:], new_temporal, new_weights, cfg, newest=slot - first
+            self._pooled_ring[first:],
+            new_temporal,
+            new_weights,
+            cfg,
+            newest=slot - first,
+            sq_norms=self._sq_norm_ring[first:],
         )
 
         # Snapshot tokens are copies: later ring writes never reach them.

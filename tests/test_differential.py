@@ -7,12 +7,14 @@ copies in ``oracles``. After every frame the two must agree bit for bit on
 ``frame_record`` (snapshot bytes, offsets, checksum and version; k-means
 assignments, centroids and weights; temporal weights) and on the retrieval
 picks. The picks are recorded separately because exact duplicate frames give
-the same snapshot bytes whichever of them is picked.
+the same snapshot bytes whichever of them is picked. The frozen retrieval has
+no ``sq_norms`` keyword, so the twin calls it through a wrapper that drops it.
 
 The streams aim at the decisions an exact shortcut could get wrong: exact
 duplicates, power-of-two patterns and their midpoints (so ties are exact),
-constant, one-scene and noise-free streams, tokens at +-MAX_MAGNITUDE, and
-rings small enough to wrap.
+constant, one-scene and noise-free streams, tokens at +-MAX_MAGNITUDE, tiny
+tokens whose products fall below the normal range, and rings small enough to
+wrap.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 import oracles
+import streammem.clustering as clustering_module
 import streammem.engine as engine_module
 from streammem import AttentionParams, FrameFeature, MemoryEngine, default_config, synth_stream
 from streammem.model import MAX_MAGNITUDE
@@ -32,6 +35,14 @@ GRID = 4
 STAGES = ("temporal_update", "abstract_update", "retrieve_key_features")
 PACKAGE = {name: getattr(engine_module, name) for name in STAGES}
 FROZEN = {name: getattr(oracles, name) for name in STAGES}
+
+
+def _frozen_retrieval(*args, sq_norms=None, **kwargs):
+    """The frozen retrieval, called without the engine's cached row norms."""
+    return oracles.retrieve_key_features(*args, **kwargs)
+
+
+FROZEN["retrieve_key_features"] = _frozen_retrieval
 
 
 def _pool(rng, kind: str, dim: int) -> list[np.ndarray]:
@@ -46,6 +57,10 @@ def _pool(rng, kind: str, dim: int) -> list[np.ndarray]:
         return list(patterns) + mids
     if kind == "constant":
         return [np.full(shape[1:], rng.normal())]
+    if kind == "tiny":
+        # At 2**-1000 every product underflows to zero, so all distances tie;
+        # at 2**-530 the products are subnormal and keep only a few bits.
+        return list(rng.normal(size=shape) * 2.0 ** rng.choice([-1000, -530], shape))
     assert kind == "extreme"
     return list(MAX_MAGNITUDE * rng.choice([-1.0, 1.0], shape))
 
@@ -79,7 +94,16 @@ def cases(draw):
     )
     kind = draw(
         st.sampled_from(
-            ["duplicates", "pow2", "constant", "extreme", "one_scene", "noise_free", "scenes"]
+            [
+                "duplicates",
+                "pow2",
+                "constant",
+                "extreme",
+                "tiny",
+                "one_scene",
+                "noise_free",
+                "scenes",
+            ]
         )
     )
     frames = _stream(kind, draw(st.integers(0, 2**32 - 1)), draw(st.integers(1, 30)), config.dim)
@@ -120,3 +144,25 @@ def test_engine_matches_frozen_stages_bit_for_bit(case):
         assert got == want, f"retrieval picks differ at frame {t}"
     for t, (got, want) in enumerate(zip(got_records, want_records), start=1):
         assert got == want, f"engine state differs at frame {t}"
+
+
+def test_rerank_fires_on_exact_ties_and_keeps_the_engine_exact():
+    """Duplicate frames and power-of-two midpoints tie exactly on the direct
+    distance, so retrieval's product cannot settle them and the re-rank runs."""
+    calls = []
+    rerank = clustering_module._rerank
+
+    def counting_rerank(points, centroid, rows, start):
+        calls.append(rows.size)
+        return rerank(points, centroid, rows, start)
+
+    config = default_config(dim=4, p_spa=4, p_tem=2, p_abs=1, n_buff=6, n_spa=2, n_tem=3, n_ret=2)
+    params = AttentionParams.seeded(config.dim)
+    for kind, seed in (("pow2", 3), ("duplicates", 4)):
+        frames = _stream(kind, seed, 30, config.dim)
+        before = len(calls)
+        with patch.object(clustering_module, "_rerank", counting_rerank):
+            got = _run(config, params, frames, PACKAGE)
+        assert len(calls) > before, f"no re-rank on the {kind} stream"
+        assert got == _run(config, params, frames, FROZEN)
+    assert min(calls) >= 2

@@ -412,6 +412,17 @@ def test_distance_ties_go_to_newer_frame_after_wrap():
         assert np.array_equal(snap.bank("retrieved"), snap.bank("spatial")), t
 
 
+def test_norm_ring_holds_each_pooled_row_squared_norm_after_wrap():
+    cfg = default_config(dim=16, n_buff=7)
+    engine = MemoryEngine(cfg)
+    for frame in synth_stream(5, 40, 3, 8, cfg.dim):
+        engine.ingest_frame(frame)
+    ring = engine._pooled_ring
+    np.testing.assert_allclose(
+        engine._sq_norm_ring, np.einsum("ij,ij->i", ring, ring), rtol=1e-13, atol=0
+    )
+
+
 def test_second_writer_is_refused(monkeypatch):
     engine = _engine()
     rng = np.random.default_rng(15)
