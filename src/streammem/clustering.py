@@ -4,6 +4,20 @@ The temporal bank summarizes the whole stream as at most n_tem weighted
 centroids. Each new frame either extends the bank (while it is filling) or is
 merged by re-clustering the previous centroids plus the new point, carrying
 the old centroid weights so long-lived clusters stay heavy.
+
+That re-clustering is ``weighted_kmeans``, warm-started from the bank. On
+almost every frame its run is one merge: the first assignment keeps each
+carried centroid as its own cluster and puts the new row in its nearest one,
+and the second assignment moves nothing. ``_merge_step`` computes that result
+from one k×k Gram matrix and a few matrix-vector products, in place of the
+run's two distance matrices and per-cluster updates. It first certifies the
+run, as the assignment bounds of Elkan (ICML 2003) and Hamerly (SDM 2010) do:
+a point cannot move while its own centroid is nearer than every rival by
+more than the error in the distances. Here that error is the rounding bound
+(Higham's gamma_m) of both the certificate's dots and ``_squared_distances``.
+When the certificate fails, including on any non-finite value,
+``temporal_update`` runs ``weighted_kmeans``, so both paths give the same
+centroids, weights and assignments bit for bit.
 """
 
 from __future__ import annotations
@@ -26,10 +40,12 @@ class ClusterState:
 
     centroids are (k, m) rows; weights[i] is the total point weight merged
     into centroid i. objective_history holds the weighted within-cluster
-    squared distance after each update step and is non-increasing. converged
-    is True when assignments repeated before the iteration cap ran out. The
-    three arrays are made read-only in place: the engine keeps the centroids
-    and weights as its temporal bank.
+    squared distance after each update step and is non-increasing. On
+    ``temporal_update``'s merge path it is computed from that path's own dots,
+    so it may differ from weighted_kmeans's within rounding. converged is True
+    when assignments repeated before the iteration cap ran out. The three
+    arrays are made read-only in place: the engine keeps the centroids and
+    weights as its temporal bank.
     """
 
     centroids: np.ndarray
@@ -59,6 +75,15 @@ def _squared_distances(flat_points: np.ndarray, flat_centroids: np.ndarray) -> n
     return np.maximum(sq, 0.0)
 
 
+def _distance_bound(m: int, radius, info=np.finfo(np.float64)):
+    """Bound on the rounding error of a squared distance between two m-vectors
+    whose norms sum to at most ``radius``, computed in the expanded form
+    ``‖p‖² − 2·p·q + ‖q‖²`` or directly: Higham's gamma_m for either form,
+    times 4 for slack, plus an absolute term for underflow. ``radius`` may be
+    an array."""
+    return 4 * (m + 4) * (info.eps * radius * radius + info.smallest_subnormal)
+
+
 def _nearest_rows(
     points: np.ndarray, sq_norms: np.ndarray, centroids: np.ndarray, start: int
 ) -> np.ndarray:
@@ -67,18 +92,17 @@ def _nearest_rows(
     The direct distance is ``np.sum((points[i] - c) ** 2)``, and exact ties go
     to the first row in cyclic order from row ``start``. ``sq_norms`` holds
     each point row's squared norm. One product ranks every row by the expanded
-    distance ``‖x‖² − 2·x·c`` (``‖c‖²`` is the same for all rows). E bounds
-    |expanded − direct| by rounding: Higham's gamma_m for both forms, times 4
-    for slack, plus an absolute term for underflow. So the direct minimum is
-    among the rows whose score is within 2E of the column minimum. A column
-    with one such row is settled; the others are re-ranked by ``_rerank``.
+    distance ``‖x‖² − 2·x·c`` (``‖c‖²`` is the same for all rows). E, the
+    ``_distance_bound``, bounds |expanded − direct| by rounding. So the direct
+    minimum is among the rows whose score is within 2E of the column minimum.
+    A column with one such row is settled; the others are re-ranked by
+    ``_rerank``.
     """
-    m = points.shape[1]
     score = sq_norms[:, None] - 2.0 * (points @ centroids.T)
     info = np.finfo(points.dtype if points.dtype.kind == "f" else np.float64)
     # The Frobenius norm of all centroids bounds each one's norm.
     radius = math.sqrt(sq_norms.max()) + math.sqrt(np.vdot(centroids, centroids))
-    bound = 4 * (m + 4) * (info.eps * radius * radius + info.smallest_subnormal)
+    bound = _distance_bound(points.shape[1], radius, info)
     limit = score.min(axis=0) + 2.0 * bound
     # NaN compares false, so a column with a NaN limit keeps every row, and
     # every column keeps at least its minimum.
@@ -172,6 +196,74 @@ def weighted_kmeans(points: np.ndarray, point_weights: np.ndarray, k: int) -> Cl
     )
 
 
+def _merge_step(centroids: np.ndarray, weights: np.ndarray, row: np.ndarray) -> ClusterState | None:
+    """``weighted_kmeans`` of the k carried centroids plus ``row``, when a
+    certificate shows that its run merges ``row`` into the nearest centroid
+    j and stops; None when the certificate fails.
+
+    The certificate needs each point's own distance in both assignment steps
+    to be below each rival's by more than twice the ``_distance_bound`` of
+    both. That bound covers these dots and ``_squared_distances`` alike, so
+    the run's argmins, ties included, pick the same centroids.
+
+    Re-centring a carried singleton computes ``(0.0 + w·c) / w``. For a
+    centroid that is a quotient by its weight, as in every bank
+    ``temporal_update`` returns (a raw row has weight 1), that rounds to
+    ``c + 0.0``: the row, with any -0.0 made +0.0
+    (``test_re_centring_a_quotient_by_its_weight_is_the_identity``).
+    """
+    centroids, weights, row = (np.asarray(a, dtype=np.float64) for a in (centroids, weights, row))
+    k, m = centroids.shape
+    if weights.shape != (k,) or not (weights > 0).all():
+        return None  # weighted_kmeans names the fault
+    gram = centroids @ centroids.T
+    row_dots = centroids @ row
+    sq = gram.diagonal()
+    j = int(np.argmin(sq - 2.0 * row_dots))
+    # weighted_kmeans's sum over cluster j's members, centroid j then the row,
+    # starts from +0.0, so it turns a -0.0 result into +0.0 as "+ 0.0" does.
+    merged = (weights[j] * centroids[j] + row + 0.0) / (weights[j] + 1.0)
+
+    # Rows are the points, columns the k centroids and then the merged row,
+    # so row i's own column is i in both steps, except that centroid j and
+    # the row (point k) own column j in the first step and k in the second.
+    dots = np.empty((k + 1, k + 1))
+    dots[:k, :k] = gram
+    dots[k, :k] = row_dots
+    dots[:k, k] = centroids @ merged
+    dots[k, k] = row @ merged
+    sq_points = np.concatenate([sq, [row @ row]])
+    sq_columns = np.concatenate([sq, [merged @ merged]])
+    dist = sq_points[:, None] - 2.0 * dots + sq_columns
+    slack = 2.0 * _distance_bound(m, np.sqrt(sq_points)[:, None] + np.sqrt(sq_columns))
+    high = dist + slack
+    own = high.diagonal().copy()
+    own[j] = max(own[j], high[j, k])
+    own[k] = max(own[k], high[k, j])
+    clear = dist - slack > own[:, None]
+    np.fill_diagonal(clear, True)
+    clear[j, k] = clear[k, j] = True
+    if not (np.isfinite(dist).all() and clear.all()):
+        return None
+
+    new_centroids = centroids + 0.0
+    new_centroids[j] = merged
+    new_weights = weights.copy()
+    new_weights[j] = weights[j] + 1.0
+    assignments = np.arange(k + 1)
+    assignments[k] = j
+    # The objective after the update step: each point's second-step distance.
+    moved = np.maximum(dist.diagonal(), 0.0)
+    moved[j] = max(dist[j, k], 0.0)
+    return ClusterState(
+        centroids=new_centroids,
+        weights=new_weights,
+        assignments=assignments,
+        objective_history=(float(weights @ moved[:k] + moved[k]),),
+        converged=True,
+    )
+
+
 def temporal_update(
     temporal: np.ndarray,
     temporal_weights: np.ndarray,
@@ -186,10 +278,24 @@ def temporal_update(
     centroids plus the new row are re-clustered back down to n_tem,
     warm-started from the previous centroids; total weight grows by exactly 1
     per frame.
+
+    The re-clustering is ``weighted_kmeans``'s result. When ``_merge_step``
+    certifies that its run merges the row x into the nearest centroid j and
+    then stops, the merge path builds that result directly: row j becomes
+    ``(w_j·c_j + x) / (w_j + 1)``, weight j grows by 1, every other row and
+    weight is kept, and the state reports one iteration, converged.
+    Otherwise ``weighted_kmeans`` runs. On a bank this function returned,
+    whose every centroid is a quotient by its weight, both paths agree bit
+    for bit.
     """
-    points = np.concatenate([temporal, pooled_row[None]], axis=0)
-    point_weights = np.concatenate([temporal_weights, [1.0]])
-    if points.shape[0] <= config.n_tem:
-        return points, point_weights, None
-    state = weighted_kmeans(points, point_weights, config.n_tem)
+    k = config.n_tem
+    state = None
+    if temporal.ndim == 2 and temporal.shape[0] == k and pooled_row.shape == temporal.shape[1:]:
+        state = _merge_step(temporal, temporal_weights, pooled_row)
+    if state is None:
+        points = np.concatenate([temporal, pooled_row[None]], axis=0)
+        point_weights = np.concatenate([temporal_weights, [1.0]])
+        if points.shape[0] <= k:
+            return points, point_weights, None
+        state = weighted_kmeans(points, point_weights, k)
     return state.centroids, state.weights, state

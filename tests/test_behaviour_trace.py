@@ -14,6 +14,16 @@ A refactor that claims bit-identical outputs can compare, before and after,
 one SHA-256 per traced config over every frame's exact bytes:
 
     PYTHONPATH=src python tests/test_behaviour_trace.py --digest
+
+The ``defaults`` and ``grid16`` lines depend on the numpy version, but they
+matched on five OpenBLAS kernels (Prescott to SkylakeX) and on one thread or
+two: retrieval and the temporal merge bound their products' rounding and
+settle near ties exactly, and the k-means fallback's assignments did not move.
+Only ``wrap_softmax`` (``p_abs=2``) reads attention scores straight from BLAS
+products, so only its line changes with the kernel.
+``data/portable_digests.txt`` records the two portable lines with the numpy
+version that printed them, and ``test_portable_digest_matches_record``
+compares them when that version runs.
 """
 
 from __future__ import annotations
@@ -28,6 +38,7 @@ import pytest
 from streammem import MemoryEngine, average_pool, default_config, synth_stream
 
 FIXTURE = Path(__file__).with_name("data") / "behaviour_trace.npz"
+PORTABLE_DIGESTS = Path(__file__).with_name("data") / "portable_digests.txt"
 N_FRAMES = 60
 RTOL = 1e-12
 
@@ -128,6 +139,23 @@ def test_trace_matches_fixture(name, fixture):
     np.testing.assert_allclose(
         got["final_tokens"], final, rtol=RTOL, atol=RTOL * np.abs(final).max()
     )
+
+
+def _portable_digests() -> dict[str, str]:
+    """``numpy`` -> the recording numpy version, and config name -> digest."""
+    lines = PORTABLE_DIGESTS.read_text().splitlines()
+    return dict(line.split() for line in lines if line and not line.startswith("#"))
+
+
+@pytest.mark.parametrize("name", sorted(set(_portable_digests()) - {"numpy"}))
+def test_portable_digest_matches_record(name):
+    recorded = _portable_digests()
+    if np.__version__ != recorded["numpy"]:
+        pytest.skip(
+            f"the digests were recorded with numpy {recorded['numpy']}; numpy "
+            f"{np.__version__} may round its sums differently"
+        )
+    assert digest(*TRACES[name]) == recorded[name]
 
 
 if __name__ == "__main__":

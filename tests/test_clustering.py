@@ -1,10 +1,14 @@
 """Weighted k-means behavior against exhaustive and algebraic oracles."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import streammem.clustering as clustering
 from streammem import default_config, temporal_update, weighted_kmeans
+from streammem.model import MAX_MAGNITUDE
 
 from oracles import exhaustive_best_objective, partition_objective
 
@@ -175,3 +179,184 @@ def test_identical_frame_repeated_collapses_values():
     # every centroid has collapsed onto the single repeated value
     assert np.max(np.abs(temporal - 3.25)) < 1e-12
     assert weights.max() >= 2  # the extra frames merged somewhere
+
+
+# -- temporal_update's merge path against weighted_kmeans, its fallback -------
+
+
+def _assert_same_state(got, want):
+    for name in ("centroids", "weights", "assignments"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+        assert a.tobytes() == b.tobytes(), name
+
+
+def _fold(temporal, weights, row):
+    """temporal_update's state for one frame on a full bank, weighted_kmeans's
+    on the same points, and whether the merge path gave the former."""
+    k = len(temporal)
+    cfg = default_config(dim=1, p_spa=1, p_tem=1, p_abs=1, n_tem=k, n_ret=1)
+    merged = clustering._merge_step(temporal, weights, row) is not None
+    got = temporal_update(temporal, weights, row, cfg)[2]
+    want = weighted_kmeans(np.vstack([temporal, row]), np.append(weights, 1.0), k)
+    _assert_same_state(got, want)
+    return got, want, merged
+
+
+def _fold_stream(rows, k) -> tuple[int, int]:
+    """Fold rows into an empty bank one at a time, checking every clustered
+    frame against weighted_kmeans; return the (merge, fallback) frame counts."""
+    cfg = default_config(dim=1, p_spa=1, p_tem=1, p_abs=1, n_tem=k, n_ret=1)
+    temporal, weights = np.zeros((0, rows.shape[1])), np.zeros(0)
+    counts = [0, 0]
+    for row in rows:
+        if len(temporal) == k:
+            counts[not _fold(temporal, weights, row)[2]] += 1
+        temporal, weights, _ = temporal_update(temporal, weights, row, cfg)
+    return counts[0], counts[1]
+
+
+def test_merge_path_reports_one_converged_step_and_the_oracles_objective():
+    rng = np.random.default_rng(5)
+    temporal = rng.normal(size=(4, 12))
+    # Each carried centroid is a quotient by its weight, as in the engine.
+    weights = np.array([1.0, 3.0, 7.0, 2.0])
+    temporal = (temporal * weights[:, None]) / weights[:, None]
+    row = temporal[2] + 0.1 * rng.normal(size=12)
+    got, want, merged = _fold(temporal, weights, row)
+    assert merged
+    assert got.iterations == want.iterations == 1
+    assert got.converged is True and want.converged
+    assert list(got.assignments) == [0, 1, 2, 3, 2]
+    # Both objectives add each carried centroid's distance to itself, which is
+    # rounding noise of the expanded form; the merge reads it from its own
+    # dots, so the two agree to rounding, not bit for bit.
+    assert math.isclose(got.objective_history[0], want.objective_history[0], rel_tol=1e-9)
+
+
+def test_merge_path_falls_back_on_duplicate_carried_centroids(monkeypatch):
+    repairs = []
+    repair = clustering._repair_empty
+
+    def counting_repair(assign, d2, point_weights, k):
+        before = assign.copy()
+        out = repair(assign, d2, point_weights, k)
+        repairs.append(int(np.count_nonzero(out != before)))
+        return out
+
+    monkeypatch.setattr(clustering, "_repair_empty", counting_repair)
+    rng = np.random.default_rng(6)
+    a, b = rng.normal(size=(2, 12))
+    temporal = np.array([a, a, b])
+    _, _, merged = _fold(temporal, np.ones(3), b + 0.5)
+    assert not merged
+    assert repairs[0] == 1  # the duplicate's empty cluster took a point
+
+
+def test_merge_path_falls_back_at_an_exact_midpoint():
+    # Power-of-two coordinates make the midpoint and both distances exact,
+    # so the row ties between centroids 0 and 1.
+    rng = np.random.default_rng(7)
+    c0 = rng.choice([-1.0, 1.0], 12) * 2.0 ** rng.integers(-3, 3, 12)
+    c1 = c0.copy()
+    c1[:4] += 2.0 ** rng.integers(-2, 2, 4)
+    temporal = np.array([c0, c1, np.full(12, 64.0)])
+    _, want, merged = _fold(temporal, np.ones(3), (c0 + c1) / 2)
+    assert not merged
+    assert want.assignments[3] == 0  # the tie goes to the lower index
+
+
+def test_merge_path_takes_a_row_equal_to_a_carried_centroid():
+    rng = np.random.default_rng(8)
+    weights = np.array([2.0, 5.0, 1.0, 9.0])
+    temporal = rng.normal(size=(4, 12)) / weights[:, None]
+    _, want, merged = _fold(temporal, weights, temporal[1].copy())
+    assert merged
+    assert want.weights[1] == 6.0
+
+
+def test_merge_path_falls_back_when_the_second_step_moves_a_point():
+    # Along one direction: centroids at 0, 1.2 and 10, the row at 5.5. The
+    # row merges into the centroid at 1.2, which moves to 3.35, so the point
+    # at 1.2 is then nearer the centroid at 0.
+    direction = np.random.default_rng(9).normal(size=12)
+    temporal = np.outer([0.0, 1.2, 10.0], direction)
+    _, want, merged = _fold(temporal, np.ones(3), 5.5 * direction)
+    assert not merged
+    assert want.iterations >= 2
+    assert want.assignments[1] == 0
+
+
+def test_merge_path_matches_at_max_magnitude():
+    # Squares of MAX_MAGNITUDE (float32's largest value) are about 1e77, far
+    # inside float64's range, so no dot overflows and the certificate decides
+    # as at any other scale.
+    rng = np.random.default_rng(10)
+    patterns = MAX_MAGNITUDE * rng.choice([-1.0, 1.0], (6, 12))
+    rows = patterns[rng.integers(0, 6, 40)]
+    merges, fallbacks = _fold_stream(rows, 4)
+    assert merges and fallbacks  # repeats of a pattern tie exactly
+
+
+def test_merge_path_falls_back_when_squares_overflow():
+    rng = np.random.default_rng(11)
+    rows = 2.0**600 * rng.choice([-1.0, 1.0], (20, 12))
+    with np.errstate(over="ignore", invalid="ignore"):
+        merges, fallbacks = _fold_stream(rows, 4)
+    assert merges == 0 and fallbacks == 16
+
+
+def test_merge_path_matches_with_subnormal_products():
+    # At 2**-530 every product is subnormal and keeps only a few bits; the
+    # bound's absolute term covers what they lose.
+    rng = np.random.default_rng(12)
+    anchors = rng.normal(size=(3, 12))
+    rows = 2.0**-530 * (anchors[rng.integers(0, 3, 40)] + 0.05 * rng.normal(size=(40, 12)))
+    merges, fallbacks = _fold_stream(rows, 4)
+    assert merges
+
+
+def test_merge_path_turns_negative_zeros_positive_as_kmeans_does():
+    # weighted_kmeans's sums start from +0.0, so a -0.0 in a carried row or in
+    # the merged row comes out +0.0.
+    rng = np.random.default_rng(13)
+    rows = rng.normal(size=(30, 12))
+    rows[:, :3] = -0.0
+    merges, _ = _fold_stream(rows, 4)
+    assert merges
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(1, 6),
+    m=st.integers(1, 24),
+    scenes=st.integers(1, 4),
+    noise=st.sampled_from([0.0, 1e-9, 0.05]),
+)
+def test_temporal_update_matches_weighted_kmeans_on_folded_streams(seed, k, m, scenes, noise):
+    rng = np.random.default_rng(seed)
+    anchors = rng.normal(size=(scenes, m))
+    rows = anchors[rng.integers(0, scenes, 30)] + noise * rng.normal(size=(30, m))
+    _fold_stream(rows, k)
+
+
+@pytest.mark.parametrize("m", [16, 4096])
+def test_temporal_update_matches_weighted_kmeans_across_the_certificate_margin(m):
+    # Two near-equal centroids, and rows near the midpoint of two centroids,
+    # at gaps from below the rounding bound to far above it: the certificate
+    # must hand every case it cannot settle to weighted_kmeans.
+    rng = np.random.default_rng(m)
+    paths = set()
+    for exponent in range(-56, -4, 2):
+        weights = rng.integers(1, 50, 4).astype(float)
+        temporal = (rng.normal(size=(4, m)) * weights[:, None]) / weights[:, None]
+        gap = 2.0**exponent * rng.normal(size=m)
+        near = temporal.copy()
+        near[1] = ((near[0] + gap) * weights[1]) / weights[1]
+        for bank, row in (
+            (near, rng.normal(size=m)),
+            (temporal, (temporal[0] + temporal[1]) / 2 + gap),
+        ):
+            paths.add(_fold(bank, weights, row)[2])
+    assert paths == {True, False}

@@ -14,7 +14,9 @@ The streams aim at the decisions an exact shortcut could get wrong: exact
 duplicates, power-of-two patterns and their midpoints (so ties are exact),
 constant, one-scene and noise-free streams, tokens at +-MAX_MAGNITUDE, tiny
 tokens whose products fall below the normal range, and rings small enough to
-wrap.
+wrap. Two more tests count, through module-name patches, the frames on which
+each exact shortcut takes its slow way: retrieval's re-rank, and temporal
+clustering's fallback from the certified merge to ``weighted_kmeans``.
 """
 
 from __future__ import annotations
@@ -166,3 +168,31 @@ def test_rerank_fires_on_exact_ties_and_keeps_the_engine_exact():
         assert len(calls) > before, f"no re-rank on the {kind} stream"
         assert got == _run(config, params, frames, FROZEN)
     assert min(calls) >= 2
+
+
+def test_merge_path_and_fallback_both_fire_and_keep_the_engine_exact():
+    """Repeated frames put exact duplicates in the temporal bank, and
+    power-of-two midpoints tie exactly, so the merge certificate fails and
+    weighted_kmeans runs; on a noisy scene stream the merge path runs."""
+    paths = {"merge": 0, "fallback": 0}
+    merge_step = clustering_module._merge_step
+
+    def counting_merge_step(centroids, weights, row):
+        got = merge_step(centroids, weights, row)
+        paths["fallback" if got is None else "merge"] += 1
+        return got
+
+    config = default_config(dim=4, p_spa=4, p_tem=2, p_abs=1, n_buff=6, n_spa=2, n_tem=3, n_ret=2)
+    params = AttentionParams.seeded(config.dim)
+    for kind, seed, fires in (
+        ("duplicates", 4, "fallback"),
+        ("pow2", 3, "fallback"),
+        ("constant", 5, "fallback"),
+        ("scenes", 6, "merge"),
+    ):
+        frames = _stream(kind, seed, 30, config.dim)
+        before = dict(paths)
+        with patch.object(clustering_module, "_merge_step", counting_merge_step):
+            got = _run(config, params, frames, PACKAGE)
+        assert paths[fires] > before[fires], f"no {fires} frame on the {kind} stream"
+        assert got == _run(config, params, frames, FROZEN)
