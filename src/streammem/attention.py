@@ -5,6 +5,15 @@ through a small attention step with exponential decay: each slot queries the
 incoming tokens, mixes them in, and forgets a fraction alpha of what it held.
 Gradients are provided analytically so the projections can be sanity-trained
 at desk scale.
+
+With one incoming token (``p_abs=1``, the default) the attention row is
+exactly [1.0] whatever the projections: the one score is finite, so the
+softmax is exp(0) / exp(0). It is finite because frame and projection entries
+lie within ``model.MAX_MAGNITUDE`` (M), the bank grows by at most M per frame,
+and ``model.MAX_BUFFER_BYTES`` caps the dim D below 32768. A score is at most
+D**3 * |bank| * M**3, about 5e167 for a bank within M, far from the float64
+limit of 1.8e308. ``abstract_update`` therefore folds such a frame as
+(1 - alpha) * bank + token without computing attention or reading params.
 """
 
 from __future__ import annotations
@@ -163,14 +172,26 @@ def semantic_attention_grad(
 def abstract_update(
     abstract_bank: np.ndarray,
     pooled_frame: np.ndarray,
-    params: AttentionParams,
+    params: AttentionParams | None,
     config: MemoryConfig,
 ) -> np.ndarray:
     """Fold one frame, pooled to p_abs, into the abstract bank; bank shape never changes.
 
     The (p_abs, p_abs, D) tokens of ``pooled_frame`` are the incoming set, and
     every token row of the (n_abs * p_abs**2, D) bank attends to them.
+
+    At ``p_abs=1`` the one token's attention weight is exactly 1.0 (see the
+    module docstring), so the result is (1 - decay_alpha) * bank + token,
+    byte for byte what ``semantic_attention`` returns, and ``params`` is not
+    read (it may be None; other p_abs need AttentionParams). The ``+ 0.0``
+    matches the attention product, which sums from +0.0: a -0.0 token entry
+    becomes +0.0, as it does there.
     """
+    if config.p_abs == 1:
+        token = pooled_frame.reshape(1, config.dim) + 0.0
+        return (1.0 - config.decay_alpha) * abstract_bank + token
+    if params is None:
+        raise ShapeError(f"p_abs={config.p_abs} needs AttentionParams, got None")
     return semantic_attention(
         abstract_bank, pooled_frame.reshape(-1, config.dim), params, config.decay_alpha
     )

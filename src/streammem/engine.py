@@ -71,14 +71,17 @@ class MemoryEngine:
                 f"ring_depth {ring_depth} retains up to {retained} snapshot bytes, "
                 f"over the {MAX_BUFFER_BYTES}-byte limit"
             )
-        if params is None:
+        # A one-token update never reads the projections (see
+        # attention.abstract_update), so only p_abs > 1 seeds them.
+        if params is None and config.p_abs > 1:
             params = AttentionParams.seeded(config.dim)
-        if not isinstance(params, AttentionParams):
-            raise ShapeError(f"expected AttentionParams, got {type(params).__name__}")
-        if params.dim != config.dim:
-            raise ShapeError(
-                f"attention params dim {params.dim} != config dim {config.dim}"
-            )
+        if params is not None:
+            if not isinstance(params, AttentionParams):
+                raise ShapeError(f"expected AttentionParams, got {type(params).__name__}")
+            if params.dim != config.dim:
+                raise ShapeError(
+                    f"attention params dim {params.dim} != config dim {config.dim}"
+                )
         self._config = config
         self._params = params
         self._ring_depth = ring_depth

@@ -55,8 +55,9 @@ MAX_MAGNITUDE = float(np.finfo(np.float32).max)
 
 # Largest float64 state a config may hold: the feature buffer's two rings, the
 # temporal bank at n_tem centroids, the abstract bank, one snapshot at budget
-# and the two D x D attention projections. The defaults at dim 1024 need 222
-# MB. The engine bounds the snapshots it retains by the same limit.
+# and the two D x D attention projections, which an engine holds only at
+# p_abs > 1 or when they are passed in. The defaults at dim 1024 need 222 MB.
+# The engine bounds the snapshots it retains by the same limit.
 MAX_BUFFER_BYTES = 1 << 34
 
 

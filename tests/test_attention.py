@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from streammem import (
     AttentionParams,
@@ -22,6 +23,8 @@ from streammem import (
     semantic_attention,
     semantic_attention_grad,
 )
+
+from streammem.model import MAX_MAGNITUDE
 
 from oracles import attention_loops, finite_difference, seeded_params
 
@@ -232,6 +235,57 @@ def test_abstract_update_converges_geometrically():
         assert abs(r - 0.75) < 1e-9  # contraction at exactly 1 - alpha
 
 
+# Entries that probe the one-token identity's edges: signed zeros, subnormals,
+# the magnitude bound and ordinary mixed-sign values.
+_EDGE_VALUES = [-0.0, 0.0, 2.0**-1070, -(2.0**-1070), 2.0**-1074, -(2.0**-1074),
+                MAX_MAGNITUDE, -MAX_MAGNITUDE, 1.5, -0.75]
+_edge_entries = st.one_of(
+    st.sampled_from(_EDGE_VALUES),
+    st.floats(-MAX_MAGNITUDE, MAX_MAGNITUDE, allow_subnormal=True),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.data(),
+    dim=st.integers(1, 8),
+    n_abs=st.integers(1, 4),
+    decay_alpha=st.sampled_from([0.1, 0.5, 0.9, 1e-6, 1 - 2.0**-53]),
+    bound_projections=st.booleans(),
+)
+def test_one_token_abstract_update_equals_semantic_attention_bytes(
+    data, dim, n_abs, decay_alpha, bound_projections
+):
+    # At p_abs=1 abstract_update skips attention and never reads params; its
+    # bytes must still be semantic_attention's, signed zeros included.
+    cfg = default_config(dim=dim, n_abs=n_abs, decay_alpha=decay_alpha)
+    assert cfg.p_abs == 1
+    bank = data.draw(arrays(np.float64, (n_abs, dim), elements=_edge_entries))
+    frame = data.draw(arrays(np.float64, (1, 1, dim), elements=_edge_entries))
+    if bound_projections:
+        signs = data.draw(arrays(np.float64, (2, dim, dim), elements=st.sampled_from([-1.0, 1.0])))
+        params = AttentionParams(MAX_MAGNITUDE * signs[0], MAX_MAGNITUDE * signs[1])
+    else:
+        params = AttentionParams.seeded(dim)
+    with np.errstate(over="raise", invalid="raise"):
+        want = semantic_attention(bank, frame.reshape(1, dim), params, decay_alpha)
+    for given_params in (None, params):
+        assert abstract_update(bank, frame, given_params, cfg).tobytes() == want.tobytes()
+
+
+def test_one_token_abstract_update_turns_signed_zeros_positive():
+    # The attention product sums from +0.0, so a -0.0 in both the decayed
+    # bank and the token comes out +0.0; (1 - alpha) * bank + token alone
+    # would keep the -0.0.
+    cfg = default_config(dim=2, n_abs=1)
+    bank = np.array([[-0.0, 1.0]])
+    frame = np.array([-0.0, -0.0]).reshape(1, 1, 2)
+    got = abstract_update(bank, frame, None, cfg)
+    assert got.tobytes() == np.array([[0.0, 0.9]]).tobytes()
+    want = semantic_attention(bank, frame.reshape(1, 2), AttentionParams.seeded(2), 0.1)
+    assert got.tobytes() == want.tobytes()
+
+
 def test_abstract_update_multi_token_grids():
     cfg = default_config(n_abs=2, p_abs=2, p_tem=2, p_spa=4, dim=3)
     params = seeded_params(3, 9)
@@ -243,6 +297,8 @@ def test_abstract_update_multi_token_grids():
     new = average_pool(frame.tokens, 2).reshape(-1, 3)
     want = semantic_attention(bank, new, params, cfg.decay_alpha)
     assert np.array_equal(updated, want)
+    with pytest.raises(ShapeError, match="p_abs=2 needs AttentionParams, got None"):
+        abstract_update(bank, average_pool(frame.tokens, cfg.p_abs), None, cfg)
 
 
 def test_params_file_round_trip(tmp_path):

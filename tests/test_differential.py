@@ -14,9 +14,12 @@ The streams aim at the decisions an exact shortcut could get wrong: exact
 duplicates, power-of-two patterns and their midpoints (so ties are exact),
 constant, one-scene and noise-free streams, tokens at +-MAX_MAGNITUDE, tiny
 tokens whose products fall below the normal range, and rings small enough to
-wrap. Two more tests count, through module-name patches, the frames on which
-each exact shortcut takes its slow way: retrieval's re-rank, and temporal
-clustering's fallback from the certified merge to ``weighted_kmeans``.
+wrap. A second run gives the package engine no params, as the CLI does,
+against a twin holding the seeded projections or, at ``p_abs=1``, projections
+at +-MAX_MAGNITUDE: the one-token abstract update must not depend on them. Two
+more tests count, through module-name patches, the frames on which each exact
+shortcut takes its slow way: retrieval's re-rank, and temporal clustering's
+fallback from the certified merge to ``weighted_kmeans``.
 """
 
 from __future__ import annotations
@@ -141,6 +144,33 @@ def test_engine_matches_frozen_stages_bit_for_bit(case):
     params = AttentionParams.seeded(config.dim)
     got_records, got_picks = _run(config, params, frames, PACKAGE)
     want_records, want_picks = _run(config, params, frames, FROZEN)
+    assert len(got_picks) == len(want_picks) == len(frames)
+    for t, (got, want) in enumerate(zip(got_picks, want_picks), start=1):
+        assert got == want, f"retrieval picks differ at frame {t}"
+    for t, (got, want) in enumerate(zip(got_records, want_records), start=1):
+        assert got == want, f"engine state differs at frame {t}"
+
+
+@st.composite
+def param_cases(draw):
+    """A case, the frozen twin's params (seeded, or +-MAX_MAGNITUDE entries so
+    the scores are the largest finite ones) and the package engine's: None
+    where the engine must seed the same projections or need none."""
+    config, frames = draw(cases())
+    if draw(st.booleans()):
+        return config, frames, AttentionParams.seeded(config.dim), None
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    signs = rng.choice([-1.0, 1.0], (2, config.dim, config.dim))
+    frozen = AttentionParams(MAX_MAGNITUDE * signs[0], MAX_MAGNITUDE * signs[1])
+    return config, frames, frozen, None if config.p_abs == 1 else frozen
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=param_cases())
+def test_engine_without_params_matches_frozen_stages_with_projections(case):
+    config, frames, frozen_params, package_params = case
+    got_records, got_picks = _run(config, package_params, frames, PACKAGE)
+    want_records, want_picks = _run(config, frozen_params, frames, FROZEN)
     assert len(got_picks) == len(want_picks) == len(frames)
     for t, (got, want) in enumerate(zip(got_picks, want_picks), start=1):
         assert got == want, f"retrieval picks differ at frame {t}"

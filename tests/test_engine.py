@@ -359,6 +359,44 @@ def test_constructor_validation():
         MemoryEngine(CFG, AttentionParams.seeded(7))
 
 
+def test_projections_are_seeded_only_at_p_abs_above_one(monkeypatch):
+    rng = np.random.default_rng(8)
+    frames = [_frame(rng, dim=4) for _ in range(5)]
+    seeded = AttentionParams.seeded
+    calls = []
+
+    def counting_seeded(dim):
+        calls.append(dim)
+        return seeded(dim)
+
+    def refuse(dim):
+        raise AssertionError("p_abs=1 must not seed projections")
+
+    # p_abs=1: no seeding, and params passed in are still checked.
+    one = default_config(dim=4)
+    monkeypatch.setattr(AttentionParams, "seeded", refuse)
+    engine = MemoryEngine(one)
+    for frame in frames:
+        engine.ingest_frame(frame)
+    with pytest.raises(ShapeError, match="expected AttentionParams, got SimpleNamespace"):
+        MemoryEngine(one, types.SimpleNamespace(dim=4))
+    with pytest.raises(ShapeError, match="dim 5 != config dim 4"):
+        MemoryEngine(one, seeded(5))
+
+    # p_abs=2: one seeding, the same bytes as the params passed in.
+    two = default_config(dim=4, p_abs=2)
+    monkeypatch.setattr(AttentionParams, "seeded", counting_seeded)
+    engine, twin = MemoryEngine(two), MemoryEngine(two, seeded(4))
+    assert calls == [4]
+    for frame in frames:
+        engine.ingest_frame(frame)
+        twin.ingest_frame(frame)
+        a, b = engine.read_snapshot(), twin.read_snapshot()
+        assert (a.version, a.checksum) == (b.version, b.checksum)
+        assert a.tokens.tobytes() == b.tokens.tobytes()
+    assert calls == [4]
+
+
 def test_engine_takes_only_a_memory_config():
     # A look-alike object never went through MemoryConfig's checks.
     look_alike = types.SimpleNamespace(**vars(CFG))
