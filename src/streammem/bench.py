@@ -1,4 +1,4 @@
-"""Desk-scale measurement harness: flat-latency check, budget sweeps, PCA export.
+"""Desk-scale measurement harness: flat-latency check and PCA export.
 
 A "read" here fetches the current memory tokens and verifies their checksum,
 so every read does work proportional to the token count it returns. For the
@@ -15,41 +15,27 @@ import itertools
 import statistics
 import time
 import zlib
-from collections.abc import Iterable
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .engine import MemoryEngine
-from .model import (
-    BANK_ORDER,
-    ConfigError,
-    FrameFeature,
-    MemoryConfig,
-    MemorySnapshot,
-    ShapeError,
-    _is_int_at_least,
-    max_tokens,
-)
+from .model import BANK_ORDER, FrameFeature, MemoryConfig, MemorySnapshot, _is_int_at_least
 from .pooling import average_pool
-from .streamio import StreamFormatError, synth_stream
+from .streamio import synth_stream
 
 __all__ = [
     "BenchRow",
     "BenchReport",
-    "SweepCell",
-    "SweepReport",
     "PcaExport",
     "bench_latency",
-    "sweep_ablation",
     "export_memory_pca",
 ]
 
 
-# Scenes of the bench and sweep streams, and the PCA rank cut-off: a second
-# eigenvalue at or below _PCA_RANK_TOL * max(first, 1) counts as rank < 2.
+# Scenes of the bench stream, and the PCA rank cut-off: a second eigenvalue
+# at or below _PCA_RANK_TOL * max(first, 1) counts as rank < 2.
 _BENCH_SCENES = 4
-_SWEEP_SCENES = 3
 _PCA_RANK_TOL = 1e-9
 
 
@@ -208,107 +194,6 @@ def bench_latency(
         )
         for cols, ms in zip(columns, read_ms)
     ))
-
-
-# -- budget/shape ablation sweep ----------------------------------------------
-
-
-@dataclass(frozen=True)
-class SweepCell:
-    overrides: tuple  # sorted (field, value) pairs applied to the base config
-    ok: bool
-    reason: str  # empty when ok; first violated constraint otherwise
-    budget: int  # max_tokens of the cell's config (0 when skipped)
-    final_tokens: int  # snapshot tokens after the run (0 when skipped)
-    invariants_ok: bool  # budget cap + weight conservation held every frame
-    ingest_fps: float
-
-
-@dataclass(frozen=True)
-class SweepReport:
-    rows: tuple
-
-    def to_csv(self) -> str:
-        lines = [_csv_line(f.name for f in fields(SweepCell))]
-        for r in self.rows:
-            spec = ";".join(f"{k}={v}" for k, v in r.overrides)
-            lines.append(_csv_line((
-                spec, int(r.ok), r.reason, r.budget, r.final_tokens,
-                int(r.invariants_ok), f"{r.ingest_fps:.1f}",
-            )))
-        return "".join(lines)
-
-
-def _sweep_invariants_hold(engine: MemoryEngine, budget: int) -> bool:
-    """Tokens within budget, and temporal weights summing to the frame count."""
-    t = engine.frames_ingested
-    weights_sum = float(np.sum(engine.temporal_weights))
-    return engine.read_snapshot().token_count <= budget and abs(weights_sum - t) <= 1e-9 * t
-
-
-def sweep_ablation(
-    grid: dict,
-    base_config: MemoryConfig,
-    *,
-    frames: int,
-    seed: int = 0,
-) -> SweepReport:
-    """Run every config in the Cartesian product of the grid's value lists.
-
-    grid maps MemoryConfig field names to lists of candidate values, e.g.
-    {"p_tem": [2, 4], "n_tem": [8, 25]}; a value that is a str, bytes or not
-    iterable is a ValueError before any cell runs. Cells whose config is invalid or
-    whose stream cannot be built are reported as skipped with the reason,
-    never raised. Valid cells ingest a short synthetic stream while checking
-    the budget cap and weight conservation after every frame.
-    """
-    if not _is_int_at_least(frames, 1):
-        raise ValueError(f"frames must be >= 1, got {frames!r}")
-    # Checked here: a bad seed would make synth_stream skip every cell.
-    if not _is_int_at_least(seed, 0):
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-    valid_fields = set(MemoryConfig.__dataclass_fields__)
-    for key, values in grid.items():
-        if key not in valid_fields:
-            raise ConfigError(f"unknown config field in grid: {key!r}")
-        # A string is iterable too, but sweeping its characters is never meant.
-        if isinstance(values, (str, bytes)) or not isinstance(values, Iterable):
-            raise ValueError(f"grid values for {key!r} must be a list, got {values!r}")
-    names = sorted(grid)
-    rows = []
-    for values in itertools.product(*(grid[n] for n in names)):
-        overrides = tuple(zip(names, values))
-        # The config checks itself when built, synth_stream the stream's
-        # shape, and the engine each bank's pooling on the first frame.
-        try:
-            cfg = replace(base_config, **dict(overrides))
-            stream = iter(
-                synth_stream(seed, frames, min(_SWEEP_SCENES, frames), cfg.p_spa, cfg.dim)
-            )
-            engine = MemoryEngine(cfg)
-            t0 = time.perf_counter()
-            engine.ingest_frame(next(stream))
-        except (ConfigError, ShapeError, StreamFormatError) as err:
-            rows.append(SweepCell(overrides, False, str(err), 0, 0, False, 0.0))
-            continue
-        budget = max_tokens(cfg)
-        invariants_ok = _sweep_invariants_hold(engine, budget)
-        for frame in stream:
-            engine.ingest_frame(frame)
-            invariants_ok &= _sweep_invariants_hold(engine, budget)
-        elapsed = time.perf_counter() - t0
-        rows.append(
-            SweepCell(
-                overrides=overrides,
-                ok=True,
-                reason="",
-                budget=budget,
-                final_tokens=engine.read_snapshot().token_count,
-                invariants_ok=invariants_ok,
-                ingest_fps=frames / elapsed if elapsed > 0 else float("inf"),
-            )
-        )
-    return SweepReport(rows=tuple(rows))
 
 
 # -- 2-D PCA export of memory vs raw tokens ------------------------------------

@@ -1,9 +1,9 @@
-"""Command-line front end: synth, ingest, bench, replay, sweep, export-pca.
+"""Command-line front end: synth, ingest, bench, replay, export-pca.
 
 Stream arguments accept a file path or '-' for a pipe. Config overrides are
 repeatable KEY=VALUE flags against the defaults, e.g. --config n_tem=8
 --config p_tem=2. dim comes from the stream header where there is one; bench
-and sweep start from dim 32 and 16, and --config dim=N overrides it.
+starts from dim 32, and --config dim=N overrides it.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from itertools import islice
 from pathlib import Path
 
 from .attention import load_attention_params
-from .bench import BenchReport, _csv_line, bench_latency, export_memory_pca, sweep_ablation
+from .bench import BenchReport, _csv_line, bench_latency, export_memory_pca
 from .engine import MemoryEngine
 from .model import (
     BANK_ORDER, FrameFeature, MemoryConfig, _is_int_at_least, default_config, max_tokens
@@ -144,21 +144,6 @@ def _cmd_replay(args) -> int:
     return 0
 
 
-def _cmd_sweep(args) -> int:
-    grid_text = args.grid
-    if grid_text.startswith("@"):
-        grid_text = Path(grid_text[1:]).read_text()
-    grid = json.loads(grid_text)
-    if not isinstance(grid, dict):
-        raise ValueError("sweep grid must be a JSON object of field -> value list")
-    grid = {k: v if isinstance(v, list) else [v] for k, v in grid.items()}
-    base = _build_config(args, default_config(dim=16))
-    report = sweep_ablation(grid, base, frames=args.frames, seed=args.seed)
-    with open_endpoint(args.csv, "w") as handle:
-        handle.write(report.to_csv())
-    return 0
-
-
 def _cmd_export_pca(args) -> int:
     if args.at_frame < 1:
         raise ValueError(f"--at-frame must be >= 1, got {args.at_frame}")
@@ -231,14 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", metavar="FILE", default="-", help="query log file ('-' = stdout)")
     _add_config_flag(p, params=True)
     p.set_defaults(func=_cmd_replay)
-
-    p = sub.add_parser("sweep", help="run a config-grid ablation sweep")
-    p.add_argument("--grid", required=True, help="JSON object field -> values, or @file.json")
-    p.add_argument("--frames", type=int, default=120, help="frames per cell")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--csv", metavar="FILE", default="-", help="write rows here ('-' = stdout)")
-    _add_config_flag(p)
-    p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("export-pca", help="2-D PCA of memory vs raw tokens at a frame")
     p.add_argument("stream", help="FVS1 stream path ('-' = stdin)")

@@ -200,7 +200,8 @@ class MemorySnapshot:
     ``bank_lengths`` holds each bank's token count, and ``bank_offsets`` each
     bank's (start, length) in tokens, derived from them. The checksum covers
     version, timestamp, offsets and token bytes and lets readers detect a torn
-    publication (there should never be one).
+    publication (there should never be one). Building one raises ShapeError
+    naming the first field that is not a count the checksum header can hold.
     """
 
     version: int
@@ -216,12 +217,19 @@ class MemorySnapshot:
             raise ShapeError(f"snapshot tokens must be 2-D, got shape {arr.shape}")
         arr.setflags(write=False)
         object.__setattr__(self, "tokens", arr)
-        lengths = tuple(int(n) for n in self.bank_lengths)
-        if len(lengths) != 4 or min(lengths) < 0 or sum(lengths) != arr.shape[0]:
+        for name in ("version", "timestamp_frame"):
+            value = getattr(self, name)
+            if not (_is_int_at_least(value, 0) and value < 1 << 63):  # a "<q" header field
+                raise ShapeError(f"{name} must be an integer in [0, 2**63), got {value!r}")
+        lengths = tuple(self.bank_lengths)
+        # Summed as Python ints, so numpy integers cannot wrap.
+        if not (len(lengths) == 4 and all(_is_int_at_least(n, 0) for n in lengths)
+                and sum(map(int, lengths)) == arr.shape[0]):
             raise ShapeError(
-                "bank_lengths must be four non-negative counts summing to the "
+                "bank_lengths must be four non-negative integers summing to the "
                 f"{arr.shape[0]} token rows, got {lengths}"
             )
+        lengths = tuple(map(int, lengths))
         offsets = tuple(zip(accumulate(lengths[:-1], initial=0), lengths))
         object.__setattr__(self, "bank_lengths", lengths)
         object.__setattr__(self, "bank_offsets", offsets)
@@ -237,6 +245,8 @@ class MemorySnapshot:
 
     def bank(self, name: str) -> np.ndarray:
         """Token rows of one bank, by name from BANK_ORDER."""
+        if name not in BANK_ORDER:
+            raise ValueError(f"bank name must be one of {BANK_ORDER}, got {name!r}")
         start, length = self.bank_offsets[BANK_ORDER.index(name)]
         return self.tokens[start : start + length]
 

@@ -287,8 +287,8 @@ class SyntheticStream:
 
     def scene_of(self, i: int) -> int:
         """Scene of frame i, i * n_scenes // n_frames: contiguous, near-equal runs."""
-        if not 0 <= i < self.n_frames:
-            raise IndexError(f"frame {i} out of range [0, {self.n_frames})")
+        if not (_is_int_at_least(i, 0) and i < self.n_frames):
+            raise IndexError(f"frame {i!r} out of range [0, {self.n_frames})")
         return i * self.n_scenes // self.n_frames
 
     def frame(self, i: int) -> FrameFeature:

@@ -1,4 +1,4 @@
-"""Bench rows and budgets, sweep cells, PCA export geometry and CSV schema."""
+"""Bench rows and budgets, PCA export geometry and CSV schema."""
 
 import csv
 import io
@@ -7,18 +7,16 @@ import numpy as np
 import pytest
 
 from streammem import (
-    ConfigError,
     FrameFeature,
     MemoryEngine,
     MemorySnapshot,
     bench_latency,
     default_config,
     export_memory_pca,
-    sweep_ablation,
     synth_stream,
 )
 import streammem.bench as bench
-from streammem.bench import BenchReport, BenchRow, PcaExport, SweepReport
+from streammem.bench import BenchReport, BenchRow, PcaExport
 
 SMALL = default_config(dim=8)
 
@@ -114,76 +112,9 @@ def test_bench_input_validation():
 
 
 @pytest.mark.parametrize("seed", [1.5, -1, "x", True])
-def test_bench_and_sweep_refuse_a_bad_seed_up_front(seed):
-    # A bad seed is the caller's error, never a row of skipped cells.
+def test_bench_refuses_a_bad_seed_up_front(seed):
     with pytest.raises(ValueError, match="seed"):
         bench_latency(SMALL, [2], 1, seed=seed)
-    with pytest.raises(ValueError, match="seed"):
-        sweep_ablation({"n_tem": [8, 25]}, SMALL, frames=2, seed=seed)
-
-
-def test_sweep_known_budgets():
-    base = default_config(dim=8)
-    report = sweep_ablation({"p_spa": [8, 16]}, base, frames=40)
-    budgets = {dict(r.overrides)["p_spa"]: r.budget for r in report.rows}
-    assert budgets == {8: 681, 16: (1 + 3) * 256 + 25 * 16 + 25}
-    assert budgets[16] == 1449
-    for row in report.rows:
-        assert row.ok and row.invariants_ok
-        assert row.final_tokens == row.budget  # 40 frames is past warm-up
-
-
-def test_sweep_ntem_nabs_budget():
-    report = sweep_ablation({"n_tem": [8], "n_abs": [8], "n_ret": [3]},
-                            default_config(dim=8), frames=30)
-    (row,) = report.rows
-    assert row.budget == (1 + 3) * 64 + 8 * 16 + 8 == 392
-    assert row.ok and row.invariants_ok
-
-
-def test_sweep_skips_invalid_cells_with_reason():
-    report = sweep_ablation(
-        {"p_tem": [3, 4], "n_tem": [25]}, default_config(dim=8), frames=20
-    )
-    by_ptem = {dict(r.overrides)["p_tem"]: r for r in report.rows}
-    assert not by_ptem[3].ok
-    assert "pooling not exact" in by_ptem[3].reason
-    assert by_ptem[3].budget == 0
-    assert by_ptem[4].ok
-
-
-def test_sweep_rejects_unknown_fields():
-    with pytest.raises(ConfigError, match="unknown config field"):
-        sweep_ablation({"bogus": [1]}, default_config(dim=8), frames=20)
-
-
-@pytest.mark.parametrize("values", ["48", b"48", 8, None], ids=["str", "bytes", "int", "None"])
-def test_sweep_refuses_grid_values_that_are_not_a_list_up_front(values, monkeypatch):
-    # "48" once swept the cells '4' and '8', and 8 raised a raw TypeError.
-    monkeypatch.setattr(bench, "MemoryEngine", None)  # no cell may run
-    with pytest.raises(ValueError, match="grid values for 'n_tem' must be a list"):
-        sweep_ablation({"n_ret": [3], "n_tem": values}, SMALL, frames=2)
-
-
-def test_sweep_csv_parses():
-    report = sweep_ablation({"n_tem": [4, 8]}, default_config(dim=8), frames=20)
-    rows = list(csv.DictReader(io.StringIO(report.to_csv())))
-    assert [r["overrides"] for r in rows] == ["n_tem=4", "n_tem=8"]
-    assert all(r["ok"] == "1" for r in rows)
-
-
-def test_sweep_csv_round_trips_commas_quotes_and_newlines():
-    # A list value puts commas in the overrides and in the reason; a string
-    # value puts a quote and a newline in the overrides.
-    base = default_config(dim=8)
-    listed = sweep_ablation({"n_tem": [[1, 2], 8]}, base, frames=20)
-    text = SweepReport(listed.rows + sweep_ablation({"dim": ['x"y\nz']}, base, frames=20).rows).to_csv()
-    rows = list(csv.reader(io.StringIO(text)))
-    assert [len(r) for r in rows] == [7] * 4
-    assert rows[1][:3] == ["n_tem=[1, 2]", "0", "n_tem must be a positive integer, got [1, 2]"]
-    assert rows[2][:2] == ["n_tem=8", "1"]
-    assert rows[3][:2] == ['dim=x"y\nz', "0"] and "dim" in rows[3][2]
-    assert text.splitlines()[2].startswith("n_tem=8,1,,409,409,1,")  # plain cells stay unquoted
 
 
 def _snapshot_from(tokens, lengths=None):

@@ -1,9 +1,11 @@
 """End-to-end CLI coverage: every subcommand in-process, one real pipe."""
 
+import argparse
 import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -80,14 +82,13 @@ def test_bad_rng_seed_exits_2(tmp_path, capsys):
 
 
 def test_config_values_are_numbers_and_dim_has_one_flag(tmp_path, capsys):
-    # No config field is a bool, so true/false are not values; bench and
-    # sweep take their dim only as --config dim=N.
+    # No config field is a bool, so true/false are not values; bench takes
+    # its dim only as --config dim=N.
     path = _synth(tmp_path)
     for argv in (
         ["ingest", str(path), "--config", "p_spa=true"],
         ["bench", "--config", "p_spa=false"],
         ["bench", "--dim", "4"],
-        ["sweep", "--grid", "{}", "--dim", "4"],
     ):
         capsys.readouterr()
         with pytest.raises(SystemExit) as exc:
@@ -105,11 +106,6 @@ def test_oversized_buffer_config_is_refused_before_allocating(tmp_path, capsys):
     assert main(["ingest", str(path), "--config", "n_buff=1000000000000"]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "buffer too large" in err
-    grid = '{"n_buff": [1000000000000, 300]}'
-    assert main(["sweep", "--grid", grid, "--frames", "5"]) == 0
-    rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
-    assert [r["ok"] for r in rows] == ["0", "1"]
-    assert "buffer too large" in rows[0]["reason"]
 
 
 def test_params_file_round_trip_sets_decay(tmp_path, capsys):
@@ -153,15 +149,12 @@ def test_missing_stream_file_exits_2(tmp_path, capsys):
 
 
 def test_params_flag_only_where_an_engine_reads_it(tmp_path, capsys):
-    # bench and sweep seed their own engines: --params there is a usage error.
-    for argv in (
-        ["bench", "--frames", "5", "--queries", "1", "--config", "dim=4"],
-        ["sweep", "--grid", "{}", "--frames", "5", "--config", "dim=4"],
-    ):
-        with pytest.raises(SystemExit) as exc:
-            main(argv + ["--params", "/nonexistent/p.atp"])
-        assert exc.value.code == 2
-        assert "--params" in capsys.readouterr().err
+    # bench seeds its own engine: --params there is a usage error.
+    argv = ["bench", "--frames", "5", "--queries", "1", "--config", "dim=4"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--params", "/nonexistent/p.atp"])
+    assert exc.value.code == 2
+    assert "--params" in capsys.readouterr().err
     stream = _synth(tmp_path)
     trip = tmp_path / "trip.json"
     trip.write_text(json.dumps([{"id": "q", "frame_timestamp": 1}]))
@@ -262,59 +255,9 @@ def test_bench_keep_all_appends_baseline_rows(tmp_path):
     assert [r["bank_tokens"] for r in rows[2:]] == ["640", "1280"]
 
 
-def test_sweep_grid_inline_and_from_file(tmp_path):
-    inline = tmp_path / "inline.csv"
-    rc = main([
-        "sweep", "--grid", '{"n_tem": [4, 8]}', "--frames", "30",
-        "--config", "dim=8", "--csv", str(inline),
-    ])
-    assert rc == 0
-    rows = list(csv.DictReader(inline.read_text().splitlines()))
-    assert [r["overrides"] for r in rows] == ["n_tem=4", "n_tem=8"]
-    assert all(r["ok"] == "1" and r["invariants_ok"] == "1" for r in rows)
-
-    grid_file = tmp_path / "grid.json"
-    grid_file.write_text('{"n_tem": [4, 8]}')
-    from_file = tmp_path / "fromfile.csv"
-    rc = main(["sweep", "--grid", f"@{grid_file}", "--frames", "30",
-               "--config", "dim=8", "--csv", str(from_file)])
-    assert rc == 0
-
-    def stable(path):  # drop the timing column before comparing
-        return [{k: v for k, v in row.items() if k != "ingest_fps"}
-                for row in csv.DictReader(path.read_text().splitlines())]
-
-    assert stable(from_file) == stable(inline)
-
-
-def test_sweep_csv_goes_to_stdout_without_csv(capsys):
-    argv = ["sweep", "--grid", '{"n_tem": [4, 8]}', "--frames", "30", "--config", "dim=8"]
-    assert main(argv) == 0
-    rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
-    assert [r["overrides"] for r in rows] == ["n_tem=4", "n_tem=8"]
-    assert all(r["ok"] == "1" for r in rows)
-    assert main(argv + ["--csv", "-"]) == 0
-    assert len(list(csv.DictReader(capsys.readouterr().out.splitlines()))) == 2
-
-
-def test_sweep_skips_a_cell_whose_stream_cannot_be_built(capsys):
-    # Three scalar anchors (grid 1, dim 1) cannot be separated; grid 8 can.
-    argv = ["sweep", "--grid", '{"p_spa": [1, 8], "p_tem": [1]}', "--config", "dim=1",
-            "--config", "n_tem=4", "--config", "n_ret=1"]
-    assert main(argv + ["--frames", "30"]) == 0
-    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
-    assert [(r["overrides"], r["ok"]) for r in rows] == [
-        ("p_spa=1;p_tem=1", "0"), ("p_spa=8;p_tem=1", "1"),
-    ]
-    assert "could not separate 3 anchors" in rows[0]["reason"]
-    assert rows[1]["invariants_ok"] == "1"
-    assert main(argv + ["--frames", "0"]) == 2
-    assert "frames must be >= 1" in capsys.readouterr().err
-
-
-def test_sweep_invalid_base_config_exits_2(capsys):
-    # The base is checked when built, as for ingest and bench: no cell runs.
-    assert main(["sweep", "--grid", '{"n_tem": [4, 30]}', "--config", "n_ret=30"]) == 2
+def test_bench_invalid_base_config_exits_2(capsys):
+    # The config is checked when built, before any frame is drawn.
+    assert main(["bench", "--config", "n_ret=30"]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "retrieval exceeds temporal" in err
 
@@ -325,11 +268,6 @@ def test_synth_refuses_a_frame_count_len_cannot_hold(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "n_frames must lie in" in err
     assert not out.exists()
-
-
-def test_sweep_rejects_non_object_grid(tmp_path, capsys):
-    assert main(["sweep", "--grid", "[1, 2]"]) == 2
-    assert "JSON object" in capsys.readouterr().err
 
 
 def test_export_pca_csv_schema(tmp_path, capsys):
@@ -403,3 +341,13 @@ def test_synth_pipe_into_ingest_subprocess(tmp_path):
     assert ingest.returncode == 0, ingest.stderr
     assert "frames=30 version=30" in ingest.stdout
     assert "total=681 budget=681" in ingest.stdout
+
+
+def test_readme_commands_match_the_parser():
+    # The README's Command line block shows every subcommand, and only those.
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    shown = set(re.findall(r"\bstreammem ([a-z][a-z-]*)", block))
+    (sub,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert shown == set(sub.choices)

@@ -23,7 +23,6 @@ from streammem import (
     default_config,
     max_tokens,
     retrieve_key_features,
-    sweep_ablation,
     synth_stream,
     weighted_kmeans,
 )
@@ -160,11 +159,18 @@ _TINY = default_config(dim=4)
                                        newest=1.5), ValueError),
         (lambda: bench_latency(_TINY, [2.7], 1), ValueError),
         (lambda: bench_latency(_TINY, [2], 1.5), ValueError),
-        (lambda: sweep_ablation({}, _TINY, frames=2.5), ValueError),
         (lambda: MemoryEngine(_TINY, "x"), ShapeError),
+        (lambda: _snapshot(version=1.5), ShapeError),
+        (lambda: _snapshot(version=True), ShapeError),
+        (lambda: _snapshot(version=-5), ShapeError),
+        (lambda: _snapshot(version=2**63), ShapeError),
+        (lambda: _snapshot(t=2.0), ShapeError),
+        (lambda: _snapshot(t=2**63), ShapeError),
+        (lambda: _snapshot(lengths=(2.0, 1, 0, 2)), ShapeError),
     ],
     ids=["n_frames", "n_scenes", "k", "target_grid", "newest", "frame_counts",
-         "queries_per_point", "sweep_frames", "params"],
+         "queries_per_point", "params", "version_float", "version_bool", "version_negative",
+         "version_over_q", "timestamp_float", "timestamp_over_q", "bank_lengths"],
 )
 def test_entry_points_refuse_non_integers_with_their_named_error(call, error):
     # A float count is never rounded: each entry point raises the error it
@@ -256,6 +262,8 @@ def test_snapshot_lengths_must_count_the_token_rows():
         (2, 1, -1, 3),  # negative, though the sum is right
         (2, 2, 0, 2),  # covers 6 of 5 rows
         (2, 1, 0, 1),  # covers 4 of 5 rows
+        (2.9, 1.2, False, 2),  # not integers, though int() of each sums to 5
+        (2, 1, 0, np.float64(2)),
     ):
         with pytest.raises(ShapeError, match="bank_lengths"):
             _snapshot(lengths=lengths)
@@ -271,6 +279,8 @@ def test_snapshot_bank_slices():
     assert snap.bank("abstract").shape == (0, 3)
     assert snap.bank("retrieved").shape == (2, 3)
     assert np.array_equal(snap.bank("temporal")[0], snap.tokens[2])
+    with pytest.raises(ValueError, match=r"bank name must be one of \('spatial'.*got 'tem'"):
+        snap.bank("tem")
 
 
 def test_snapshot_checksum_detects_tampering():

@@ -280,9 +280,13 @@ def test_synth_scene_of_matches_a_per_frame_table(n_frames):
         assert [stream.scene_of(i) for i in range(n_frames)] == table
         starts = [table.index(sid) for sid in range(n_scenes)]
         assert starts == [-(-sid * n_frames // n_scenes) for sid in range(n_scenes)]
-        for bad in (-1, n_frames):
-            with pytest.raises(IndexError):
+        # A float or a bool is never rounded to a frame index.
+        for bad in (-1, n_frames, 0.0, 1.5, True, None):
+            with pytest.raises(IndexError, match="out of range"):
                 stream.scene_of(bad)
+            with pytest.raises(IndexError, match="out of range"):
+                stream.frame(bad)
+        assert stream.scene_of(np.int64(n_frames - 1)) == table[-1]
 
 
 def test_synth_stream_of_a_trillion_frames_is_built_lazily():
