@@ -185,8 +185,14 @@ def abstract_update(
     byte for byte what ``semantic_attention`` returns, and ``params`` is not
     read (it may be None; other p_abs need AttentionParams). The ``+ 0.0``
     matches the attention product, which sums from +0.0: a -0.0 token entry
-    becomes +0.0, as it does there.
+    becomes +0.0, as it does there. A ``pooled_frame`` of any other shape
+    than (p_abs, p_abs, D) raises ShapeError.
     """
+    expected = (config.p_abs, config.p_abs, config.dim)
+    if pooled_frame.shape != expected:
+        raise ShapeError(
+            f"pooled frame shape {pooled_frame.shape} != (p_abs, p_abs, D) = {expected}"
+        )
     if config.p_abs == 1:
         token = pooled_frame.reshape(1, config.dim) + 0.0
         return (1.0 - config.decay_alpha) * abstract_bank + token

@@ -15,6 +15,7 @@ import itertools
 import statistics
 import time
 import zlib
+from collections.abc import Iterable
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -139,9 +140,11 @@ def bench_latency(
     set so far. Timing and rss_mb columns vary run to run; the token columns
     are seed-deterministic.
     """
-    counts = list(frame_counts)
+    counts = list(frame_counts) if isinstance(frame_counts, Iterable) else []
     if not counts or not all(_is_int_at_least(c, 1) for c in counts):
-        raise ValueError(f"frame_counts must be positive integers, got {counts}")
+        raise ValueError(
+            f"frame_counts must be an iterable of positive integers, got {frame_counts!r}"
+        )
     if not _is_int_at_least(queries_per_point, 1):
         raise ValueError(f"queries_per_point must be an integer >= 1, got {queries_per_point!r}")
     counts = sorted(set(counts))

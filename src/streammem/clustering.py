@@ -14,7 +14,8 @@ run's two distance matrices and per-cluster updates. It first certifies the
 run, as the assignment bounds of Elkan (ICML 2003) and Hamerly (SDM 2010) do:
 a point cannot move while its own centroid is nearer than every rival by
 more than the error in the distances. Here that error is the rounding bound
-(Higham's gamma_m) of both the certificate's dots and ``_squared_distances``.
+(Higham's gamma_m) of both the certificate's dots and ``_squared_distances``,
+``_distance_bound``, which retrieval's nearest-row search uses too.
 When the certificate fails, including on any non-finite value,
 ``temporal_update`` runs ``weighted_kmeans``, so both paths give the same
 centroids, weights and assignments bit for bit.
@@ -22,7 +23,6 @@ centroids, weights and assignments bit for bit.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,47 +82,6 @@ def _distance_bound(m: int, radius, info=np.finfo(np.float64)):
     times 4 for slack, plus an absolute term for underflow. ``radius`` may be
     an array."""
     return 4 * (m + 4) * (info.eps * radius * radius + info.smallest_subnormal)
-
-
-def _nearest_rows(
-    points: np.ndarray, sq_norms: np.ndarray, centroids: np.ndarray, start: int
-) -> np.ndarray:
-    """Per centroid row, the point row at least direct squared distance.
-
-    The direct distance is ``np.sum((points[i] - c) ** 2)``, and exact ties go
-    to the first row in cyclic order from row ``start``. ``sq_norms`` holds
-    each point row's squared norm. One product ranks every row by the expanded
-    distance ``‖x‖² − 2·x·c`` (``‖c‖²`` is the same for all rows). E, the
-    ``_distance_bound``, bounds |expanded − direct| by rounding. So the direct
-    minimum is among the rows whose score is within 2E of the column minimum.
-    A column with one such row is settled; the others are re-ranked by
-    ``_rerank``.
-    """
-    score = sq_norms[:, None] - 2.0 * (points @ centroids.T)
-    info = np.finfo(points.dtype if points.dtype.kind == "f" else np.float64)
-    # The Frobenius norm of all centroids bounds each one's norm.
-    radius = math.sqrt(sq_norms.max()) + math.sqrt(np.vdot(centroids, centroids))
-    bound = _distance_bound(points.shape[1], radius, info)
-    limit = score.min(axis=0) + 2.0 * bound
-    # NaN compares false, so a column with a NaN limit keeps every row, and
-    # every column keeps at least its minimum.
-    near = ~(score > limit)
-    best = score.argmin(axis=0)
-    if np.count_nonzero(near) == near.shape[1]:
-        return best  # each column's minimum is its only near row
-    for j in np.flatnonzero(near.sum(axis=0) != 1):
-        # A limit of -inf (the product overflowed) certifies nothing either.
-        rows = np.flatnonzero(near[:, j]) if np.isfinite(limit[j]) else np.arange(len(points))
-        best[j] = _rerank(points, centroids[j], rows, start)
-    return best
-
-
-def _rerank(points: np.ndarray, centroid: np.ndarray, rows: np.ndarray, start: int) -> int:
-    """The row of ``rows`` (ascending) nearest ``centroid`` by the direct
-    distance; ties to the first in cyclic order from ``start``."""
-    rows = np.roll(rows, -int(np.searchsorted(rows, start)))
-    d2 = np.sum((points[rows] - centroid) ** 2, axis=1)
-    return int(rows[np.argmin(d2)])  # argmin keeps the first minimum
 
 
 def _repair_empty(assign: np.ndarray, d2: np.ndarray, point_weights: np.ndarray, k: int) -> np.ndarray:

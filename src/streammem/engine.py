@@ -3,8 +3,10 @@
 Write path per frame, in order, each step seeing the previous step's output
 for the same frame: pooling to each bank's grid, temporal clustering,
 abstract attention, FIFO buffer write, key-frame retrieval. After all five
-the writer publishes a fresh immutable snapshot by swapping one reference,
-so readers never observe a half-written state and never block the writer.
+the writer hands each bank's rows by name to ``MemorySnapshot``, which owns
+the layout, and publishes the new immutable snapshot by swapping one
+reference, so readers never observe a half-written state and never block the
+writer.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import numpy as np
 from .attention import AttentionParams, abstract_update
 from .clustering import ClusterState, temporal_update
 from .model import (
+    BANK_ORDER,
     MAX_BUFFER_BYTES,
     ConcurrentWriteError,
     ConfigError,
@@ -65,7 +68,7 @@ class MemoryEngine:
             raise ConfigError(f"expected MemoryConfig, got {type(config).__name__}")
         if not _is_int_at_least(ring_depth, 1):
             raise ValueError(f"ring_depth must be a positive integer, got {ring_depth!r}")
-        retained = int(ring_depth) * max_tokens(config) * int(config.dim) * 8
+        retained = int(ring_depth) * max_tokens(config) * config.dim * 8
         if retained > MAX_BUFFER_BYTES:
             raise ValueError(
                 f"ring_depth {ring_depth} retains up to {retained} snapshot bytes, "
@@ -103,9 +106,8 @@ class MemoryEngine:
         self._last_cluster_state: ClusterState | None = None
         # Retained snapshots, oldest first; the last is the latest. The writer
         # swaps in a whole new tuple, so one read of it is consistent.
-        empty = MemorySnapshot(
-            version=0, timestamp_frame=0, tokens=np.zeros((0, config.dim)), bank_lengths=(0,) * 4
-        )
+        no_rows = dict.fromkeys(BANK_ORDER, [np.zeros((0, config.dim))])
+        empty = MemorySnapshot(version=0, timestamp_frame=0, banks=no_rows)
         self._published = (empty,)
 
     @property
@@ -181,20 +183,18 @@ class MemoryEngine:
             sq_norms=self._sq_norm_ring[first:],
         )
 
-        # Snapshot tokens are copies: later ring writes never reach them.
+        # The snapshot copies these rows: later ring writes never reach it.
         rows = self._spatial_ring
-        banks = (
-            [rows[(slot + i) % n] for i in range(min(cfg.n_spa, t))],
-            [new_temporal.reshape(-1, cfg.dim)],
-            [new_abstract],
-            [rows[first + i] for i in picks],
-        )
         version = latest.version + 1
         snapshot = MemorySnapshot(
             version=version,
             timestamp_frame=t,
-            tokens=np.concatenate([m for bank in banks for m in bank]),
-            bank_lengths=[sum(m.shape[0] for m in bank) for bank in banks],
+            banks={
+                "spatial": [rows[(slot + i) % n] for i in range(min(cfg.n_spa, t))],
+                "temporal": [new_temporal.reshape(-1, cfg.dim)],
+                "abstract": [new_abstract],
+                "retrieved": [rows[first + i] for i in picks],
+            },
         )
 
         self._temporal = new_temporal

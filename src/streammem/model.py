@@ -1,14 +1,19 @@
 """Shared domain types: frame features, configuration, snapshots, errors.
 
 Everything here is a value type; the engine's mutable state lives in
-``engine.MemoryEngine`` and is confined to its single writer.
+``engine.MemoryEngine`` and is confined to its single writer. Two decisions
+live here alone: ``MemoryConfig`` stores its counts as Python ints and its
+decay as a Python float, so no caller's numpy scalar type reaches the
+engine's arithmetic; and ``MemorySnapshot`` lays out the row blocks it is
+given by bank name in ``BANK_ORDER``, so no caller orders or counts banks.
 """
 
 from __future__ import annotations
 
 import struct
 import zlib
-from dataclasses import dataclass, field, fields
+from collections.abc import Mapping
+from dataclasses import InitVar, dataclass, field, fields
 from itertools import accumulate
 
 import numpy as np
@@ -133,17 +138,18 @@ class MemoryConfig:
 
     def __post_init__(self) -> None:
         # Every int field is a count or a size. Annotations are strings here
-        # (the __future__ import), so f.type is "int".
+        # (the __future__ import), so f.type is "int". Each is stored as a
+        # Python int and decay_alpha as a Python float, so no rule below and
+        # no product the engine forms wraps or rounds in a numpy type.
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.type == "int" and not _is_int_at_least(value, 1):
-                raise ConfigError(f"{f.name} must be a positive integer, got {value!r}")
-        n_buff, p_spa, p_tem, n_tem, n_abs, p_abs, dim = map(  # Python ints: no numpy wrap
-            int, (self.n_buff, self.p_spa, self.p_tem, self.n_tem, self.n_abs, self.p_abs,
-                  self.dim)
-        )
-        rows = n_buff * (p_spa**2 + p_tem**2) + n_tem * p_tem**2 + n_abs * p_abs**2
-        nbytes = (rows + max_tokens(self) + 2 * dim) * dim * 8
+            if f.type == "int":
+                if not _is_int_at_least(value, 1):
+                    raise ConfigError(f"{f.name} must be a positive integer, got {value!r}")
+                object.__setattr__(self, f.name, int(value))
+        rows = (self.n_buff * (self.p_spa**2 + self.p_tem**2) + self.n_tem * self.p_tem**2
+                + self.n_abs * self.p_abs**2)
+        nbytes = (rows + max_tokens(self) + 2 * self.dim) * self.dim * 8
         if nbytes > MAX_BUFFER_BYTES:
             raise ConfigError(
                 f"buffer too large: the config holds up to {nbytes} bytes, "
@@ -167,7 +173,8 @@ class MemoryConfig:
             raise ConfigError(
                 f"decay out of range: decay_alpha must be a finite real, got {alpha!r}"
             )
-        if not (0.0 < float(alpha) < 1.0):
+        object.__setattr__(self, "decay_alpha", float(alpha))
+        if not (0.0 < self.decay_alpha < 1.0):
             raise ConfigError(f"decay out of range: decay_alpha must lie in (0, 1), got {alpha}")
 
 
@@ -178,11 +185,8 @@ def default_config(**overrides) -> MemoryConfig:
 
 def max_tokens(config: MemoryConfig) -> int:
     """Total token budget: (n_spa+n_ret)*p_spa^2 + n_tem*p_tem^2 + n_abs*p_abs^2."""
-    n_spa, n_ret, p_spa, n_tem, p_tem, n_abs, p_abs = map(  # Python ints: no numpy wrap
-        int, (config.n_spa, config.n_ret, config.p_spa, config.n_tem, config.p_tem,
-              config.n_abs, config.p_abs)
-    )
-    return (n_spa + n_ret) * p_spa**2 + n_tem * p_tem**2 + n_abs * p_abs**2
+    c = config
+    return (c.n_spa + c.n_ret) * c.p_spa**2 + c.n_tem * c.p_tem**2 + c.n_abs * c.p_abs**2
 
 
 def _checksum(version: int, timestamp_frame: int, offsets, tokens: np.ndarray) -> int:
@@ -196,48 +200,53 @@ def _checksum(version: int, timestamp_frame: int, offsets, tokens: np.ndarray) -
 class MemorySnapshot:
     """Immutable, versioned flattening of the four banks into one token sequence.
 
-    ``tokens`` is (total, dim) float64, banks concatenated in BANK_ORDER;
-    ``bank_lengths`` holds each bank's token count, and ``bank_offsets`` each
-    bank's (start, length) in tokens, derived from them. The checksum covers
+    ``banks`` maps each BANK_ORDER name to a list or tuple of (n, D) row
+    blocks; the snapshot concatenates them, in BANK_ORDER and then in list
+    order, into ``tokens``, a new read-only (total, D) float64 array. It
+    derives ``bank_lengths`` (each bank's token count), ``bank_offsets`` (each
+    bank's (start, length) in tokens) and the checksum. The checksum covers
     version, timestamp, offsets and token bytes and lets readers detect a torn
-    publication (there should never be one). Building one raises ShapeError
-    naming the first field that is not a count the checksum header can hold.
+    publication (there should never be one). Building one raises ValueError
+    listing BANK_ORDER for a missing or unknown bank name, and ShapeError for
+    a block that is not 2-D, blocks of different widths or none at all, or a
+    version or timestamp that is not a count the checksum header can hold.
     """
 
     version: int
     timestamp_frame: int
-    tokens: np.ndarray
-    bank_lengths: tuple  # token count per bank, in BANK_ORDER
+    banks: InitVar[Mapping]  # BANK_ORDER name -> (n, D) row blocks
+    tokens: np.ndarray = field(init=False)  # the blocks, concatenated
+    bank_lengths: tuple = field(init=False)  # token count per bank, in BANK_ORDER
     bank_offsets: tuple = field(init=False)  # (start, length) per bank
     checksum: int = field(init=False)  # computed from the fields above
 
-    def __post_init__(self) -> None:
-        arr = np.ascontiguousarray(self.tokens, dtype=np.float64)
-        if arr.ndim != 2:
-            raise ShapeError(f"snapshot tokens must be 2-D, got shape {arr.shape}")
-        arr.setflags(write=False)
-        object.__setattr__(self, "tokens", arr)
+    def __post_init__(self, banks: Mapping) -> None:
         for name in ("version", "timestamp_frame"):
             value = getattr(self, name)
             if not (_is_int_at_least(value, 0) and value < 1 << 63):  # a "<q" header field
                 raise ShapeError(f"{name} must be an integer in [0, 2**63), got {value!r}")
-        lengths = tuple(self.bank_lengths)
-        # Summed as Python ints, so numpy integers cannot wrap.
-        if not (len(lengths) == 4 and all(_is_int_at_least(n, 0) for n in lengths)
-                and sum(map(int, lengths)) == arr.shape[0]):
+        if not (isinstance(banks, Mapping) and set(banks) == set(BANK_ORDER)):
+            got = list(banks) if isinstance(banks, Mapping) else type(banks).__name__
+            raise ValueError(f"banks must map exactly the names {BANK_ORDER}, got {got}")
+        if not all(isinstance(banks[name], (list, tuple)) for name in BANK_ORDER):
+            raise ShapeError("each bank must be a list or tuple of (n, D) row blocks")
+        blocks = [[np.asarray(m, dtype=np.float64) for m in banks[name]] for name in BANK_ORDER]
+        rows = [m for bank in blocks for m in bank]
+        if len({m.shape[1:] for m in rows}) != 1 or rows[0].ndim != 2:
             raise ShapeError(
-                "bank_lengths must be four non-negative integers summing to the "
-                f"{arr.shape[0]} token rows, got {lengths}"
+                "snapshot row blocks must be 2-D (n, D) and share one width D, got shapes "
+                f"{[m.shape for m in rows]}"
             )
-        lengths = tuple(map(int, lengths))
+        lengths = tuple(sum(len(m) for m in bank) for bank in blocks)
         offsets = tuple(zip(accumulate(lengths[:-1], initial=0), lengths))
+        # A new C-contiguous array, which no block aliases and _checksum needs.
+        arr = np.concatenate(rows, out=np.empty((sum(lengths), rows[0].shape[1])))
+        arr.setflags(write=False)
+        object.__setattr__(self, "tokens", arr)
         object.__setattr__(self, "bank_lengths", lengths)
         object.__setattr__(self, "bank_offsets", offsets)
-        object.__setattr__(
-            self,
-            "checksum",
-            _checksum(self.version, self.timestamp_frame, offsets, arr),
-        )
+        checksum = _checksum(self.version, self.timestamp_frame, offsets, arr)
+        object.__setattr__(self, "checksum", checksum)
 
     @property
     def token_count(self) -> int:

@@ -1,6 +1,7 @@
 """Attention forward against a loop oracle, analytic gradients against finite
 differences, bank-update recurrence, and params file round-trips."""
 
+import re
 import struct
 import tempfile
 import tracemalloc
@@ -299,6 +300,21 @@ def test_abstract_update_multi_token_grids():
     assert np.array_equal(updated, want)
     with pytest.raises(ShapeError, match="p_abs=2 needs AttentionParams, got None"):
         abstract_update(bank, average_pool(frame.tokens, cfg.p_abs), None, cfg)
+
+
+def test_abstract_update_names_the_pooled_shape_it_expects():
+    # A frame of the wrong size once failed in numpy's reshape.
+    bank = np.zeros((3, 4))
+    for cfg, frame in (
+        (default_config(n_abs=3, dim=4), np.zeros(3)),
+        (default_config(n_abs=3, dim=4), np.zeros((1, 4))),  # the right size, not shape
+        (default_config(n_abs=3, dim=4), np.zeros((2, 2, 4))),
+    ):
+        with pytest.raises(ShapeError, match=re.escape("(p_abs, p_abs, D) = (1, 1, 4)")):
+            abstract_update(bank, frame, None, cfg)
+    cfg = default_config(n_abs=1, p_abs=2, p_tem=2, p_spa=4, dim=4)
+    with pytest.raises(ShapeError, match=re.escape("(p_abs, p_abs, D) = (2, 2, 4)")):
+        abstract_update(np.zeros((4, 4)), np.zeros((1, 1, 4)), AttentionParams.seeded(4), cfg)
 
 
 def test_params_file_round_trip(tmp_path):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from streammem import (
+    BANK_ORDER,
     FrameFeature,
     MemoryEngine,
     MemorySnapshot,
@@ -109,6 +110,14 @@ def test_bench_input_validation():
         bench_latency(SMALL, [0], 4)
     with pytest.raises(ValueError):
         bench_latency(SMALL, [10], 0)
+    with pytest.raises(ValueError, match="frame_counts"):  # a bare count
+        bench_latency(SMALL, 5, 1)
+
+
+def test_bench_refuses_a_torn_snapshot(monkeypatch):
+    monkeypatch.setattr(MemorySnapshot, "verify_checksum", lambda self: False)
+    with pytest.raises(AssertionError, match="torn snapshot observed at frame 3"):
+        bench_latency(SMALL, [3], 1)
 
 
 @pytest.mark.parametrize("seed", [1.5, -1, "x", True])
@@ -120,7 +129,10 @@ def test_bench_refuses_a_bad_seed_up_front(seed):
 def _snapshot_from(tokens, lengths=None):
     tokens = np.asarray(tokens, dtype=float)
     lengths = lengths or (tokens.shape[0], 0, 0, 0)
-    return MemorySnapshot(version=1, timestamp_frame=1, tokens=tokens, bank_lengths=lengths)
+    blocks = np.split(tokens, np.cumsum(lengths)[:-1])
+    return MemorySnapshot(
+        version=1, timestamp_frame=1, banks={n: [b] for n, b in zip(BANK_ORDER, blocks)}
+    )
 
 
 def test_pca_on_2d_data_preserves_pairwise_distances():

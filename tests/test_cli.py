@@ -10,12 +10,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import streammem
-from streammem import MemoryEngine, save_attention_params
+from streammem import FrameFeature, MemoryEngine, save_attention_params
 from streammem.cli import _open_engine, build_parser, main
-from streammem.streamio import read_header
+from streammem.streamio import read_header, write_stream
 
 from oracles import seeded_params
 
@@ -85,17 +86,17 @@ def test_config_values_are_numbers_and_dim_has_one_flag(tmp_path, capsys):
     # No config field is a bool, so true/false are not values; bench takes
     # its dim only as --config dim=N.
     path = _synth(tmp_path)
-    for argv in (
-        ["ingest", str(path), "--config", "p_spa=true"],
-        ["bench", "--config", "p_spa=false"],
-        ["bench", "--dim", "4"],
+    for argv, named in (
+        (["ingest", str(path), "--config", "p_spa=true"], "cannot parse value"),
+        (["bench", "--config", "p_spa=false"], "cannot parse value"),
+        (["ingest", str(path), "--config", "n_tem"], "expected KEY=VALUE, got 'n_tem'"),
+        (["bench", "--dim", "4"], "--dim"),
     ):
         capsys.readouterr()
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2, argv
-        err = capsys.readouterr().err
-        assert ("cannot parse value" if "--config" in argv else "--dim") in err, argv
+        assert named in capsys.readouterr().err, argv
 
 
 def test_oversized_buffer_config_is_refused_before_allocating(tmp_path, capsys):
@@ -291,6 +292,18 @@ def test_export_pca_short_stream_warns_and_exports(tmp_path, capsys):
     assert rc == 0
     assert "stream ended at frame 5" in capsys.readouterr().err
     assert out.read_text().splitlines()[0] == "x,y,label,bank"
+
+
+def test_export_pca_notes_degenerate_axes_on_a_constant_stream(tmp_path, capsys):
+    # Every token is the same vector, so memory and raw rows lie on one line
+    # through the origin (the abstract bank holds multiples of it).
+    stream = tmp_path / "constant.fvs"
+    frames = [FrameFeature.from_array(np.full((8, 8, 6), 0.5))] * 6
+    write_stream(stream, frames, grid_side=8, dim=6)
+    out = tmp_path / "pca.csv"
+    assert main(["export-pca", str(stream), "--at-frame", "6", "--out", str(out)]) == 0
+    assert "projection axes are degenerate (rank < 2)" in capsys.readouterr().err
+    assert out.read_text().splitlines()[0] == "# degenerate_axes=true"
 
 
 def test_export_pca_rejects_at_frame_below_1(tmp_path, capsys):

@@ -287,6 +287,18 @@ def test_merge_path_falls_back_when_the_second_step_moves_a_point():
     assert want.assignments[1] == 0
 
 
+def test_merge_path_leaves_a_zero_weight_to_weighted_kmeans():
+    # A weight that is not positive is never certified: the fallback names it.
+    rng = np.random.default_rng(11)
+    temporal = rng.normal(size=(3, 12))
+    row = temporal[0] + 0.01
+    cfg = default_config(dim=1, p_spa=1, p_tem=1, p_abs=1, n_tem=3, n_ret=1)
+    for weights in (np.array([1.0, 0.0, 2.0]), np.array([1.0, -1.0, 2.0]), np.ones(2)):
+        assert clustering._merge_step(temporal, weights, row) is None
+    with pytest.raises(ValueError, match="point weights must be positive"):
+        temporal_update(temporal, np.array([1.0, 0.0, 2.0]), row, cfg)
+
+
 def test_merge_path_matches_at_max_magnitude():
     # Squares of MAX_MAGNITUDE (float32's largest value) are about 1e77, far
     # inside float64's range, so no dot overflows and the certificate decides

@@ -32,6 +32,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 import streammem.clustering as clustering_module
 import streammem.engine as engine_module
+import streammem.retrieval as retrieval_module
 from streammem import AttentionParams, FrameFeature, MemoryEngine, default_config, synth_stream
 from streammem.model import MAX_MAGNITUDE
 from test_behaviour_trace import frame_record
@@ -182,7 +183,7 @@ def test_rerank_fires_on_exact_ties_and_keeps_the_engine_exact():
     """Duplicate frames and power-of-two midpoints tie exactly on the direct
     distance, so retrieval's product cannot settle them and the re-rank runs."""
     calls = []
-    rerank = clustering_module._rerank
+    rerank = retrieval_module._rerank
 
     def counting_rerank(points, centroid, rows, start):
         calls.append(rows.size)
@@ -193,7 +194,7 @@ def test_rerank_fires_on_exact_ties_and_keeps_the_engine_exact():
     for kind, seed in (("pow2", 3), ("duplicates", 4)):
         frames = _stream(kind, seed, 30, config.dim)
         before = len(calls)
-        with patch.object(clustering_module, "_rerank", counting_rerank):
+        with patch.object(retrieval_module, "_rerank", counting_rerank):
             got = _run(config, params, frames, PACKAGE)
         assert len(calls) > before, f"no re-rank on the {kind} stream"
         assert got == _run(config, params, frames, FROZEN)

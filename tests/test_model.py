@@ -1,6 +1,7 @@
 """Domain types, budget arithmetic, config validation, snapshot integrity."""
 
 import dataclasses
+import re
 import struct
 import zlib
 from pathlib import Path
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from streammem import (
+    BANK_ORDER,
     AttentionParams,
     ConfigError,
     FrameFeature,
@@ -18,6 +20,7 @@ from streammem import (
     MemorySnapshot,
     ShapeError,
     StreamFormatError,
+    abstract_update,
     average_pool,
     bench_latency,
     default_config,
@@ -100,6 +103,24 @@ def test_validate_positive_integer_fields():
     assert default_config(n_buff=np.int64(3)).n_buff == 3
 
 
+@pytest.mark.parametrize("scalar", [np.float16, np.float32])
+def test_config_stores_python_numbers_and_decays_in_float64(scalar):
+    # A numpy scalar once reached the decay as is: with np.float16(0.1) the
+    # abstract bank decayed by 0.89990234375, not by 1 - 0.0999755859375.
+    alpha = scalar(0.1)
+    cfg = default_config(dim=np.int64(4), n_abs=np.int32(2), decay_alpha=alpha)
+    for f in dataclasses.fields(MemoryConfig):
+        assert type(getattr(cfg, f.name)) is (int if f.type == "int" else float), f.name
+    same = default_config(dim=4, n_abs=2, decay_alpha=float(alpha))
+    assert cfg == same
+    rng = np.random.default_rng(0)
+    bank, frame = rng.normal(size=(2, 4)), rng.normal(size=(1, 1, 4))
+    got = abstract_update(bank, frame, None, cfg)
+    assert got.tobytes() == abstract_update(bank, frame, None, same).tobytes()
+    decayed = abstract_update(np.ones((2, 4)), np.zeros((1, 1, 4)), None, cfg)
+    assert (decayed == 1.0 - float(alpha)).all()
+
+
 def test_validate_checks_every_field():
     # One bad value per field; a new field must join this table to pass.
     bad = {
@@ -166,11 +187,10 @@ _TINY = default_config(dim=4)
         (lambda: _snapshot(version=2**63), ShapeError),
         (lambda: _snapshot(t=2.0), ShapeError),
         (lambda: _snapshot(t=2**63), ShapeError),
-        (lambda: _snapshot(lengths=(2.0, 1, 0, 2)), ShapeError),
     ],
     ids=["n_frames", "n_scenes", "k", "target_grid", "newest", "frame_counts",
          "queries_per_point", "params", "version_float", "version_bool", "version_negative",
-         "version_over_q", "timestamp_float", "timestamp_over_q", "bank_lengths"],
+         "version_over_q", "timestamp_float", "timestamp_over_q"],
 )
 def test_entry_points_refuse_non_integers_with_their_named_error(call, error):
     # A float count is never rounded: each entry point raises the error it
@@ -246,27 +266,58 @@ def test_frame_feature_from_array_rejects_non_square():
         FrameFeature.from_array(np.zeros((2, 2)))
 
 
-def _snapshot(version=1, t=1, rows=5, dim=3, lengths=(2, 1, 0, 2)):
-    return MemorySnapshot(
-        version=version,
-        timestamp_frame=t,
-        tokens=np.arange(rows * dim, dtype=float).reshape(rows, dim),
-        bank_lengths=lengths,
-    )
+def _banks(tokens, lengths=(2, 1, 0, 2)):
+    """``tokens`` cut into one row block per bank, in BANK_ORDER."""
+    blocks = np.split(np.asarray(tokens, dtype=float), np.cumsum(lengths)[:-1])
+    return {name: [block] for name, block in zip(BANK_ORDER, blocks)}
 
 
-def test_snapshot_lengths_must_count_the_token_rows():
-    for lengths in (
-        (2, 1, 2),  # three banks
-        (2, 1, 0, 2, 0),  # five banks
-        (2, 1, -1, 3),  # negative, though the sum is right
-        (2, 2, 0, 2),  # covers 6 of 5 rows
-        (2, 1, 0, 1),  # covers 4 of 5 rows
-        (2.9, 1.2, False, 2),  # not integers, though int() of each sums to 5
-        (2, 1, 0, np.float64(2)),
+def _snapshot(version=1, t=1, rows=5, dim=3):
+    tokens = np.arange(rows * dim, dtype=float).reshape(rows, dim)
+    return MemorySnapshot(version=version, timestamp_frame=t, banks=_banks(tokens))
+
+
+def test_snapshot_refuses_unknown_or_missing_banks_and_bad_blocks():
+    good = _banks(np.ones((5, 3)))
+    listed = re.escape(str(BANK_ORDER))
+    for banks in (
+        {k: v for k, v in good.items() if k != "abstract"},  # missing
+        {**good, "episodic": [np.ones((1, 3))]},  # unknown
+        {"tem" if k == "temporal" else k: v for k, v in good.items()},  # misspelt
+        list(good.values()),  # not a mapping
+        5,
     ):
-        with pytest.raises(ShapeError, match="bank_lengths"):
-            _snapshot(lengths=lengths)
+        with pytest.raises(ValueError, match=listed) as raised:
+            MemorySnapshot(version=1, timestamp_frame=1, banks=banks)
+        assert raised.type is ValueError
+    for bad, match in (
+        ({**good, "spatial": [np.ones(3)]}, "2-D"),  # one row, not a block
+        (dict.fromkeys(BANK_ORDER, [np.ones(3)]), "2-D"),
+        ({**good, "retrieved": [np.ones((1, 1, 3))]}, "2-D"),
+        ({**good, "retrieved": [np.ones((1, 3)), np.ones((1, 4))]}, "share one width"),
+        ({**good, "temporal": [np.ones((2, 2))]}, "share one width"),
+        (dict.fromkeys(BANK_ORDER, []), "share one width"),  # no block fixes the width
+        ({**good, "abstract": np.ones((1, 3))}, "list or tuple"),
+        ({**good, "abstract": 5}, "list or tuple"),
+    ):
+        with pytest.raises(ShapeError, match=match):
+            MemorySnapshot(version=1, timestamp_frame=1, banks=bad)
+
+
+def test_snapshot_lays_out_banks_in_bank_order_whatever_the_mapping_order():
+    rng = np.random.default_rng(0)
+    blocks = {name: [rng.normal(size=(n, 2)) for n in sizes]
+              for name, sizes in zip(BANK_ORDER, ((1, 2), (3,), (), (2, 1)))}
+    snap = MemorySnapshot(version=2, timestamp_frame=3, banks=dict(reversed(blocks.items())))
+    assert snap.bank_lengths == (3, 3, 0, 3)
+    assert snap.bank_offsets == ((0, 3), (3, 3), (6, 0), (6, 3))
+    want = np.concatenate([m for name in BANK_ORDER for m in blocks[name]])
+    assert snap.tokens.tobytes() == want.tobytes()
+    assert snap.tokens.dtype == np.float64 and snap.tokens.flags.c_contiguous
+    # The tokens are a copy: writing a block afterwards does not reach them.
+    blocks["spatial"][0][0, 0] = 99.0
+    assert snap.tokens[0, 0] != 99.0
+    assert snap.verify_checksum()
 
 
 def test_snapshot_bank_slices():
@@ -299,8 +350,7 @@ def test_snapshot_checksum_covers_tokens_and_metadata():
     other = MemorySnapshot(
         version=1,
         timestamp_frame=1,
-        tokens=np.arange(15, dtype=float).reshape(5, 3) + 1.0,
-        bank_lengths=(2, 1, 0, 2),
+        banks=_banks(np.arange(15, dtype=float).reshape(5, 3) + 1.0),
     )
     assert other.checksum != base.checksum
 
@@ -311,22 +361,22 @@ def test_snapshot_checksum_is_crc_of_header_then_token_bytes():
     tokens = np.arange(15, dtype=float).reshape(3, 5).T
     assert not tokens.flags.c_contiguous
     offsets = ((0, 1), (1, 2), (3, 0), (3, 2))
-    snap = MemorySnapshot(version=4, timestamp_frame=9, tokens=tokens, bank_lengths=(1, 2, 0, 2))
+    snap = MemorySnapshot(version=4, timestamp_frame=9, banks=_banks(tokens, (1, 2, 0, 2)))
     header = struct.pack("<qq", 4, 9) + struct.pack("<8q", *(v for pair in offsets for v in pair))
     assert snap.checksum == zlib.crc32(tokens.tobytes(), zlib.crc32(header))
     assert snap.verify_checksum()
-    empty = MemorySnapshot(version=0, timestamp_frame=0, tokens=np.zeros((0, 3)),
-                           bank_lengths=(0,) * 4)
+    empty = MemorySnapshot(version=0, timestamp_frame=0, banks=_banks(np.zeros((0, 3)), (0,) * 4))
     assert empty.checksum == zlib.crc32(struct.pack("<qq8q", *[0] * 10))
 
 
 def test_snapshot_checksum_is_computed_not_passed():
     with pytest.raises(TypeError):
-        MemorySnapshot(version=1, timestamp_frame=1, tokens=np.ones((1, 3)),
-                       bank_lengths=(1, 0, 0, 0), checksum=7)
-    with pytest.raises(TypeError):
-        MemorySnapshot(version=1, timestamp_frame=1, tokens=np.ones((1, 3)),
-                       bank_lengths=(1, 0, 0, 0), bank_offsets=((0, 1),) + ((1, 0),) * 3)
+        MemorySnapshot(version=1, timestamp_frame=1, banks=_banks(np.ones((1, 3)), (1, 0, 0, 0)),
+                       checksum=7)
+    for derived in ("tokens", "bank_lengths", "bank_offsets"):
+        with pytest.raises(TypeError):
+            MemorySnapshot(version=1, timestamp_frame=1, **{derived: None},
+                           banks=_banks(np.ones((1, 3)), (1, 0, 0, 0)))
 
 
 def test_snapshot_tokens_read_only():

@@ -1,5 +1,6 @@
 """Key-frame retrieval against a brute-force scan, tie rules, warm-up errors."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -168,6 +169,9 @@ def test_rejects_mismatched_inputs():
         retrieve_key_features(candidates[:, :4], centroids, weights, CFG)
     with pytest.raises(ValueError, match="weights length"):
         retrieve_key_features(candidates, centroids, weights[:1], CFG)
+    for bad in (np.ones(()), np.ones((2, 1))):  # 0-d weights once raised IndexError
+        with pytest.raises(ValueError, match=re.escape(f"shape {bad.shape}, expected (2,)")):
+            retrieve_key_features(candidates, centroids, bad, CFG)
     for newest in (-1, 3):
         with pytest.raises(ValueError, match="newest row"):
             retrieve_key_features(candidates, centroids, weights, CFG, newest=newest)
