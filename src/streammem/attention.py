@@ -186,8 +186,12 @@ def abstract_update(
     read (it may be None; other p_abs need AttentionParams). The ``+ 0.0``
     matches the attention product, which sums from +0.0: a -0.0 token entry
     becomes +0.0, as it does there. A ``pooled_frame`` of any other shape
-    than (p_abs, p_abs, D) raises ShapeError.
+    than (p_abs, p_abs, D), or a bank or frame that is not a numpy array,
+    raises ShapeError.
     """
+    for name, arr in (("abstract_bank", abstract_bank), ("pooled_frame", pooled_frame)):
+        if not isinstance(arr, np.ndarray):
+            raise ShapeError(f"{name} must be a numpy array, got {type(arr).__name__}")
     expected = (config.p_abs, config.p_abs, config.dim)
     if pooled_frame.shape != expected:
         raise ShapeError(

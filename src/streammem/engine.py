@@ -7,6 +7,13 @@ the writer hands each bank's rows by name to ``MemorySnapshot``, which owns
 the layout, and publishes the new immutable snapshot by swapping one
 reference, so readers never observe a half-written state and never block the
 writer.
+
+The rows a snapshot lists are read-only blocks that the engine never writes
+again: one per buffered frame at p_spa, one per temporal centroid (one for
+the whole bank when its rows are under the snapshot's 64 KB share size), and
+the abstract bank. A frame replaces the blocks it changes, so consecutive
+snapshots share the rest, and each snapshot hashes only its new blocks by
+reusing the previous snapshot's CRCs.
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ from .model import (
     MemoryConfig,
     MemorySnapshot,
     ShapeError,
+    _SHARE_BYTES,
     _is_int_at_least,
     max_tokens,
 )
@@ -34,6 +42,10 @@ from .pooling import average_pool
 from .retrieval import retrieve_key_features
 
 __all__ = ["MemoryEngine", "QueryResult"]
+
+# -0.0 read as an int64 is the sign bit alone, the least int64, so a float64
+# block holds a -0.0 exactly when its int64 view's minimum is this value.
+_NEGATIVE_ZERO = np.iinfo(np.int64).min
 
 
 @dataclass(frozen=True)
@@ -95,19 +107,29 @@ class MemoryEngine:
         # product needs. Frame t goes in row (-t) % n_buff, so before
         # the rings fill the valid rows are the tail [n_buff - t:], newest
         # first. Rows are read only after they are written, hence np.empty.
-        self._spatial_ring = np.empty((config.n_buff, config.p_spa**2, config.dim))
+        # The p_spa ring holds one read-only (p_spa**2, D) block per frame,
+        # which snapshots share: a row is replaced, never written in place.
+        self._spatial_ring: list = [None] * config.n_buff
         self._pooled_ring = np.empty((config.n_buff, config.p_tem**2 * config.dim))
         self._sq_norm_ring = np.empty(config.n_buff)
         # The temporal bank holds centroids in the p_tem ring's row layout, the
-        # abstract bank the token rows a snapshot lists.
+        # abstract bank the token rows a snapshot lists. Snapshots list the
+        # temporal bank as one read-only (p_tem**2, D) copy per centroid when
+        # a row is large enough to share, and the engine notes which copies
+        # hold a -0.0 (see _temporal_blocks_for).
         self._temporal = np.zeros((0, config.p_tem**2 * config.dim))
         self._temporal_weights = np.zeros(0)
+        self._temporal_blocks: list = []
+        self._temporal_signed_zero: set = set()
         self._abstract = np.zeros((config.n_abs * config.p_abs**2, config.dim))
         self._last_cluster_state: ClusterState | None = None
         # Retained snapshots, oldest first; the last is the latest. The writer
         # swaps in a whole new tuple, so one read of it is consistent.
-        no_rows = dict.fromkeys(BANK_ORDER, [np.zeros((0, config.dim))])
-        empty = MemorySnapshot(version=0, timestamp_frame=0, banks=no_rows)
+        no_rows = np.zeros((0, config.dim))
+        no_rows.setflags(write=False)  # so the four banks share it
+        empty = MemorySnapshot(
+            version=0, timestamp_frame=0, banks=dict.fromkeys(BANK_ORDER, [no_rows])
+        )
         self._published = (empty,)
 
     @property
@@ -168,7 +190,10 @@ class MemoryEngine:
         n = cfg.n_buff
         t = latest.timestamp_frame + 1
         slot = -t % n
-        self._spatial_ring[slot] = spa_frame.reshape(-1, cfg.dim)
+        # A copy: pooling to the frame's own grid returns the frame's array.
+        spa_block = spa_frame.reshape(-1, cfg.dim).copy()
+        spa_block.setflags(write=False)
+        self._spatial_ring[slot] = spa_block
         self._pooled_ring[slot] = tem_row
         self._sq_norm_ring[slot] = tem_row @ tem_row
 
@@ -183,27 +208,60 @@ class MemoryEngine:
             sq_norms=self._sq_norm_ring[first:],
         )
 
-        # The snapshot copies these rows: later ring writes never reach it.
         rows = self._spatial_ring
+        temporal_blocks, signed_zero = self._temporal_blocks_for(new_temporal, cluster_state)
+        new_abstract.setflags(write=False)
         version = latest.version + 1
         snapshot = MemorySnapshot(
             version=version,
             timestamp_frame=t,
             banks={
                 "spatial": [rows[(slot + i) % n] for i in range(min(cfg.n_spa, t))],
-                "temporal": [new_temporal.reshape(-1, cfg.dim)],
+                "temporal": temporal_blocks,
                 "abstract": [new_abstract],
                 "retrieved": [rows[first + i] for i in picks],
             },
+            previous=latest,
         )
 
         self._temporal = new_temporal
         self._temporal_weights = new_weights
+        self._temporal_blocks = temporal_blocks
+        self._temporal_signed_zero = signed_zero
         self._abstract = new_abstract
         self._last_cluster_state = cluster_state
         # Swapping the one reference is the commit point.
         self._published = (self._published + (snapshot,))[-self._ring_depth :]
         return version
+
+    def _temporal_blocks_for(self, centroids: np.ndarray, state: ClusterState | None):
+        """The new temporal bank as snapshot blocks, and the rows whose block
+        holds a -0.0; each old block whose bytes are provably unchanged is
+        reused.
+
+        A run whose assignments keep every carried centroid i as its own
+        cluster and merge the new row into centroid j re-centres each i != j
+        as ``c + 0.0`` on both of ``temporal_update``'s paths (see
+        ``clustering._merge_step``). That leaves c's bytes as they were unless
+        c holds a -0.0. Every other row, and every row of a filling bank, gets
+        a new block. Rows under the snapshot's share size go as one block of
+        the whole bank, which the snapshot then shares or copies as a whole.
+        """
+        if centroids.shape[1] * 8 < _SHARE_BYTES:
+            return [centroids.reshape(-1, self._config.dim)], set()
+        k = len(centroids)
+        blocks, changed = [None] * k, range(k)
+        if state is not None and state.assignments[:k].tolist() == list(range(k)):
+            blocks = list(self._temporal_blocks)
+            changed = self._temporal_signed_zero | {int(state.assignments[k])}
+        signed_zero = set()
+        for i in changed:
+            block = centroids[i].reshape(-1, self._config.dim).copy()
+            block.setflags(write=False)
+            blocks[i] = block
+            if block.view(np.int64).min() == _NEGATIVE_ZERO:
+                signed_zero.add(i)
+        return blocks, signed_zero
 
     # -- read path ------------------------------------------------------------
 

@@ -6,15 +6,20 @@ live here alone: ``MemoryConfig`` stores its counts as Python ints and its
 decay as a Python float, so no caller's numpy scalar type reaches the
 engine's arithmetic; and ``MemorySnapshot`` lays out the row blocks it is
 given by bank name in ``BANK_ORDER``, so no caller orders or counts banks.
+It keeps them as shared read-only blocks and joins its checksum from one
+CRC-32 per block, so a snapshot that differs from the previous one in a few
+blocks costs a hash of those blocks alone.
 """
 
 from __future__ import annotations
 
 import struct
 import zlib
+from array import array
 from collections.abc import Mapping
 from dataclasses import InitVar, dataclass, field, fields
-from itertools import accumulate
+from functools import cached_property, lru_cache
+from itertools import accumulate, chain, groupby
 
 import numpy as np
 
@@ -50,7 +55,7 @@ class ConcurrentWriteError(RuntimeError):
     """A second writer entered the engine while another write was in progress."""
 
 
-# Snapshot bank concatenation order. Fixed so outputs are bit-reproducible.
+# Snapshot bank order. Fixed so outputs are bit-reproducible.
 BANK_ORDER = ("spatial", "temporal", "abstract", "retrieved")
 
 # Largest |value| of a frame token or attention projection entry: the float32
@@ -189,38 +194,146 @@ def max_tokens(config: MemoryConfig) -> int:
     return (c.n_spa + c.n_ret) * c.p_spa**2 + c.n_tem * c.p_tem**2 + c.n_abs * c.p_abs**2
 
 
-def _checksum(version: int, timestamp_frame: int, offsets, tokens: np.ndarray) -> int:
-    header = struct.pack("<qq", version, timestamp_frame)
-    header += struct.pack("<8q", *(v for pair in offsets for v in pair))
-    crc = zlib.crc32(header)
-    return zlib.crc32(tokens, crc)  # tokens are C-contiguous: see MemorySnapshot
+_HEADER = struct.Struct("<qq8q")
+
+
+def _header(version: int, timestamp_frame: int, offsets) -> bytes:
+    """The bytes the checksum covers ahead of the tokens."""
+    return _HEADER.pack(version, timestamp_frame, *chain.from_iterable(offsets))
+
+
+# CRC-32 joins, after zlib's crc32_combine (madler/zlib, crc32.c). A CRC is a
+# polynomial over GF(2), stored reflected: bit 31 is x^0. For byte strings a
+# and b, crc32(a + b) == M(crc32(a)) ^ crc32(b), where M multiplies by
+# x^(8 * len(b)) modulo the CRC polynomial. M is linear, so four 256-entry
+# tables, one per byte of its argument, apply it with four lookups.
+_POLY = 0xEDB88320
+
+
+def _multmodp(a: int, b: int) -> int:
+    """a * b modulo the CRC-32 polynomial, both reflected."""
+    p = 0
+    for bit in range(31, -1, -1):
+        if a >> bit & 1:
+            p ^= b
+        b = (b >> 1) ^ _POLY if b & 1 else b >> 1
+    return p
+
+
+@lru_cache(maxsize=128)
+def _shift_tables(nbytes: int) -> tuple:
+    """Four 256-entry tables of M for ``nbytes`` bytes, built from the 32
+    images of M's basis vectors; table b maps byte b of a CRC."""
+    op, square = 1 << 31, 1 << 30  # x^0, and x^1 to be squared up to x^(8 * 2^i)
+    for _ in range(3):
+        square = _multmodp(square, square)
+    while nbytes:
+        if nbytes & 1:
+            op = _multmodp(square, op)
+        nbytes >>= 1
+        square = _multmodp(square, square)
+    basis = [_multmodp(op, 1 << i) for i in range(32)]
+    tables = []
+    for b in range(4):
+        table = [0] * 256
+        for v in range(1, 256):
+            low = v & -v
+            table[v] = table[v ^ low] ^ basis[8 * b + low.bit_length() - 1]
+        tables.append(array("I", table))  # 1 KB, where a list of ints takes 10
+    return tuple(tables)
+
+
+def _crc_join(crc_a: int, crc_b: int, len_b: int) -> int:
+    """crc32(a + b) from crc32(a), crc32(b) and len(b), without reading a or b."""
+    if not len_b:
+        return crc_a
+    t0, t1, t2, t3 = _shift_tables(len_b)
+    return t0[crc_a & 255] ^ t1[crc_a >> 8 & 255] ^ t2[crc_a >> 16 & 255] ^ t3[crc_a >> 24] ^ crc_b
+
+
+# Blocks under this many bytes are joined with their small neighbours. Each
+# kept block costs a CRC join, lookups and a scattered read in Python, about
+# as much as copying and hashing 64 KB, and at dim 16 every block is 2-8 KB:
+# kept one by one there, they made both ingest and reads slower.
+_SHARE_BYTES = 1 << 16
+
+
+def _bank_blocks(bank: list, known: dict) -> tuple:
+    """A bank's blocks as a snapshot keeps them, all read-only C-contiguous
+    float64: each run of two or more blocks under _SHARE_BYTES joined into
+    one new block, and every other block shared where it may be. A block
+    whose id is a key of ``known`` is a block of the previous snapshot."""
+    if len(bank) == 1:  # the common case, without the grouping
+        return (bank[0] if id(bank[0]) in known else _frozen(bank[0]),)
+    kept = []
+    for small, run in groupby(bank, key=lambda m: m.size * 8 < _SHARE_BYTES):
+        run = list(run)
+        if small and len(run) > 1:
+            kept.append(_joined(run))
+        else:
+            kept.extend(m if id(m) in known else _frozen(m) for m in run)
+    return tuple(kept)
+
+
+def _joined(run: list) -> np.ndarray:
+    arr = np.concatenate(run, out=np.empty((sum(map(len, run)), run[0].shape[1])))
+    arr.setflags(write=False)
+    return arr
+
+
+def _frozen(block: np.ndarray) -> np.ndarray:
+    """``block`` itself when it is a C-contiguous float64 array that is
+    read-only all the way to the array owning its memory; else a read-only
+    C-contiguous float64 copy."""
+    owner = block
+    while isinstance(owner, np.ndarray) and not owner.flags.writeable:
+        owner = owner.base
+    if owner is None and block.dtype == np.float64 and block.flags.c_contiguous:
+        return block
+    copy = np.array(block, dtype=np.float64, order="C")
+    copy.setflags(write=False)
+    return copy
 
 
 @dataclass(frozen=True, eq=False)
 class MemorySnapshot:
-    """Immutable, versioned flattening of the four banks into one token sequence.
+    """Immutable, versioned sequence of the four banks' tokens.
 
     ``banks`` maps each BANK_ORDER name to a list or tuple of (n, D) row
-    blocks; the snapshot concatenates them, in BANK_ORDER and then in list
-    order, into ``tokens``, a new read-only (total, D) float64 array. It
-    derives ``bank_lengths`` (each bank's token count), ``bank_offsets`` (each
-    bank's (start, length) in tokens) and the checksum. The checksum covers
-    version, timestamp, offsets and token bytes and lets readers detect a torn
-    publication (there should never be one). Building one raises ValueError
-    listing BANK_ORDER for a missing or unknown bank name, and ShapeError for
-    a block that is not 2-D, blocks of different widths or none at all, or a
-    version or timestamp that is not a count the checksum header can hold.
+    blocks. The token sequence is those blocks in BANK_ORDER and then in list
+    order. The snapshot keeps them as ``blocks``, one tuple of read-only
+    C-contiguous float64 blocks per bank, and does not join the whole
+    sequence. Each run of two or more blocks under 64 KB in a bank is copied
+    into one new block. Any other block that is read-only all the way to the
+    array owning its memory is shared, and copied once if not; so the caller
+    must not make such an owner writable again, and it may publish the same
+    block in many snapshots. ``tokens``, the (total, D) sequence, is built
+    on first use.
+
+    The snapshot derives ``bank_lengths`` (each bank's token count),
+    ``bank_offsets`` (each bank's (start, length) in tokens) and the
+    checksum. The checksum is CRC-32 over the version, timestamp and offsets
+    packed as ``<qq8q`` and then the token bytes; readers check it with
+    ``verify_checksum`` to detect a torn publication (there should never be
+    one). It is joined from one CRC per block, and a block that also appears
+    in ``previous``, a snapshot whose blocks are read-only too, keeps the CRC
+    computed there. Building one raises ValueError listing BANK_ORDER for a
+    missing or unknown bank name, and ShapeError for a block that is not 2-D,
+    blocks of different widths or none at all, or a version or timestamp that
+    is not a count the checksum header can hold.
     """
 
     version: int
     timestamp_frame: int
     banks: InitVar[Mapping]  # BANK_ORDER name -> (n, D) row blocks
-    tokens: np.ndarray = field(init=False)  # the blocks, concatenated
+    previous: InitVar[MemorySnapshot | None] = None  # whose block CRCs to reuse
+    blocks: tuple = field(init=False, repr=False)  # per bank, its read-only blocks
     bank_lengths: tuple = field(init=False)  # token count per bank, in BANK_ORDER
     bank_offsets: tuple = field(init=False)  # (start, length) per bank
     checksum: int = field(init=False)  # computed from the fields above
+    _block_crcs: dict = field(init=False, repr=False)  # id(block) -> its CRC-32
 
-    def __post_init__(self, banks: Mapping) -> None:
+    def __post_init__(self, banks: Mapping, previous: MemorySnapshot | None) -> None:
         for name in ("version", "timestamp_frame"):
             value = getattr(self, name)
             if not (_is_int_at_least(value, 0) and value < 1 << 63):  # a "<q" header field
@@ -230,36 +343,66 @@ class MemorySnapshot:
             raise ValueError(f"banks must map exactly the names {BANK_ORDER}, got {got}")
         if not all(isinstance(banks[name], (list, tuple)) for name in BANK_ORDER):
             raise ShapeError("each bank must be a list or tuple of (n, D) row blocks")
-        blocks = [[np.asarray(m, dtype=np.float64) for m in banks[name]] for name in BANK_ORDER]
-        rows = [m for bank in blocks for m in bank]
+        if not (previous is None or isinstance(previous, MemorySnapshot)):
+            raise ValueError(f"previous must be a MemorySnapshot or None, got {previous!r}")
+        # An object whose id is a key of ``known`` is a block of ``previous``,
+        # which keeps it alive: it is frozen, and its CRC there is its CRC.
+        known = {} if previous is None else previous._block_crcs
+        given = [
+            [m if isinstance(m, np.ndarray) else np.asarray(m, dtype=np.float64)
+             for m in banks[name]]
+            for name in BANK_ORDER
+        ]
+        rows = [m for bank in given for m in bank]
         if len({m.shape[1:] for m in rows}) != 1 or rows[0].ndim != 2:
             raise ShapeError(
                 "snapshot row blocks must be 2-D (n, D) and share one width D, got shapes "
                 f"{[m.shape for m in rows]}"
             )
-        lengths = tuple(sum(len(m) for m in bank) for bank in blocks)
+        blocks = tuple([_bank_blocks(bank, known) for bank in given])
+        lengths = tuple([sum(map(len, bank)) for bank in blocks])
         offsets = tuple(zip(accumulate(lengths[:-1], initial=0), lengths))
-        # A new C-contiguous array, which no block aliases and _checksum needs.
-        arr = np.concatenate(rows, out=np.empty((sum(lengths), rows[0].shape[1])))
-        arr.setflags(write=False)
-        object.__setattr__(self, "tokens", arr)
+        crcs = {}  # id(block) -> CRC-32 of the block
+        checksum = zlib.crc32(_header(self.version, self.timestamp_frame, offsets))
+        for bank in blocks:
+            for m in bank:
+                key = id(m)
+                crc = crcs.get(key)
+                if crc is None:
+                    crc = known.get(key)
+                    crcs[key] = crc = zlib.crc32(m) if crc is None else crc
+                checksum = _crc_join(checksum, crc, m.nbytes)
+        object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "bank_lengths", lengths)
         object.__setattr__(self, "bank_offsets", offsets)
-        checksum = _checksum(self.version, self.timestamp_frame, offsets, arr)
         object.__setattr__(self, "checksum", checksum)
+        object.__setattr__(self, "_block_crcs", crcs)
+
+    @cached_property
+    def tokens(self) -> np.ndarray:
+        """Every block in order: a new read-only (total, D) array, built once."""
+        return _joined([m for bank in self.blocks for m in bank])
 
     @property
     def token_count(self) -> int:
-        return self.tokens.shape[0]
+        return sum(self.bank_lengths)
 
     def bank(self, name: str) -> np.ndarray:
-        """Token rows of one bank, by name from BANK_ORDER."""
+        """Token rows of one bank, by name from BANK_ORDER, read-only."""
         if name not in BANK_ORDER:
             raise ValueError(f"bank name must be one of {BANK_ORDER}, got {name!r}")
-        start, length = self.bank_offsets[BANK_ORDER.index(name)]
-        return self.tokens[start : start + length]
+        bank = self.blocks[BANK_ORDER.index(name)]
+        if len(bank) == 1:
+            return bank[0]
+        if not bank:  # no block of its own gives the width
+            bank = [np.empty((0, next(m for b in self.blocks for m in b).shape[1]))]
+        return _joined(bank)
 
     def verify_checksum(self) -> bool:
-        return self.checksum == _checksum(
-            self.version, self.timestamp_frame, self.bank_offsets, self.tokens
-        )
+        """Recompute the checksum from every block's bytes: a full read that
+        shares nothing with the CRCs the snapshot was built from."""
+        crc = zlib.crc32(_header(self.version, self.timestamp_frame, self.bank_offsets))
+        for bank in self.blocks:
+            for m in bank:
+                crc = zlib.crc32(m, crc)
+        return crc == self.checksum

@@ -43,7 +43,16 @@ def retrieve_key_features(
     descending cluster weight. The same row may serve several clusters. One
     matrix product ranks all rows; rows within its rounding bound of the
     minimum are re-ranked by the direct distance, so the picks are exact.
+    The three arrays must be numpy arrays: anything else is a ShapeError, or
+    for ``temporal_weights`` a ValueError, naming the argument.
     """
+    for name, arr in (("candidates", candidates), ("temporal", temporal)):
+        if not isinstance(arr, np.ndarray):
+            raise ShapeError(f"{name} must be a numpy array, got {type(arr).__name__}")
+    if not isinstance(temporal_weights, np.ndarray):
+        raise ValueError(
+            f"temporal_weights must be a numpy array, got {type(temporal_weights).__name__}"
+        )
     k = temporal.shape[0]
     n = candidates.shape[0]
     if n == 0 or k == 0:

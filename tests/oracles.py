@@ -9,17 +9,25 @@ The second part holds frozen copies of the engine's three per-frame stages
 (``temporal_update``, ``abstract_update`` and ``retrieve_key_features``, each
 with its private helpers), copied verbatim from the package before its banks
 moved to row layouts. They only reshape, so they accept the row layouts
-unchanged. ``test_differential`` patches them into a twin engine: any later
+unchanged. The third holds the snapshot as it was before it shared row
+blocks: it concatenates the banks and takes one CRC-32 over the header and
+tokens. ``test_differential`` patches all four into a twin engine: any later
 shortcut in the package must reproduce their output bit for bit.
 """
 
 from __future__ import annotations
 
 import itertools
+import struct
+import zlib
+from collections.abc import Mapping
+from dataclasses import InitVar, dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
 from streammem import AttentionParams, ClusterState, MemoryConfig, ShapeError, WarmupError
+from streammem.model import BANK_ORDER, _is_int_at_least
 
 
 def pool_loops(tokens: np.ndarray, target: int) -> np.ndarray:
@@ -394,3 +402,90 @@ def retrieve_key_features(
         age = int(np.argmin(np.concatenate((d2[newest:], d2[:newest]))))
         picks.append((newest + age) % n)
     return picks
+
+
+# -- frozen snapshot ----------------------------------------------------------
+# Copied verbatim from the package while the snapshot still concatenated its
+# banks into one array and took one CRC-32 over it. ``snapshot`` drops the
+# ``previous`` keyword, which this copy predates.
+
+
+def _checksum(version: int, timestamp_frame: int, offsets, tokens: np.ndarray) -> int:
+    header = struct.pack("<qq", version, timestamp_frame)
+    header += struct.pack("<8q", *(v for pair in offsets for v in pair))
+    crc = zlib.crc32(header)
+    return zlib.crc32(tokens, crc)  # tokens are C-contiguous: see MemorySnapshot
+
+
+@dataclass(frozen=True, eq=False)
+class MemorySnapshot:
+    """Immutable, versioned flattening of the four banks into one token sequence.
+
+    ``banks`` maps each BANK_ORDER name to a list or tuple of (n, D) row
+    blocks; the snapshot concatenates them, in BANK_ORDER and then in list
+    order, into ``tokens``, a new read-only (total, D) float64 array. It
+    derives ``bank_lengths`` (each bank's token count), ``bank_offsets`` (each
+    bank's (start, length) in tokens) and the checksum. The checksum covers
+    version, timestamp, offsets and token bytes and lets readers detect a torn
+    publication (there should never be one). Building one raises ValueError
+    listing BANK_ORDER for a missing or unknown bank name, and ShapeError for
+    a block that is not 2-D, blocks of different widths or none at all, or a
+    version or timestamp that is not a count the checksum header can hold.
+    """
+
+    version: int
+    timestamp_frame: int
+    banks: InitVar[Mapping]  # BANK_ORDER name -> (n, D) row blocks
+    tokens: np.ndarray = field(init=False)  # the blocks, concatenated
+    bank_lengths: tuple = field(init=False)  # token count per bank, in BANK_ORDER
+    bank_offsets: tuple = field(init=False)  # (start, length) per bank
+    checksum: int = field(init=False)  # computed from the fields above
+
+    def __post_init__(self, banks: Mapping) -> None:
+        for name in ("version", "timestamp_frame"):
+            value = getattr(self, name)
+            if not (_is_int_at_least(value, 0) and value < 1 << 63):  # a "<q" header field
+                raise ShapeError(f"{name} must be an integer in [0, 2**63), got {value!r}")
+        if not (isinstance(banks, Mapping) and set(banks) == set(BANK_ORDER)):
+            got = list(banks) if isinstance(banks, Mapping) else type(banks).__name__
+            raise ValueError(f"banks must map exactly the names {BANK_ORDER}, got {got}")
+        if not all(isinstance(banks[name], (list, tuple)) for name in BANK_ORDER):
+            raise ShapeError("each bank must be a list or tuple of (n, D) row blocks")
+        blocks = [[np.asarray(m, dtype=np.float64) for m in banks[name]] for name in BANK_ORDER]
+        rows = [m for bank in blocks for m in bank]
+        if len({m.shape[1:] for m in rows}) != 1 or rows[0].ndim != 2:
+            raise ShapeError(
+                "snapshot row blocks must be 2-D (n, D) and share one width D, got shapes "
+                f"{[m.shape for m in rows]}"
+            )
+        lengths = tuple(sum(len(m) for m in bank) for bank in blocks)
+        offsets = tuple(zip(accumulate(lengths[:-1], initial=0), lengths))
+        # A new C-contiguous array, which no block aliases and _checksum needs.
+        arr = np.concatenate(rows, out=np.empty((sum(lengths), rows[0].shape[1])))
+        arr.setflags(write=False)
+        object.__setattr__(self, "tokens", arr)
+        object.__setattr__(self, "bank_lengths", lengths)
+        object.__setattr__(self, "bank_offsets", offsets)
+        checksum = _checksum(self.version, self.timestamp_frame, offsets, arr)
+        object.__setattr__(self, "checksum", checksum)
+
+    @property
+    def token_count(self) -> int:
+        return self.tokens.shape[0]
+
+    def bank(self, name: str) -> np.ndarray:
+        """Token rows of one bank, by name from BANK_ORDER."""
+        if name not in BANK_ORDER:
+            raise ValueError(f"bank name must be one of {BANK_ORDER}, got {name!r}")
+        start, length = self.bank_offsets[BANK_ORDER.index(name)]
+        return self.tokens[start : start + length]
+
+    def verify_checksum(self) -> bool:
+        return self.checksum == _checksum(
+            self.version, self.timestamp_frame, self.bank_offsets, self.tokens
+        )
+
+
+def snapshot(*, previous=None, **kwargs) -> MemorySnapshot:
+    """The frozen snapshot, called without the engine's previous snapshot."""
+    return MemorySnapshot(**kwargs)

@@ -315,6 +315,12 @@ def test_abstract_update_names_the_pooled_shape_it_expects():
     cfg = default_config(n_abs=1, p_abs=2, p_tem=2, p_spa=4, dim=4)
     with pytest.raises(ShapeError, match=re.escape("(p_abs, p_abs, D) = (2, 2, 4)")):
         abstract_update(np.zeros((4, 4)), np.zeros((1, 1, 4)), AttentionParams.seeded(4), cfg)
+    # Lists once crashed with AttributeError or TypeError.
+    cfg = default_config(n_abs=3, dim=4)
+    with pytest.raises(ShapeError, match="pooled_frame must be a numpy array, got list"):
+        abstract_update(bank, np.zeros((1, 1, 4)).tolist(), None, cfg)
+    with pytest.raises(ShapeError, match="abstract_bank must be a numpy array, got list"):
+        abstract_update(bank.tolist(), np.zeros((1, 1, 4)), None, cfg)
 
 
 def test_params_file_round_trip(tmp_path):

@@ -2,18 +2,29 @@
 
 Each stream is ingested twice: once by the package's engine, and once by an
 engine whose ``streammem.engine`` stage names (``temporal_update``,
-``abstract_update``, ``retrieve_key_features``) are patched to the verbatim
-copies in ``oracles``. After every frame the two must agree bit for bit on
-``frame_record`` (snapshot bytes, offsets, checksum and version; k-means
-assignments, centroids and weights; temporal weights) and on the retrieval
-picks. The picks are recorded separately because exact duplicate frames give
-the same snapshot bytes whichever of them is picked. The frozen retrieval has
-no ``sq_norms`` keyword, so the twin calls it through a wrapper that drops it.
+``abstract_update``, ``retrieve_key_features``) and ``MemorySnapshot`` are
+patched to the verbatim copies in ``oracles``. After every frame the two must
+agree bit for bit on ``frame_record`` (snapshot bytes, offsets, checksum and
+version; k-means assignments, centroids and weights; temporal weights) and
+on the retrieval picks. The picks are recorded separately because exact
+duplicate frames give the same snapshot bytes whichever of them is picked.
+The frozen retrieval has no ``sq_norms`` keyword, so the twin calls it
+through a wrapper that drops it.
+
+The twin also builds its snapshots with the frozen copy, which concatenates
+the banks and takes one CRC-32, so the package's shared blocks and joined
+checksum must match it byte for byte. Half the examples set the share size
+(``_SHARE_BYTES``) to 0. By default a temporal row under 64 KB, as at every
+width here, goes into one block of the whole bank; at 0 the engine lists and
+reuses the temporal rows one by one. After every frame with a k-means run,
+each engine's snapshot must also hold that run's centroids as its temporal
+bank, which catches a reused temporal block that the run changed.
 
 The streams aim at the decisions an exact shortcut could get wrong: exact
 duplicates, power-of-two patterns and their midpoints (so ties are exact),
 constant, one-scene and noise-free streams, tokens at +-MAX_MAGNITUDE, tiny
-tokens whose products fall below the normal range, and rings small enough to
+tokens whose products fall below the normal range, +-0.0 and +-2**-1074
+tokens whose means underflow to a signed zero, and rings small enough to
 wrap. A second run gives the package engine no params, as the CLI does,
 against a twin holding the seeded projections or, at ``p_abs=1``, projections
 at +-MAX_MAGNITUDE: the one-token abstract update must not depend on them. Two
@@ -32,15 +43,17 @@ from hypothesis import given, settings, strategies as st
 import oracles
 import streammem.clustering as clustering_module
 import streammem.engine as engine_module
+import streammem.model as model_module
 import streammem.retrieval as retrieval_module
 from streammem import AttentionParams, FrameFeature, MemoryEngine, default_config, synth_stream
 from streammem.model import MAX_MAGNITUDE
 from test_behaviour_trace import frame_record
 
 GRID = 4
-STAGES = ("temporal_update", "abstract_update", "retrieve_key_features")
+STAGES = ("temporal_update", "abstract_update", "retrieve_key_features", "MemorySnapshot")
 PACKAGE = {name: getattr(engine_module, name) for name in STAGES}
-FROZEN = {name: getattr(oracles, name) for name in STAGES}
+FROZEN = {name: getattr(oracles, name) for name in STAGES[:-1]}
+FROZEN["MemorySnapshot"] = oracles.snapshot
 
 
 def _frozen_retrieval(*args, sq_norms=None, **kwargs):
@@ -67,6 +80,14 @@ def _pool(rng, kind: str, dim: int) -> list[np.ndarray]:
         # At 2**-1000 every product underflows to zero, so all distances tie;
         # at 2**-530 the products are subnormal and keep only a few bits.
         return list(rng.normal(size=shape) * 2.0 ** rng.choice([-1000, -530], shape))
+    if kind == "signed_zero":
+        # +-0.0 and +-2**-1074 entries beside a few +-1.0 ones, in 30 frames
+        # that seldom repeat: pooled means and merged rows of the tiny entries
+        # underflow to -0.0 or +0.0, while the larger ones keep the frames
+        # apart, so most frames merge into one centroid and keep the rest.
+        shape = (30, *shape[1:])
+        tiny = rng.choice([0.0, -0.0, 2.0**-1074, -(2.0**-1074)], shape)
+        return list(np.where(rng.random(shape) < 0.1, rng.choice([-1.0, 1.0], shape), tiny))
     assert kind == "extreme"
     return list(MAX_MAGNITUDE * rng.choice([-1.0, 1.0], shape))
 
@@ -106,6 +127,7 @@ def cases(draw):
                 "constant",
                 "extreme",
                 "tiny",
+                "signed_zero",
                 "one_scene",
                 "noise_free",
                 "scenes",
@@ -116,9 +138,12 @@ def cases(draw):
     return config, frames
 
 
-def _run(config, params, frames, stages) -> tuple[list, list]:
-    """Per-frame records and retrieval picks of one engine using ``stages``."""
+def _run(config, params, frames, stages, share_all=False) -> tuple[list, list]:
+    """Per-frame records and retrieval picks of one engine using ``stages``.
+    ``share_all`` has the snapshot share blocks of every size, so the engine
+    lists each temporal row as its own block even at these small widths."""
     picks = []
+    share_bytes = 0 if share_all else model_module._SHARE_BYTES
 
     def recording_retrieval(*args, **kwargs):
         got = stages["retrieve_key_features"](*args, **kwargs)
@@ -129,21 +154,29 @@ def _run(config, params, frames, stages) -> tuple[list, list]:
         patch.object(engine_module, "temporal_update", stages["temporal_update"]),
         patch.object(engine_module, "abstract_update", stages["abstract_update"]),
         patch.object(engine_module, "retrieve_key_features", recording_retrieval),
+        patch.object(engine_module, "MemorySnapshot", stages["MemorySnapshot"]),
+        patch.object(engine_module, "_SHARE_BYTES", share_bytes),
+        patch.object(model_module, "_SHARE_BYTES", share_bytes),
     ):
         engine = MemoryEngine(config, params)
         records = []
-        for frame in frames:
+        for t, frame in enumerate(frames, start=1):
             engine.ingest_frame(frame)
             records.append(frame_record(engine))
+            # Reused temporal blocks must hold the bank's bytes, -0.0 included.
+            state = engine.last_cluster_state
+            if state is not None:
+                temporal = engine.read_snapshot().bank("temporal")
+                assert temporal.tobytes() == state.centroids.tobytes(), f"frame {t}"
     return records, picks
 
 
 @settings(max_examples=300, deadline=None)
-@given(case=cases())
-def test_engine_matches_frozen_stages_bit_for_bit(case):
+@given(case=cases(), share_all=st.booleans())
+def test_engine_matches_frozen_stages_bit_for_bit(case, share_all):
     config, frames = case
     params = AttentionParams.seeded(config.dim)
-    got_records, got_picks = _run(config, params, frames, PACKAGE)
+    got_records, got_picks = _run(config, params, frames, PACKAGE, share_all)
     want_records, want_picks = _run(config, params, frames, FROZEN)
     assert len(got_picks) == len(want_picks) == len(frames)
     for t, (got, want) in enumerate(zip(got_picks, want_picks), start=1):

@@ -210,6 +210,42 @@ def test_ring_depth_is_bounded_by_the_byte_limit():
     assert MAX_BUFFER_BYTES // (681 * 1024 * 8) == 3079  # the cap at the default dim
 
 
+def test_retained_snapshots_survive_a_ring_wrap():
+    # Snapshots share the engine's row blocks, so a later frame must replace
+    # a ring row or temporal row, never write it. Every snapshot keeps the
+    # bytes and checksum it was published with, whether a reader holds it or
+    # query_at still reaches it, and so does a frame whose caller makes its
+    # tokens writable again and scribbles on them after the ingest.
+    # At dim 512 a temporal row is 16 * 512 * 8 bytes, 64 KB: the least the
+    # snapshot shares rather than copies, so every bank's blocks are shared.
+    config = replace(CFG, dim=512, n_buff=4, n_tem=3, n_ret=2)
+    ring_depth = 3
+    engine = MemoryEngine(config, ring_depth=ring_depth)
+    rng = np.random.default_rng(12)
+    published, held = {}, []
+    for t in range(1, 2 * (config.n_buff + ring_depth) + 4):
+        frame = _frame(rng, dim=config.dim)
+        engine.ingest_frame(frame)
+        snap = engine.read_snapshot()
+        joined = b"".join(snap.bank(name).tobytes() for name in BANK_ORDER)
+        published[snap.version] = (joined, snap.checksum)
+        held.append(snap)
+        frame.tokens.setflags(write=True)
+        frame.tokens[...] = np.nan
+    reachable = [engine.query_at("q", ts).snapshot for ts in range(t + 1)]
+    assert len({s.version for s in reachable}) == ring_depth
+    for snap in held + reachable:
+        assert (snap.tokens.tobytes(), snap.checksum) == published[snap.version]
+        assert snap.verify_checksum()
+    # Past the fill, a frame that merges into one centroid leaves the others'
+    # blocks shared with the previous snapshot.
+    temporal = BANK_ORDER.index("temporal")
+    shared = [
+        np.shares_memory(a, b) for a, b in zip(held[-2].blocks[temporal], held[-1].blocks[temporal])
+    ]
+    assert len(shared) == config.n_tem and any(shared)
+
+
 def _observed(engine):
     snap = engine.read_snapshot()
     state = engine.last_cluster_state

@@ -3,6 +3,7 @@
 import dataclasses
 import re
 import struct
+import types
 import zlib
 from pathlib import Path
 
@@ -29,7 +30,8 @@ from streammem import (
     synth_stream,
     weighted_kmeans,
 )
-from streammem.model import MAX_BUFFER_BYTES, MAX_MAGNITUDE
+import streammem.model as model_module
+from streammem.model import MAX_BUFFER_BYTES, MAX_MAGNITUDE, _crc_join
 
 
 def test_max_tokens_defaults_is_681():
@@ -377,6 +379,88 @@ def test_snapshot_checksum_is_computed_not_passed():
         with pytest.raises(TypeError):
             MemorySnapshot(version=1, timestamp_frame=1, **{derived: None},
                            banks=_banks(np.ones((1, 3)), (1, 0, 0, 0)))
+
+
+def _read_only(arr):
+    arr.setflags(write=False)
+    return arr
+
+
+def test_snapshot_shares_large_read_only_blocks_and_copies_the_rest():
+    rows = 1 << 10  # a (1024, 8) float64 block is 64 KB, the least the snapshot shares
+    owner = _read_only(np.arange(16.0 * rows).reshape(2 * rows, 8).copy())  # reshape is a view
+    view_of_read_only = owner[rows:]
+    writable = np.ones((rows, 8))
+    view_of_writable = np.zeros((rows, 8))[:]
+    view_of_writable.setflags(write=False)
+    small = [np.full((1, 8), 1.0), np.full((2, 8), 2.0)]
+    banks = {
+        "spatial": [owner, view_of_read_only],
+        "temporal": [writable],
+        "abstract": [view_of_writable],
+        # Two small blocks, a large one that is not contiguous, a small list.
+        "retrieved": [*small, owner[::2], [[3.0] * 8]],
+    }
+    snap = MemorySnapshot(version=1, timestamp_frame=1, banks=banks)
+    spatial, temporal, abstract, retrieved = snap.blocks
+    assert spatial[0] is owner and spatial[1] is view_of_read_only
+    assert len(retrieved) == 3  # the two small blocks are joined into one
+    for copied, given in ((temporal[0], writable), (abstract[0], view_of_writable),
+                          (retrieved[0], np.concatenate(small)), (retrieved[1], owner[::2])):
+        assert not np.shares_memory(copied, given) and np.array_equal(copied, given)
+    for block in (b for bank in snap.blocks for b in bank):
+        assert not block.flags.writeable and block.flags.c_contiguous
+        assert block.dtype == np.float64
+    assert snap.bank("spatial").tobytes() == np.concatenate([owner, owner[rows:]]).tobytes()
+    assert snap.bank("temporal") is temporal[0]
+    assert not snap.bank("retrieved").flags.writeable
+    assert snap.token_count == 6 * rows + 4 and "tokens" not in vars(snap)  # not built yet
+    want = np.concatenate([np.asarray(m, dtype=float) for name in BANK_ORDER for m in banks[name]])
+    assert snap.tokens.tobytes() == want.tobytes() and snap.tokens is snap.tokens
+    assert snap.verify_checksum()
+
+
+def test_snapshot_reuses_the_previous_snapshots_block_crcs(monkeypatch):
+    calls = []
+
+    def counting_crc32(data, value=0):
+        calls.append(len(memoryview(data).cast("B")))
+        return zlib.crc32(data, value)
+
+    shared = _read_only(np.ones((1 << 10, 8)))  # 64 KB: shared, not copied
+    banks = dict.fromkeys(BANK_ORDER, [shared])
+    first = MemorySnapshot(version=1, timestamp_frame=1, banks=banks)
+    monkeypatch.setattr(model_module, "zlib", types.SimpleNamespace(crc32=counting_crc32))
+    fresh = {**banks, "abstract": [np.ones((1, 8))]}
+    second = MemorySnapshot(version=2, timestamp_frame=2, banks=fresh, previous=first)
+    # The header and the one new block are read; the shared block is not.
+    assert sorted(calls) == [64, struct.calcsize("<qq8q")]
+    again = MemorySnapshot(version=2, timestamp_frame=2, banks=fresh)
+    assert second.checksum == again.checksum
+    with pytest.raises(ValueError, match="previous must be a MemorySnapshot"):
+        MemorySnapshot(version=2, timestamp_frame=2, banks=fresh, previous=object())
+
+
+@given(
+    data=st.binary(max_size=3000),
+    cuts=st.lists(st.integers(0, 3000), max_size=6),
+    start=st.binary(max_size=20),
+)
+def test_crc_join_equals_crc32_of_the_joined_bytes(data, cuts, start):
+    bounds = [0, *sorted(min(c, len(data)) for c in cuts), len(data)]
+    crc = zlib.crc32(start)
+    for lo, hi in zip(bounds, bounds[1:]):  # repeated cuts give empty pieces
+        crc = _crc_join(crc, zlib.crc32(data[lo:hi]), hi - lo)
+    assert crc == zlib.crc32(start + data)
+
+
+def test_crc_join_at_block_sizes_of_the_default_width():
+    rng = np.random.default_rng(3)
+    head = rng.bytes(56)
+    for nbytes in (64 * 1024 * 8, 16 * 1024 * 8, 25 * 1024 * 8, (1 << 24) + 3):
+        block = rng.bytes(nbytes)
+        got = _crc_join(zlib.crc32(head), zlib.crc32(block), nbytes)
+        assert got == zlib.crc32(block, zlib.crc32(head))
 
 
 def test_snapshot_tokens_read_only():

@@ -175,3 +175,10 @@ def test_rejects_mismatched_inputs():
     for newest in (-1, 3):
         with pytest.raises(ValueError, match="newest row"):
             retrieve_key_features(candidates, centroids, weights, CFG, newest=newest)
+    # Lists once crashed with AttributeError on .shape.
+    with pytest.raises(ShapeError, match="candidates must be a numpy array, got list"):
+        retrieve_key_features(candidates.tolist(), centroids, weights, CFG)
+    with pytest.raises(ShapeError, match="temporal must be a numpy array, got list"):
+        retrieve_key_features(candidates, centroids.tolist(), weights, CFG)
+    with pytest.raises(ValueError, match="temporal_weights must be a numpy array, got list"):
+        retrieve_key_features(candidates, centroids, [1.0, 2.0], CFG)
