@@ -1,4 +1,4 @@
-"""Weighted k-means over feature rows, and the temporal bank update.
+"""Weighted k-means over feature rows, and the temporal bank.
 
 The temporal bank summarizes the whole stream as at most n_tem weighted
 centroids. Each new frame either extends the bank (while it is filling) or is
@@ -9,54 +9,101 @@ That re-clustering is ``weighted_kmeans``, warm-started from the bank. On
 almost every frame its run is one merge: the first assignment keeps each
 carried centroid as its own cluster and puts the new row in its nearest one,
 and the second assignment moves nothing. ``_merge_step`` computes that result
-from one k×k Gram matrix and a few matrix-vector products, in place of the
-run's two distance matrices and per-cluster updates. It first certifies the
-run, as the assignment bounds of Elkan (ICML 2003) and Hamerly (SDM 2010) do:
-a point cannot move while its own centroid is nearer than every rival by
+from the bank's k×k Gram matrix and two matrix-vector products, in place of
+the run's two distance matrices and per-cluster updates. It first certifies
+the run, as the assignment bounds of Elkan (ICML 2003) and Hamerly (SDM 2010)
+do: a point cannot move while its own centroid is nearer than every rival by
 more than the error in the distances. Here that error is the rounding bound
 (Higham's gamma_m) of both the certificate's dots and ``_squared_distances``,
 ``_distance_bound``, which retrieval's nearest-row search uses too.
 When the certificate fails, including on any non-finite value,
 ``temporal_update`` runs ``weighted_kmeans``, so both paths give the same
 centroids, weights and assignments bit for bit.
+
+``TemporalBank`` owns the bank: the writable centroid matrix, the weights,
+the Gram matrix, the read-only row blocks that snapshots list, and the rows
+holding a -0.0. ``temporal_update`` computes a frame's ``TemporalFold``
+without writing the bank, and ``TemporalBank.apply`` writes it. A merge into
+centroid j writes row j in place and rewrites as ``c + 0.0`` only the rows
+holding a -0.0, since re-centring any other carried singleton keeps its
+bytes. It carries the Gram: the certificate's product ``C @ merged``, with
+entry j set to ``merged @ merged``, is the new bank's Gram column j. So every
+Gram entry is one direct dot of its two rows' current values, never an
+accumulated update, and it lies within ``_distance_bound`` as a fresh
+``C @ C.T`` does. While the bank fills, each frame appends one row and one
+block; the frame that fills it computes the Gram afresh, and so does a
+fallback frame, which replaces the whole bank.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
-from .model import MemoryConfig, _is_int_at_least
+from .model import _SHARE_BYTES, MemoryConfig, _frozen, _is_int_at_least
 
-__all__ = ["ClusterState", "weighted_kmeans", "temporal_update"]
+__all__ = ["ClusterState", "TemporalBank", "TemporalFold", "weighted_kmeans", "temporal_update"]
 
 _MAX_ITERS = 10  # Lloyd update steps per weighted_kmeans call
 
+# -0.0 read as an int64 is the sign bit alone, the least int64, so a float64
+# row holds a -0.0 exactly when its int64 view's minimum is this value.
+_NEGATIVE_ZERO = np.iinfo(np.int64).min
 
-@dataclass(frozen=True, eq=False)
+
+@dataclass(frozen=True, eq=False, init=False)
 class ClusterState:
     """Result of one weighted k-means run.
 
-    centroids are (k, m) rows; weights[i] is the total point weight merged
-    into centroid i. objective_history holds the weighted within-cluster
-    squared distance after each update step and is non-increasing. On
-    ``temporal_update``'s merge path it is computed from that path's own dots,
-    so it may differ from weighted_kmeans's within rounding. converged is True
-    when assignments repeated before the iteration cap ran out. The three
-    arrays are made read-only in place: the engine keeps the centroids and
-    weights as its temporal bank.
+    ``blocks`` are read-only row blocks whose rows, in order, are the (k, m)
+    centroids; ``centroids`` is built from them on first use. weights[i] is
+    the total point weight merged into centroid i. objective_history holds
+    the weighted within-cluster squared distance after each update step and
+    is non-increasing. On ``temporal_update``'s merge path it is computed
+    from that path's own dots, so it may differ from weighted_kmeans's within
+    rounding. converged is True when assignments repeated before the
+    iteration cap ran out.
+
+    Give the centroids either as one (k, m) array, as ``weighted_kmeans``
+    does, or as ``blocks``, as the merge path does with the new bank's
+    blocks, the objects the engine's snapshot lists. The arrays are made
+    read-only in place; on both paths nothing writes their memory later.
     """
 
-    centroids: np.ndarray
+    blocks: tuple = field(repr=False)
     weights: np.ndarray
     assignments: np.ndarray
     objective_history: tuple
     converged: bool
 
-    def __post_init__(self) -> None:
-        for arr in (self.centroids, self.weights, self.assignments):
+    def __init__(
+        self, *, weights, assignments, objective_history, converged, centroids=None, blocks=None
+    ):
+        if (centroids is None) == (blocks is None):
+            raise ValueError("give the centroids either as centroids or as blocks")
+        blocks = (centroids,) if blocks is None else tuple(blocks)
+        for arr in (*blocks, weights, assignments):
             arr.setflags(write=False)
+        for name, value in (
+            ("blocks", blocks),
+            ("weights", weights),
+            ("assignments", assignments),
+            ("objective_history", objective_history),
+            ("converged", converged),
+        ):
+            object.__setattr__(self, name, value)
+
+    @cached_property
+    def centroids(self) -> np.ndarray:
+        """The (k, m) centroid rows, read-only: a view of the one block, or
+        the blocks joined into a new array."""
+        joined = self.blocks[0] if len(self.blocks) == 1 else np.concatenate(self.blocks)
+        joined = joined.reshape(len(self.weights), -1)
+        joined.setflags(write=False)
+        return joined
 
     @property
     def iterations(self) -> int:
@@ -155,10 +202,14 @@ def weighted_kmeans(points: np.ndarray, point_weights: np.ndarray, k: int) -> Cl
     )
 
 
-def _merge_step(centroids: np.ndarray, weights: np.ndarray, row: np.ndarray) -> ClusterState | None:
+def _merge_step(centroids: np.ndarray, weights: np.ndarray, gram: np.ndarray, row: np.ndarray):
     """``weighted_kmeans`` of the k carried centroids plus ``row``, when a
     certificate shows that its run merges ``row`` into the nearest centroid
     j and stops; None when the certificate fails.
+
+    ``gram`` holds a dot of each pair of centroid rows within
+    ``_distance_bound``, such as ``centroids @ centroids.T``. Returns j, the
+    merged row, the new bank's Gram column j and the run's objective.
 
     The certificate needs each point's own distance in both assignment steps
     to be below each rival's by more than twice the ``_distance_bound`` of
@@ -167,15 +218,13 @@ def _merge_step(centroids: np.ndarray, weights: np.ndarray, row: np.ndarray) -> 
 
     Re-centring a carried singleton computes ``(0.0 + w·c) / w``. For a
     centroid that is a quotient by its weight, as in every bank
-    ``temporal_update`` returns (a raw row has weight 1), that rounds to
+    ``temporal_update`` builds (a raw row has weight 1), that rounds to
     ``c + 0.0``: the row, with any -0.0 made +0.0
     (``test_re_centring_a_quotient_by_its_weight_is_the_identity``).
     """
-    centroids, weights, row = (np.asarray(a, dtype=np.float64) for a in (centroids, weights, row))
     k, m = centroids.shape
     if weights.shape != (k,) or not (weights > 0).all():
         return None  # weighted_kmeans names the fault
-    gram = centroids @ centroids.T
     row_dots = centroids @ row
     sq = gram.diagonal()
     j = int(np.argmin(sq - 2.0 * row_dots))
@@ -189,7 +238,7 @@ def _merge_step(centroids: np.ndarray, weights: np.ndarray, row: np.ndarray) -> 
     dots = np.empty((k + 1, k + 1))
     dots[:k, :k] = gram
     dots[k, :k] = row_dots
-    dots[:k, k] = centroids @ merged
+    dots[:k, k] = column = centroids @ merged
     dots[k, k] = row @ merged
     sq_points = np.concatenate([sq, [row @ row]])
     sq_columns = np.concatenate([sq, [merged @ merged]])
@@ -205,35 +254,192 @@ def _merge_step(centroids: np.ndarray, weights: np.ndarray, row: np.ndarray) -> 
     if not (np.isfinite(dist).all() and clear.all()):
         return None
 
-    new_centroids = centroids + 0.0
-    new_centroids[j] = merged
-    new_weights = weights.copy()
-    new_weights[j] = weights[j] + 1.0
-    assignments = np.arange(k + 1)
-    assignments[k] = j
+    column[j] = sq_columns[k]
     # The objective after the update step: each point's second-step distance.
     moved = np.maximum(dist.diagonal(), 0.0)
     moved[j] = max(dist[j, k], 0.0)
-    return ClusterState(
-        centroids=new_centroids,
-        weights=new_weights,
-        assignments=assignments,
-        objective_history=(float(weights @ moved[:k] + moved[k]),),
-        converged=True,
-    )
+    return j, merged, column, float(weights @ moved[:k] + moved[k])
 
 
-def temporal_update(
-    temporal: np.ndarray,
-    temporal_weights: np.ndarray,
-    pooled_row: np.ndarray,
-    config: MemoryConfig,
-) -> tuple[np.ndarray, np.ndarray, ClusterState | None]:
-    """Fold one frame into the temporal bank of (k, p_tem**2 * D) rows.
+def _negative_zero_rows(rows: np.ndarray) -> frozenset:
+    """Indices of the (n, m) ``rows`` that hold a -0.0."""
+    bits = rows.view(np.int64)
+    if bits.min() != _NEGATIVE_ZERO:
+        return frozenset()
+    return frozenset(np.flatnonzero(bits.min(axis=1) == _NEGATIVE_ZERO).tolist())
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    """``arr``, a new array that nothing else holds, made read-only."""
+    arr.setflags(write=False)
+    return arr
+
+
+# An empty bank's weights, which every empty bank shares, and a new row's.
+_NO_WEIGHTS, _ONE = _read_only(np.zeros(0)), _read_only(np.ones(1))
+
+
+class TemporalFold(NamedTuple):
+    """One frame's change to a ``TemporalBank``, computed without writing it.
+
+    ``state`` is the frame's clustering run, None while the bank fills.
+    ``weights``, ``gram``, ``blocks`` and ``signed_zero`` are the bank's after
+    the frame, all read-only (``gram`` is None until the bank is full). A
+    merge (``matrix`` None) writes ``merged`` as row ``j`` and rewrites the
+    rows holding a -0.0 as ``c + 0.0``; any other fold replaces the bank's
+    matrix with ``matrix``. ``before`` holds what ``TemporalBank.revert``
+    restores.
+    """
+
+    state: ClusterState | None
+    weights: np.ndarray
+    gram: np.ndarray | None
+    blocks: tuple
+    signed_zero: frozenset
+    before: tuple
+    matrix: np.ndarray | None = None
+    j: int = -1
+    merged: np.ndarray | None = None
+
+
+class TemporalBank:
+    """The temporal bank of up to n_tem centroids in the p_tem ring's row
+    layout, (n, p_tem**2 * D), with their weights.
+
+    Beside them it keeps the rows as read-only snapshot blocks, one per row
+    when a row reaches the snapshot's 64 KB share size and one for the whole
+    bank below it; and, once the bank is full, the k×k Gram matrix of the
+    rows and the rows holding a -0.0, which a merge reads (``gram`` is None
+    before). ``temporal_update`` computes each frame's ``TemporalFold`` from
+    them, and only ``apply`` and ``revert`` change them. ``centroids`` is a
+    read-only view of a matrix that ``apply`` writes in place, so read it
+    again after each frame. ``apply`` and ``revert`` replace ``weights``,
+    ``gram``, ``blocks`` and ``state``, the last frame's clustering run, but
+    never write them.
+    """
+
+    def __init__(self, config: MemoryConfig):
+        self.config = config
+        m = config.p_tem**2 * config.dim
+        self._per_row = m * 8 >= _SHARE_BYTES
+        self._matrix = np.zeros((0, m))
+        self.weights, self.gram = _NO_WEIGHTS, None
+        self.blocks: tuple = ()
+        self._signed_zero = frozenset()
+        self.state: ClusterState | None = None
+
+    @property
+    def centroids(self) -> np.ndarray:
+        view = self._matrix.view()
+        view.setflags(write=False)
+        return view
+
+    def _before(self) -> tuple:
+        return self._matrix, self.weights, self.gram, self.blocks, self._signed_zero, self.state
+
+    def append(self, row: np.ndarray) -> TemporalFold:
+        """The fold that appends ``row`` with weight 1 to a filling bank. Only
+        a merge reads the Gram matrix and the -0.0 rows, so they are computed
+        on the frame that fills the bank."""
+        n, dim = len(self._matrix), self.config.dim
+        matrix = np.concatenate((self._matrix, row[None]))
+        new = _read_only(matrix[n].copy() if self._per_row else matrix.copy()).reshape(-1, dim)
+        full = n + 1 == self.config.n_tem
+        return TemporalFold(
+            state=None,
+            weights=_read_only(np.concatenate((self.weights, _ONE))),
+            gram=_read_only(matrix @ matrix.T) if full else None,
+            blocks=self.blocks + (new,) if self._per_row else (new,),
+            signed_zero=_negative_zero_rows(matrix) if full else frozenset(),
+            before=self._before(),
+            matrix=matrix,
+        )
+
+    def replacement(self, centroids, weights, state: ClusterState | None = None) -> TemporalFold:
+        """The fold that replaces the whole bank with ``centroids`` and
+        ``weights``, with ``state`` as the run that gave them."""
+        rows = _frozen(centroids)
+        dim = self.config.dim
+        blocks = [row.reshape(-1, dim) for row in rows] if self._per_row else [rows.reshape(-1, dim)]
+        return TemporalFold(
+            state=state,
+            weights=_frozen(weights),
+            gram=_read_only(rows @ rows.T),
+            blocks=tuple(blocks),
+            signed_zero=_negative_zero_rows(rows),
+            before=self._before(),
+            matrix=rows.copy(),
+        )
+
+    def merge(self, row: np.ndarray) -> TemporalFold | None:
+        """The fold that merges ``row`` into its nearest centroid, when
+        ``_merge_step`` certifies it; else None."""
+        step = _merge_step(self._matrix, self.weights, self.gram, row)
+        if step is None:
+            return None
+        j, merged, column, objective = step
+        k = len(self._matrix)
+        gram = self.gram.copy()
+        gram[j] = gram[:, j] = column
+        weights = self.weights.copy()
+        weights[j] += 1.0
+        # Each new block views a new array, read-only at its base, so the
+        # snapshot shares it without a copy.
+        dim = self.config.dim
+        if self._per_row:
+            blocks = list(self.blocks)
+            blocks[j] = _read_only(merged).reshape(-1, dim)
+            for i in self._signed_zero - {j}:
+                blocks[i] = _read_only(self._matrix[i] + 0.0).reshape(-1, dim)
+        else:
+            bank = self._matrix + 0.0
+            bank[j] = merged
+            blocks = [_read_only(bank).reshape(-1, dim)]
+        assignments = np.arange(k + 1)
+        assignments[k] = j
+        state = ClusterState(
+            blocks=blocks,
+            weights=weights,
+            assignments=assignments,
+            objective_history=(objective,),
+            converged=True,
+        )
+        return TemporalFold(
+            state=state,
+            weights=weights,
+            gram=_read_only(gram),
+            blocks=state.blocks,
+            signed_zero=frozenset([j]) if _negative_zero_rows(merged[None]) else frozenset(),
+            before=self._before(),
+            j=j,
+            merged=_read_only(merged),
+        )
+
+    def apply(self, fold: TemporalFold) -> None:
+        """Write ``fold``, which was computed from this bank as it is now."""
+        if fold.matrix is not None:
+            self._matrix = fold.matrix
+        else:
+            for i in self._signed_zero - {fold.j}:
+                self._matrix[i] += 0.0
+            self._matrix[fold.j] = fold.merged
+        self.weights, self.gram, self.blocks = fold.weights, fold.gram, fold.blocks
+        self._signed_zero, self.state = fold.signed_zero, fold.state
+
+    def revert(self, fold: TemporalFold) -> None:
+        """Undo ``apply(fold)``, the last fold applied."""
+        matrix, self.weights, self.gram, self.blocks, self._signed_zero, self.state = fold.before
+        if fold.matrix is None:  # rows written in place: the blocks hold their bytes
+            matrix[...] = np.concatenate(self.blocks).reshape(matrix.shape)
+        self._matrix = matrix
+
+
+def temporal_update(bank: TemporalBank, pooled_row: np.ndarray) -> TemporalFold:
+    """Fold one frame into the temporal bank; ``bank.apply`` writes the result.
 
     ``pooled_row`` is the frame pooled to p_tem and flattened. While the bank
     holds fewer than n_tem centroids the row is appended with weight 1 and no
-    clustering runs (returned state is None). Once full, the previous
+    clustering runs (the fold's state is None). Once full, the previous
     centroids plus the new row are re-clustered back down to n_tem,
     warm-started from the previous centroids; total weight grows by exactly 1
     per frame.
@@ -243,18 +449,16 @@ def temporal_update(
     then stops, the merge path builds that result directly: row j becomes
     ``(w_j·c_j + x) / (w_j + 1)``, weight j grows by 1, every other row and
     weight is kept, and the state reports one iteration, converged.
-    Otherwise ``weighted_kmeans`` runs. On a bank this function returned,
-    whose every centroid is a quotient by its weight, both paths agree bit
-    for bit.
+    Otherwise ``weighted_kmeans`` runs. On a bank this function built, whose
+    every centroid is a quotient by its weight, both paths agree bit for bit.
     """
-    k = config.n_tem
-    state = None
-    if temporal.ndim == 2 and temporal.shape[0] == k and pooled_row.shape == temporal.shape[1:]:
-        state = _merge_step(temporal, temporal_weights, pooled_row)
-    if state is None:
-        points = np.concatenate([temporal, pooled_row[None]], axis=0)
-        point_weights = np.concatenate([temporal_weights, [1.0]])
-        if points.shape[0] <= k:
-            return points, point_weights, None
-        state = weighted_kmeans(points, point_weights, k)
-    return state.centroids, state.weights, state
+    k = bank.config.n_tem
+    centroids = bank.centroids
+    if len(centroids) < k:
+        return bank.append(pooled_row)
+    fold = bank.merge(pooled_row) if pooled_row.shape == centroids.shape[1:] else None
+    if fold is None:
+        points = np.concatenate([centroids, pooled_row[None]], axis=0)
+        state = weighted_kmeans(points, np.concatenate([bank.weights, _ONE]), k)
+        fold = bank.replacement(state.centroids, state.weights, state)
+    return fold

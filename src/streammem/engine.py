@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attention import AttentionParams, abstract_update
-from .clustering import ClusterState, temporal_update
+from .clustering import ClusterState, TemporalBank, temporal_update
 from .model import (
     BANK_ORDER,
     MAX_BUFFER_BYTES,
@@ -34,7 +34,6 @@ from .model import (
     MemoryConfig,
     MemorySnapshot,
     ShapeError,
-    _SHARE_BYTES,
     _is_int_at_least,
     max_tokens,
 )
@@ -42,10 +41,6 @@ from .pooling import average_pool
 from .retrieval import retrieve_key_features
 
 __all__ = ["MemoryEngine", "QueryResult"]
-
-# -0.0 read as an int64 is the sign bit alone, the least int64, so a float64
-# block holds a -0.0 exactly when its int64 view's minimum is this value.
-_NEGATIVE_ZERO = np.iinfo(np.int64).min
 
 
 @dataclass(frozen=True)
@@ -112,17 +107,11 @@ class MemoryEngine:
         self._spatial_ring: list = [None] * config.n_buff
         self._pooled_ring = np.empty((config.n_buff, config.p_tem**2 * config.dim))
         self._sq_norm_ring = np.empty(config.n_buff)
-        # The temporal bank holds centroids in the p_tem ring's row layout, the
-        # abstract bank the token rows a snapshot lists. Snapshots list the
-        # temporal bank as one read-only (p_tem**2, D) copy per centroid when
-        # a row is large enough to share, and the engine notes which copies
-        # hold a -0.0 (see _temporal_blocks_for).
-        self._temporal = np.zeros((0, config.p_tem**2 * config.dim))
-        self._temporal_weights = np.zeros(0)
-        self._temporal_blocks: list = []
-        self._temporal_signed_zero: set = set()
+        # The temporal bank holds centroids in the p_tem ring's row layout and
+        # the snapshot blocks that list them; the abstract bank holds the
+        # token rows a snapshot lists.
+        self._temporal = TemporalBank(config)
         self._abstract = np.zeros((config.n_abs * config.p_abs**2, config.dim))
-        self._last_cluster_state: ClusterState | None = None
         # Retained snapshots, oldest first; the last is the latest. The writer
         # swaps in a whole new tuple, so one read of it is consistent.
         no_rows = np.zeros((0, config.dim))
@@ -143,12 +132,12 @@ class MemoryEngine:
     @property
     def last_cluster_state(self) -> ClusterState | None:
         """Diagnostics from the most recent clustering run, if any ran."""
-        return self._last_cluster_state
+        return self._temporal.state
 
     @property
     def temporal_weights(self) -> np.ndarray:
         """Copy of the temporal cluster weights (writer-side view)."""
-        return self._temporal_weights.copy()
+        return self._temporal.weights.copy()
 
     # -- write path -----------------------------------------------------------
 
@@ -177,91 +166,59 @@ class MemoryEngine:
         # Everything that can reject the frame runs before the first ring
         # write: pooling raises ShapeError for a grid some bank cannot pool
         # exactly. That write goes to the row of the oldest buffered frame,
-        # which this frame evicts in any case.
+        # which this frame evicts in any case. The temporal bank is written
+        # with it, and restored if a later step fails.
         spa_frame = average_pool(feature.tokens, cfg.p_spa)
         tem_row = average_pool(feature.tokens, cfg.p_tem).reshape(-1)
         abs_frame = average_pool(feature.tokens, cfg.p_abs)
-        new_temporal, new_weights, cluster_state = temporal_update(
-            self._temporal, self._temporal_weights, tem_row, cfg
-        )
+        fold = temporal_update(self._temporal, tem_row)
         new_abstract = abstract_update(self._abstract, abs_frame, self._params, cfg)
 
         latest = self._published[-1]
         n = cfg.n_buff
         t = latest.timestamp_frame + 1
         slot = -t % n
-        # A copy: pooling to the frame's own grid returns the frame's array.
-        spa_block = spa_frame.reshape(-1, cfg.dim).copy()
-        spa_block.setflags(write=False)
-        self._spatial_ring[slot] = spa_block
+        # The frame's own tokens, which cannot change, when its grid is p_spa;
+        # else the pooled array, which nothing else holds.
+        spa_frame.setflags(write=False)
+        self._spatial_ring[slot] = spa_frame.reshape(-1, cfg.dim)
         self._pooled_ring[slot] = tem_row
         self._sq_norm_ring[slot] = tem_row @ tem_row
+        bank = self._temporal
+        bank.apply(fold)
+        try:
+            # Retrieval sees the new frame and this frame's refreshed clusters.
+            first = n - min(t, n)  # first valid row
+            picks = retrieve_key_features(
+                self._pooled_ring[first:],
+                bank.centroids,
+                bank.weights,
+                cfg,
+                newest=slot - first,
+                sq_norms=self._sq_norm_ring[first:],
+            )
+            rows = self._spatial_ring
+            new_abstract.setflags(write=False)
+            version = latest.version + 1
+            snapshot = MemorySnapshot(
+                version=version,
+                timestamp_frame=t,
+                banks={
+                    "spatial": [rows[(slot + i) % n] for i in range(min(cfg.n_spa, t))],
+                    "temporal": bank.blocks,
+                    "abstract": [new_abstract],
+                    "retrieved": [rows[first + i] for i in picks],
+                },
+                previous=latest,
+            )
+        except BaseException:
+            bank.revert(fold)
+            raise
 
-        # Retrieval sees the new frame and this frame's refreshed clusters.
-        first = n - min(t, n)  # first valid row
-        picks = retrieve_key_features(
-            self._pooled_ring[first:],
-            new_temporal,
-            new_weights,
-            cfg,
-            newest=slot - first,
-            sq_norms=self._sq_norm_ring[first:],
-        )
-
-        rows = self._spatial_ring
-        temporal_blocks, signed_zero = self._temporal_blocks_for(new_temporal, cluster_state)
-        new_abstract.setflags(write=False)
-        version = latest.version + 1
-        snapshot = MemorySnapshot(
-            version=version,
-            timestamp_frame=t,
-            banks={
-                "spatial": [rows[(slot + i) % n] for i in range(min(cfg.n_spa, t))],
-                "temporal": temporal_blocks,
-                "abstract": [new_abstract],
-                "retrieved": [rows[first + i] for i in picks],
-            },
-            previous=latest,
-        )
-
-        self._temporal = new_temporal
-        self._temporal_weights = new_weights
-        self._temporal_blocks = temporal_blocks
-        self._temporal_signed_zero = signed_zero
         self._abstract = new_abstract
-        self._last_cluster_state = cluster_state
         # Swapping the one reference is the commit point.
         self._published = (self._published + (snapshot,))[-self._ring_depth :]
         return version
-
-    def _temporal_blocks_for(self, centroids: np.ndarray, state: ClusterState | None):
-        """The new temporal bank as snapshot blocks, and the rows whose block
-        holds a -0.0; each old block whose bytes are provably unchanged is
-        reused.
-
-        A run whose assignments keep every carried centroid i as its own
-        cluster and merge the new row into centroid j re-centres each i != j
-        as ``c + 0.0`` on both of ``temporal_update``'s paths (see
-        ``clustering._merge_step``). That leaves c's bytes as they were unless
-        c holds a -0.0. Every other row, and every row of a filling bank, gets
-        a new block. Rows under the snapshot's share size go as one block of
-        the whole bank, which the snapshot then shares or copies as a whole.
-        """
-        if centroids.shape[1] * 8 < _SHARE_BYTES:
-            return [centroids.reshape(-1, self._config.dim)], set()
-        k = len(centroids)
-        blocks, changed = [None] * k, range(k)
-        if state is not None and state.assignments[:k].tolist() == list(range(k)):
-            blocks = list(self._temporal_blocks)
-            changed = self._temporal_signed_zero | {int(state.assignments[k])}
-        signed_zero = set()
-        for i in changed:
-            block = centroids[i].reshape(-1, self._config.dim).copy()
-            block.setflags(write=False)
-            blocks[i] = block
-            if block.view(np.int64).min() == _NEGATIVE_ZERO:
-                signed_zero.add(i)
-        return blocks, signed_zero
 
     # -- read path ------------------------------------------------------------
 

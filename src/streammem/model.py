@@ -86,10 +86,12 @@ class FrameFeature:
     """One frame's square grid of feature tokens.
 
     ``tokens`` has shape (grid_size, grid_size, dim), float64, row-major and
-    read-only. Every value must satisfy |v| <= MAX_MAGNITUDE, so no other frame
-    can ever enter the engine. Instances compare by identity; the engine
-    copies a frame's tokens into its buffer and keeps no reference to the
-    frame itself.
+    read-only for good: it is a copy of the input held in an immutable
+    ``bytes`` object, so neither it nor its base can be made writable again.
+    Every value must satisfy |v| <= MAX_MAGNITUDE, so no other frame can ever
+    enter the engine. Instances compare by identity; the engine may keep a
+    frame's tokens in its buffer, since they cannot change, but keeps no
+    reference to the frame itself.
     """
 
     grid_size: int
@@ -100,11 +102,11 @@ class FrameFeature:
         p, d = self.grid_size, self.dim
         if not (_is_int_at_least(p, 1) and _is_int_at_least(d, 1)):
             raise ShapeError(f"grid_size and dim must be positive integers, got ({p!r}, {d!r})")
-        arr = np.array(self.tokens, dtype=np.float64, order="C", copy=True)
+        arr = np.asarray(self.tokens, dtype=np.float64)
         if arr.shape != (p, p, d):
             raise ShapeError(f"tokens shape {arr.shape} != expected {(p, p, d)}")
+        arr = np.frombuffer(arr.tobytes(), dtype=np.float64).reshape(p, p, d)
         _check_magnitude(arr, "tokens")
-        arr.setflags(write=False)
         object.__setattr__(self, "tokens", arr)
 
     @classmethod
@@ -283,12 +285,13 @@ def _joined(run: list) -> np.ndarray:
 
 def _frozen(block: np.ndarray) -> np.ndarray:
     """``block`` itself when it is a C-contiguous float64 array that is
-    read-only all the way to the array owning its memory; else a read-only
-    C-contiguous float64 copy."""
+    read-only all the way to the array, or the immutable ``bytes``, owning
+    its memory; else a read-only C-contiguous float64 copy."""
     owner = block
     while isinstance(owner, np.ndarray) and not owner.flags.writeable:
         owner = owner.base
-    if owner is None and block.dtype == np.float64 and block.flags.c_contiguous:
+    immutable = owner is None or isinstance(owner, bytes)
+    if immutable and block.dtype == np.float64 and block.flags.c_contiguous:
         return block
     copy = np.array(block, dtype=np.float64, order="C")
     copy.setflags(write=False)
@@ -305,10 +308,10 @@ class MemorySnapshot:
     C-contiguous float64 blocks per bank, and does not join the whole
     sequence. Each run of two or more blocks under 64 KB in a bank is copied
     into one new block. Any other block that is read-only all the way to the
-    array owning its memory is shared, and copied once if not; so the caller
-    must not make such an owner writable again, and it may publish the same
-    block in many snapshots. ``tokens``, the (total, D) sequence, is built
-    on first use.
+    array, or the immutable ``bytes``, owning its memory is shared, and
+    copied once if not; so the caller must not make such an owner writable
+    again, and it may publish the same block in many snapshots. ``tokens``,
+    the (total, D) sequence, is built on first use.
 
     The snapshot derives ``bank_lengths`` (each bank's token count),
     ``bank_offsets`` (each bank's (start, length) in tokens) and the

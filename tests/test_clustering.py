@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import streammem.clustering as clustering
-from streammem import default_config, temporal_update, weighted_kmeans
+from streammem import TemporalBank, default_config, temporal_update, weighted_kmeans
 from streammem.model import MAX_MAGNITUDE
 
 from oracles import exhaustive_best_objective, partition_objective
@@ -139,28 +139,29 @@ def test_input_validation():
 
 def test_temporal_update_appends_until_full():
     cfg = default_config(n_tem=4, p_tem=2, dim=3)
-    temporal = np.zeros((0, 12))
-    weights = np.zeros(0)
+    bank = TemporalBank(cfg)
     rng = np.random.default_rng(0)
     for t in range(1, 5):
         frame = rng.normal(size=12)
-        temporal, weights, state = temporal_update(temporal, weights, frame, cfg)
-        assert state is None  # no clustering while filling
-        assert temporal.shape[0] == t
-        assert np.array_equal(temporal[-1], frame)
-        assert np.array_equal(weights, np.ones(t))
+        fold = temporal_update(bank, frame)
+        bank.apply(fold)
+        assert fold.state is None  # no clustering while filling
+        assert bank.centroids.shape[0] == t
+        assert np.array_equal(bank.centroids[-1], frame)
+        assert np.array_equal(bank.weights, np.ones(t))
 
 
 def test_temporal_update_clusters_once_full():
     cfg = default_config(n_tem=4, p_tem=2, dim=3)
     rng = np.random.default_rng(1)
-    temporal = np.zeros((0, 12))
-    weights = np.zeros(0)
+    bank = TemporalBank(cfg)
     for t in range(1, 10):
         frame = rng.normal(size=12)
-        temporal, weights, state = temporal_update(temporal, weights, frame, cfg)
-        assert temporal.shape[0] == min(t, 4)
-        assert abs(weights.sum() - t) < 1e-9
+        fold = temporal_update(bank, frame)
+        bank.apply(fold)
+        state = fold.state
+        assert bank.centroids.shape[0] == min(t, 4)
+        assert abs(bank.weights.sum() - t) < 1e-9
         if t > 4:
             assert state is not None
             assert state.converged or state.iterations == 10  # weighted_kmeans's cap
@@ -169,16 +170,15 @@ def test_temporal_update_clusters_once_full():
 def test_identical_frame_repeated_collapses_values():
     cfg = default_config(n_tem=5, p_tem=2, dim=2)
     frame = np.full(8, 3.25)
-    temporal = np.zeros((0, 8))
-    weights = np.zeros(0)
+    bank = TemporalBank(cfg)
     total = cfg.n_tem + 5
     for _ in range(total):
-        temporal, weights, _ = temporal_update(temporal, weights, frame, cfg)
-    assert temporal.shape[0] == cfg.n_tem
-    assert weights.sum() == total
+        bank.apply(temporal_update(bank, frame))
+    assert bank.centroids.shape[0] == cfg.n_tem
+    assert bank.weights.sum() == total
     # every centroid has collapsed onto the single repeated value
-    assert np.max(np.abs(temporal - 3.25)) < 1e-12
-    assert weights.max() >= 2  # the extra frames merged somewhere
+    assert np.max(np.abs(bank.centroids - 3.25)) < 1e-12
+    assert bank.weights.max() >= 2  # the extra frames merged somewhere
 
 
 # -- temporal_update's merge path against weighted_kmeans, its fallback -------
@@ -191,28 +191,43 @@ def _assert_same_state(got, want):
         assert a.tobytes() == b.tobytes(), name
 
 
-def _fold(temporal, weights, row):
-    """temporal_update's state for one frame on a full bank, weighted_kmeans's
-    on the same points, and whether the merge path gave the former."""
-    k = len(temporal)
-    cfg = default_config(dim=1, p_spa=1, p_tem=1, p_abs=1, n_tem=k, n_ret=1)
-    merged = clustering._merge_step(temporal, weights, row) is not None
-    got = temporal_update(temporal, weights, row, cfg)[2]
-    want = weighted_kmeans(np.vstack([temporal, row]), np.append(weights, 1.0), k)
-    _assert_same_state(got, want)
-    return got, want, merged
+def _bank(rows, k) -> TemporalBank:
+    """An empty bank of k centroid rows as wide as ``rows``."""
+    config = default_config(dim=rows.shape[-1], p_spa=1, p_tem=1, p_abs=1, n_tem=k, n_ret=1)
+    return TemporalBank(config)
+
+
+def _full_bank(temporal, weights) -> TemporalBank:
+    """A bank holding the (k, m) ``temporal`` rows and their weights."""
+    bank = _bank(temporal, len(temporal))
+    bank.apply(bank.replacement(temporal, weights))
+    return bank
+
+
+def _fold(bank, row):
+    """Fold one frame into a full ``bank``. Check temporal_update's state,
+    and the bank it writes, against weighted_kmeans on the same points;
+    return both states and whether the merge path gave the former."""
+    points = np.vstack([bank.centroids, row])
+    want = weighted_kmeans(points, np.append(bank.weights, 1.0), len(bank.weights))
+    fold = temporal_update(bank, row)
+    bank.apply(fold)
+    _assert_same_state(fold.state, want)
+    assert bank.centroids.tobytes() == want.centroids.tobytes()
+    assert bank.weights.tobytes() == want.weights.tobytes()
+    return fold.state, want, fold.matrix is None
 
 
 def _fold_stream(rows, k) -> tuple[int, int]:
     """Fold rows into an empty bank one at a time, checking every clustered
     frame against weighted_kmeans; return the (merge, fallback) frame counts."""
-    cfg = default_config(dim=1, p_spa=1, p_tem=1, p_abs=1, n_tem=k, n_ret=1)
-    temporal, weights = np.zeros((0, rows.shape[1])), np.zeros(0)
+    bank = _bank(rows, k)
     counts = [0, 0]
     for row in rows:
-        if len(temporal) == k:
-            counts[not _fold(temporal, weights, row)[2]] += 1
-        temporal, weights, _ = temporal_update(temporal, weights, row, cfg)
+        if len(bank.weights) == k:
+            counts[not _fold(bank, row)[2]] += 1
+        else:
+            bank.apply(temporal_update(bank, row))
     return counts[0], counts[1]
 
 
@@ -223,7 +238,7 @@ def test_merge_path_reports_one_converged_step_and_the_oracles_objective():
     weights = np.array([1.0, 3.0, 7.0, 2.0])
     temporal = (temporal * weights[:, None]) / weights[:, None]
     row = temporal[2] + 0.1 * rng.normal(size=12)
-    got, want, merged = _fold(temporal, weights, row)
+    got, want, merged = _fold(_full_bank(temporal, weights), row)
     assert merged
     assert got.iterations == want.iterations == 1
     assert got.converged is True and want.converged
@@ -248,7 +263,7 @@ def test_merge_path_falls_back_on_duplicate_carried_centroids(monkeypatch):
     rng = np.random.default_rng(6)
     a, b = rng.normal(size=(2, 12))
     temporal = np.array([a, a, b])
-    _, _, merged = _fold(temporal, np.ones(3), b + 0.5)
+    _, _, merged = _fold(_full_bank(temporal, np.ones(3)), b + 0.5)
     assert not merged
     assert repairs[0] == 1  # the duplicate's empty cluster took a point
 
@@ -261,7 +276,7 @@ def test_merge_path_falls_back_at_an_exact_midpoint():
     c1 = c0.copy()
     c1[:4] += 2.0 ** rng.integers(-2, 2, 4)
     temporal = np.array([c0, c1, np.full(12, 64.0)])
-    _, want, merged = _fold(temporal, np.ones(3), (c0 + c1) / 2)
+    _, want, merged = _fold(_full_bank(temporal, np.ones(3)), (c0 + c1) / 2)
     assert not merged
     assert want.assignments[3] == 0  # the tie goes to the lower index
 
@@ -270,7 +285,7 @@ def test_merge_path_takes_a_row_equal_to_a_carried_centroid():
     rng = np.random.default_rng(8)
     weights = np.array([2.0, 5.0, 1.0, 9.0])
     temporal = rng.normal(size=(4, 12)) / weights[:, None]
-    _, want, merged = _fold(temporal, weights, temporal[1].copy())
+    _, want, merged = _fold(_full_bank(temporal, weights), temporal[1].copy())
     assert merged
     assert want.weights[1] == 6.0
 
@@ -281,7 +296,7 @@ def test_merge_path_falls_back_when_the_second_step_moves_a_point():
     # at 1.2 is then nearer the centroid at 0.
     direction = np.random.default_rng(9).normal(size=12)
     temporal = np.outer([0.0, 1.2, 10.0], direction)
-    _, want, merged = _fold(temporal, np.ones(3), 5.5 * direction)
+    _, want, merged = _fold(_full_bank(temporal, np.ones(3)), 5.5 * direction)
     assert not merged
     assert want.iterations >= 2
     assert want.assignments[1] == 0
@@ -292,11 +307,10 @@ def test_merge_path_leaves_a_zero_weight_to_weighted_kmeans():
     rng = np.random.default_rng(11)
     temporal = rng.normal(size=(3, 12))
     row = temporal[0] + 0.01
-    cfg = default_config(dim=1, p_spa=1, p_tem=1, p_abs=1, n_tem=3, n_ret=1)
     for weights in (np.array([1.0, 0.0, 2.0]), np.array([1.0, -1.0, 2.0]), np.ones(2)):
-        assert clustering._merge_step(temporal, weights, row) is None
+        assert clustering._merge_step(temporal, weights, temporal @ temporal.T, row) is None
     with pytest.raises(ValueError, match="point weights must be positive"):
-        temporal_update(temporal, np.array([1.0, 0.0, 2.0]), row, cfg)
+        temporal_update(_full_bank(temporal, np.array([1.0, 0.0, 2.0])), row)
 
 
 def test_merge_path_matches_at_max_magnitude():
@@ -370,5 +384,5 @@ def test_temporal_update_matches_weighted_kmeans_across_the_certificate_margin(m
             (near, rng.normal(size=m)),
             (temporal, (temporal[0] + temporal[1]) / 2 + gap),
         ):
-            paths.add(_fold(bank, weights, row)[2])
+            paths.add(_fold(_full_bank(bank, weights), row)[2])
     assert paths == {True, False}

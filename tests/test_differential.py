@@ -9,16 +9,24 @@ version; k-means assignments, centroids and weights; temporal weights) and
 on the retrieval picks. The picks are recorded separately because exact
 duplicate frames give the same snapshot bytes whichever of them is picked.
 The frozen retrieval has no ``sq_norms`` keyword, so the twin calls it
-through a wrapper that drops it.
+through a wrapper that drops it. The frozen ``temporal_update`` takes the
+bank's centroids and weights and returns the new ones, so the twin calls it
+through a wrapper that hands them to its ``TemporalBank`` as a fold that
+replaces the whole bank.
 
 The twin also builds its snapshots with the frozen copy, which concatenates
 the banks and takes one CRC-32, so the package's shared blocks and joined
 checksum must match it byte for byte. Half the examples set the share size
 (``_SHARE_BYTES``) to 0. By default a temporal row under 64 KB, as at every
 width here, goes into one block of the whole bank; at 0 the engine lists and
-reuses the temporal rows one by one. After every frame with a k-means run,
-each engine's snapshot must also hold that run's centroids as its temporal
-bank, which catches a reused temporal block that the run changed.
+reuses the temporal rows one by one. After every frame, each engine's
+snapshot must hold its temporal bank's bytes, and after a frame with a
+k-means run that run's centroids, which catches a reused temporal block that
+the run changed or a row the bank wrote in place wrongly. The bank's carried
+Gram matrix must be within twice ``_distance_bound`` of a fresh ``C @ C.T``,
+entry by entry. Separate cases run at dim 512 and p_tem=4, where a temporal
+row reaches the real share size, and hold a state and a snapshot for 20
+frames to show that the bank's in-place writes never reach them.
 
 The streams aim at the decisions an exact shortcut could get wrong: exact
 duplicates, power-of-two patterns and their midpoints (so ties are exact),
@@ -35,9 +43,11 @@ fallback from the certified merge to ``weighted_kmeans``.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from unittest.mock import patch
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
@@ -62,6 +72,15 @@ def _frozen_retrieval(*args, sq_norms=None, **kwargs):
 
 
 FROZEN["retrieve_key_features"] = _frozen_retrieval
+
+
+def _frozen_temporal(bank, pooled_row):
+    """The frozen temporal update, as a fold that replaces the whole bank."""
+    new = oracles.temporal_update(bank.centroids, bank.weights, pooled_row, bank.config)
+    return bank.replacement(*new)
+
+
+FROZEN["temporal_update"] = _frozen_temporal
 
 
 def _pool(rng, kind: str, dim: int) -> list[np.ndarray]:
@@ -138,6 +157,20 @@ def cases(draw):
     return config, frames
 
 
+def _assert_gram_within_bound(bank, t: int) -> None:
+    """The bank's Gram matrix against a fresh ``C @ C.T``: each is within
+    ``_distance_bound`` of the exact dots, so they differ by at most twice it.
+    A filling bank computes its Gram on the frame that fills it."""
+    if bank.gram is None:
+        assert len(bank.weights) < bank.config.n_tem, f"no Gram at frame {t}"
+        return
+    rows = bank.centroids
+    fresh = rows @ rows.T
+    norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
+    bound = 2.0 * clustering_module._distance_bound(rows.shape[1], norms[:, None] + norms)
+    assert (np.abs(bank.gram - fresh) <= bound).all(), f"Gram off at frame {t}"
+
+
 def _run(config, params, frames, stages, share_all=False) -> tuple[list, list]:
     """Per-frame records and retrieval picks of one engine using ``stages``.
     ``share_all`` has the snapshot share blocks of every size, so the engine
@@ -155,7 +188,7 @@ def _run(config, params, frames, stages, share_all=False) -> tuple[list, list]:
         patch.object(engine_module, "abstract_update", stages["abstract_update"]),
         patch.object(engine_module, "retrieve_key_features", recording_retrieval),
         patch.object(engine_module, "MemorySnapshot", stages["MemorySnapshot"]),
-        patch.object(engine_module, "_SHARE_BYTES", share_bytes),
+        patch.object(clustering_module, "_SHARE_BYTES", share_bytes),
         patch.object(model_module, "_SHARE_BYTES", share_bytes),
     ):
         engine = MemoryEngine(config, params)
@@ -164,10 +197,12 @@ def _run(config, params, frames, stages, share_all=False) -> tuple[list, list]:
             engine.ingest_frame(frame)
             records.append(frame_record(engine))
             # Reused temporal blocks must hold the bank's bytes, -0.0 included.
+            bank, temporal = engine._temporal, engine.read_snapshot().bank("temporal")
+            assert temporal.tobytes() == bank.centroids.tobytes(), f"frame {t}"
             state = engine.last_cluster_state
             if state is not None:
-                temporal = engine.read_snapshot().bank("temporal")
                 assert temporal.tobytes() == state.centroids.tobytes(), f"frame {t}"
+            _assert_gram_within_bound(bank, t)
     return records, picks
 
 
@@ -241,8 +276,8 @@ def test_merge_path_and_fallback_both_fire_and_keep_the_engine_exact():
     paths = {"merge": 0, "fallback": 0}
     merge_step = clustering_module._merge_step
 
-    def counting_merge_step(centroids, weights, row):
-        got = merge_step(centroids, weights, row)
+    def counting_merge_step(*args):
+        got = merge_step(*args)
         paths["fallback" if got is None else "merge"] += 1
         return got
 
@@ -260,3 +295,77 @@ def test_merge_path_and_fallback_both_fire_and_keep_the_engine_exact():
             got = _run(config, params, frames, PACKAGE)
         assert paths[fires] > before[fires], f"no {fires} frame on the {kind} stream"
         assert got == _run(config, params, frames, FROZEN)
+
+
+# At dim 512 and p_tem=4 a temporal row is 16 * 512 * 8 bytes, 64 KB: the
+# snapshot's real share size, so the engine lists, writes and reuses the
+# temporal rows one by one with nothing patched.
+WIDE = default_config(
+    dim=512, p_spa=4, p_tem=4, p_abs=1, n_buff=3, n_spa=1, n_tem=4, n_abs=1, n_ret=2
+)
+
+
+@pytest.mark.parametrize(
+    "kind, seed, fires",
+    [("scenes", 6, "merge"), ("signed_zero", 7, "merge"), ("duplicates", 4, "fallback")],
+)
+def test_engine_matches_frozen_stages_at_the_real_share_size(kind, seed, fires):
+    assert WIDE.p_tem**2 * WIDE.dim * 8 == model_module._SHARE_BYTES
+    paths = {"merge": 0, "fallback": 0}
+    merge_step = clustering_module._merge_step
+
+    def counting_merge_step(*args):
+        got = merge_step(*args)
+        paths["fallback" if got is None else "merge"] += 1
+        return got
+
+    frames = _stream(kind, seed, WIDE.n_tem + 30, WIDE.dim)
+    params = AttentionParams.seeded(WIDE.dim)
+    with patch.object(clustering_module, "_merge_step", counting_merge_step):
+        got = _run(WIDE, params, frames, PACKAGE)
+    assert paths[fires], f"no {fires} frame on the {kind} stream"
+    assert got == _run(WIDE, params, frames, FROZEN)
+
+
+def _held_bytes(state, snap, centroids: bytes) -> tuple:
+    arrays = (state.weights, state.assignments, snap.tokens)
+    return (centroids, *(arr.tobytes() for arr in arrays), snap.checksum)
+
+
+@pytest.mark.parametrize("config", [replace(WIDE, dim=16), WIDE], ids=["whole_bank", "per_row"])
+def test_held_states_and_snapshots_keep_their_bytes(config):
+    # The bank writes rows in place, and rewrites rows holding a -0.0 as
+    # c + 0.0, which the signed_zero stream makes it do; none of that may
+    # reach a state or snapshot published before. Half the states build
+    # their centroids when published and half only 20 frames later.
+    frames = _stream("signed_zero", 8, config.n_tem + 60, config.dim)
+    engine = MemoryEngine(config)
+    merge_step, merged_into = clustering_module._merge_step, []
+
+    def recording_merge_step(*args):
+        got = merge_step(*args)
+        merged_into.append(None if got is None else got[0])
+        return got
+
+    held, rewrites = [], 0
+    for t, frame in enumerate(frames, start=1):
+        signed_zero = engine._temporal._signed_zero
+        merged_into.clear()
+        with patch.object(clustering_module, "_merge_step", recording_merge_step):
+            engine.ingest_frame(frame)
+        if merged_into and merged_into[-1] is not None:
+            rewrites += bool(signed_zero - {merged_into[-1]})
+        state, snap = engine.last_cluster_state, engine.read_snapshot()
+        if state is None:
+            continue
+        centroids = b"".join(block.tobytes() for block in state.blocks)
+        if t % 2:
+            assert state.centroids.tobytes() == centroids
+        held.append((t, state, snap, _held_bytes(state, snap, centroids)))
+        for t0, state0, snap0, parts0 in held:
+            if t - t0 == 20:
+                now = _held_bytes(state0, snap0, state0.centroids.tobytes())
+                assert now == parts0, f"state or snapshot of frame {t0} changed by frame {t}"
+                assert snap0.verify_checksum()
+    assert rewrites, "no merge rewrote a row holding a -0.0"
+    assert len(held) > 20

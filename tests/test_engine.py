@@ -3,7 +3,7 @@ error containment, and a light concurrency shake-out."""
 
 import threading
 import types
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -24,6 +24,7 @@ from streammem import (
     synth_stream,
 )
 from streammem.model import MAX_BUFFER_BYTES, MAX_MAGNITUDE
+from test_behaviour_trace import frame_record
 
 CFG = default_config(dim=6)  # paper-shaped banks, small token dim for speed
 
@@ -214,8 +215,9 @@ def test_retained_snapshots_survive_a_ring_wrap():
     # Snapshots share the engine's row blocks, so a later frame must replace
     # a ring row or temporal row, never write it. Every snapshot keeps the
     # bytes and checksum it was published with, whether a reader holds it or
-    # query_at still reaches it, and so does a frame whose caller makes its
-    # tokens writable again and scribbles on them after the ingest.
+    # query_at still reaches it. No caller can scribble on a frame's tokens
+    # after the ingest: they refuse to become writable again, which is why
+    # the spatial bank may share them.
     # At dim 512 a temporal row is 16 * 512 * 8 bytes, 64 KB: the least the
     # snapshot shares rather than copies, so every bank's blocks are shared.
     config = replace(CFG, dim=512, n_buff=4, n_tem=3, n_ret=2)
@@ -230,8 +232,10 @@ def test_retained_snapshots_survive_a_ring_wrap():
         joined = b"".join(snap.bank(name).tobytes() for name in BANK_ORDER)
         published[snap.version] = (joined, snap.checksum)
         held.append(snap)
-        frame.tokens.setflags(write=True)
-        frame.tokens[...] = np.nan
+        with pytest.raises(ValueError, match="WRITEABLE"):
+            frame.tokens.setflags(write=True)
+        # So the snapshot lists the frame's own rows rather than a copy.
+        assert np.shares_memory(snap.blocks[BANK_ORDER.index("spatial")][0], frame.tokens)
     reachable = [engine.query_at("q", ts).snapshot for ts in range(t + 1)]
     assert len({s.version for s in reachable}) == ring_depth
     for snap in held + reachable:
@@ -295,8 +299,8 @@ def test_bad_frames_abort_without_corruption(monkeypatch):
 
 
 def test_last_cluster_state_cannot_write_into_the_temporal_bank():
-    # The state's centroids and weights are the engine's temporal bank, not
-    # copies, so every array it exposes must refuse writes.
+    # The state's blocks are the ones the snapshot lists and its weights are
+    # the bank's, not copies, so every array it exposes must refuse writes.
     engine, twin = _engine(dim=16), _engine(dim=16)
     frames = list(synth_stream(0, 41, 3, 8, 16))
     for frame in frames[:40]:
@@ -311,6 +315,92 @@ def test_last_cluster_state_cannot_write_into_the_temporal_bank():
     twin.ingest_frame(frames[40])
     assert _observed(engine) == _observed(twin)
     assert engine.temporal_weights.flags.writeable  # a copy, not the bank
+
+
+def test_frame_tokens_can_never_be_made_writable():
+    # The checked tokens live in an immutable bytes object: no route back to
+    # writable memory exists, so no NaN can follow the check into the engine.
+    rng = np.random.default_rng(16)
+    source = rng.normal(size=(8, 8, 6))
+    frame = FrameFeature.from_array(source)
+    owner, owners = frame.tokens, []
+    while isinstance(owner, np.ndarray):
+        owners.append(owner)
+        owner = owner.base
+    assert isinstance(owner, bytes)
+    tokens = frame.tokens
+    for arr in owners + [tokens.view(), tokens.reshape(-1), np.asarray(tokens), tokens[1:, ::2]]:
+        with pytest.raises(ValueError, match="WRITEABLE"):
+            arr.setflags(write=True)
+        with pytest.raises(ValueError, match="WRITEABLE"):
+            arr.flags.writeable = True
+        with pytest.raises(ValueError, match="read-only"):
+            arr.flat[0] = np.nan
+    strided = np.lib.stride_tricks.as_strided(tokens, writeable=True)
+    assert not strided.flags.writeable
+    assert memoryview(tokens).readonly
+    assert not np.frombuffer(memoryview(tokens)).flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        strided[0, 0, 0] = np.nan
+    with pytest.raises(FrozenInstanceError):
+        frame.tokens = np.full_like(source, np.nan)
+    engine, twin = _engine(), _engine()
+    engine.ingest_frame(frame)
+    twin.ingest_frame(FrameFeature.from_array(source))
+    assert not np.isnan(engine.read_snapshot().tokens).any()
+    assert engine.read_snapshot().tokens.tobytes() == twin.read_snapshot().tokens.tobytes()
+
+
+@pytest.mark.parametrize("dim", [16, 512])
+def test_rejected_or_failed_frames_leave_the_temporal_bank_untouched(dim, monkeypatch):
+    # p_spa=6 pools a 6x6 grid that p_tem=4 cannot; at dim 512 a temporal row
+    # is 64 KB, so the bank lists its rows as one block each, and at dim 16
+    # as one block of the whole bank.
+    config = replace(CFG, dim=dim, p_spa=6, p_tem=4, n_buff=4, n_tem=3, n_ret=2)
+    frames = list(synth_stream(5, 14, 2, 12, dim))
+    engine, twin = MemoryEngine(config), MemoryEngine(config)
+    for frame in frames[:8]:
+        engine.ingest_frame(frame)
+        twin.ingest_frame(frame)
+    bank = engine._temporal
+
+    def held():
+        return (
+            bank.centroids.tobytes(),
+            bank.weights.tobytes(),
+            bank.gram.tobytes(),
+            [id(block) for block in bank.blocks],
+            bank.state,
+            engine.read_snapshot(),
+        )
+
+    before = held()
+    assert len(bank.blocks) == (config.n_tem if dim == 512 else 1)
+    rng = np.random.default_rng(17)
+    with pytest.raises(ShapeError, match="frame dim"):
+        engine.ingest_frame(_frame(rng, grid=12, dim=dim + 1))
+    assert held() == before
+    with pytest.raises(ShapeError, match="pooling not exact"):
+        engine.ingest_frame(_frame(rng, grid=6, dim=dim))
+    assert held() == before
+
+    # The next frame merges, so its row is written in place before retrieval
+    # runs; a failure there restores the bank from the blocks.
+    fold = engine_module.temporal_update(bank, average_pool(frames[8].tokens, 4).reshape(-1))
+    assert fold.matrix is None and held() == before
+
+    def failing_retrieval(*args, **kwargs):
+        raise MemoryError("injected")
+
+    monkeypatch.setattr(engine_module, "retrieve_key_features", failing_retrieval)
+    with pytest.raises(MemoryError):
+        engine.ingest_frame(frames[8])
+    monkeypatch.undo()
+    assert held() == before
+    for frame in frames[8:]:
+        engine.ingest_frame(frame)
+        twin.ingest_frame(frame)
+        assert frame_record(engine) == frame_record(twin)
 
 
 def test_re_centring_a_carried_singleton_keeps_every_bit():
