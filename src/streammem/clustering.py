@@ -20,19 +20,19 @@ When the certificate fails, including on any non-finite value,
 ``temporal_update`` runs ``weighted_kmeans``, so both paths give the same
 centroids, weights and assignments bit for bit.
 
-``TemporalBank`` owns the bank: the writable centroid matrix, the weights,
-the Gram matrix, the read-only row blocks that snapshots list, and the rows
-holding a -0.0. ``temporal_update`` computes a frame's ``TemporalFold``
-without writing the bank, and ``TemporalBank.apply`` writes it. A merge into
-centroid j writes row j in place and rewrites as ``c + 0.0`` only the rows
-holding a -0.0, since re-centring any other carried singleton keeps its
-bytes. It carries the Gram: the certificate's product ``C @ merged``, with
-entry j set to ``merged @ merged``, is the new bank's Gram column j. So every
-Gram entry is one direct dot of its two rows' current values, never an
-accumulated update, and it lies within ``_distance_bound`` as a fresh
-``C @ C.T`` does. While the bank fills, each frame appends one row and one
-block; the frame that fills it computes the Gram afresh, and so does a
-fallback frame, which replaces the whole bank.
+``TemporalBank`` holds the bank as a ``TemporalFold``: the weights, the Gram
+matrix, the rows holding a -0.0, and the read-only row blocks that snapshots
+list, which are its one copy of the rows. ``temporal_update`` computes a
+frame's fold without writing the bank, and ``TemporalBank.apply`` makes it
+the bank's. A merge into centroid j replaces the block of row j, and those of
+the rows holding a -0.0 with ``c + 0.0``, since re-centring any other carried
+singleton keeps its bytes. It carries the Gram: the certificate's product
+``C @ merged``, with entry j set to ``merged @ merged``, is the new bank's
+Gram column j. So every Gram entry is one direct dot of its two rows' current
+values, never an accumulated update, and it lies within ``_distance_bound``
+as a fresh ``C @ C.T`` does. While the bank fills, each frame appends one
+row; the frame that fills it computes the Gram afresh, and so does a
+fallback frame, which replaces every block.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import _SHARE_BYTES, MemoryConfig, _frozen, _is_int_at_least
+from .model import MemoryConfig, _frozen, _is_int_at_least, _shared_alone
 
 __all__ = ["ClusterState", "TemporalBank", "TemporalFold", "weighted_kmeans", "temporal_update"]
 
@@ -280,15 +280,12 @@ _NO_WEIGHTS, _ONE = _read_only(np.zeros(0)), _read_only(np.ones(1))
 
 
 class TemporalFold(NamedTuple):
-    """One frame's change to a ``TemporalBank``, computed without writing it.
+    """The temporal bank after one frame, computed without writing the bank.
 
     ``state`` is the frame's clustering run, None while the bank fills.
-    ``weights``, ``gram``, ``blocks`` and ``signed_zero`` are the bank's after
-    the frame, all read-only (``gram`` is None until the bank is full). A
-    merge (``matrix`` None) writes ``merged`` as row ``j`` and rewrites the
-    rows holding a -0.0 as ``c + 0.0``; any other fold replaces the bank's
-    matrix with ``matrix``. ``before`` holds what ``TemporalBank.revert``
-    restores.
+    ``weights``, ``gram`` (None until the bank is full), ``blocks`` and
+    ``signed_zero``, the rows holding a -0.0, are read-only, and nothing
+    writes them later. The blocks' rows, in order, are the bank's centroids.
     """
 
     state: ClusterState | None
@@ -296,37 +293,33 @@ class TemporalFold(NamedTuple):
     gram: np.ndarray | None
     blocks: tuple
     signed_zero: frozenset
-    before: tuple
-    matrix: np.ndarray | None = None
-    j: int = -1
-    merged: np.ndarray | None = None
+
+
+_EMPTY = TemporalFold(None, _NO_WEIGHTS, None, (), frozenset())
 
 
 class TemporalBank:
     """The temporal bank of up to n_tem centroids in the p_tem ring's row
-    layout, (n, p_tem**2 * D), with their weights.
+    layout, (n, p_tem**2 * D), held as the last frame's ``TemporalFold``.
 
-    Beside them it keeps the rows as read-only snapshot blocks, one per row
-    when a row reaches the snapshot's 64 KB share size and one for the whole
-    bank below it; and, once the bank is full, the k×k Gram matrix of the
-    rows and the rows holding a -0.0, which a merge reads (``gram`` is None
-    before). ``temporal_update`` computes each frame's ``TemporalFold`` from
-    them, and only ``apply`` and ``revert`` change them. ``centroids`` is a
-    read-only view of a matrix that ``apply`` writes in place, so read it
-    again after each frame. ``apply`` and ``revert`` replace ``weights``,
-    ``gram``, ``blocks`` and ``state``, the last frame's clustering run, but
-    never write them.
+    ``weights``, ``gram``, ``blocks`` and ``state`` are that fold's. Its
+    blocks are one per row when a row reaches the snapshot's 64 KB share
+    size, else one for the whole bank. ``centroids`` views the (n, m) matrix
+    that ``_mirror`` derives from the blocks and may write in place, so read
+    it again after each frame.
     """
 
     def __init__(self, config: MemoryConfig):
         self.config = config
         m = config.p_tem**2 * config.dim
-        self._per_row = m * 8 >= _SHARE_BYTES
+        self._per_row = _shared_alone(m * 8)
         self._matrix = np.zeros((0, m))
-        self.weights, self.gram = _NO_WEIGHTS, None
-        self.blocks: tuple = ()
-        self._signed_zero = frozenset()
-        self.state: ClusterState | None = None
+        self._fold = self._previous = _EMPTY
+
+    weights = property(lambda self: self._fold.weights)
+    gram = property(lambda self: self._fold.gram)
+    blocks = property(lambda self: self._fold.blocks)
+    state = property(lambda self: self._fold.state)
 
     @property
     def centroids(self) -> np.ndarray:
@@ -334,16 +327,15 @@ class TemporalBank:
         view.setflags(write=False)
         return view
 
-    def _before(self) -> tuple:
-        return self._matrix, self.weights, self.gram, self.blocks, self._signed_zero, self.state
-
     def append(self, row: np.ndarray) -> TemporalFold:
         """The fold that appends ``row`` with weight 1 to a filling bank. Only
         a merge reads the Gram matrix and the -0.0 rows, so they are computed
         on the frame that fills the bank."""
         n, dim = len(self._matrix), self.config.dim
         matrix = np.concatenate((self._matrix, row[None]))
-        new = _read_only(matrix[n].copy() if self._per_row else matrix.copy()).reshape(-1, dim)
+        # A row's block owns its memory: a view would keep the whole matrix
+        # alive in every snapshot that lists the row.
+        new = _read_only(matrix[n].copy() if self._per_row else matrix).reshape(-1, dim)
         full = n + 1 == self.config.n_tem
         return TemporalFold(
             state=None,
@@ -351,8 +343,6 @@ class TemporalBank:
             gram=_read_only(matrix @ matrix.T) if full else None,
             blocks=self.blocks + (new,) if self._per_row else (new,),
             signed_zero=_negative_zero_rows(matrix) if full else frozenset(),
-            before=self._before(),
-            matrix=matrix,
         )
 
     def replacement(self, centroids, weights, state: ClusterState | None = None) -> TemporalFold:
@@ -367,8 +357,6 @@ class TemporalBank:
             gram=_read_only(rows @ rows.T),
             blocks=tuple(blocks),
             signed_zero=_negative_zero_rows(rows),
-            before=self._before(),
-            matrix=rows.copy(),
         )
 
     def merge(self, row: np.ndarray) -> TemporalFold | None:
@@ -389,7 +377,7 @@ class TemporalBank:
         if self._per_row:
             blocks = list(self.blocks)
             blocks[j] = _read_only(merged).reshape(-1, dim)
-            for i in self._signed_zero - {j}:
+            for i in self._fold.signed_zero - {j}:
                 blocks[i] = _read_only(self._matrix[i] + 0.0).reshape(-1, dim)
         else:
             bank = self._matrix + 0.0
@@ -410,32 +398,37 @@ class TemporalBank:
             gram=_read_only(gram),
             blocks=state.blocks,
             signed_zero=frozenset([j]) if _negative_zero_rows(merged[None]) else frozenset(),
-            before=self._before(),
-            j=j,
-            merged=_read_only(merged),
         )
 
-    def apply(self, fold: TemporalFold) -> None:
-        """Write ``fold``, which was computed from this bank as it is now."""
-        if fold.matrix is not None:
-            self._matrix = fold.matrix
+    def _mirror(self, fold: TemporalFold) -> None:
+        """Make the matrix hold ``fold``'s rows: the one whole-bank block
+        itself; or, with a block per row, the matrix with each row whose block
+        changed copied in, or a new matrix when the row count changes."""
+        k, m = len(fold.weights), self._matrix.shape[1]
+        if not k:
+            self._matrix = np.zeros((0, m))
+        elif not self._per_row:
+            self._matrix = fold.blocks[0].reshape(k, m)
+        elif k != len(self._matrix):
+            self._matrix = np.concatenate(fold.blocks).reshape(k, m)
         else:
-            for i in self._signed_zero - {fold.j}:
-                self._matrix[i] += 0.0
-            self._matrix[fold.j] = fold.merged
-        self.weights, self.gram, self.blocks = fold.weights, fold.gram, fold.blocks
-        self._signed_zero, self.state = fold.signed_zero, fold.state
+            for i, (new, old) in enumerate(zip(fold.blocks, self._fold.blocks)):
+                if new is not old:
+                    self._matrix[i] = new.reshape(m)
 
-    def revert(self, fold: TemporalFold) -> None:
-        """Undo ``apply(fold)``, the last fold applied."""
-        matrix, self.weights, self.gram, self.blocks, self._signed_zero, self.state = fold.before
-        if fold.matrix is None:  # rows written in place: the blocks hold their bytes
-            matrix[...] = np.concatenate(self.blocks).reshape(matrix.shape)
-        self._matrix = matrix
+    def apply(self, fold: TemporalFold) -> None:
+        """Make ``fold``, computed from this bank as it is now, the bank's."""
+        self._mirror(fold)
+        self._previous, self._fold = self._fold, fold
+
+    def revert(self) -> None:
+        """Undo the last ``apply``."""
+        self._mirror(self._previous)
+        self._fold = self._previous
 
 
 def temporal_update(bank: TemporalBank, pooled_row: np.ndarray) -> TemporalFold:
-    """Fold one frame into the temporal bank; ``bank.apply`` writes the result.
+    """Fold one frame into the temporal bank; ``bank.apply`` makes the result its own.
 
     ``pooled_row`` is the frame pooled to p_tem and flattened. While the bank
     holds fewer than n_tem centroids the row is appended with weight 1 and no

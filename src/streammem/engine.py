@@ -212,7 +212,7 @@ class MemoryEngine:
                 previous=latest,
             )
         except BaseException:
-            bank.revert(fold)
+            bank.revert()
             raise
 
         self._abstract = new_abstract

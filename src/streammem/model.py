@@ -260,6 +260,12 @@ def _crc_join(crc_a: int, crc_b: int, len_b: int) -> int:
 _SHARE_BYTES = 1 << 16
 
 
+def _shared_alone(nbytes: int) -> bool:
+    """Whether a snapshot shares a block of ``nbytes`` as it is, rather than
+    joining it with its small neighbours."""
+    return nbytes >= _SHARE_BYTES
+
+
 def _bank_blocks(bank: list, known: dict) -> tuple:
     """A bank's blocks as a snapshot keeps them, all read-only C-contiguous
     float64: each run of two or more blocks under _SHARE_BYTES joined into
@@ -268,9 +274,9 @@ def _bank_blocks(bank: list, known: dict) -> tuple:
     if len(bank) == 1:  # the common case, without the grouping
         return (bank[0] if id(bank[0]) in known else _frozen(bank[0]),)
     kept = []
-    for small, run in groupby(bank, key=lambda m: m.size * 8 < _SHARE_BYTES):
+    for alone, run in groupby(bank, key=lambda m: _shared_alone(m.size * 8)):
         run = list(run)
-        if small and len(run) > 1:
+        if not alone and len(run) > 1:
             kept.append(_joined(run))
         else:
             kept.extend(m if id(m) in known else _frozen(m) for m in run)

@@ -15,13 +15,15 @@ one SHA-256 per traced config over every frame's exact bytes:
 
     PYTHONPATH=src python tests/test_behaviour_trace.py --digest
 
+It also prints ``wide512``, a config the fixture does not record: at dim 512
+the temporal bank keeps one block per row, which no dim-16 config reaches.
 The ``defaults`` and ``grid16`` lines depend on the numpy version, but they
 matched on five OpenBLAS kernels (Prescott to SkylakeX) and on one thread or
 two: retrieval and the temporal merge bound their products' rounding and
 settle near ties exactly, and the k-means fallback's assignments did not move.
 Only ``wrap_softmax`` (``p_abs=2``) reads attention scores straight from BLAS
 products, so only its line changes with the kernel.
-``data/portable_digests.txt`` records the two portable lines with the numpy
+``data/portable_digests.txt`` records the portable lines with the numpy
 version that printed them, and ``test_portable_digest_matches_record``
 compares them when that version runs.
 """
@@ -47,6 +49,13 @@ TRACES = {
     "defaults": (default_config(dim=16), 8),
     "wrap_softmax": (default_config(dim=16, n_buff=15, p_abs=2), 8),
     "grid16": (default_config(dim=16, n_buff=25), 16),
+}
+# Configs that only --digest runs. At dim 512 a temporal row reaches the
+# snapshot's 64 KB share size, so the temporal bank keeps one block per row,
+# a path that no dim-16 config reaches.
+DIGESTS = {
+    **TRACES,
+    "wide512": (default_config(dim=512, n_buff=25), 8),
 }
 
 
@@ -155,12 +164,12 @@ def test_portable_digest_matches_record(name):
             f"the digests were recorded with numpy {recorded['numpy']}; numpy "
             f"{np.__version__} may round its sums differently"
         )
-    assert digest(*TRACES[name]) == recorded[name]
+    assert digest(*DIGESTS[name]) == recorded[name]
 
 
 if __name__ == "__main__":
     if sys.argv[1:] == ["--digest"]:
-        for name, spec in TRACES.items():
+        for name, spec in DIGESTS.items():
             print(f"{name} {digest(*spec)}")
         sys.exit(0)
     if sys.argv[1:] != ["--record"]:

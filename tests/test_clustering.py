@@ -210,12 +210,13 @@ def _fold(bank, row):
     return both states and whether the merge path gave the former."""
     points = np.vstack([bank.centroids, row])
     want = weighted_kmeans(points, np.append(bank.weights, 1.0), len(bank.weights))
+    merged = clustering._merge_step(bank.centroids, bank.weights, bank.gram, row) is not None
     fold = temporal_update(bank, row)
     bank.apply(fold)
     _assert_same_state(fold.state, want)
     assert bank.centroids.tobytes() == want.centroids.tobytes()
     assert bank.weights.tobytes() == want.weights.tobytes()
-    return fold.state, want, fold.matrix is None
+    return fold.state, want, merged
 
 
 def _fold_stream(rows, k) -> tuple[int, int]:

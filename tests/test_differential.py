@@ -188,7 +188,6 @@ def _run(config, params, frames, stages, share_all=False) -> tuple[list, list]:
         patch.object(engine_module, "abstract_update", stages["abstract_update"]),
         patch.object(engine_module, "retrieve_key_features", recording_retrieval),
         patch.object(engine_module, "MemorySnapshot", stages["MemorySnapshot"]),
-        patch.object(clustering_module, "_SHARE_BYTES", share_bytes),
         patch.object(model_module, "_SHARE_BYTES", share_bytes),
     ):
         engine = MemoryEngine(config, params)
@@ -349,7 +348,7 @@ def test_held_states_and_snapshots_keep_their_bytes(config):
 
     held, rewrites = [], 0
     for t, frame in enumerate(frames, start=1):
-        signed_zero = engine._temporal._signed_zero
+        signed_zero = engine._temporal._fold.signed_zero
         merged_into.clear()
         with patch.object(clustering_module, "_merge_step", recording_merge_step):
             engine.ingest_frame(frame)

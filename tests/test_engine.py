@@ -4,12 +4,15 @@ error containment, and a light concurrency shake-out."""
 import threading
 import types
 from dataclasses import FrozenInstanceError, replace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import streammem.clustering as clustering_module
 import streammem.engine as engine_module
+import streammem.model as model_module
 from streammem import (
     BANK_ORDER,
     AttentionParams,
@@ -351,6 +354,24 @@ def test_frame_tokens_can_never_be_made_writable():
     assert engine.read_snapshot().tokens.tobytes() == twin.read_snapshot().tokens.tobytes()
 
 
+def _held_bank(engine) -> tuple:
+    """The temporal bank's centroids, weights, Gram, block ids and state, and
+    the engine's published snapshot."""
+    bank = engine._temporal
+    return (
+        bank.centroids.tobytes(),
+        bank.weights.tobytes(),
+        None if bank.gram is None else bank.gram.tobytes(),
+        [id(block) for block in bank.blocks],
+        bank.state,
+        engine.read_snapshot(),
+    )
+
+
+def _failing_retrieval(*args, **kwargs):
+    raise MemoryError("injected")
+
+
 @pytest.mark.parametrize("dim", [16, 512])
 def test_rejected_or_failed_frames_leave_the_temporal_bank_untouched(dim, monkeypatch):
     # p_spa=6 pools a 6x6 grid that p_tem=4 cannot; at dim 512 a temporal row
@@ -363,44 +384,101 @@ def test_rejected_or_failed_frames_leave_the_temporal_bank_untouched(dim, monkey
         engine.ingest_frame(frame)
         twin.ingest_frame(frame)
     bank = engine._temporal
-
-    def held():
-        return (
-            bank.centroids.tobytes(),
-            bank.weights.tobytes(),
-            bank.gram.tobytes(),
-            [id(block) for block in bank.blocks],
-            bank.state,
-            engine.read_snapshot(),
-        )
-
-    before = held()
+    before = _held_bank(engine)
     assert len(bank.blocks) == (config.n_tem if dim == 512 else 1)
     rng = np.random.default_rng(17)
     with pytest.raises(ShapeError, match="frame dim"):
         engine.ingest_frame(_frame(rng, grid=12, dim=dim + 1))
-    assert held() == before
+    assert _held_bank(engine) == before
     with pytest.raises(ShapeError, match="pooling not exact"):
         engine.ingest_frame(_frame(rng, grid=6, dim=dim))
-    assert held() == before
+    assert _held_bank(engine) == before
 
-    # The next frame merges, so its row is written in place before retrieval
-    # runs; a failure there restores the bank from the blocks.
-    fold = engine_module.temporal_update(bank, average_pool(frames[8].tokens, 4).reshape(-1))
-    assert fold.matrix is None and held() == before
+    # The next frame merges; at dim 512 that writes its row into the bank's
+    # matrix before retrieval runs, and a failure there writes it back from
+    # the blocks. Computing the fold writes nothing.
+    row = average_pool(frames[8].tokens, 4).reshape(-1)
+    assert clustering_module._merge_step(bank.centroids, bank.weights, bank.gram, row) is not None
+    engine_module.temporal_update(bank, row)
+    assert _held_bank(engine) == before
 
-    def failing_retrieval(*args, **kwargs):
-        raise MemoryError("injected")
-
-    monkeypatch.setattr(engine_module, "retrieve_key_features", failing_retrieval)
+    monkeypatch.setattr(engine_module, "retrieve_key_features", _failing_retrieval)
     with pytest.raises(MemoryError):
         engine.ingest_frame(frames[8])
     monkeypatch.undo()
-    assert held() == before
+    assert _held_bank(engine) == before
     for frame in frames[8:]:
         engine.ingest_frame(frame)
         twin.ingest_frame(frame)
         assert frame_record(engine) == frame_record(twin)
+
+
+@pytest.mark.parametrize("dim", [16, 512])
+@pytest.mark.parametrize("ingested", [0, 1], ids=["first_frame", "filling_frame"])
+def test_a_frame_that_fails_while_the_bank_fills_leaves_it_as_it_was(ingested, dim, monkeypatch):
+    # Each frame until the bank holds n_tem rows appends one, before retrieval
+    # runs; a failure there takes it back out, down to the empty bank on the
+    # first frame. At dim 512 the bank lists one block per row, at dim 16 one
+    # block of the whole bank.
+    config = replace(CFG, dim=dim, n_buff=4, n_tem=3, n_ret=2)
+    frames = list(synth_stream(5, 10, 2, 8, dim))
+    engine, twin = MemoryEngine(config), MemoryEngine(config)
+    for frame in frames[:ingested]:
+        engine.ingest_frame(frame)
+        twin.ingest_frame(frame)
+    before = _held_bank(engine)
+    monkeypatch.setattr(engine_module, "retrieve_key_features", _failing_retrieval)
+    with pytest.raises(MemoryError):
+        engine.ingest_frame(frames[ingested])
+    monkeypatch.undo()
+    assert _held_bank(engine) == before
+    for frame in frames[ingested:]:
+        engine.ingest_frame(frame)
+        twin.ingest_frame(frame)
+        assert frame_record(engine) == frame_record(twin)
+
+
+def _owner(block: np.ndarray) -> np.ndarray:
+    """The array whose memory ``block`` views."""
+    while isinstance(block.base, np.ndarray):
+        block = block.base
+    return block
+
+
+@pytest.mark.parametrize("kind", ["scenes", "duplicates"])
+def test_snapshot_temporal_blocks_keep_alive_at_most_twice_the_bank(kind):
+    # At dim 512 each temporal row is its own 64 KB block, and a snapshot
+    # keeps alive all of the array a block views. A filling row's block must
+    # own its memory, since a view of the joined bank would keep every
+    # filling frame's copy alive. A k-means fallback's rows view its one
+    # (k, m) result, which may stay alive beside the rows merged since.
+    config = replace(CFG, dim=512, n_buff=4, n_tem=8, n_ret=2)
+    frames = list(synth_stream(3, 40, 4, 8, config.dim))
+    if kind == "duplicates":
+        frames = [frames[0]] * len(frames)
+    bank_bytes = config.n_tem * config.p_tem**2 * config.dim * 8
+    assert bank_bytes // config.n_tem == model_module._SHARE_BYTES
+    paths = {"merge": 0, "fallback": 0}
+    merge_step = clustering_module._merge_step
+
+    def counting_merge_step(*args):
+        got = merge_step(*args)
+        paths["fallback" if got is None else "merge"] += 1
+        return got
+
+    engine = MemoryEngine(config)
+    temporal = BANK_ORDER.index("temporal")
+    with patch.object(clustering_module, "_merge_step", counting_merge_step):
+        for t, frame in enumerate(frames, start=1):
+            engine.ingest_frame(frame)
+            blocks = engine.read_snapshot().blocks[temporal]
+            owners = {id(owner): owner for owner in map(_owner, blocks)}
+            held = sum(owner.nbytes for owner in owners.values())
+            assert held <= 2 * bank_bytes, f"frame {t}: {held / bank_bytes:.2f}x the bank"
+    if kind == "duplicates":  # every clustered frame ties, so k-means runs
+        assert paths == {"merge": 0, "fallback": len(frames) - config.n_tem}
+    else:
+        assert paths["merge"], paths
 
 
 def test_re_centring_a_carried_singleton_keeps_every_bit():
