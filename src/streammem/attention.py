@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import MemoryConfig, ShapeError, _check_magnitude
+from .model import MemoryConfig, ShapeError, _check_magnitude, _check_real
 
 __all__ = [
     "AttentionParams",
@@ -41,7 +41,7 @@ __all__ = [
 class AttentionParams:
     """Bias-free square projections for keys and queries.
 
-    Matrices are D x D, read-only float64, every entry within
+    Matrices are D x D, read-only float64, every entry real and within
     ``model.MAX_MAGNITUDE`` (the float32 range). The decay rate is not a
     learned weight: it lives in ``MemoryConfig`` and is passed per call.
     """
@@ -51,6 +51,7 @@ class AttentionParams:
 
     def __post_init__(self) -> None:
         for name in ("key_proj", "query_proj"):
+            _check_real(getattr(self, name), name)
             mat = np.array(getattr(self, name), dtype=np.float64, order="C", copy=True)
             if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
                 raise ShapeError(f"{name} must be square, got shape {mat.shape}")

@@ -22,11 +22,13 @@ centroids, weights and assignments bit for bit.
 
 ``TemporalBank`` holds the bank as a ``TemporalFold``: the weights, the Gram
 matrix, the rows holding a -0.0, and the read-only row blocks that snapshots
-list, which are its one copy of the rows. ``temporal_update`` computes a
-frame's fold without writing the bank, and ``TemporalBank.apply`` makes it
-the bank's. A merge into centroid j replaces the block of row j, and those of
-the rows holding a -0.0 with ``c + 0.0``, since re-centring any other carried
-singleton keeps its bytes. It carries the Gram: the certificate's product
+list, which are its one copy of the rows: one block per row when a row
+reaches ``_SHARE_BYTES``, else one block of the whole bank, and the snapshot
+keeps them as they are. ``temporal_update`` computes a frame's fold without
+writing the bank, and ``TemporalBank.apply`` makes it the bank's. A merge
+into centroid j replaces the block of row j, and those of the rows holding a
+-0.0 with ``c + 0.0``, since re-centring any other carried singleton keeps
+its bytes. It carries the Gram: the certificate's product
 ``C @ merged``, with entry j set to ``merged @ merged``, is the new bank's
 Gram column j. So every Gram entry is one direct dot of its two rows' current
 values, never an accumulated update, and it lies within ``_distance_bound``
@@ -43,11 +45,19 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import MemoryConfig, _frozen, _is_int_at_least, _shared_alone
+from .model import MemoryConfig, _frozen, _is_int_at_least
 
 __all__ = ["ClusterState", "TemporalBank", "TemporalFold", "weighted_kmeans", "temporal_update"]
 
 _MAX_ITERS = 10  # Lloyd update steps per weighted_kmeans call
+
+# A bank whose rows are this many bytes or more keeps one block per row, so a
+# merge replaces one row's block and the snapshot hashes that block alone; a
+# smaller bank keeps one block for the whole bank. Both sides were measured:
+# one block per row at dim 16 (2 KB rows) cost pipe-16 13% of its ingest_fps,
+# since each block costs a CRC join and lookups in Python, and one block for
+# the whole bank at dim 1024 would copy and hash 3.2 MB per frame.
+_SHARE_BYTES = 1 << 16
 
 # -0.0 read as an int64 is the sign bit alone, the least int64, so a float64
 # row holds a -0.0 exactly when its int64 view's minimum is this value.
@@ -152,8 +162,8 @@ def _repair_empty(assign: np.ndarray, d2: np.ndarray, point_weights: np.ndarray,
 def weighted_kmeans(points: np.ndarray, point_weights: np.ndarray, k: int) -> ClusterState:
     """Lloyd iterations with per-point weights and deterministic tie-breaking.
 
-    points: (n, m) rows, n >= k >= 1. Point weights must be positive and are
-    frozen for the whole call.
+    points: (n, m) rows, n >= k >= 1. Point weights must be positive and
+    finite, and are frozen for the whole call.
 
     The centroids start at points[:k] (callers put the carried bank entries
     first), so identical inputs give bit-equal output. Iteration stops when
@@ -168,8 +178,8 @@ def weighted_kmeans(points: np.ndarray, point_weights: np.ndarray, k: int) -> Cl
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     if point_weights.shape != (n,):
         raise ValueError(f"point_weights shape {point_weights.shape} != ({n},)")
-    if not (point_weights > 0).all():
-        raise ValueError("point weights must be positive")
+    if not ((point_weights > 0) & (point_weights < np.inf)).all():
+        raise ValueError("point weights must be positive and finite")
 
     centroids = points[:k].copy()
 
@@ -303,16 +313,16 @@ class TemporalBank:
     layout, (n, p_tem**2 * D), held as the last frame's ``TemporalFold``.
 
     ``weights``, ``gram``, ``blocks`` and ``state`` are that fold's. Its
-    blocks are one per row when a row reaches the snapshot's 64 KB share
-    size, else one for the whole bank. ``centroids`` views the (n, m) matrix
-    that ``_mirror`` derives from the blocks and may write in place, so read
-    it again after each frame.
+    blocks are one per row when a row reaches ``_SHARE_BYTES`` (64 KB), else
+    one for the whole bank. ``centroids`` views the (n, m) matrix that
+    ``_mirror`` derives from the blocks and may write in place, so read it
+    again after each frame.
     """
 
     def __init__(self, config: MemoryConfig):
         self.config = config
         m = config.p_tem**2 * config.dim
-        self._per_row = _shared_alone(m * 8)
+        self._per_row = m * 8 >= _SHARE_BYTES
         self._matrix = np.zeros((0, m))
         self._fold = self._previous = _EMPTY
 

@@ -10,8 +10,9 @@ writer.
 
 The rows a snapshot lists are read-only blocks that the engine never writes
 again: one per buffered frame at p_spa, one per temporal centroid (one for
-the whole bank when its rows are under the snapshot's 64 KB share size), and
-the abstract bank. A frame replaces the blocks it changes, so consecutive
+the whole bank when its rows are under the temporal bank's 64 KB
+``_SHARE_BYTES``), and the abstract bank. The snapshot keeps each block as
+it is given. A frame replaces the blocks it changes, so consecutive
 snapshots share the rest, and each snapshot hashes only its new blocks by
 reusing the previous snapshot's CRCs.
 """

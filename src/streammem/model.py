@@ -6,9 +6,9 @@ live here alone: ``MemoryConfig`` stores its counts as Python ints and its
 decay as a Python float, so no caller's numpy scalar type reaches the
 engine's arithmetic; and ``MemorySnapshot`` lays out the row blocks it is
 given by bank name in ``BANK_ORDER``, so no caller orders or counts banks.
-It keeps them as shared read-only blocks and joins its checksum from one
-CRC-32 per block, so a snapshot that differs from the previous one in a few
-blocks costs a hash of those blocks alone.
+It keeps them one for one as shared read-only blocks and joins its checksum
+from one CRC-32 per block, so a snapshot that differs from the previous one
+in a few blocks costs a hash of those blocks alone.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from array import array
 from collections.abc import Mapping
 from dataclasses import InitVar, dataclass, field, fields
 from functools import cached_property, lru_cache
-from itertools import accumulate, chain, groupby
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -81,6 +81,13 @@ def _check_magnitude(arr: np.ndarray, name: str) -> None:
         )
 
 
+def _check_real(value, name: str) -> None:
+    """Raise ValueError if ``value`` is complex, whose imaginary part a float64
+    cast would drop."""
+    if np.iscomplexobj(value):
+        raise ValueError(f"{name} must hold real values, got dtype {np.asarray(value).dtype}")
+
+
 @dataclass(frozen=True, eq=False)
 class FrameFeature:
     """One frame's square grid of feature tokens.
@@ -88,10 +95,10 @@ class FrameFeature:
     ``tokens`` has shape (grid_size, grid_size, dim), float64, row-major and
     read-only for good: it is a copy of the input held in an immutable
     ``bytes`` object, so neither it nor its base can be made writable again.
-    Every value must satisfy |v| <= MAX_MAGNITUDE, so no other frame can ever
-    enter the engine. Instances compare by identity; the engine may keep a
-    frame's tokens in its buffer, since they cannot change, but keeps no
-    reference to the frame itself.
+    Every value must be real and satisfy |v| <= MAX_MAGNITUDE, so no other
+    frame can ever enter the engine. Instances compare by identity; the
+    engine may keep a frame's tokens in its buffer, since they cannot change,
+    but keeps no reference to the frame itself.
     """
 
     grid_size: int
@@ -102,6 +109,7 @@ class FrameFeature:
         p, d = self.grid_size, self.dim
         if not (_is_int_at_least(p, 1) and _is_int_at_least(d, 1)):
             raise ShapeError(f"grid_size and dim must be positive integers, got ({p!r}, {d!r})")
+        _check_real(self.tokens, "tokens")
         arr = np.asarray(self.tokens, dtype=np.float64)
         if arr.shape != (p, p, d):
             raise ShapeError(f"tokens shape {arr.shape} != expected {(p, p, d)}")
@@ -253,52 +261,24 @@ def _crc_join(crc_a: int, crc_b: int, len_b: int) -> int:
     return t0[crc_a & 255] ^ t1[crc_a >> 8 & 255] ^ t2[crc_a >> 16 & 255] ^ t3[crc_a >> 24] ^ crc_b
 
 
-# Blocks under this many bytes are joined with their small neighbours. Each
-# kept block costs a CRC join, lookups and a scattered read in Python, about
-# as much as copying and hashing 64 KB, and at dim 16 every block is 2-8 KB:
-# kept one by one there, they made both ingest and reads slower.
-_SHARE_BYTES = 1 << 16
-
-
-def _shared_alone(nbytes: int) -> bool:
-    """Whether a snapshot shares a block of ``nbytes`` as it is, rather than
-    joining it with its small neighbours."""
-    return nbytes >= _SHARE_BYTES
-
-
-def _bank_blocks(bank: list, known: dict) -> tuple:
-    """A bank's blocks as a snapshot keeps them, all read-only C-contiguous
-    float64: each run of two or more blocks under _SHARE_BYTES joined into
-    one new block, and every other block shared where it may be. A block
-    whose id is a key of ``known`` is a block of the previous snapshot."""
-    if len(bank) == 1:  # the common case, without the grouping
-        return (bank[0] if id(bank[0]) in known else _frozen(bank[0]),)
-    kept = []
-    for alone, run in groupby(bank, key=lambda m: _shared_alone(m.size * 8)):
-        run = list(run)
-        if not alone and len(run) > 1:
-            kept.append(_joined(run))
-        else:
-            kept.extend(m if id(m) in known else _frozen(m) for m in run)
-    return tuple(kept)
-
-
 def _joined(run: list) -> np.ndarray:
     arr = np.concatenate(run, out=np.empty((sum(map(len, run)), run[0].shape[1])))
     arr.setflags(write=False)
     return arr
 
 
-def _frozen(block: np.ndarray) -> np.ndarray:
+def _frozen(block) -> np.ndarray:
     """``block`` itself when it is a C-contiguous float64 array that is
     read-only all the way to the array, or the immutable ``bytes``, owning
-    its memory; else a read-only C-contiguous float64 copy."""
-    owner = block
-    while isinstance(owner, np.ndarray) and not owner.flags.writeable:
-        owner = owner.base
-    immutable = owner is None or isinstance(owner, bytes)
-    if immutable and block.dtype == np.float64 and block.flags.c_contiguous:
-        return block
+    its memory; else a read-only C-contiguous float64 copy of the real
+    array-like ``block``."""
+    if isinstance(block, np.ndarray) and block.dtype == np.float64 and block.flags.c_contiguous:
+        owner = block
+        while isinstance(owner, np.ndarray) and not owner.flags.writeable:
+            owner = owner.base
+        if owner is None or isinstance(owner, bytes):
+            return block
+    _check_real(block, "banks")
     copy = np.array(block, dtype=np.float64, order="C")
     copy.setflags(write=False)
     return copy
@@ -310,14 +290,13 @@ class MemorySnapshot:
 
     ``banks`` maps each BANK_ORDER name to a list or tuple of (n, D) row
     blocks. The token sequence is those blocks in BANK_ORDER and then in list
-    order. The snapshot keeps them as ``blocks``, one tuple of read-only
-    C-contiguous float64 blocks per bank, and does not join the whole
-    sequence. Each run of two or more blocks under 64 KB in a bank is copied
-    into one new block. Any other block that is read-only all the way to the
-    array, or the immutable ``bytes``, owning its memory is shared, and
-    copied once if not; so the caller must not make such an owner writable
-    again, and it may publish the same block in many snapshots. ``tokens``,
-    the (total, D) sequence, is built on first use.
+    order. The snapshot keeps them one for one, in that order, as ``blocks``:
+    one tuple of read-only C-contiguous float64 blocks per bank, never joined.
+    A block that is read-only all the way to the array, or the immutable
+    ``bytes``, owning its memory is shared, and copied once if not; so the
+    caller must not make such an owner writable again, and it may publish the
+    same block in many snapshots. ``tokens``, the (total, D) sequence, is
+    built on first use.
 
     The snapshot derives ``bank_lengths`` (each bank's token count),
     ``bank_offsets`` (each bank's (start, length) in tokens) and the
@@ -327,9 +306,10 @@ class MemorySnapshot:
     one). It is joined from one CRC per block, and a block that also appears
     in ``previous``, a snapshot whose blocks are read-only too, keeps the CRC
     computed there. Building one raises ValueError listing BANK_ORDER for a
-    missing or unknown bank name, and ShapeError for a block that is not 2-D,
-    blocks of different widths or none at all, or a version or timestamp that
-    is not a count the checksum header can hold.
+    missing or unknown bank name, ValueError for a complex block, and
+    ShapeError for a block that is not 2-D, blocks of different widths or
+    none at all, or a version or timestamp that is not a count the checksum
+    header can hold.
     """
 
     version: int
@@ -357,18 +337,16 @@ class MemorySnapshot:
         # An object whose id is a key of ``known`` is a block of ``previous``,
         # which keeps it alive: it is frozen, and its CRC there is its CRC.
         known = {} if previous is None else previous._block_crcs
-        given = [
-            [m if isinstance(m, np.ndarray) else np.asarray(m, dtype=np.float64)
-             for m in banks[name]]
+        blocks = tuple([
+            tuple([m if id(m) in known else _frozen(m) for m in banks[name]])
             for name in BANK_ORDER
-        ]
-        rows = [m for bank in given for m in bank]
+        ])
+        rows = [m for bank in blocks for m in bank]
         if len({m.shape[1:] for m in rows}) != 1 or rows[0].ndim != 2:
             raise ShapeError(
                 "snapshot row blocks must be 2-D (n, D) and share one width D, got shapes "
                 f"{[m.shape for m in rows]}"
             )
-        blocks = tuple([_bank_blocks(bank, known) for bank in given])
         lengths = tuple([sum(map(len, bank)) for bank in blocks])
         offsets = tuple(zip(accumulate(lengths[:-1], initial=0), lengths))
         crcs = {}  # id(block) -> CRC-32 of the block

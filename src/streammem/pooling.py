@@ -16,6 +16,8 @@ def average_pool(tokens: np.ndarray, target_grid: int) -> np.ndarray:
     (P/p, P/p) block of input tokens. target_grid == P returns ``tokens``
     itself. Values are not checked: frames are checked once, as FrameFeature.
     """
+    if not isinstance(tokens, np.ndarray):
+        raise ShapeError(f"tokens must be a numpy array, got {type(tokens).__name__}")
     if tokens.ndim != 3 or tokens.shape[0] != tokens.shape[1]:
         raise ShapeError(f"expected a (P, P, D) array, got shape {tokens.shape}")
     p_in, _, dim = tokens.shape

@@ -51,7 +51,7 @@ TRACES = {
     "grid16": (default_config(dim=16, n_buff=25), 16),
 }
 # Configs that only --digest runs. At dim 512 a temporal row reaches the
-# snapshot's 64 KB share size, so the temporal bank keeps one block per row,
+# temporal bank's 64 KB ``_SHARE_BYTES``, so it keeps one block per row,
 # a path that no dim-16 config reaches.
 DIGESTS = {
     **TRACES,

@@ -129,12 +129,26 @@ def test_input_validation():
         weighted_kmeans(np.zeros((0, 2)), np.ones(0), k=1)
     with pytest.raises(ValueError, match="positive"):
         weighted_kmeans(points, np.array([1.0, 0.0, 1.0]), k=2)
+    # An inf weight once passed the positivity check and gave NaN centroids.
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="point weights must be positive and finite"):
+            weighted_kmeans([[0.0], [1.0]], [bad, 1.0], 1)
     with pytest.raises(ValueError, match="shape"):
         weighted_kmeans(points, np.ones(4), k=2)
     with pytest.raises(ValueError, match=r"2-D.*\(3, 1, 2\)"):
         weighted_kmeans(points.reshape(3, 1, 2), np.ones(3), k=2)
     with pytest.raises(ValueError, match="2-D"):
         weighted_kmeans(np.zeros(3), np.ones(3), k=2)
+
+
+def test_cluster_state_takes_its_centroids_one_way():
+    fields = dict(weights=np.ones(1), assignments=np.zeros(1, dtype=np.intp),
+                  objective_history=(), converged=True)
+    for how in ({}, {"centroids": np.zeros((1, 2)), "blocks": (np.zeros((1, 2)),)}):
+        with pytest.raises(ValueError, match="either as centroids or as blocks"):
+            clustering.ClusterState(**fields, **how)
+    state = clustering.ClusterState(**fields, blocks=(np.zeros((1, 2)),))
+    assert state.centroids.shape == (1, 2) and not state.centroids.flags.writeable
 
 
 def test_temporal_update_appends_until_full():

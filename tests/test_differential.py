@@ -16,16 +16,17 @@ replaces the whole bank.
 
 The twin also builds its snapshots with the frozen copy, which concatenates
 the banks and takes one CRC-32, so the package's shared blocks and joined
-checksum must match it byte for byte. Half the examples set the share size
-(``_SHARE_BYTES``) to 0. By default a temporal row under 64 KB, as at every
-width here, goes into one block of the whole bank; at 0 the engine lists and
-reuses the temporal rows one by one. After every frame, each engine's
-snapshot must hold its temporal bank's bytes, and after a frame with a
-k-means run that run's centroids, which catches a reused temporal block that
-the run changed or a row the bank wrote in place wrongly. The bank's carried
+checksum must match it byte for byte. Half the examples set the temporal
+bank's ``clustering._SHARE_BYTES`` to 0. By default a temporal row under
+64 KB, as at every width here, goes into one block of the whole bank; at 0
+the engine lists and reuses the temporal rows one by one. After every frame,
+each engine's snapshot must hold its temporal bank's bytes, and after a
+frame with a k-means run that run's centroids, which catches a reused
+temporal block that the run changed or a row the bank wrote in place
+wrongly. The bank's carried
 Gram matrix must be within twice ``_distance_bound`` of a fresh ``C @ C.T``,
 entry by entry. Separate cases run at dim 512 and p_tem=4, where a temporal
-row reaches the real share size, and hold a state and a snapshot for 20
+row reaches the real ``_SHARE_BYTES``, and hold a state and a snapshot for 20
 frames to show that the bank's in-place writes never reach them.
 
 The streams aim at the decisions an exact shortcut could get wrong: exact
@@ -53,7 +54,6 @@ from hypothesis import given, settings, strategies as st
 import oracles
 import streammem.clustering as clustering_module
 import streammem.engine as engine_module
-import streammem.model as model_module
 import streammem.retrieval as retrieval_module
 from streammem import AttentionParams, FrameFeature, MemoryEngine, default_config, synth_stream
 from streammem.model import MAX_MAGNITUDE
@@ -173,10 +173,11 @@ def _assert_gram_within_bound(bank, t: int) -> None:
 
 def _run(config, params, frames, stages, share_all=False) -> tuple[list, list]:
     """Per-frame records and retrieval picks of one engine using ``stages``.
-    ``share_all`` has the snapshot share blocks of every size, so the engine
-    lists each temporal row as its own block even at these small widths."""
+    ``share_all`` sets the temporal bank's ``_SHARE_BYTES`` to 0, so the
+    engine lists each temporal row as its own block even at these small
+    widths."""
     picks = []
-    share_bytes = 0 if share_all else model_module._SHARE_BYTES
+    share_bytes = 0 if share_all else clustering_module._SHARE_BYTES
 
     def recording_retrieval(*args, **kwargs):
         got = stages["retrieve_key_features"](*args, **kwargs)
@@ -188,7 +189,7 @@ def _run(config, params, frames, stages, share_all=False) -> tuple[list, list]:
         patch.object(engine_module, "abstract_update", stages["abstract_update"]),
         patch.object(engine_module, "retrieve_key_features", recording_retrieval),
         patch.object(engine_module, "MemorySnapshot", stages["MemorySnapshot"]),
-        patch.object(model_module, "_SHARE_BYTES", share_bytes),
+        patch.object(clustering_module, "_SHARE_BYTES", share_bytes),
     ):
         engine = MemoryEngine(config, params)
         records = []
@@ -297,8 +298,8 @@ def test_merge_path_and_fallback_both_fire_and_keep_the_engine_exact():
 
 
 # At dim 512 and p_tem=4 a temporal row is 16 * 512 * 8 bytes, 64 KB: the
-# snapshot's real share size, so the engine lists, writes and reuses the
-# temporal rows one by one with nothing patched.
+# temporal bank's real ``_SHARE_BYTES``, so the engine lists, writes and
+# reuses the temporal rows one by one with nothing patched.
 WIDE = default_config(
     dim=512, p_spa=4, p_tem=4, p_abs=1, n_buff=3, n_spa=1, n_tem=4, n_abs=1, n_ret=2
 )
@@ -309,7 +310,7 @@ WIDE = default_config(
     [("scenes", 6, "merge"), ("signed_zero", 7, "merge"), ("duplicates", 4, "fallback")],
 )
 def test_engine_matches_frozen_stages_at_the_real_share_size(kind, seed, fires):
-    assert WIDE.p_tem**2 * WIDE.dim * 8 == model_module._SHARE_BYTES
+    assert WIDE.p_tem**2 * WIDE.dim * 8 == clustering_module._SHARE_BYTES
     paths = {"merge": 0, "fallback": 0}
     merge_step = clustering_module._merge_step
 

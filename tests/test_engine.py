@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 
 import streammem.clustering as clustering_module
 import streammem.engine as engine_module
-import streammem.model as model_module
 from streammem import (
     BANK_ORDER,
     AttentionParams,
@@ -221,8 +220,9 @@ def test_retained_snapshots_survive_a_ring_wrap():
     # query_at still reaches it. No caller can scribble on a frame's tokens
     # after the ingest: they refuse to become writable again, which is why
     # the spatial bank may share them.
-    # At dim 512 a temporal row is 16 * 512 * 8 bytes, 64 KB: the least the
-    # snapshot shares rather than copies, so every bank's blocks are shared.
+    # At dim 512 a temporal row is 16 * 512 * 8 bytes, 64 KB: the least for
+    # which the temporal bank keeps one block per row. Every bank's blocks
+    # are read-only, so the snapshots share them all.
     config = replace(CFG, dim=512, n_buff=4, n_tem=3, n_ret=2)
     ring_depth = 3
     engine = MemoryEngine(config, ring_depth=ring_depth)
@@ -457,7 +457,7 @@ def test_snapshot_temporal_blocks_keep_alive_at_most_twice_the_bank(kind):
     if kind == "duplicates":
         frames = [frames[0]] * len(frames)
     bank_bytes = config.n_tem * config.p_tem**2 * config.dim * 8
-    assert bank_bytes // config.n_tem == model_module._SHARE_BYTES
+    assert bank_bytes // config.n_tem == clustering_module._SHARE_BYTES
     paths = {"merge": 0, "fallback": 0}
     merge_step = clustering_module._merge_step
 

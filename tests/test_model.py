@@ -334,6 +334,10 @@ def test_snapshot_bank_slices():
     assert np.array_equal(snap.bank("temporal")[0], snap.tokens[2])
     with pytest.raises(ValueError, match=r"bank name must be one of \('spatial'.*got 'tem'"):
         snap.bank("tem")
+    # A bank given no block at all takes its width from the other banks.
+    banks = {**_banks(np.ones((3, 4)), (1, 1, 0, 1)), "abstract": []}
+    empty = MemorySnapshot(version=1, timestamp_frame=1, banks=banks).bank("abstract")
+    assert empty.shape == (0, 4) and empty.dtype == np.float64 and not empty.flags.writeable
 
 
 def test_snapshot_checksum_detects_tampering():
@@ -386,27 +390,31 @@ def _read_only(arr):
     return arr
 
 
-def test_snapshot_shares_large_read_only_blocks_and_copies_the_rest():
-    rows = 1 << 10  # a (1024, 8) float64 block is 64 KB, the least the snapshot shares
+def test_snapshot_shares_read_only_blocks_and_copies_the_rest():
+    rows = 1 << 10  # (1024, 8) float64 blocks of 64 KB, beside blocks of a row or two
     owner = _read_only(np.arange(16.0 * rows).reshape(2 * rows, 8).copy())  # reshape is a view
     view_of_read_only = owner[rows:]
     writable = np.ones((rows, 8))
     view_of_writable = np.zeros((rows, 8))[:]
     view_of_writable.setflags(write=False)
     small = [np.full((1, 8), 1.0), np.full((2, 8), 2.0)]
+    small_read_only = _read_only(np.full((1, 8), 4.0))
     banks = {
         "spatial": [owner, view_of_read_only],
         "temporal": [writable],
-        "abstract": [view_of_writable],
+        "abstract": [view_of_writable, small_read_only],
         # Two small blocks, a large one that is not contiguous, a small list.
         "retrieved": [*small, owner[::2], [[3.0] * 8]],
     }
     snap = MemorySnapshot(version=1, timestamp_frame=1, banks=banks)
     spatial, temporal, abstract, retrieved = snap.blocks
+    # Each bank keeps the blocks it was given, one for one: none are joined.
+    assert [len(bank) for bank in snap.blocks] == [len(banks[name]) for name in BANK_ORDER]
     assert spatial[0] is owner and spatial[1] is view_of_read_only
-    assert len(retrieved) == 3  # the two small blocks are joined into one
+    assert abstract[1] is small_read_only  # read-only: shared at any size
     for copied, given in ((temporal[0], writable), (abstract[0], view_of_writable),
-                          (retrieved[0], np.concatenate(small)), (retrieved[1], owner[::2])):
+                          (retrieved[0], small[0]), (retrieved[1], small[1]),
+                          (retrieved[2], owner[::2])):
         assert not np.shares_memory(copied, given) and np.array_equal(copied, given)
     for block in (b for bank in snap.blocks for b in bank):
         assert not block.flags.writeable and block.flags.c_contiguous
@@ -414,10 +422,28 @@ def test_snapshot_shares_large_read_only_blocks_and_copies_the_rest():
     assert snap.bank("spatial").tobytes() == np.concatenate([owner, owner[rows:]]).tobytes()
     assert snap.bank("temporal") is temporal[0]
     assert not snap.bank("retrieved").flags.writeable
-    assert snap.token_count == 6 * rows + 4 and "tokens" not in vars(snap)  # not built yet
+    assert snap.token_count == 6 * rows + 5 and "tokens" not in vars(snap)  # not built yet
     want = np.concatenate([np.asarray(m, dtype=float) for name in BANK_ORDER for m in banks[name]])
     assert snap.tokens.tobytes() == want.tobytes() and snap.tokens is snap.tokens
     assert snap.verify_checksum()
+
+
+def test_frame_tokens_projections_and_snapshot_blocks_refuse_complex_values():
+    # A float64 cast would drop the imaginary part with a ComplexWarning.
+    tokens = np.ones((2, 2, 3), dtype=complex)
+    with pytest.raises(ValueError, match="tokens must hold real values, got dtype complex"):
+        FrameFeature(grid_size=2, dim=3, tokens=tokens)
+    with pytest.raises(ValueError, match="tokens must hold real values"):
+        FrameFeature.from_array(tokens.tolist())
+    real, imaginary = np.eye(2), np.eye(2) * 1j
+    with pytest.raises(ValueError, match="key_proj must hold real values, got dtype complex"):
+        AttentionParams(imaginary, real)
+    with pytest.raises(ValueError, match="query_proj must hold real values"):
+        AttentionParams(real, imaginary.tolist())
+    good = _banks(np.ones((5, 3)))
+    for block in (np.ones((1, 3), dtype=complex), [[1.0, 2.0, 1j]]):
+        with pytest.raises(ValueError, match="banks must hold real values, got dtype complex"):
+            MemorySnapshot(version=1, timestamp_frame=1, banks={**good, "retrieved": [block]})
 
 
 def test_snapshot_reuses_the_previous_snapshots_block_crcs(monkeypatch):
@@ -427,7 +453,7 @@ def test_snapshot_reuses_the_previous_snapshots_block_crcs(monkeypatch):
         calls.append(len(memoryview(data).cast("B")))
         return zlib.crc32(data, value)
 
-    shared = _read_only(np.ones((1 << 10, 8)))  # 64 KB: shared, not copied
+    shared = _read_only(np.ones((1 << 10, 8)))  # read-only: shared, not copied
     banks = dict.fromkeys(BANK_ORDER, [shared])
     first = MemorySnapshot(version=1, timestamp_frame=1, banks=banks)
     monkeypatch.setattr(model_module, "zlib", types.SimpleNamespace(crc32=counting_crc32))

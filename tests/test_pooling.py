@@ -57,6 +57,12 @@ def test_pool_rejects_non_square_input():
         average_pool(np.zeros((8, 8)), 2)
 
 
+def test_pool_refuses_a_list_by_name():
+    # A list once crashed with AttributeError on ``.ndim``.
+    with pytest.raises(ShapeError, match="tokens must be a numpy array, got list"):
+        average_pool([[[1.0]]], 1)
+
+
 @settings(max_examples=50)
 @given(
     seed=st.integers(0, 10_000),
