@@ -8,13 +8,21 @@ the layout, and publishes the new immutable snapshot by swapping one
 reference, so readers never observe a half-written state and never block the
 writer.
 
-The rows a snapshot lists are read-only blocks that the engine never writes
-again: one per buffered frame at p_spa, one per temporal centroid (one for
-the whole bank when its rows are under the temporal bank's 64 KB
-``_SHARE_BYTES``), and the abstract bank. The snapshot keeps each block as
-it is given. A frame replaces the blocks it changes, so consecutive
+The rows a snapshot lists are read-only float64 blocks that the engine never
+writes again: one per listed buffered frame at p_spa, one per temporal
+centroid (one for the whole bank when its rows are under the temporal bank's
+64 KB ``_SHARE_BYTES``), and the abstract bank. The snapshot keeps each block
+as it is given. A frame replaces the blocks it changes, so consecutive
 snapshots share the rest, and each snapshot hashes only its new blocks by
 reusing the previous snapshot's CRCs.
+
+Once the next frame arrives, the p_spa ring keeps a frame in float32 when
+that converts back to exactly the same float64 values, as a frame read from
+FVS1 at grid p_spa always does, and in float64 otherwise; at the defaults at
+dim 1024 that halves the largest buffer, 150 MiB, when every frame is exact.
+A snapshot lists the new frame's own float64 rows, the same block the
+previous snapshot listed for any slot it listed too, and a float64 copy of
+any other float32 slot, made once.
 """
 
 from __future__ import annotations
@@ -104,8 +112,14 @@ class MemoryEngine:
         # the rings fill the valid rows are the tail [n_buff - t:], newest
         # first. Rows are read only after they are written, hence np.empty.
         # The p_spa ring holds one read-only (p_spa**2, D) block per frame,
-        # which snapshots share: a row is replaced, never written in place.
+        # replaced, never written in place: the float64 block the frame's
+        # snapshot lists, which the next frame replaces by a float32 copy when
+        # that converts back to the same values (``_narrowed``). Snapshots
+        # list float64 blocks only; ``_listed`` maps each slot the latest
+        # snapshot lists to that block, so the next snapshot reuses the object
+        # and its CRC.
         self._spatial_ring: list = [None] * config.n_buff
+        self._listed: dict = {}
         self._pooled_ring = np.empty((config.n_buff, config.p_tem**2 * config.dim))
         self._sq_norm_ring = np.empty(config.n_buff)
         # The temporal bank holds centroids in the p_tem ring's row layout and
@@ -182,7 +196,15 @@ class MemoryEngine:
         # The frame's own tokens, which cannot change, when its grid is p_spa;
         # else the pooled array, which nothing else holds.
         spa_frame.setflags(write=False)
-        self._spatial_ring[slot] = spa_frame.reshape(-1, cfg.dim)
+        own = spa_frame.reshape(-1, cfg.dim)
+        ring = self._spatial_ring
+        # The ring narrows a frame when the next one arrives: until then the
+        # latest snapshot holds its float64 rows anyway, and a fresh engine's
+        # first frame casts nothing.
+        prev = (slot + 1) % n
+        if ring[prev] is not None:
+            ring[prev] = _narrowed(ring[prev])
+        ring[slot] = own
         self._pooled_ring[slot] = tem_row
         self._sq_norm_ring[slot] = tem_row @ tem_row
         bank = self._temporal
@@ -198,17 +220,26 @@ class MemoryEngine:
                 newest=slot - first,
                 sq_norms=self._sq_norm_ring[first:],
             )
-            rows = self._spatial_ring
+            spatial = [(slot + i) % n for i in range(min(cfg.n_spa, t))]
+            retrieved = [first + i for i in picks]
+            # A float64 block per listed slot: this frame's own rows, the block
+            # the latest snapshot listed (only this frame's slot has changed
+            # since), or a copy converted from the ring.
+            listed = {slot: own}
+            for s in spatial + retrieved:
+                if s not in listed:
+                    block = self._listed.get(s)
+                    listed[s] = _widened(ring[s]) if block is None else block
             new_abstract.setflags(write=False)
             version = latest.version + 1
             snapshot = MemorySnapshot(
                 version=version,
                 timestamp_frame=t,
                 banks={
-                    "spatial": [rows[(slot + i) % n] for i in range(min(cfg.n_spa, t))],
+                    "spatial": [listed[s] for s in spatial],
                     "temporal": bank.blocks,
                     "abstract": [new_abstract],
-                    "retrieved": [rows[first + i] for i in picks],
+                    "retrieved": [listed[s] for s in retrieved],
                 },
                 previous=latest,
             )
@@ -217,6 +248,7 @@ class MemoryEngine:
             raise
 
         self._abstract = new_abstract
+        self._listed = listed
         # Swapping the one reference is the commit point.
         self._published = (self._published + (snapshot,))[-self._ring_depth :]
         return version
@@ -252,3 +284,23 @@ class MemoryEngine:
         latest = self._published[-1]
         buffered = min(latest.timestamp_frame, self._config.n_buff)
         return latest.token_count + buffered * self._config.p_spa**2
+
+
+def _narrowed(block: np.ndarray) -> np.ndarray:
+    """A read-only float32 copy of ``block`` when it converts back to exactly
+    the same values (so the same bytes: the cast keeps a zero's sign), else
+    ``block`` itself."""
+    narrow = block.astype(np.float32)
+    if not np.array_equal(narrow, block):
+        return block
+    narrow.setflags(write=False)
+    return narrow
+
+
+def _widened(block: np.ndarray) -> np.ndarray:
+    """``block`` itself when it is float64, else a new read-only float64 copy."""
+    if block.dtype == np.float64:
+        return block
+    wide = block.astype(np.float64)
+    wide.setflags(write=False)
+    return wide

@@ -17,6 +17,10 @@ one SHA-256 per traced config over every frame's exact bytes:
 
 It also prints ``wide512``, a config the fixture does not record: at dim 512
 the temporal bank keeps one block per row, which no dim-16 config reaches.
+The lines also cover both ways the engine's spatial ring stores a frame:
+``defaults``, ``wrap_softmax`` and ``wide512`` the float32 copy (60 of their
+60 p_spa blocks are float32-exact), ``grid16`` the float64 fallback (0 of 60
+are: pooling grid 16 to p_spa 8 averages four values).
 The ``defaults`` and ``grid16`` lines depend on the numpy version, but they
 matched on five OpenBLAS kernels (Prescott to SkylakeX) and on one thread or
 two: retrieval and the temporal merge bound their products' rounding and

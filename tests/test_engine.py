@@ -222,14 +222,18 @@ def test_retained_snapshots_survive_a_ring_wrap():
     # the spatial bank may share them.
     # At dim 512 a temporal row is 16 * 512 * 8 bytes, 64 KB: the least for
     # which the temporal bank keeps one block per row. Every bank's blocks
-    # are read-only, so the snapshots share them all.
+    # are read-only, so the snapshots share them all. Every other frame holds
+    # float32 values, which the ring keeps in float32 from the next frame on,
+    # so a snapshot lists such a frame's own rows when it is new and a
+    # float64 copy made from the ring when retrieval brings it back later.
     config = replace(CFG, dim=512, n_buff=4, n_tem=3, n_ret=2)
     ring_depth = 3
     engine = MemoryEngine(config, ring_depth=ring_depth)
     rng = np.random.default_rng(12)
     published, held = {}, []
     for t in range(1, 2 * (config.n_buff + ring_depth) + 4):
-        frame = _frame(rng, dim=config.dim)
+        tokens = rng.normal(size=(8, 8, config.dim))
+        frame = FrameFeature.from_array(tokens.astype(np.float32) if t % 2 else tokens)
         engine.ingest_frame(frame)
         snap = engine.read_snapshot()
         joined = b"".join(snap.bank(name).tobytes() for name in BANK_ORDER)
@@ -244,6 +248,10 @@ def test_retained_snapshots_survive_a_ring_wrap():
     for snap in held + reachable:
         assert (snap.tokens.tobytes(), snap.checksum) == published[snap.version]
         assert snap.verify_checksum()
+    # Some held snapshot lists a copy converted back from a float32 slot: a
+    # block that views no frame's bytes.
+    retrieved = BANK_ORDER.index("retrieved")
+    assert any(_owner(m).base is None for snap in held for m in snap.blocks[retrieved])
     # Past the fill, a frame that merges into one centroid leaves the others'
     # blocks shared with the previous snapshot.
     temporal = BANK_ORDER.index("temporal")
@@ -663,6 +671,134 @@ def test_norm_ring_holds_each_pooled_row_squared_norm_after_wrap():
     np.testing.assert_allclose(
         engine._sq_norm_ring, np.einsum("ij,ij->i", ring, ring), rtol=1e-13, atol=0
     )
+
+
+_RETRIEVE = engine_module.retrieve_key_features
+
+
+class _Picks:
+    """Retrieval that records each call's picks as ages (frames back from
+    the newest), or raises while ``fail`` is set."""
+
+    def __init__(self, n_buff: int):
+        self.n_buff, self.ages, self.fail = n_buff, [], False
+
+    def __call__(self, *args, newest, **kwargs):
+        if self.fail:
+            raise MemoryError("injected")
+        picks = _RETRIEVE(*args, newest=newest, **kwargs)
+        self.ages.append([(i - newest) % self.n_buff for i in picks])
+        return picks
+
+
+def _named_blocks(snap, retrieved_ages, newest: int) -> list:
+    """(index of the frame it names, block) for each spatial and retrieved
+    block of ``snap``, whose newest frame has index ``newest``."""
+    spatial, _, _, retrieved = snap.blocks
+    ages = list(range(len(spatial))) + retrieved_ages
+    return [(newest - age, block) for age, block in zip(ages, spatial + retrieved)]
+
+
+def _round_trips(block: np.ndarray) -> bool:
+    return block.astype(np.float32).astype(np.float64).tobytes() == block.tobytes()
+
+
+def _mixed_frames(seed: int, count: int, dim: int) -> list:
+    """Frames of float32 values; plain float64 ones; float32 values with a
+    2**-1074 or a -0.0 token; and grid 16, random or of integers, whose
+    pooled means are seldom and always float32 values."""
+    rng = np.random.default_rng(seed)
+    frames = []
+    for kind in rng.integers(0, 6, count):
+        tokens = rng.normal(size=(16 if kind >= 4 else 8,) * 2 + (dim,))
+        if kind == 5:
+            tokens = rng.integers(-8, 8, tokens.shape).astype(float)
+        elif kind != 1:
+            tokens = tokens.astype(np.float32).astype(float)
+        if kind in (2, 3):
+            tokens[kind - 2, 1, 1] = 2.0**-1074 if kind == 2 else -0.0
+        frames.append(FrameFeature.from_array(tokens))
+    return frames
+
+
+def test_published_spatial_blocks_are_their_frames_pooled_in_float64(monkeypatch):
+    # The ring keeps a frame in float32 when that is lossless, from the next
+    # frame on, but every spatial and retrieved block a snapshot lists must be the float64 p_spa
+    # pooling of the frame it names, byte for byte, whichever way it was kept.
+    config = replace(CFG, n_buff=5, n_spa=2, n_tem=3, n_ret=2)
+    engine, n = MemoryEngine(config), config.n_buff
+    picks = _Picks(n)
+    monkeypatch.setattr(engine_module, "retrieve_key_features", picks)
+    frames = _mixed_frames(18, 80, config.dim)
+    refs = [average_pool(f.tokens, config.p_spa).reshape(-1, config.dim) for f in frames]
+    stored, widened, reused = set(), 0, 0
+    for t, frame in enumerate(frames):
+        engine.ingest_frame(frame)
+        snap = engine.read_snapshot()
+        previous = {id(m) for bank in engine.query_at("q", t).snapshot.blocks for m in bank}
+        for i, block in _named_blocks(snap, picks.ages[-1], t):
+            assert block.dtype == np.float64 and not block.flags.writeable
+            assert block.tobytes() == refs[i].tobytes(), (t, i)
+            if i != t and engine._spatial_ring[-(i + 1) % n].dtype == np.float32:
+                reused += id(block) in previous
+                widened += id(block) not in previous
+        for s, block in enumerate(engine._spatial_ring):
+            i = t - (s + t + 1) % n  # the frame in slot s
+            if i >= 0:
+                # The newest frame stays float64 until the next one arrives.
+                exact = _round_trips(refs[i]) and i < t
+                assert block.dtype == (np.float32 if exact else np.float64), (t, s)
+                assert block.astype(np.float64).tobytes() == refs[i].tobytes()
+                assert not block.flags.writeable
+                stored.add((exact, frames[i].grid_size))
+        assert snap.verify_checksum()
+    # Both storage paths, also for pooled grid-16 frames, and retrieved
+    # float32 slots both converted afresh and reused from the last snapshot.
+    assert stored == {(True, 8), (False, 8), (True, 16), (False, 16)}
+    assert widened and reused
+
+
+def test_exact_frames_are_stored_in_float32_and_listed_blocks_reused(monkeypatch):
+    config = default_config(dim=16, n_buff=6, n_spa=2, n_tem=4, n_ret=3)
+    engine = MemoryEngine(config)
+    picks = _Picks(config.n_buff)
+    monkeypatch.setattr(engine_module, "retrieve_key_features", picks)
+    before = {}
+    for t, frame in enumerate(synth_stream(3, 40, 3, 8, config.dim)):
+        engine.ingest_frame(frame)
+        named = dict(_named_blocks(engine.read_snapshot(), picks.ages[-1], t))
+        for i in named.keys() & before.keys():
+            assert named[i] is before[i], (t, i)
+        before = named
+    # Every block in float32 but the newest frame's, which its snapshot lists.
+    ring_bytes = sum(block.nbytes for block in engine._spatial_ring)
+    assert ring_bytes == (config.n_buff + 1) * config.p_spa**2 * config.dim * 4
+
+
+def test_a_failed_frame_in_a_listed_slot_leaves_later_snapshots_unchanged(monkeypatch):
+    # The frame writes the slot of the oldest buffered frame before retrieval
+    # fails. When the last snapshot lists that frame, converted back from its
+    # float32 slot, the next frames must still publish what an engine that
+    # never saw the failed frame publishes.
+    config = replace(CFG, n_buff=4, n_spa=1, n_tem=3, n_ret=2)
+    engine, twin, n = MemoryEngine(config), MemoryEngine(config), config.n_buff
+    picks = _Picks(n)
+    monkeypatch.setattr(engine_module, "retrieve_key_features", picks)
+    frames = _mixed_frames(19, 60, config.dim)
+    rng, failures = np.random.default_rng(20), 0
+    for t, frame in enumerate(frames):
+        twin.ingest_frame(frame)
+        engine.ingest_frame(frame)
+        assert frame_record(engine) == frame_record(twin)
+        oldest = t + 1 - n
+        listed = [i for i, _ in _named_blocks(engine.read_snapshot(), picks.ages[-1], t)]
+        if oldest in listed and engine._spatial_ring[-(oldest + 1) % n].dtype == np.float32:
+            picks.fail = True
+            with pytest.raises(MemoryError):
+                engine.ingest_frame(_mixed_frames(int(rng.integers(1 << 30)), 1, config.dim)[0])
+            picks.fail = False
+            failures += 1
+    assert failures >= 3
 
 
 def test_second_writer_is_refused(monkeypatch):

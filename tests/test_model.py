@@ -446,6 +446,20 @@ def test_frame_tokens_projections_and_snapshot_blocks_refuse_complex_values():
             MemorySnapshot(version=1, timestamp_frame=1, banks={**good, "retrieved": [block]})
 
 
+def test_frame_tokens_and_snapshot_blocks_refuse_non_numeric_dtypes():
+    # An object array, even of numbers, or a dict would reach the float64
+    # cast and fail there with a bare TypeError; a string array would parse.
+    for tokens in (np.array([[[1j]]], dtype=object), np.array([[[1.0]]], dtype=object), {},
+                   np.array([[["1.5"]]])):
+        with pytest.raises(ValueError, match="tokens must hold real values, got dtype"):
+            FrameFeature(1, 1, tokens)
+    for block in (np.array([[1j, 1]], dtype=object), np.array([["1", "2"]])):
+        with pytest.raises(ValueError, match="banks must hold real values, got dtype"):
+            model_module._frozen(block)
+    for tokens in (np.ones((1, 1, 2), dtype=bool), np.ones((1, 1, 2), dtype=np.int8)):
+        assert FrameFeature(1, 2, tokens).tokens.tolist() == [[[1.0, 1.0]]]
+
+
 def test_snapshot_reuses_the_previous_snapshots_block_crcs(monkeypatch):
     calls = []
 
