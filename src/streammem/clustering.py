@@ -64,23 +64,21 @@ _SHARE_BYTES = 1 << 16
 _NEGATIVE_ZERO = np.iinfo(np.int64).min
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False)
 class ClusterState:
     """Result of one weighted k-means run.
 
     ``blocks`` are read-only row blocks whose rows, in order, are the (k, m)
-    centroids; ``centroids`` is built from them on first use. weights[i] is
-    the total point weight merged into centroid i. objective_history holds
-    the weighted within-cluster squared distance after each update step and
-    is non-increasing. On ``temporal_update``'s merge path it is computed
-    from that path's own dots, so it may differ from weighted_kmeans's within
-    rounding. converged is True when assignments repeated before the
-    iteration cap ran out.
-
-    Give the centroids either as one (k, m) array, as ``weighted_kmeans``
-    does, or as ``blocks``, as the merge path does with the new bank's
-    blocks, the objects the engine's snapshot lists. The arrays are made
-    read-only in place; on both paths nothing writes their memory later.
+    centroids; ``centroids`` is built from them on first use.
+    ``weighted_kmeans`` gives its centroids as one block, and the merge path
+    gives the new bank's blocks, the objects the engine's snapshot lists.
+    weights[i] is the total point weight merged into centroid i.
+    objective_history holds the weighted within-cluster squared distance
+    after each update step and is non-increasing. On ``temporal_update``'s
+    merge path it is computed from that path's own dots, so it may differ
+    from weighted_kmeans's within rounding. converged is True when
+    assignments repeated before the iteration cap ran out. The arrays are
+    made read-only in place; on both paths nothing writes their memory later.
     """
 
     blocks: tuple = field(repr=False)
@@ -89,22 +87,10 @@ class ClusterState:
     objective_history: tuple
     converged: bool
 
-    def __init__(
-        self, *, weights, assignments, objective_history, converged, centroids=None, blocks=None
-    ):
-        if (centroids is None) == (blocks is None):
-            raise ValueError("give the centroids either as centroids or as blocks")
-        blocks = (centroids,) if blocks is None else tuple(blocks)
-        for arr in (*blocks, weights, assignments):
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "blocks", tuple(self.blocks))
+        for arr in (*self.blocks, self.weights, self.assignments):
             arr.setflags(write=False)
-        for name, value in (
-            ("blocks", blocks),
-            ("weights", weights),
-            ("assignments", assignments),
-            ("objective_history", objective_history),
-            ("converged", converged),
-        ):
-            object.__setattr__(self, name, value)
 
     @cached_property
     def centroids(self) -> np.ndarray:
@@ -204,7 +190,7 @@ def weighted_kmeans(points: np.ndarray, point_weights: np.ndarray, k: int) -> Cl
         prev_assign = assign
 
     return ClusterState(
-        centroids=centroids,
+        blocks=(centroids,),
         weights=np.bincount(assign, weights=point_weights, minlength=k),
         assignments=assign,
         objective_history=tuple(history),

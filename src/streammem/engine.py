@@ -16,13 +16,14 @@ as it is given. A frame replaces the blocks it changes, so consecutive
 snapshots share the rest, and each snapshot hashes only its new blocks by
 reusing the previous snapshot's CRCs.
 
-Once the next frame arrives, the p_spa ring keeps a frame in float32 when
-that converts back to exactly the same float64 values, as a frame read from
-FVS1 at grid p_spa always does, and in float64 otherwise; at the defaults at
-dim 1024 that halves the largest buffer, 150 MiB, when every frame is exact.
-A snapshot lists the new frame's own float64 rows, the same block the
-previous snapshot listed for any slot it listed too, and a float64 copy of
-any other float32 slot, made once.
+The p_spa ring is the one home of each buffered frame's rows. A slot the
+latest snapshot lists holds that snapshot's float64 block, so the next
+snapshot lists the same object again and reuses its CRC. Any other slot
+holds its frame in float32 when that converts back to exactly the same
+float64 values, as a frame read from FVS1 at grid p_spa always does, and in
+float64 otherwise; at the defaults at dim 1024 that halves the largest
+buffer, 150 MiB, when every frame is exact. A float32 slot is converted to
+float64 once, when a later snapshot lists it.
 """
 
 from __future__ import annotations
@@ -112,14 +113,11 @@ class MemoryEngine:
         # the rings fill the valid rows are the tail [n_buff - t:], newest
         # first. Rows are read only after they are written, hence np.empty.
         # The p_spa ring holds one read-only (p_spa**2, D) block per frame,
-        # replaced, never written in place: the float64 block the frame's
-        # snapshot lists, which the next frame replaces by a float32 copy when
-        # that converts back to the same values (``_narrowed``). Snapshots
-        # list float64 blocks only; ``_listed`` maps each slot the latest
-        # snapshot lists to that block, so the next snapshot reuses the object
-        # and its CRC.
+        # replaced, never written in place. A slot in ``_listed``, the slots
+        # the latest snapshot lists, holds that snapshot's float64 block; any
+        # other slot holds ``_narrowed``'s copy.
         self._spatial_ring: list = [None] * config.n_buff
-        self._listed: dict = {}
+        self._listed: set = set()
         self._pooled_ring = np.empty((config.n_buff, config.p_tem**2 * config.dim))
         self._sq_norm_ring = np.empty(config.n_buff)
         # The temporal bank holds centroids in the p_tem ring's row layout and
@@ -198,12 +196,6 @@ class MemoryEngine:
         spa_frame.setflags(write=False)
         own = spa_frame.reshape(-1, cfg.dim)
         ring = self._spatial_ring
-        # The ring narrows a frame when the next one arrives: until then the
-        # latest snapshot holds its float64 rows anyway, and a fresh engine's
-        # first frame casts nothing.
-        prev = (slot + 1) % n
-        if ring[prev] is not None:
-            ring[prev] = _narrowed(ring[prev])
         ring[slot] = own
         self._pooled_ring[slot] = tem_row
         self._sq_norm_ring[slot] = tem_row @ tem_row
@@ -222,14 +214,12 @@ class MemoryEngine:
             )
             spatial = [(slot + i) % n for i in range(min(cfg.n_spa, t))]
             retrieved = [first + i for i in picks]
-            # A float64 block per listed slot: this frame's own rows, the block
-            # the latest snapshot listed (only this frame's slot has changed
-            # since), or a copy converted from the ring.
-            listed = {slot: own}
-            for s in spatial + retrieved:
-                if s not in listed:
-                    block = self._listed.get(s)
-                    listed[s] = _widened(ring[s]) if block is None else block
+            # A float64 block per listed slot: the one the ring holds, which
+            # for a slot the latest snapshot lists is that snapshot's block,
+            # or a copy converted from float32. A slot that leaves the listing
+            # is narrowed. Both allocate; the ring is written at the commit.
+            listed = {s: _widened(ring[s]) for s in spatial + retrieved}
+            unlisted = {s: _narrowed(ring[s]) for s in self._listed.difference(listed)}
             new_abstract.setflags(write=False)
             version = latest.version + 1
             snapshot = MemorySnapshot(
@@ -248,7 +238,9 @@ class MemoryEngine:
             raise
 
         self._abstract = new_abstract
-        self._listed = listed
+        for s, block in (unlisted | listed).items():
+            ring[s] = block
+        self._listed = set(listed)
         # Swapping the one reference is the commit point.
         self._published = (self._published + (snapshot,))[-self._ring_depth :]
         return version

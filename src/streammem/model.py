@@ -67,8 +67,9 @@ MAX_MAGNITUDE = float(np.finfo(np.float32).max)
 # temporal bank at n_tem centroids, the abstract bank, one snapshot at budget
 # and the two D x D attention projections, which an engine holds only at
 # p_abs > 1 or when they are passed in. The defaults at dim 1024 need 222 MB.
-# That is a float64 upper bound: the engine's p_spa ring holds each frame that
-# is float32-exact in float32, about 79 MB less at those defaults when all are.
+# That is a float64 upper bound: the engine's p_spa ring holds each float32-exact
+# frame that the latest snapshot does not list in float32, about 79 MB less at
+# those defaults when all are.
 # The engine bounds the snapshots it retains by the same limit.
 MAX_BUFFER_BYTES = 1 << 34
 

@@ -258,7 +258,7 @@ def weighted_kmeans(
     weights = np.zeros(k)
     np.add.at(weights, assign, point_weights)
     return ClusterState(
-        centroids=centroids.reshape((k,) + trailing),
+        blocks=(centroids.reshape((k,) + trailing),),
         weights=weights,
         assignments=assign,
         objective_history=tuple(history),

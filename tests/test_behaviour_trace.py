@@ -17,10 +17,11 @@ one SHA-256 per traced config over every frame's exact bytes:
 
 It also prints ``wide512``, a config the fixture does not record: at dim 512
 the temporal bank keeps one block per row, which no dim-16 config reaches.
-The lines also cover both ways the engine's spatial ring stores a frame:
-``defaults``, ``wrap_softmax`` and ``wide512`` the float32 copy (60 of their
-60 p_spa blocks are float32-exact), ``grid16`` the float64 fallback (0 of 60
-are: pooling grid 16 to p_spa 8 averages four values).
+The lines also cover both ways the engine's spatial ring stores a frame that
+the latest snapshot does not list: ``defaults``, ``wrap_softmax`` and
+``wide512`` the float32 copy (60 of their 60 p_spa blocks are float32-exact),
+``grid16`` the float64 fallback (0 of 60 are: pooling grid 16 to p_spa 8
+averages four values); ``test_digest_streams_cover_both_ring_paths`` checks it.
 The ``defaults`` and ``grid16`` lines depend on the numpy version, but they
 matched on five OpenBLAS kernels (Prescott to SkylakeX) and on one thread or
 two: retrieval and the temporal merge bound their products' rounding and
@@ -152,6 +153,20 @@ def test_trace_matches_fixture(name, fixture):
     np.testing.assert_allclose(
         got["final_tokens"], final, rtol=RTOL, atol=RTOL * np.abs(final).max()
     )
+
+
+@pytest.mark.parametrize("name", sorted(DIGESTS))
+def test_digest_streams_cover_both_ring_paths(name):
+    config, grid = DIGESTS[name]
+    engine = MemoryEngine(config)
+    for frame in synth_stream(7, N_FRAMES, 4, grid, config.dim):
+        engine.ingest_frame(frame)
+    ring = engine._spatial_ring
+    buffered = [s for s in range(config.n_buff) if ring[s] is not None]
+    unlisted = [ring[s] for s in buffered if s not in engine._listed]
+    assert len(buffered) == min(N_FRAMES, config.n_buff) and unlisted
+    float32 = sum(block.dtype == np.float32 for block in unlisted)
+    assert (float32 > 0) == (name != "grid16"), float32
 
 
 def _portable_digests() -> dict[str, str]:

@@ -144,9 +144,6 @@ def test_input_validation():
 def test_cluster_state_takes_its_centroids_one_way():
     fields = dict(weights=np.ones(1), assignments=np.zeros(1, dtype=np.intp),
                   objective_history=(), converged=True)
-    for how in ({}, {"centroids": np.zeros((1, 2)), "blocks": (np.zeros((1, 2)),)}):
-        with pytest.raises(ValueError, match="either as centroids or as blocks"):
-            clustering.ClusterState(**fields, **how)
     state = clustering.ClusterState(**fields, blocks=(np.zeros((1, 2)),))
     assert state.centroids.shape == (1, 2) and not state.centroids.flags.writeable
 

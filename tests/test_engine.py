@@ -721,39 +721,62 @@ def _mixed_frames(seed: int, count: int, dim: int) -> list:
     return frames
 
 
+def _assert_ring_rule(engine, named, refs, t: int) -> set:
+    """The p_spa ring after frame ``t``: each slot the snapshot lists holds
+    the block it lists (``named``, from ``_named_blocks``), and every other
+    buffered slot holds its frame in float32 exactly when that round-trips;
+    each is read-only with the bytes of its frame's float64 pooling
+    ``refs[i]``. Returns (float32-exact, i) for each unlisted frame i."""
+    n, ring = engine.config.n_buff, engine._spatial_ring
+    for i, block in named:
+        assert ring[-(i + 1) % n] is block, (t, i)
+    listed = {i for i, _ in named}
+    unlisted = set()
+    for s, block in enumerate(ring):
+        i = t - (s + t + 1) % n  # the frame in slot s
+        if i < 0:
+            continue
+        assert not block.flags.writeable
+        assert block.astype(np.float64).tobytes() == refs[i].tobytes(), (t, s)
+        if i not in listed:
+            exact = _round_trips(refs[i])
+            assert block.dtype == (np.float32 if exact else np.float64), (t, s)
+            unlisted.add((exact, i))
+    return unlisted
+
+
 def test_published_spatial_blocks_are_their_frames_pooled_in_float64(monkeypatch):
-    # The ring keeps a frame in float32 when that is lossless, from the next
-    # frame on, but every spatial and retrieved block a snapshot lists must be the float64 p_spa
-    # pooling of the frame it names, byte for byte, whichever way it was kept.
+    # The ring keeps a frame that no snapshot lists in float32 when that is
+    # lossless, but every spatial and retrieved block a snapshot lists must
+    # be the float64 p_spa pooling of the frame it names, byte for byte, and
+    # the block its ring slot holds.
     config = replace(CFG, n_buff=5, n_spa=2, n_tem=3, n_ret=2)
-    engine, n = MemoryEngine(config), config.n_buff
-    picks = _Picks(n)
+    engine = MemoryEngine(config)
+    picks = _Picks(config.n_buff)
     monkeypatch.setattr(engine_module, "retrieve_key_features", picks)
     frames = _mixed_frames(18, 80, config.dim)
     refs = [average_pool(f.tokens, config.p_spa).reshape(-1, config.dim) for f in frames]
-    stored, widened, reused = set(), 0, 0
+    stored, widened, reused, before = set(), 0, 0, set()
     for t, frame in enumerate(frames):
         engine.ingest_frame(frame)
         snap = engine.read_snapshot()
         previous = {id(m) for bank in engine.query_at("q", t).snapshot.blocks for m in bank}
-        for i, block in _named_blocks(snap, picks.ages[-1], t):
+        named = _named_blocks(snap, picks.ages[-1], t)
+        for i, block in named:
             assert block.dtype == np.float64 and not block.flags.writeable
             assert block.tobytes() == refs[i].tobytes(), (t, i)
-            if i != t and engine._spatial_ring[-(i + 1) % n].dtype == np.float32:
-                reused += id(block) in previous
-                widened += id(block) not in previous
-        for s, block in enumerate(engine._spatial_ring):
-            i = t - (s + t + 1) % n  # the frame in slot s
-            if i >= 0:
-                # The newest frame stays float64 until the next one arrives.
-                exact = _round_trips(refs[i]) and i < t
-                assert block.dtype == (np.float32 if exact else np.float64), (t, s)
-                assert block.astype(np.float64).tobytes() == refs[i].tobytes()
-                assert not block.flags.writeable
-                stored.add((exact, frames[i].grid_size))
+            if i != t and _round_trips(refs[i]):
+                # The last snapshot's block when it listed frame i too, else
+                # a new copy converted from the float32 slot.
+                assert (id(block) in previous) == (i in before), (t, i)
+                reused += i in before
+                widened += i not in before
+        unlisted = _assert_ring_rule(engine, named, refs, t)
+        stored |= {(exact, frames[i].grid_size) for exact, i in unlisted}
+        before = {i for i, _ in named}
         assert snap.verify_checksum()
-    # Both storage paths, also for pooled grid-16 frames, and retrieved
-    # float32 slots both converted afresh and reused from the last snapshot.
+    # Both storage paths, also for pooled grid-16 frames, and float32 slots
+    # both converted afresh and reused from the last snapshot.
     assert stored == {(True, 8), (False, 8), (True, 16), (False, 16)}
     assert widened and reused
 
@@ -763,36 +786,42 @@ def test_exact_frames_are_stored_in_float32_and_listed_blocks_reused(monkeypatch
     engine = MemoryEngine(config)
     picks = _Picks(config.n_buff)
     monkeypatch.setattr(engine_module, "retrieve_key_features", picks)
+    frames = list(synth_stream(3, 40, 3, 8, config.dim))
+    refs = [f.tokens.reshape(-1, config.dim) for f in frames]
     before = {}
-    for t, frame in enumerate(synth_stream(3, 40, 3, 8, config.dim)):
+    for t, frame in enumerate(frames):
         engine.ingest_frame(frame)
-        named = dict(_named_blocks(engine.read_snapshot(), picks.ages[-1], t))
-        for i in named.keys() & before.keys():
-            assert named[i] is before[i], (t, i)
-        before = named
-    # Every block in float32 but the newest frame's, which its snapshot lists.
+        named = _named_blocks(engine.read_snapshot(), picks.ages[-1], t)
+        for i, block in named:
+            if i in before:
+                assert block is before[i], (t, i)
+        before = dict(named)
+        assert all(exact for exact, _ in _assert_ring_rule(engine, named, refs, t))
+    # Every block in float32 but the listed frames', which are the float64
+    # blocks their snapshot lists.
     ring_bytes = sum(block.nbytes for block in engine._spatial_ring)
-    assert ring_bytes == (config.n_buff + 1) * config.p_spa**2 * config.dim * 4
+    assert ring_bytes == (config.n_buff + len(before)) * config.p_spa**2 * config.dim * 4
 
 
 def test_a_failed_frame_in_a_listed_slot_leaves_later_snapshots_unchanged(monkeypatch):
     # The frame writes the slot of the oldest buffered frame before retrieval
-    # fails. When the last snapshot lists that frame, converted back from its
-    # float32 slot, the next frames must still publish what an engine that
-    # never saw the failed frame publishes.
+    # fails. When the last snapshot lists that frame, its slot holds the
+    # listed block, so the next frames must still publish what an engine that
+    # never saw the failed frame publishes, and the ring keeps its rule.
     config = replace(CFG, n_buff=4, n_spa=1, n_tem=3, n_ret=2)
     engine, twin, n = MemoryEngine(config), MemoryEngine(config), config.n_buff
     picks = _Picks(n)
     monkeypatch.setattr(engine_module, "retrieve_key_features", picks)
     frames = _mixed_frames(19, 60, config.dim)
+    refs = [average_pool(f.tokens, config.p_spa).reshape(-1, config.dim) for f in frames]
     rng, failures = np.random.default_rng(20), 0
     for t, frame in enumerate(frames):
         twin.ingest_frame(frame)
         engine.ingest_frame(frame)
         assert frame_record(engine) == frame_record(twin)
-        oldest = t + 1 - n
-        listed = [i for i, _ in _named_blocks(engine.read_snapshot(), picks.ages[-1], t)]
-        if oldest in listed and engine._spatial_ring[-(oldest + 1) % n].dtype == np.float32:
+        named = _named_blocks(engine.read_snapshot(), picks.ages[-1], t)
+        _assert_ring_rule(engine, named, refs, t)
+        if t + 1 - n in {i for i, _ in named}:  # the oldest frame is listed
             picks.fail = True
             with pytest.raises(MemoryError):
                 engine.ingest_frame(_mixed_frames(int(rng.integers(1 << 30)), 1, config.dim)[0])
