@@ -1,10 +1,10 @@
 """Desk-scale measurement harness: flat-latency check and PCA export.
 
-A "read" here fetches the current memory tokens and verifies their checksum,
-so every read does work proportional to the token count it returns. For the
-engine that count is capped by the budget, so read cost stays flat as frames
-stream past; the keep-all baseline concatenates everything it stored, so its
-reads and token counts grow linearly. The contrast is the point of the bench.
+A "read" here verifies the checksum of a snapshot of the sink's memory, so
+every read hashes every token the snapshot holds. For the engine that count
+is capped by the budget, so read cost stays flat as frames stream past; the
+keep-all baseline's snapshot lists every frame it stored, so its reads and
+token counts grow linearly. The contrast is the point of the bench.
 """
 
 from __future__ import annotations
@@ -13,8 +13,8 @@ import csv
 import io
 import itertools
 import statistics
+import sys
 import time
-import zlib
 from collections.abc import Iterable
 from dataclasses import dataclass, fields
 
@@ -49,12 +49,14 @@ def _csv_line(values) -> str:
 
 
 def _rss_mb() -> float:
+    """Peak resident set in MB: ru_maxrss counts KiB on Linux, bytes on macOS."""
     try:
         import resource
 
-        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     except Exception:
         return float("nan")
+    return peak / (1024.0 * 1024.0 if sys.platform == "darwin" else 1024.0)
 
 
 @dataclass(frozen=True)
@@ -95,10 +97,11 @@ class BenchReport:
 
 
 class _KeepAllBaseline:
-    """No-compression reference: keeps every pooled frame, reads concatenate all.
+    """No-compression reference: keeps every pooled frame.
 
-    Mirrors the engine's interface shape far enough for the bench loop. Token
-    count after t frames is exactly t * p_spa**2, i.e. linear growth.
+    Mirrors the engine's interface far enough for the bench loop; its
+    snapshot's spatial bank lists every frame kept, the other banks are
+    empty. Token count after t frames is exactly t * p_spa**2, i.e. linear.
     """
 
     def __init__(self, config: MemoryConfig):
@@ -110,9 +113,10 @@ class _KeepAllBaseline:
         self._frames.append(pooled.reshape(-1, self._config.dim))
         return len(self._frames)
 
-    def read_tokens(self, n: int) -> np.ndarray:
-        """The tokens of the first n frames, as the baseline held them then."""
-        return np.concatenate(self._frames[:n], axis=0)
+    def read_snapshot(self) -> MemorySnapshot:
+        t = len(self._frames)
+        banks = {**dict.fromkeys(BANK_ORDER, ()), "spatial": self._frames}
+        return MemorySnapshot(version=t, timestamp_frame=t, banks=banks)
 
     def resident_token_count(self) -> int:
         return len(self._frames) * self._config.p_spa**2
@@ -129,16 +133,15 @@ def bench_latency(
     """Ingest a synthetic stream once into one sink, then time its reads at each count.
 
     When the sink reaches a frame count, the bench records that count's
-    columns and keeps its read: verify_checksum of the engine snapshot
-    published then (snapshots are immutable), or for keep_all, which swaps
-    the engine for the no-compression baseline, the CRC of the baseline's
-    first count frames. The kept reads are then timed in queries_per_point
-    rounds on the calling thread, one read per count in each round, so a
-    change of machine speed during the run hits every count alike; the row
-    keeps the median and 95th percentile. ingest_fps is the rate of the
-    frames since the previous count, and rss_mb the process's peak resident
-    set so far. Timing and rss_mb columns vary run to run; the token columns
-    are seed-deterministic.
+    columns and keeps its read: verify_checksum of the snapshot the sink
+    gives then (snapshots are immutable). keep_all swaps the engine for the
+    no-compression baseline, whose snapshot lists every frame it kept. The
+    kept reads are then timed in queries_per_point rounds on the calling
+    thread, one read per count in each round, so a change of machine speed
+    during the run hits every count alike; the row keeps the median and 95th
+    percentile. ingest_fps is the rate of the frames since the previous
+    count, and rss_mb the process's peak resident set so far. Timing and
+    rss_mb columns vary run to run; the token columns are seed-deterministic.
     """
     counts = list(frame_counts) if isinstance(frame_counts, Iterable) else []
     if not counts or not all(_is_int_at_least(c, 1) for c in counts):
@@ -160,17 +163,12 @@ def bench_latency(
             t0 = time.perf_counter()
             sink.ingest_frame(frame)
             ingest_s += time.perf_counter() - t0
-        if keep_all:
-            bank = sink.resident_token_count()
-            reads.append(lambda n=count: zlib.crc32(sink.read_tokens(n)))
-        else:
-            snapshot = sink.read_snapshot()
-            bank = snapshot.token_count
-            reads.append(snapshot.verify_checksum)
+        snapshot = sink.read_snapshot()
+        reads.append(snapshot.verify_checksum)
         columns.append(dict(
             frames=count,
             ingest_fps=(count - previous) / ingest_s if ingest_s > 0 else float("inf"),
-            bank_tokens=bank,
+            bank_tokens=snapshot.token_count,
             resident_tokens=sink.resident_token_count(),
             rss_mb=_rss_mb(),
         ))
@@ -180,9 +178,7 @@ def bench_latency(
         for j in range(len(counts)):
             i = (q + j) % len(counts)  # rotate which count reads first
             t0 = time.perf_counter()
-            # An engine read returns whether the checksum verified, a keep-all
-            # read the CRC itself.
-            if reads[i]() is False:
+            if not reads[i]():
                 raise AssertionError(f"torn snapshot observed at frame {counts[i]}")
             read_ms[i].append((time.perf_counter() - t0) * 1000.0)
 

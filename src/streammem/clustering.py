@@ -40,12 +40,11 @@ fallback frame, which replaces every block.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from .model import MemoryConfig, _frozen, _is_int_at_least
+from .model import MemoryConfig, _frozen, _is_int_at_least, _joined
 
 __all__ = ["ClusterState", "TemporalBank", "TemporalFold", "weighted_kmeans", "temporal_update"]
 
@@ -69,7 +68,7 @@ class ClusterState:
     """Result of one weighted k-means run.
 
     ``blocks`` are read-only row blocks whose rows, in order, are the (k, m)
-    centroids; ``centroids`` is built from them on first use.
+    centroids; ``centroids`` joins them on each read and keeps nothing.
     ``weighted_kmeans`` gives its centroids as one block, and the merge path
     gives the new bank's blocks, the objects the engine's snapshot lists.
     weights[i] is the total point weight merged into centroid i.
@@ -92,14 +91,10 @@ class ClusterState:
         for arr in (*self.blocks, self.weights, self.assignments):
             arr.setflags(write=False)
 
-    @cached_property
+    @property
     def centroids(self) -> np.ndarray:
-        """The (k, m) centroid rows, read-only: a view of the one block, or
-        the blocks joined into a new array."""
-        joined = self.blocks[0] if len(self.blocks) == 1 else np.concatenate(self.blocks)
-        joined = joined.reshape(len(self.weights), -1)
-        joined.setflags(write=False)
-        return joined
+        """The (k, m) centroid rows, read-only: ``_joined`` of the blocks."""
+        return _joined(self.blocks).reshape(len(self.weights), -1)
 
     @property
     def iterations(self) -> int:
@@ -300,9 +295,12 @@ class TemporalBank:
 
     ``weights``, ``gram``, ``blocks`` and ``state`` are that fold's. Its
     blocks are one per row when a row reaches ``_SHARE_BYTES`` (64 KB), else
-    one for the whole bank. ``centroids`` views the (n, m) matrix that
-    ``_mirror`` derives from the blocks and may write in place, so read it
-    again after each frame.
+    one for the whole bank. A filled or merged row's block owns its memory;
+    a k-means fallback's row blocks view that run's one (k, m) array, which
+    a snapshot keeps alive beside the rows merged since (at most twice the
+    bank, ``test_snapshot_temporal_blocks_keep_alive_at_most_twice_the_bank``).
+    ``centroids`` views the (n, m) matrix that ``_mirror`` derives from the
+    blocks and may write in place, so read it again after each frame.
     """
 
     def __init__(self, config: MemoryConfig):
@@ -329,8 +327,8 @@ class TemporalBank:
         on the frame that fills the bank."""
         n, dim = len(self._matrix), self.config.dim
         matrix = np.concatenate((self._matrix, row[None]))
-        # A row's block owns its memory: a view would keep the whole matrix
-        # alive in every snapshot that lists the row.
+        # A filling row's block owns its memory: a view would keep this
+        # frame's whole matrix alive in every snapshot that lists the row.
         new = _read_only(matrix[n].copy() if self._per_row else matrix).reshape(-1, dim)
         full = n + 1 == self.config.n_tem
         return TemporalFold(

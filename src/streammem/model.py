@@ -18,7 +18,7 @@ import zlib
 from array import array
 from collections.abc import Mapping
 from dataclasses import InitVar, dataclass, field, fields
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import accumulate, chain
 
 import numpy as np
@@ -266,8 +266,12 @@ def _crc_join(crc_a: int, crc_b: int, len_b: int) -> int:
     return t0[crc_a & 255] ^ t1[crc_a >> 8 & 255] ^ t2[crc_a >> 16 & 255] ^ t3[crc_a >> 24] ^ crc_b
 
 
-def _joined(run: list) -> np.ndarray:
-    arr = np.concatenate(run, out=np.empty((sum(map(len, run)), run[0].shape[1])))
+def _joined(blocks) -> np.ndarray:
+    """Read-only row blocks of one width, in order, as one array: the one
+    block itself, or a new read-only array of their rows, never cached."""
+    if len(blocks) == 1:
+        return blocks[0]
+    arr = np.concatenate(blocks, out=np.empty((sum(map(len, blocks)), blocks[0].shape[1])))
     arr.setflags(write=False)
     return arr
 
@@ -300,8 +304,8 @@ class MemorySnapshot:
     A block that is read-only all the way to the array, or the immutable
     ``bytes``, owning its memory is shared, and copied once if not; so the
     caller must not make such an owner writable again, and it may publish the
-    same block in many snapshots. ``tokens``, the (total, D) sequence, is
-    built on first use.
+    same block in many snapshots. ``tokens``, the (total, D) sequence, and
+    ``bank(name)`` are ``_joined`` on each read and never kept.
 
     The snapshot derives ``bank_lengths`` (each bank's token count),
     ``bank_offsets`` (each bank's (start, length) in tokens) and the
@@ -370,9 +374,9 @@ class MemorySnapshot:
         object.__setattr__(self, "checksum", checksum)
         object.__setattr__(self, "_block_crcs", crcs)
 
-    @cached_property
+    @property
     def tokens(self) -> np.ndarray:
-        """Every block in order: a new read-only (total, D) array, built once."""
+        """Every block in order as one read-only (total, D) array."""
         return _joined([m for bank in self.blocks for m in bank])
 
     @property
@@ -384,11 +388,8 @@ class MemorySnapshot:
         if name not in BANK_ORDER:
             raise ValueError(f"bank name must be one of {BANK_ORDER}, got {name!r}")
         bank = self.blocks[BANK_ORDER.index(name)]
-        if len(bank) == 1:
-            return bank[0]
-        if not bank:  # no block of its own gives the width
-            bank = [np.empty((0, next(m for b in self.blocks for m in b).shape[1]))]
-        return _joined(bank)
+        # An empty bank reads as no rows of another bank's block, for the width.
+        return _joined(bank or [next(m for b in self.blocks for m in b)[:0]])
 
     def verify_checksum(self) -> bool:
         """Recompute the checksum from every block's bytes: a full read that

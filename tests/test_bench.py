@@ -2,6 +2,7 @@
 
 import csv
 import io
+import types
 
 import numpy as np
 import pytest
@@ -90,6 +91,15 @@ def test_bench_rows_read_the_state_at_their_own_count():
     assert [r.resident_tokens for r in report.rows] == [169 + 64, 681 + 30 * 64]
 
 
+@pytest.mark.parametrize("platform, mb", [("linux", 3072.0), ("darwin", 3.0)])
+def test_rss_mb_reads_ru_maxrss_in_its_platforms_unit(monkeypatch, platform, mb):
+    # ru_maxrss is in KiB on Linux and in bytes on macOS.
+    resource = pytest.importorskip("resource")
+    monkeypatch.setattr(bench.sys, "platform", platform)
+    monkeypatch.setattr(resource, "getrusage", lambda who: types.SimpleNamespace(ru_maxrss=3 << 20))
+    assert bench._rss_mb() == mb
+
+
 def test_bench_csv_text_is_exact():
     rows = (
         BenchRow("engine", 30, 2, 0.0123456789, 1.5, 1234.56, 681, 2601, 97.25),
@@ -118,6 +128,21 @@ def test_bench_refuses_a_torn_snapshot(monkeypatch):
     monkeypatch.setattr(MemorySnapshot, "verify_checksum", lambda self: False)
     with pytest.raises(AssertionError, match="torn snapshot observed at frame 3"):
         bench_latency(SMALL, [3], 1)
+
+
+def test_keep_all_reads_a_snapshot_of_every_kept_frame(monkeypatch):
+    baseline = bench._KeepAllBaseline(SMALL)
+    frames = list(synth_stream(1, 3, 1, SMALL.p_spa, SMALL.dim))
+    for frame in frames:
+        baseline.ingest_frame(frame)
+    snap = baseline.read_snapshot()
+    assert snap.bank_lengths == (3 * 64, 0, 0, 0) and snap.verify_checksum()
+    spatial = snap.blocks[BANK_ORDER.index("spatial")]
+    # Each kept frame is shared as it is, not copied into the snapshot.
+    assert all(np.shares_memory(block, f.tokens) for block, f in zip(spatial, frames))
+    monkeypatch.setattr(MemorySnapshot, "verify_checksum", lambda self: False)
+    with pytest.raises(AssertionError, match="torn snapshot observed at frame 3"):
+        bench_latency(SMALL, [3], 1, keep_all=True)
 
 
 @pytest.mark.parametrize("seed", [1.5, -1, "x", True])

@@ -148,6 +148,23 @@ def test_cluster_state_takes_its_centroids_one_way():
     assert state.centroids.shape == (1, 2) and not state.centroids.flags.writeable
 
 
+def test_cluster_state_centroids_view_one_block_and_join_several_anew():
+    fields = dict(weights=np.ones(2), assignments=np.arange(2), objective_history=(),
+                  converged=True)
+    block = np.arange(8.0).reshape(2, 4).copy()  # reshape is a view
+    one = clustering.ClusterState(**fields, blocks=(block,))
+    # The one block itself, through a (k, m) reshape that copies nothing.
+    assert one.centroids.base is block and one.centroids.shape == (2, 4)
+    # One (2, 2) block per row, as the merge path gives a wide bank.
+    rows = [np.arange(4.0).reshape(2, 2) + 4 * i for i in range(2)]
+    state = clustering.ClusterState(**fields, blocks=rows)
+    first, second = state.centroids, state.centroids
+    assert first.shape == (2, 4) and not first.flags.writeable
+    assert first.tobytes() == np.concatenate(rows).tobytes() == second.tobytes()
+    assert first is not second and "centroids" not in vars(state)  # never kept
+    assert not any(np.shares_memory(first, row) for row in rows)
+
+
 def test_temporal_update_appends_until_full():
     cfg = default_config(n_tem=4, p_tem=2, dim=3)
     bank = TemporalBank(cfg)

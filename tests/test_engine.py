@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import streammem.clustering as clustering_module
 import streammem.engine as engine_module
+import streammem.model as model_module
 from streammem import (
     BANK_ORDER,
     AttentionParams,
@@ -26,7 +27,7 @@ from streammem import (
     synth_stream,
 )
 from streammem.model import MAX_BUFFER_BYTES, MAX_MAGNITUDE
-from test_behaviour_trace import frame_record
+from test_behaviour_trace import DIGESTS, frame_record
 
 CFG = default_config(dim=6)  # paper-shaped banks, small token dim for speed
 
@@ -487,6 +488,63 @@ def test_snapshot_temporal_blocks_keep_alive_at_most_twice_the_bank(kind):
         assert paths == {"merge": 0, "fallback": len(frames) - config.n_tem}
     else:
         assert paths["merge"], paths
+
+
+def _guard_stream(name: str):
+    """(config, 200 token arrays) for one stream of the copy guard below."""
+    if name in DIGESTS:
+        config, grid = DIGESTS[name]
+        return config, (f.tokens for f in synth_stream(7, 200, 4, grid, config.dim))
+    rng = np.random.default_rng(5)
+    if name == "three_patterns":  # exact repeats, so every merge certificate fails
+        patterns = rng.integers(-4, 5, (3, 8, 8, 16)).astype(float)
+        return default_config(dim=16), (patterns[t % 3] for t in range(200))
+    # +-0.0 and +-2**-1074 tokens beside a few +-1.0 ones, so merges rewrite
+    # rows holding a -0.0; at dim 512 the temporal bank keeps a block per row.
+    dim = int(name.removeprefix("signed_zero"))
+
+    def frames():
+        for _ in range(200):
+            tiny = rng.choice([0.0, -0.0, 2.0**-1074, -(2.0**-1074)], (8, 8, dim))
+            yield np.where(rng.random(tiny.shape) < 0.1, rng.choice([-1.0, 1.0], tiny.shape), tiny)
+
+    return default_config(dim=dim, n_buff=25), frames()
+
+
+@pytest.mark.parametrize("name", [*DIGESTS, "three_patterns", "signed_zero16", "signed_zero512"])
+def test_the_engine_never_makes_a_snapshot_copy_a_block(name, monkeypatch):
+    # Every block the engine lists in a snapshot, and every array the temporal
+    # bank freezes, is read-only all the way to its owner already, so
+    # ``_frozen`` must hand each back as it is: a copy per frame would cost a
+    # block's bytes and a new CRC in every snapshot.
+    calls = []
+
+    def returns_its_block(frozen):
+        def guarded(block):
+            got = frozen(block)
+            assert got is block, f"_frozen copied a {block.shape} block"
+            calls.append(block)
+            return got
+        return guarded
+
+    for module in (model_module, clustering_module):
+        monkeypatch.setattr(module, "_frozen", returns_its_block(module._frozen))
+    paths = {"merge": 0, "fallback": 0}
+    merge_step = clustering_module._merge_step
+
+    def counting_merge_step(*args):
+        got = merge_step(*args)
+        paths["fallback" if got is None else "merge"] += 1
+        return got
+
+    monkeypatch.setattr(clustering_module, "_merge_step", counting_merge_step)
+    config, frames = _guard_stream(name)
+    engine = MemoryEngine(config)
+    for tokens in frames:
+        engine.ingest_frame(FrameFeature.from_array(tokens))
+    assert engine.frames_ingested == 200 and len(calls) >= 200
+    if name == "three_patterns":
+        assert paths == {"merge": 0, "fallback": 200 - config.n_tem}
 
 
 def test_re_centring_a_carried_singleton_keeps_every_bit():

@@ -422,10 +422,27 @@ def test_snapshot_shares_read_only_blocks_and_copies_the_rest():
     assert snap.bank("spatial").tobytes() == np.concatenate([owner, owner[rows:]]).tobytes()
     assert snap.bank("temporal") is temporal[0]
     assert not snap.bank("retrieved").flags.writeable
-    assert snap.token_count == 6 * rows + 5 and "tokens" not in vars(snap)  # not built yet
+    assert snap.token_count == 6 * rows + 5
     want = np.concatenate([np.asarray(m, dtype=float) for name in BANK_ORDER for m in banks[name]])
-    assert snap.tokens.tobytes() == want.tobytes() and snap.tokens is snap.tokens
+    assert snap.tokens.tobytes() == want.tobytes() == snap.tokens.tobytes()
+    assert "tokens" not in vars(snap)  # joined on each read, never kept
     assert snap.verify_checksum()
+
+
+def test_snapshot_returns_one_block_itself_and_joins_several_anew():
+    one = _read_only(np.arange(12.0).reshape(4, 3).copy())  # reshape is a view
+    banks = {**dict.fromkeys(BANK_ORDER, ()), "temporal": [one]}
+    snap = MemorySnapshot(version=1, timestamp_frame=1, banks=banks)
+    assert snap.tokens is one and snap.bank("temporal") is one
+    several = [one, _read_only(np.ones((2, 3))), _read_only(np.zeros((1, 3)))]
+    banks = {**dict.fromkeys(BANK_ORDER, ()), "abstract": several}
+    snap = MemorySnapshot(version=1, timestamp_frame=1, banks=banks)
+    want = np.concatenate(several).tobytes()
+    for read in (lambda: snap.tokens, lambda: snap.bank("abstract")):
+        first, second = read(), read()
+        assert first.tobytes() == want == second.tobytes()
+        assert first is not second and not first.flags.writeable  # joined anew, never kept
+        assert not any(np.shares_memory(first, block) for block in several)
 
 
 def test_frame_tokens_projections_and_snapshot_blocks_refuse_complex_values():
