@@ -1,8 +1,43 @@
 """Key-frame retrieval: pick the buffer frames nearest the heaviest clusters.
 
-``_nearest_rows`` ranks every buffer row with one matrix product; ``_rerank``
-settles by the direct distance each pick that the product's rounding bound
-(``clustering._distance_bound``) leaves undecided.
+``_nearest_rows`` ranks every buffer row with one matrix product; ``_settle``
+settles each pick, by the direct distance (``_rerank``) where the product's
+rounding bound (``clustering._distance_bound``) leaves it undecided.
+
+``DistanceBounds`` lets a caller whose buffer changes by one row per call read
+fewer rows. It carries, for each queried cluster index and each buffer row,
+an interval ``[lo, hi]`` that holds the exact distance ``d = ‖x − c‖`` between
+the row x and the cluster's centroid c, as real numbers from their float
+values. Each call reads only the rows that the intervals cannot rule out, in
+contiguous runs of rows, and settles each pick among them as ``_nearest_rows``
+does. The picks are the same bit for bit. The argument, with E the
+``_distance_bound`` of the call (its radius covers every buffer row and every
+queried centroid, so E bounds the rounding of any one squared distance
+computed in the expanded form ``S`` or directly as ``D = np.sum((x − c)**2)``):
+
+- Setting. A row that is read gets ``[√max(S − 2E, 0), √(S + 2E)]``. One E
+  covers |S − d²|; the other covers the rounding of these few operations,
+  since E is at least 40·u·r² where u is the unit roundoff and r the radius.
+  A row whose S is not finite gets ``[0, ∞]``.
+- Widening. When the centroid moves from c to c', the triangle inequality
+  gives |d' − d| ≤ μ = ‖c' − c‖. μ² is computed directly as m2, a sum of
+  squares, whose rounding is relative to its own value, so
+  ``_distance_bound(m, √m2)`` bounds it and ``√(m2 + 2·that)`` bounds μ, as in
+  the setting. ``lo − μ`` and ``hi + μ`` are each rounded one step outward
+  (``np.nextafter``), so a carried interval holds the exact distance however
+  many frames it is carried. The new row, and every row of a cluster that was
+  not queried on the last call, gets ``[0, ∞]``.
+- Reading. Let U be a column's least upper end, the ``hi`` of some row k. A
+  row i is left unread only when ``lo_i > √(U² + 2E)``, the right side rounded
+  up. Then ``D_i ≥ d_i² − E ≥ lo_i² − E > U² + E ≥ d_k² + E ≥ D_k``, so every
+  unread row's direct distance is strictly above the column's direct minimum.
+  The minimum and all its exact ties are read, so the tie rule (the newest of
+  them) picks the same row. ``_nearest_rows``'s 2E of slack between the
+  product and the direct distance appears here once, in the read rule, rather
+  than in every frame's widening.
+
+Every comparison is written so that NaN reads the row. The engine's inputs
+are bounded by ``MAX_MAGNITUDE``, so its products are finite.
 """
 
 from __future__ import annotations
@@ -14,7 +49,31 @@ import numpy as np
 from .clustering import _distance_bound
 from .model import MemoryConfig, ShapeError, WarmupError, _is_int_at_least
 
-__all__ = ["retrieve_key_features"]
+__all__ = ["DistanceBounds", "retrieve_key_features"]
+
+# The engine carries DistanceBounds when a pooled row (p_tem**2 * D float64
+# values) is at least this many bytes, and below it takes the one full
+# product. The carried path costs about 0.1 ms more Python per frame, which
+# pays once a row is more than about 8 KB. Per call, carried against full, on
+# the engine's own state over frames 320-800 of a FrameSource stream (seed 1,
+# p_tem=4, 2-vCPU VM, median ms), BLAS threads unset / OPENBLAS_NUM_THREADS=1:
+#   dim 16 (2 KB rows):    0.17 vs 0.06  /  0.17 vs 0.06
+#   dim 64 (8 KB):         0.23 vs 0.22  /  0.23 vs 0.21
+#   dim 128 (16 KB):       0.38 vs 0.52  /  0.34 vs 0.79
+#   dim 256 (32 KB):       0.49 vs 0.91  /  0.42 vs 1.22
+#   dim 512 (64 KB):       0.74 vs 1.77  /  0.88 vs 2.44
+#   dim 1024 (128 KB):     1.38 vs 3.51  /  1.72 vs 6.56
+# So the temporal bank's 64 KB _SHARE_BYTES would leave dims 128 and 256 on
+# the slower path.
+_CARRY_BYTES = 1 << 14
+
+# A gap of unread rows between two runs is read with them when its bytes are
+# at most this many. A run's product has a fixed cost of about 20 us, about
+# what reading two 128 KB rows takes. At dim 1024 (FrameSource seed 1, frames
+# 320-800) merging gaps of up to 256 KB took runs per frame from 4.6 to 3.0
+# (p95 12 to 4), rows read from 90.4 to 91.9, and retrieval, timed
+# interleaved on the same state, from 1.33 to 1.28 ms.
+_GAP_BYTES = 1 << 18
 
 
 def retrieve_key_features(
@@ -25,6 +84,7 @@ def retrieve_key_features(
     newest: int = 0,
     *,
     sq_norms: np.ndarray | None = None,
+    bounds: DistanceBounds | None = None,
 ) -> list[int]:
     """Return the candidate rows nearest the top-weight temporal centroids.
 
@@ -33,22 +93,28 @@ def retrieve_key_features(
     newest frame and each following row, cyclically, the next older one, so a
     ring buffer passes its rows as stored. ``sq_norms``, if given, is each
     row's squared norm as an (n,) array of the candidates' dtype (the engine
-    caches it per ring row); otherwise it is computed here. The picks are the
-    same either way.
+    caches it per ring row); otherwise it is computed here. ``bounds``, if
+    given, is the caller's ``DistanceBounds``, so this call reads only the rows
+    its carried intervals cannot rule out. The picks are the same either way.
 
     Selects the min(n_ret, bank size) heaviest clusters (weight ties go to the
     lower cluster index), finds for each the row minimizing the squared
     Euclidean distance ``np.sum((row - centroid) ** 2)`` (exact ties go to the
     newest of the minima), and returns those row indices ordered by
-    descending cluster weight. The same row may serve several clusters. One
-    matrix product ranks all rows; rows within its rounding bound of the
-    minimum are re-ranked by the direct distance, so the picks are exact.
+    descending cluster weight. The same row may serve several clusters. A
+    matrix product ranks the rows (all of them, or with ``bounds`` those not
+    ruled out); rows within its rounding bound of the minimum are re-ranked
+    by the direct distance, so the picks are exact.
     The three arrays must be numpy arrays: anything else is a ShapeError, or
-    for ``temporal_weights`` a ValueError, naming the argument.
+    for ``temporal_weights`` a ValueError, naming the argument. ``candidates``
+    and ``temporal`` must hold floats, since integer products wrap around: any
+    other dtype is a ValueError naming the argument.
     """
     for name, arr in (("candidates", candidates), ("temporal", temporal)):
         if not isinstance(arr, np.ndarray):
             raise ShapeError(f"{name} must be a numpy array, got {type(arr).__name__}")
+        if arr.dtype.kind != "f":
+            raise ValueError(f"{name} must be a float array, got dtype {arr.dtype}")
     if not isinstance(temporal_weights, np.ndarray):
         raise ValueError(
             f"temporal_weights must be a numpy array, got {type(temporal_weights).__name__}"
@@ -76,7 +142,6 @@ def retrieve_key_features(
         isinstance(sq_norms, np.ndarray)
         and sq_norms.shape == (n,)
         and sq_norms.dtype == candidates.dtype
-        and sq_norms.dtype.kind == "f"
     ):
         raise ValueError(
             f"sq_norms must be a ({n},) float array of the candidates' dtype "
@@ -86,8 +151,111 @@ def retrieve_key_features(
 
     # Stable sort on negated weights: descending weight, ties to lower index.
     order = np.argsort(-temporal_weights, kind="stable")[: min(config.n_ret, k)]
+    # A copy, which the bank's later writes cannot reach.
+    centroids = flat_centroids[order]
     # In age order from row ``newest``, the first of exact ties is the newest.
-    return _nearest_rows(candidates, sq_norms, flat_centroids[order], newest).tolist()
+    if bounds is None:
+        return _nearest_rows(candidates, sq_norms, centroids, newest).tolist()
+    return bounds.nearest_rows(candidates, sq_norms, centroids, order.tolist(), newest).tolist()
+
+
+class DistanceBounds:
+    """Carried intervals on the distance from each buffer row to each queried
+    centroid, so that retrieval reads only the rows they cannot rule out (see
+    the module docstring for why the picks stay exact).
+
+    The engine owns one and passes it to ``retrieve_key_features`` on every
+    frame once its buffer is full. The caller owes it one thing: between two
+    calls with the same number of rows, only row ``start`` (the newest)
+    changes. A call with another number of rows reads every row. ``reset``
+    forgets every interval, so the next call reads every row; the engine
+    calls it where it reverts a failed frame. ``rows_read`` and
+    ``full_passes`` count the rows read and the calls that read every row.
+    """
+
+    def __init__(self) -> None:
+        self.rows_read = 0
+        self.full_passes = 0
+        self.reset()
+
+    def reset(self) -> None:
+        self._clusters: list = []  # the cluster index of each carried column
+        self._centroids = None  # their centroids, as the last call read them
+        self._lo = self._hi = np.empty((0, 0))  # (columns, rows)
+
+    def nearest_rows(
+        self,
+        points: np.ndarray,
+        sq_norms: np.ndarray,
+        centroids: np.ndarray,
+        clusters: list,
+        start: int,
+    ) -> np.ndarray:
+        """``_nearest_rows(points, sq_norms, centroids, start)``, where row j
+        of ``centroids`` is cluster ``clusters[j]``, reading only the rows the
+        carried intervals cannot rule out. ``centroids`` must be a copy that
+        no one writes later: it is kept as the next call's old centroids."""
+        n, m = points.shape
+        info = max(np.finfo(points.dtype), np.finfo(centroids.dtype), key=lambda f: f.eps)
+        norms = np.einsum("ij,ij->i", centroids, centroids)
+        bound = _distance_bound(m, _radius(sq_norms, centroids), info)
+        lo = np.zeros((len(clusters), n))
+        hi = np.full((len(clusters), n), np.inf)
+        if self._lo.shape[1] == n:
+            column = {cluster: i for i, cluster in enumerate(self._clusters)}
+            for j, cluster in enumerate(clusters):
+                i = column.get(cluster)
+                if i is not None:
+                    moved = _movement(centroids[j], self._centroids[i], info)
+                    lo[j] = np.nextafter(self._lo[i] - moved, -np.inf)
+                    hi[j] = np.nextafter(self._hi[i] + moved, np.inf)
+            lo[:, start] = 0.0
+            hi[:, start] = np.inf
+
+        least = hi.min(axis=1)
+        reach = _up(np.sqrt(_up(_up(least * least) + 2.0 * bound)))
+        runs = _runs(~(lo > reach[:, None]).all(axis=0), _GAP_BYTES // (m * points.itemsize))
+        score = np.concatenate(
+            [sq_norms[a:b, None] - 2.0 * (points[a:b] @ centroids.T) for a, b in runs]
+        )
+        rows = np.concatenate([np.arange(a, b) for a, b in runs])
+        expanded = score + norms
+        expanded = np.where(np.isfinite(expanded), expanded, np.nan).T
+        lo[:, rows] = np.sqrt(np.fmax(expanded - 2.0 * bound, 0.0))
+        hi[:, rows] = np.sqrt(np.fmin(expanded + 2.0 * bound, np.inf))
+
+        self._clusters, self._centroids, self._lo, self._hi = clusters, centroids, lo, hi
+        self.rows_read += len(rows)
+        self.full_passes += len(rows) == n
+        return _settle(points, score, bound, centroids, start, rows)
+
+
+def _up(x: np.ndarray) -> np.ndarray:
+    """``x`` rounded one step up."""
+    return np.nextafter(x, np.inf)
+
+
+def _radius(sq_norms: np.ndarray, centroids: np.ndarray) -> float:
+    """A bound on ‖x‖ + ‖c‖ over the rows and centroids: the Frobenius norm of
+    all centroids bounds each one's norm."""
+    return math.sqrt(sq_norms.max()) + math.sqrt(np.vdot(centroids, centroids))
+
+
+def _movement(new: np.ndarray, old: np.ndarray, info) -> float:
+    """An upper bound on the exact ‖new − old‖ (module docstring)."""
+    diff = new - old
+    sq = float(diff @ diff)
+    return math.sqrt(sq + 2.0 * _distance_bound(len(diff), math.sqrt(sq), info))
+
+
+def _runs(read: np.ndarray, gap: int) -> list:
+    """The ``(start, stop)`` runs of the True entries of ``read``, with runs
+    at most ``gap`` entries apart joined with the gap between them."""
+    rows = np.flatnonzero(read)
+    cuts = np.flatnonzero(np.diff(rows) > gap + 1)
+    starts = rows[np.concatenate(([0], cuts + 1))].tolist()
+    stops = (rows[np.concatenate((cuts, [len(rows) - 1]))] + 1).tolist()
+    return list(zip(starts, stops))
 
 
 def _nearest_rows(
@@ -98,28 +266,47 @@ def _nearest_rows(
     The direct distance is ``np.sum((points[i] - c) ** 2)``, and exact ties go
     to the first row in cyclic order from row ``start``. ``sq_norms`` holds
     each point row's squared norm. One product ranks every row by the expanded
-    distance ``‖x‖² − 2·x·c`` (``‖c‖²`` is the same for all rows). E, the
-    ``_distance_bound``, bounds |expanded − direct| by rounding. So the direct
-    minimum is among the rows whose score is within 2E of the column minimum.
-    A column with one such row is settled; the others are re-ranked by
-    ``_rerank``.
+    distance ``‖x‖² − 2·x·c`` (``‖c‖²`` is the same for all rows).
     """
     score = sq_norms[:, None] - 2.0 * (points @ centroids.T)
-    info = np.finfo(points.dtype if points.dtype.kind == "f" else np.float64)
-    # The Frobenius norm of all centroids bounds each one's norm.
-    radius = math.sqrt(sq_norms.max()) + math.sqrt(np.vdot(centroids, centroids))
-    bound = _distance_bound(points.shape[1], radius, info)
+    bound = _distance_bound(points.shape[1], _radius(sq_norms, centroids), np.finfo(points.dtype))
+    return _settle(points, score, bound, centroids, start)
+
+
+def _settle(
+    points: np.ndarray,
+    score: np.ndarray,
+    bound: float,
+    centroids: np.ndarray,
+    start: int,
+    rows: np.ndarray | None = None,
+) -> np.ndarray:
+    """Per centroid, the row of ``points`` at least direct distance, given
+    ``score``, whose column j holds the expanded distance ``‖x‖² − 2·x·c_j``
+    of each of ``rows`` (ascending; by default every row), which must include
+    that row and its exact ties. E, the ``bound``, bounds |expanded − direct|
+    by rounding. So the direct minimum is among the rows whose score is
+    within 2E of the column minimum. A column with one such row is settled;
+    the others are re-ranked by ``_rerank``.
+    """
     limit = score.min(axis=0) + 2.0 * bound
     # NaN compares false, so a column with a NaN limit keeps every row, and
     # every column keeps at least its minimum.
     near = ~(score > limit)
     best = score.argmin(axis=0)
+    if rows is not None:
+        best = rows[best]
     if np.count_nonzero(near) == near.shape[1]:
         return best  # each column's minimum is its only near row
     for j in np.flatnonzero(near.sum(axis=0) != 1):
         # A limit of -inf (the product overflowed) certifies nothing either.
-        rows = np.flatnonzero(near[:, j]) if np.isfinite(limit[j]) else np.arange(len(points))
-        best[j] = _rerank(points, centroids[j], rows, start)
+        if not np.isfinite(limit[j]):
+            candidates = np.arange(len(points))
+        else:
+            candidates = np.flatnonzero(near[:, j])
+            if rows is not None:
+                candidates = rows[candidates]
+        best[j] = _rerank(points, centroids[j], candidates, start)
     return best
 
 

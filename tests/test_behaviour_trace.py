@@ -169,6 +169,26 @@ def test_digest_streams_cover_both_ring_paths(name):
     assert (float32 > 0) == (name != "grid16"), float32
 
 
+@pytest.mark.parametrize("name", sorted(DIGESTS))
+def test_digest_streams_cover_both_retrieval_paths(name):
+    """Only ``wide512``'s pooled rows reach the engine's ``_CARRY_BYTES``, so
+    only it carries retrieval's distance bounds, and once its buffer is full
+    most of its frames read fewer rows than the buffer holds."""
+    config, grid = DIGESTS[name]
+    engine = MemoryEngine(config)
+    bounds = engine._bounds
+    assert (bounds is not None) == (name == "wide512")
+    if bounds is None:
+        return
+    read = []
+    for frame in synth_stream(7, N_FRAMES, 4, grid, config.dim):
+        before = bounds.rows_read
+        engine.ingest_frame(frame)
+        read.append(bounds.rows_read - before)
+    later = read[config.n_buff :]
+    assert sum(r < config.n_buff for r in later) > len(later) / 2, later
+
+
 def _portable_digests() -> dict[str, str]:
     """``numpy`` -> the recording numpy version, and config name -> digest."""
     lines = PORTABLE_DIGESTS.read_text().splitlines()

@@ -8,11 +8,14 @@ agree bit for bit on ``frame_record`` (snapshot bytes, offsets, checksum and
 version; k-means assignments, centroids and weights; temporal weights) and
 on the retrieval picks. The picks are recorded separately because exact
 duplicate frames give the same snapshot bytes whichever of them is picked.
-The frozen retrieval has no ``sq_norms`` keyword, so the twin calls it
-through a wrapper that drops it. The frozen ``temporal_update`` takes the
-bank's centroids and weights and returns the new ones, so the twin calls it
-through a wrapper that hands them to its ``TemporalBank`` as a fold that
-replaces the whole bank.
+Every engine here has its ``_CARRY_BYTES`` at 0, so once its buffer is full
+the package engine's retrieval reads only the rows its carried distance
+bounds cannot rule out, at every width, while the twin ranks every row. The
+frozen retrieval has neither the ``sq_norms`` nor the ``bounds`` keyword, so
+the twin calls it through a wrapper that drops them. The frozen
+``temporal_update`` takes the bank's centroids and weights and returns the
+new ones, so the twin calls it through a wrapper that hands them to its
+``TemporalBank`` as a fold that replaces the whole bank.
 
 The twin also builds its snapshots with the frozen copy, which concatenates
 the banks and takes one CRC-32, so the package's shared blocks and joined
@@ -27,7 +30,11 @@ wrongly. The bank's carried
 Gram matrix must be within twice ``_distance_bound`` of a fresh ``C @ C.T``,
 entry by entry. Separate cases run at dim 512 and p_tem=4, where a temporal
 row reaches the real ``_SHARE_BYTES``, and hold a state and a snapshot for 20
-frames to show that the bank's in-place writes never reach them.
+frames to show that the bank's in-place writes never reach them. Others run
+the carried bounds at dims 512 and 1024 through a 40-frame buffer, on scene
+changes, duplicates, signed zeros, a reordering of the heaviest clusters and
+a failed frame; one more counts through the bounds' own counters that each
+of their full passes happens.
 
 The streams aim at the decisions an exact shortcut could get wrong: exact
 duplicates, power-of-two patterns and their midpoints (so ties are exact),
@@ -66,8 +73,9 @@ FROZEN = {name: getattr(oracles, name) for name in STAGES[:-1]}
 FROZEN["MemorySnapshot"] = oracles.snapshot
 
 
-def _frozen_retrieval(*args, sq_norms=None, **kwargs):
-    """The frozen retrieval, called without the engine's cached row norms."""
+def _frozen_retrieval(*args, sq_norms=None, bounds=None, **kwargs):
+    """The frozen retrieval, called without the engine's cached row norms and
+    carried distance bounds."""
     return oracles.retrieve_key_features(*args, **kwargs)
 
 
@@ -171,11 +179,18 @@ def _assert_gram_within_bound(bank, t: int) -> None:
     assert (np.abs(bank.gram - fresh) <= bound).all(), f"Gram off at frame {t}"
 
 
-def _run(config, params, frames, stages, share_all=False) -> tuple[list, list]:
+class _Injected(Exception):
+    """A failure the tests inject into building a frame's snapshot."""
+
+
+def _run(config, params, frames, stages, share_all=False, fail_at=None) -> tuple[list, list]:
     """Per-frame records and retrieval picks of one engine using ``stages``.
-    ``share_all`` sets the temporal bank's ``_SHARE_BYTES`` to 0, so the
-    engine lists each temporal row as its own block even at these small
-    widths."""
+    The engine's ``_CARRY_BYTES`` is 0, so it carries retrieval's distance
+    bounds at every width. ``share_all`` sets the temporal bank's
+    ``_SHARE_BYTES`` to 0, so the engine lists each temporal row as its own
+    block even at these small widths. With ``fail_at`` t, building frame t's
+    snapshot fails once, after its retrieval, and the frame is ingested
+    again, so the picks hold one more call."""
     picks = []
     share_bytes = 0 if share_all else clustering_module._SHARE_BYTES
 
@@ -184,16 +199,25 @@ def _run(config, params, frames, stages, share_all=False) -> tuple[list, list]:
         picks.append(list(got))
         return got
 
+    def snapshot(*args, **kwargs):
+        if len(picks) == fail_at:
+            raise _Injected
+        return stages["MemorySnapshot"](*args, **kwargs)
+
     with (
         patch.object(engine_module, "temporal_update", stages["temporal_update"]),
         patch.object(engine_module, "abstract_update", stages["abstract_update"]),
         patch.object(engine_module, "retrieve_key_features", recording_retrieval),
-        patch.object(engine_module, "MemorySnapshot", stages["MemorySnapshot"]),
+        patch.object(engine_module, "MemorySnapshot", snapshot),
+        patch.object(engine_module, "_CARRY_BYTES", 0),
         patch.object(clustering_module, "_SHARE_BYTES", share_bytes),
     ):
         engine = MemoryEngine(config, params)
         records = []
         for t, frame in enumerate(frames, start=1):
+            if t == fail_at:
+                with pytest.raises(_Injected):
+                    engine.ingest_frame(frame)
             engine.ingest_frame(frame)
             records.append(frame_record(engine))
             # Reused temporal blocks must hold the bank's bytes, -0.0 included.
@@ -369,3 +393,124 @@ def test_held_states_and_snapshots_keep_their_bytes(config):
                 assert snap0.verify_checksum()
     assert rewrites, "no merge rewrote a row holding a -0.0"
     assert len(held) > 20
+
+
+# At dims 512 and 1024 a p_tem=4 row is 64 or 128 KB, over the engine's real
+# ``_CARRY_BYTES``, so these cases are what the width rule carries anyway.
+# The 40-frame buffer fills and wraps, and the picks are compared with the
+# frozen full pass after every frame.
+CARRIED = default_config(
+    dim=512, p_spa=4, p_tem=4, p_abs=1, n_buff=40, n_spa=2, n_tem=3, n_abs=1, n_ret=2
+)
+
+
+def _reordering(dim: int) -> list[FrameFeature]:
+    """Three scenes: one frame each fills the bank, one cluster per scene, and
+    then runs of one scene make its cluster outweigh the others in turn. So
+    after the buffer fills a cluster enters the top two (at dim 512, frames
+    44 and 143) and the top two swap (frames 84, 93 and 149)."""
+    stream = synth_stream(3, 3 * 64, 3, GRID, dim)
+    runs = [(0, 1), (1, 1), (2, 1), (0, 40), (2, 45), (0, 10), (1, 60)]
+    used = [0, 0, 0]
+    frames = []
+    for scene, count in runs:
+        for _ in range(count):
+            frames.append(stream.frame(scene * 64 + used[scene] % 64))
+            used[scene] += 1
+    return frames
+
+
+def _wide_stream(kind: str, dim: int) -> list[FrameFeature]:
+    if kind == "reordering":
+        return _reordering(dim)
+    if kind == "failed":
+        kind = "scenes"
+    return _stream(kind, 5, 2 * CARRIED.n_buff, dim)
+
+
+@pytest.mark.parametrize("kind", ["scenes", "duplicates", "signed_zero", "reordering", "failed"])
+@pytest.mark.parametrize("dim", [512, 1024])
+def test_carried_retrieval_matches_the_full_pass_on_wide_rows(dim, kind):
+    config = replace(CARRIED, dim=dim)
+    n = config.n_buff
+    assert config.p_tem**2 * dim * 8 >= engine_module._CARRY_BYTES
+    fail_at = n + 7 if kind == "failed" else None
+    frames = _wide_stream(kind, dim)
+    calls, fallbacks = [], []
+    nearest_rows = retrieval_module.DistanceBounds.nearest_rows
+    merge_step = clustering_module._merge_step
+
+    def recording_nearest_rows(self, points, *args):
+        before = self.rows_read
+        got = nearest_rows(self, points, *args)
+        calls.append((args[2], self.rows_read - before, len(points)))
+        return got
+
+    def counting_merge_step(*args):
+        got = merge_step(*args)
+        fallbacks.append(got is None)
+        return got
+
+    with (
+        patch.object(retrieval_module.DistanceBounds, "nearest_rows", recording_nearest_rows),
+        patch.object(clustering_module, "_merge_step", counting_merge_step),
+    ):
+        got = _run(config, None, frames, PACKAGE, fail_at=fail_at)
+    params = AttentionParams.seeded(dim)  # the frozen update reads them; p_abs=1 does not
+    assert got == _run(config, params, frames, FROZEN, fail_at=fail_at)
+    # The engine passes its bounds from the frame that fills the buffer on.
+    assert len(calls) == len(got[1]) - (n - 1) == len(frames) - (n - 1) + (fail_at is not None)
+    assert calls[0][1:] == (n, n), "the first frame with a full buffer reads it all"
+    assert any(read < n for _, read, _ in calls[1:]), "no frame took the carried path"
+    if kind == "duplicates":
+        assert any(fallbacks), "no k-means fallback"
+    if kind == "failed":
+        retry = fail_at - (n - 1)
+        assert calls[retry][1] == n, "the frame after the failed one reads every row"
+    if kind == "reordering":
+        pairs = list(zip(calls, calls[1:]))
+        entries = [(now, read) for (was, _, _), (now, read, _) in pairs if set(now) - set(was)]
+        assert entries and all(read == n for _, read in entries)
+        assert any(set(was) == set(now) and was != now for (was, _, _), (now, _, _) in pairs)
+
+
+def test_engine_counts_each_route_through_the_bounds():
+    """The engine's counters see the carried path and each full pass: the
+    frame that fills the buffer, a cluster entering the top n_ret, and the
+    frame after a failed one."""
+    config = replace(CARRIED, dim=4, p_spa=2, p_tem=2, n_buff=12)
+    n = config.n_buff
+    calls, failed = [], []
+
+    def failing_snapshot(*args, **kwargs):
+        # Fail once, on the first carried frame a while after the buffer fills.
+        if not failed and len(calls) > n + 5 and engine._bounds.full_passes == was[1]:
+            failed.append(len(calls))
+            raise _Injected
+        return PACKAGE["MemorySnapshot"](*args, **kwargs)
+
+    with (
+        patch.object(engine_module, "_CARRY_BYTES", 0),
+        patch.object(engine_module, "MemorySnapshot", failing_snapshot),
+    ):
+        engine = MemoryEngine(config)
+        bounds = engine._bounds
+        for frame in _reordering(config.dim):
+            while True:  # one call per attempt: the failed frame is ingested again
+                was = (bounds.rows_read, bounds.full_passes, list(bounds._clusters))
+                try:
+                    engine.ingest_frame(frame)
+                except _Injected:
+                    pass
+                read, full = bounds.rows_read - was[0], bounds.full_passes - was[1]
+                calls.append((read, full, was[2], list(bounds._clusters)))
+                if len(calls) - 1 not in failed:
+                    break
+    # Frames that fill the buffer take the plain full pass; the one that
+    # fills it is the first to pass the bounds, and reads every row.
+    assert [call[:2] for call in calls[:n]] == [(0, 0)] * (n - 1) + [(n, 1)]
+    later = calls[n:]
+    assert any(full == 0 and read < n for read, full, _, _ in later), "no carried frame"
+    entries = [full for _, full, was, now in later if set(now) - set(was)]
+    assert entries and all(entries), "a cluster entering the top n_ret is a full pass"
+    assert failed and calls[failed[0] + 1][:2] == (n, 1), "the retry reads every row"

@@ -182,3 +182,22 @@ def test_rejects_mismatched_inputs():
         retrieve_key_features(candidates, centroids.tolist(), weights, CFG)
     with pytest.raises(ValueError, match="temporal_weights must be a numpy array, got list"):
         retrieve_key_features(candidates, centroids, [1.0, 2.0], CFG)
+
+
+@pytest.mark.parametrize(
+    "rows, centroid",
+    [
+        # 12**2 = 144 wraps to -112 in int8, so row 0 once looked nearest.
+        (np.array([[12], [11]], dtype=np.int8), 11.0),
+        # 3_037_000_500**2 is past the int64 maximum and wraps the same way.
+        (np.array([[3_037_000_500], [3_037_000_499]], dtype=np.int64), 3_037_000_499.0),
+    ],
+)
+def test_integer_arrays_are_refused_by_name(rows, centroid):
+    cfg = default_config(dim=1, n_ret=1, p_tem=1)
+    centroids = np.array([[centroid]])
+    assert retrieve_key_features(rows.astype(np.float64), centroids, np.ones(1), cfg) == [1]
+    with pytest.raises(ValueError, match=f"candidates must be a float array, got dtype {rows.dtype}"):
+        retrieve_key_features(rows, centroids, np.ones(1), cfg)
+    with pytest.raises(ValueError, match=f"temporal must be a float array, got dtype {rows.dtype}"):
+        retrieve_key_features(rows.astype(np.float64), rows[1:], np.ones(1), cfg)
