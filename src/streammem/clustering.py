@@ -44,7 +44,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import MemoryConfig, _frozen, _is_int_at_least, _joined
+from .model import MemoryConfig, ShapeError, _frozen, _is_int_at_least, _joined
 
 __all__ = ["ClusterState", "TemporalBank", "TemporalFold", "weighted_kmeans", "temporal_update"]
 
@@ -438,12 +438,18 @@ def temporal_update(bank: TemporalBank, pooled_row: np.ndarray) -> TemporalFold:
     weight is kept, and the state reports one iteration, converged.
     Otherwise ``weighted_kmeans`` runs. On a bank this function built, whose
     every centroid is a quotient by its weight, both paths agree bit for bit.
+    A ``pooled_row`` that is not a numpy array of shape (p_tem**2 * D,) is a
+    ShapeError naming it.
     """
-    k = bank.config.n_tem
+    k, m = bank.config.n_tem, bank.config.p_tem**2 * bank.config.dim
+    if not isinstance(pooled_row, np.ndarray):
+        raise ShapeError(f"pooled_row must be a numpy array, got {type(pooled_row).__name__}")
+    if pooled_row.shape != (m,):
+        raise ShapeError(f"pooled_row shape {pooled_row.shape} != (p_tem**2 * D,) = ({m},)")
     centroids = bank.centroids
     if len(centroids) < k:
         return bank.append(pooled_row)
-    fold = bank.merge(pooled_row) if pooled_row.shape == centroids.shape[1:] else None
+    fold = bank.merge(pooled_row)
     if fold is None:
         points = np.concatenate([centroids, pooled_row[None]], axis=0)
         state = weighted_kmeans(points, np.concatenate([bank.weights, _ONE]), k)

@@ -25,14 +25,13 @@ float64 otherwise; at the defaults at dim 1024 that halves the largest
 buffer, 150 MiB, when every frame is exact. A float32 slot is converted to
 float64 once, when a later snapshot lists it.
 
-Retrieval reads the p_tem ring. When a pooled row is at least retrieval's
-``_CARRY_BYTES`` (16 KB), the engine owns a ``DistanceBounds`` and passes it
-to every retrieval, as it passes the temporal bank to ``temporal_update``:
-its intervals carry from frame to frame, so retrieval reads only the ring
-rows they cannot rule out. They rely on each frame writing one ring row, its
-own, so the engine passes them only once the ring is full; the frame that
-fills it reads every row. Where a failed frame reverts the temporal bank,
-the engine resets them, so the next frame reads every row too.
+Retrieval reads the p_tem ring. The engine owns one ``DistanceBounds`` and
+passes it to every retrieval, as it passes the temporal bank to
+``temporal_update``; retrieval alone decides when its intervals carry from
+frame to frame, so that it reads only the ring rows they cannot rule out.
+They rely on each frame writing one ring row, the newest, which every
+retrieval reads. A failed frame may leave that row written, but the frame
+after it writes the same row, so the engine only reverts the temporal bank.
 """
 
 from __future__ import annotations
@@ -57,7 +56,7 @@ from .model import (
     max_tokens,
 )
 from .pooling import average_pool
-from .retrieval import _CARRY_BYTES, DistanceBounds, retrieve_key_features
+from .retrieval import DistanceBounds, retrieve_key_features
 
 __all__ = ["MemoryEngine", "QueryResult"]
 
@@ -133,10 +132,7 @@ class MemoryEngine:
         # the snapshot blocks that list them; the abstract bank holds the
         # token rows a snapshot lists.
         self._temporal = TemporalBank(config)
-        # Retrieval's carried distance bounds, when a pooled row is at least
-        # _CARRY_BYTES; narrower rows take retrieval's one full product.
-        row_bytes = self._pooled_ring.shape[1] * self._pooled_ring.itemsize
-        self._bounds = DistanceBounds() if row_bytes >= _CARRY_BYTES else None
+        self._bounds = DistanceBounds()
         self._abstract = np.zeros((config.n_abs * config.p_abs**2, config.dim))
         # Retained snapshots, oldest first; the last is the latest. The writer
         # swaps in a whole new tuple, so one read of it is consistent.
@@ -224,9 +220,7 @@ class MemoryEngine:
                 cfg,
                 newest=slot - first,
                 sq_norms=self._sq_norm_ring[first:],
-                # Carried once the ring is full, so that every frame rewrites
-                # one of the rows the bounds hold; before that every row is new.
-                bounds=self._bounds if t >= n else None,
+                bounds=self._bounds,
             )
             spatial = [(slot + i) % n for i in range(min(cfg.n_spa, t))]
             retrieved = [first + i for i in picks]
@@ -251,8 +245,6 @@ class MemoryEngine:
             )
         except BaseException:
             bank.revert()
-            if self._bounds is not None:
-                self._bounds.reset()
             raise
 
         self._abstract = new_abstract

@@ -47,16 +47,17 @@ import math
 import numpy as np
 
 from .clustering import _distance_bound
-from .model import MemoryConfig, ShapeError, WarmupError, _is_int_at_least
+from .model import ConfigError, MemoryConfig, ShapeError, WarmupError, _is_int_at_least
 
 __all__ = ["DistanceBounds", "retrieve_key_features"]
 
-# The engine carries DistanceBounds when a pooled row (p_tem**2 * D float64
-# values) is at least this many bytes, and below it takes the one full
-# product. The carried path costs about 0.1 ms more Python per frame, which
-# pays once a row is more than about 8 KB. Per call, carried against full, on
-# the engine's own state over frames 320-800 of a FrameSource stream (seed 1,
-# p_tem=4, 2-vCPU VM, median ms), BLAS threads unset / OPENBLAS_NUM_THREADS=1:
+# DistanceBounds carries its intervals when a buffer row is at least this many
+# bytes (a pooled row is p_tem**2 * D float64 values), and below it takes the
+# one full product and keeps none. The carried path costs about 0.1 ms more
+# Python per call, which pays once a row is more than about 8 KB. Per call,
+# carried against full, on the engine's own state over frames 320-800 of a
+# FrameSource stream (seed 1, p_tem=4, 2-vCPU VM, median ms), BLAS threads
+# unset / OPENBLAS_NUM_THREADS=1:
 #   dim 16 (2 KB rows):    0.17 vs 0.06  /  0.17 vs 0.06
 #   dim 64 (8 KB):         0.23 vs 0.22  /  0.23 vs 0.21
 #   dim 128 (16 KB):       0.38 vs 0.52  /  0.34 vs 0.79
@@ -93,23 +94,32 @@ def retrieve_key_features(
     newest frame and each following row, cyclically, the next older one, so a
     ring buffer passes its rows as stored. ``sq_norms``, if given, is each
     row's squared norm as an (n,) array of the candidates' dtype (the engine
-    caches it per ring row); otherwise it is computed here. ``bounds``, if
-    given, is the caller's ``DistanceBounds``, so this call reads only the rows
-    its carried intervals cannot rule out. The picks are the same either way.
+    caches it per ring row); otherwise it is computed here. ``bounds`` is the
+    caller's ``DistanceBounds``, kept from call to call so that a call on wide
+    rows reads only the rows its carried intervals cannot rule out, or None
+    for a fresh one, which reads every row. The picks are the same either way.
 
     Selects the min(n_ret, bank size) heaviest clusters (weight ties go to the
     lower cluster index), finds for each the row minimizing the squared
     Euclidean distance ``np.sum((row - centroid) ** 2)`` (exact ties go to the
     newest of the minima), and returns those row indices ordered by
     descending cluster weight. The same row may serve several clusters. A
-    matrix product ranks the rows (all of them, or with ``bounds`` those not
-    ruled out); rows within its rounding bound of the minimum are re-ranked
+    matrix product ranks the rows (all of them, or those the bounds do not
+    rule out); rows within its rounding bound of the minimum are re-ranked
     by the direct distance, so the picks are exact.
     The three arrays must be numpy arrays: anything else is a ShapeError, or
     for ``temporal_weights`` a ValueError, naming the argument. ``candidates``
     and ``temporal`` must hold floats, since integer products wrap around: any
-    other dtype is a ValueError naming the argument.
+    other dtype is a ValueError naming the argument. A ``config`` that is not
+    a ``MemoryConfig`` is a ConfigError, and a ``bounds`` that is neither a
+    ``DistanceBounds`` nor None a ValueError naming it.
     """
+    if not isinstance(config, MemoryConfig):
+        raise ConfigError(f"expected MemoryConfig, got {type(config).__name__}")
+    if bounds is None:
+        bounds = DistanceBounds()
+    elif not isinstance(bounds, DistanceBounds):
+        raise ValueError(f"bounds must be a DistanceBounds or None, got {type(bounds).__name__}")
     for name, arr in (("candidates", candidates), ("temporal", temporal)):
         if not isinstance(arr, np.ndarray):
             raise ShapeError(f"{name} must be a numpy array, got {type(arr).__name__}")
@@ -154,8 +164,6 @@ def retrieve_key_features(
     # A copy, which the bank's later writes cannot reach.
     centroids = flat_centroids[order]
     # In age order from row ``newest``, the first of exact ties is the newest.
-    if bounds is None:
-        return _nearest_rows(candidates, sq_norms, centroids, newest).tolist()
     return bounds.nearest_rows(candidates, sq_norms, centroids, order.tolist(), newest).tolist()
 
 
@@ -165,23 +173,25 @@ class DistanceBounds:
     the module docstring for why the picks stay exact).
 
     The engine owns one and passes it to ``retrieve_key_features`` on every
-    frame once its buffer is full. The caller owes it one thing: between two
-    calls with the same number of rows, only row ``start`` (the newest)
-    changes. A call with another number of rows reads every row. ``reset``
-    forgets every interval, so the next call reads every row; the engine
-    calls it where it reverts a failed frame. ``rows_read`` and
-    ``full_passes`` count the rows read and the calls that read every row.
+    frame; this class alone decides when the intervals carry. A call on rows
+    under ``_CARRY_BYTES``, or on a buffer of another shape than the last
+    call's, takes ``_nearest_rows``'s one product and keeps no intervals; the
+    next call on that shape reads every row and keeps them. The caller owes
+    it one thing: between two calls on a buffer of the same shape, only row
+    ``start`` (the newest) changes. Each call sets that row's interval to
+    ``[0, ∞]`` and assigns its state once, so a frame that fails after its
+    retrieval leaves every interval sound: its retry rewrites only that row.
+    ``rows_read`` and ``full_passes`` count the rows read and the calls that
+    read every row, on both paths.
     """
 
     def __init__(self) -> None:
         self.rows_read = 0
         self.full_passes = 0
-        self.reset()
-
-    def reset(self) -> None:
-        self._clusters: list = []  # the cluster index of each carried column
-        self._centroids = None  # their centroids, as the last call read them
-        self._lo = self._hi = np.empty((0, 0))  # (columns, rows)
+        # The last call's buffer shape, then its queried cluster indices,
+        # their centroids as it read them, and the (columns, rows) interval
+        # ends: no clusters and three Nones when it kept no intervals.
+        self._state: tuple = (None, [], None, None, None)
 
     def nearest_rows(
         self,
@@ -196,21 +206,26 @@ class DistanceBounds:
         carried intervals cannot rule out. ``centroids`` must be a copy that
         no one writes later: it is kept as the next call's old centroids."""
         n, m = points.shape
+        shape, was, old, old_lo, old_hi = self._state
+        if m * points.itemsize < _CARRY_BYTES or points.shape != shape:
+            self._state = (points.shape, [], None, None, None)
+            self.rows_read += n
+            self.full_passes += 1
+            return _nearest_rows(points, sq_norms, centroids, start)
         info = max(np.finfo(points.dtype), np.finfo(centroids.dtype), key=lambda f: f.eps)
         norms = np.einsum("ij,ij->i", centroids, centroids)
         bound = _distance_bound(m, _radius(sq_norms, centroids), info)
         lo = np.zeros((len(clusters), n))
         hi = np.full((len(clusters), n), np.inf)
-        if self._lo.shape[1] == n:
-            column = {cluster: i for i, cluster in enumerate(self._clusters)}
-            for j, cluster in enumerate(clusters):
-                i = column.get(cluster)
-                if i is not None:
-                    moved = _movement(centroids[j], self._centroids[i], info)
-                    lo[j] = np.nextafter(self._lo[i] - moved, -np.inf)
-                    hi[j] = np.nextafter(self._hi[i] + moved, np.inf)
-            lo[:, start] = 0.0
-            hi[:, start] = np.inf
+        column = {cluster: i for i, cluster in enumerate(was)}
+        for j, cluster in enumerate(clusters):
+            i = column.get(cluster)
+            if i is not None:
+                moved = _movement(centroids[j], old[i], info)
+                lo[j] = np.nextafter(old_lo[i] - moved, -np.inf)
+                hi[j] = np.nextafter(old_hi[i] + moved, np.inf)
+        lo[:, start] = 0.0
+        hi[:, start] = np.inf
 
         least = hi.min(axis=1)
         reach = _up(np.sqrt(_up(_up(least * least) + 2.0 * bound)))
@@ -224,7 +239,7 @@ class DistanceBounds:
         lo[:, rows] = np.sqrt(np.fmax(expanded - 2.0 * bound, 0.0))
         hi[:, rows] = np.sqrt(np.fmin(expanded + 2.0 * bound, np.inf))
 
-        self._clusters, self._centroids, self._lo, self._hi = clusters, centroids, lo, hi
+        self._state = (points.shape, clusters, centroids, lo, hi)
         self.rows_read += len(rows)
         self.full_passes += len(rows) == n
         return _settle(points, score, bound, centroids, start, rows)

@@ -1,13 +1,14 @@
 """Weighted k-means behavior against exhaustive and algebraic oracles."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import streammem.clustering as clustering
-from streammem import TemporalBank, default_config, temporal_update, weighted_kmeans
+from streammem import ShapeError, TemporalBank, default_config, temporal_update, weighted_kmeans
 from streammem.model import MAX_MAGNITUDE
 
 from oracles import exhaustive_best_objective, partition_objective
@@ -207,6 +208,24 @@ def test_identical_frame_repeated_collapses_values():
     # every centroid has collapsed onto the single repeated value
     assert np.max(np.abs(bank.centroids - 3.25)) < 1e-12
     assert bank.weights.max() >= 2  # the extra frames merged somewhere
+
+
+def test_temporal_update_refuses_a_bad_pooled_row_by_name():
+    # At dim 16 a list once gave AttributeError on .shape, and a row of
+    # another shape numpy's concatenate ValueError.
+    cfg = default_config(dim=16, n_tem=3)
+    m = cfg.p_tem**2 * cfg.dim
+    rng = np.random.default_rng(2)
+    full = TemporalBank(cfg)
+    for _ in range(cfg.n_tem):
+        full.apply(temporal_update(full, rng.normal(size=m)))
+    for bank in (TemporalBank(cfg), full):
+        with pytest.raises(ShapeError, match="pooled_row must be a numpy array, got list"):
+            temporal_update(bank, [0.0] * m)
+        for bad in (np.ones(10), np.ones((1, m))):
+            want = f"pooled_row shape {bad.shape} != (p_tem**2 * D,) = ({m},)"
+            with pytest.raises(ShapeError, match=re.escape(want)):
+                temporal_update(bank, bad)
 
 
 # -- temporal_update's merge path against weighted_kmeans, its fallback -------

@@ -8,11 +8,12 @@ agree bit for bit on ``frame_record`` (snapshot bytes, offsets, checksum and
 version; k-means assignments, centroids and weights; temporal weights) and
 on the retrieval picks. The picks are recorded separately because exact
 duplicate frames give the same snapshot bytes whichever of them is picked.
-Every engine here has its ``_CARRY_BYTES`` at 0, so once its buffer is full
-the package engine's retrieval reads only the rows its carried distance
-bounds cannot rule out, at every width, while the twin ranks every row. The
-frozen retrieval has neither the ``sq_norms`` nor the ``bounds`` keyword, so
-the twin calls it through a wrapper that drops them. The frozen
+Every engine here runs with retrieval's ``_CARRY_BYTES`` at 0, so once its
+buffer has been full for a frame the package engine's retrieval reads only
+the rows its carried distance bounds cannot rule out, at every width, while
+the twin ranks every row. The frozen retrieval has neither the ``sq_norms``
+nor the ``bounds`` keyword, so the twin calls it through a wrapper that
+drops them. The frozen
 ``temporal_update`` takes the bank's centroids and weights and returns the
 new ones, so the twin calls it through a wrapper that hands them to its
 ``TemporalBank`` as a fold that replaces the whole bank.
@@ -33,8 +34,9 @@ row reaches the real ``_SHARE_BYTES``, and hold a state and a snapshot for 20
 frames to show that the bank's in-place writes never reach them. Others run
 the carried bounds at dims 512 and 1024 through a 40-frame buffer, on scene
 changes, duplicates, signed zeros, a reordering of the heaviest clusters and
-a failed frame; one more counts through the bounds' own counters that each
-of their full passes happens.
+a failed frame, after which the retry carries the failed frame's intervals;
+one more counts through the bounds' own counters that each of their full
+passes happens, and that the retry after a failed frame takes none.
 
 The streams aim at the decisions an exact shortcut could get wrong: exact
 duplicates, power-of-two patterns and their midpoints (so ties are exact),
@@ -185,8 +187,8 @@ class _Injected(Exception):
 
 def _run(config, params, frames, stages, share_all=False, fail_at=None) -> tuple[list, list]:
     """Per-frame records and retrieval picks of one engine using ``stages``.
-    The engine's ``_CARRY_BYTES`` is 0, so it carries retrieval's distance
-    bounds at every width. ``share_all`` sets the temporal bank's
+    Retrieval's ``_CARRY_BYTES`` is 0, so the engine's distance bounds carry
+    at every width. ``share_all`` sets the temporal bank's
     ``_SHARE_BYTES`` to 0, so the engine lists each temporal row as its own
     block even at these small widths. With ``fail_at`` t, building frame t's
     snapshot fails once, after its retrieval, and the frame is ingested
@@ -209,7 +211,7 @@ def _run(config, params, frames, stages, share_all=False, fail_at=None) -> tuple
         patch.object(engine_module, "abstract_update", stages["abstract_update"]),
         patch.object(engine_module, "retrieve_key_features", recording_retrieval),
         patch.object(engine_module, "MemorySnapshot", snapshot),
-        patch.object(engine_module, "_CARRY_BYTES", 0),
+        patch.object(retrieval_module, "_CARRY_BYTES", 0),
         patch.object(clustering_module, "_SHARE_BYTES", share_bytes),
     ):
         engine = MemoryEngine(config, params)
@@ -395,7 +397,7 @@ def test_held_states_and_snapshots_keep_their_bytes(config):
     assert len(held) > 20
 
 
-# At dims 512 and 1024 a p_tem=4 row is 64 or 128 KB, over the engine's real
+# At dims 512 and 1024 a p_tem=4 row is 64 or 128 KB, over retrieval's real
 # ``_CARRY_BYTES``, so these cases are what the width rule carries anyway.
 # The 40-frame buffer fills and wraps, and the picks are compared with the
 # frozen full pass after every frame.
@@ -433,7 +435,7 @@ def _wide_stream(kind: str, dim: int) -> list[FrameFeature]:
 def test_carried_retrieval_matches_the_full_pass_on_wide_rows(dim, kind):
     config = replace(CARRIED, dim=dim)
     n = config.n_buff
-    assert config.p_tem**2 * dim * 8 >= engine_module._CARRY_BYTES
+    assert config.p_tem**2 * dim * 8 >= retrieval_module._CARRY_BYTES
     fail_at = n + 7 if kind == "failed" else None
     frames = _wide_stream(kind, dim)
     calls, fallbacks = [], []
@@ -458,17 +460,18 @@ def test_carried_retrieval_matches_the_full_pass_on_wide_rows(dim, kind):
         got = _run(config, None, frames, PACKAGE, fail_at=fail_at)
     params = AttentionParams.seeded(dim)  # the frozen update reads them; p_abs=1 does not
     assert got == _run(config, params, frames, FROZEN, fail_at=fail_at)
-    # The engine passes its bounds from the frame that fills the buffer on.
-    assert len(calls) == len(got[1]) - (n - 1) == len(frames) - (n - 1) + (fail_at is not None)
-    assert calls[0][1:] == (n, n), "the first frame with a full buffer reads it all"
-    assert any(read < n for _, read, _ in calls[1:]), "no frame took the carried path"
+    # Every retrieval goes through the engine's bounds. The frames that fill
+    # the buffer and the first frame after it read every row.
+    assert len(calls) == len(got[1]) == len(frames) + (fail_at is not None)
+    assert all(read == rows for _, read, rows in calls[: n + 1]), calls[: n + 1]
+    assert any(read < n for _, read, _ in calls[n + 1 :]), "no frame took the carried path"
     if kind == "duplicates":
         assert any(fallbacks), "no k-means fallback"
     if kind == "failed":
-        retry = fail_at - (n - 1)
-        assert calls[retry][1] == n, "the frame after the failed one reads every row"
+        # calls[fail_at - 1] is the failed frame's, whose intervals carry.
+        assert calls[fail_at][1] < n, "the frame after the failed one read every row"
     if kind == "reordering":
-        pairs = list(zip(calls, calls[1:]))
+        pairs = list(zip(calls[n - 1 :], calls[n:]))
         entries = [(now, read) for (was, _, _), (now, read, _) in pairs if set(now) - set(was)]
         assert entries and all(read == n for _, read in entries)
         assert any(set(was) == set(now) and was != now for (was, _, _), (now, _, _) in pairs)
@@ -476,8 +479,9 @@ def test_carried_retrieval_matches_the_full_pass_on_wide_rows(dim, kind):
 
 def test_engine_counts_each_route_through_the_bounds():
     """The engine's counters see the carried path and each full pass: the
-    frame that fills the buffer, a cluster entering the top n_ret, and the
-    frame after a failed one."""
+    frames that fill the buffer and the one after, and a cluster entering the
+    top n_ret. The frame after a failed one carries the failed frame's
+    intervals."""
     config = replace(CARRIED, dim=4, p_spa=2, p_tem=2, n_buff=12)
     n = config.n_buff
     calls, failed = [], []
@@ -490,27 +494,29 @@ def test_engine_counts_each_route_through_the_bounds():
         return PACKAGE["MemorySnapshot"](*args, **kwargs)
 
     with (
-        patch.object(engine_module, "_CARRY_BYTES", 0),
+        patch.object(retrieval_module, "_CARRY_BYTES", 0),
         patch.object(engine_module, "MemorySnapshot", failing_snapshot),
     ):
         engine = MemoryEngine(config)
         bounds = engine._bounds
         for frame in _reordering(config.dim):
             while True:  # one call per attempt: the failed frame is ingested again
-                was = (bounds.rows_read, bounds.full_passes, list(bounds._clusters))
+                was = (bounds.rows_read, bounds.full_passes, list(bounds._state[1]))
                 try:
                     engine.ingest_frame(frame)
                 except _Injected:
                     pass
                 read, full = bounds.rows_read - was[0], bounds.full_passes - was[1]
-                calls.append((read, full, was[2], list(bounds._clusters)))
+                calls.append((read, full, was[2], list(bounds._state[1])))
                 if len(calls) - 1 not in failed:
                     break
-    # Frames that fill the buffer take the plain full pass; the one that
-    # fills it is the first to pass the bounds, and reads every row.
-    assert [call[:2] for call in calls[:n]] == [(0, 0)] * (n - 1) + [(n, 1)]
-    later = calls[n:]
+    # Each frame that fills the buffer, on a buffer of a new shape, takes the
+    # plain full pass; the next, the first on a buffer of the same shape,
+    # reads every row and keeps the intervals.
+    assert [call[:2] for call in calls[: n + 1]] == [(t, 1) for t in range(1, n + 1)] + [(n, 1)]
+    later = calls[n + 1 :]
     assert any(full == 0 and read < n for read, full, _, _ in later), "no carried frame"
     entries = [full for _, full, was, now in later if set(now) - set(was)]
     assert entries and all(entries), "a cluster entering the top n_ret is a full pass"
-    assert failed and calls[failed[0] + 1][:2] == (n, 1), "the retry reads every row"
+    retry = calls[failed[0] + 1] if failed else None
+    assert retry and retry[1] == 0 and retry[0] < n, "the retry read every row"

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from streammem import (
+    ConfigError,
     FrameFeature,
     ShapeError,
     WarmupError,
@@ -182,6 +183,12 @@ def test_rejects_mismatched_inputs():
         retrieve_key_features(candidates, centroids.tolist(), weights, CFG)
     with pytest.raises(ValueError, match="temporal_weights must be a numpy array, got list"):
         retrieve_key_features(candidates, centroids, [1.0, 2.0], CFG)
+    # config=None once gave AttributeError on .n_ret, and bounds=object() on
+    # .nearest_rows.
+    with pytest.raises(ConfigError, match="expected MemoryConfig, got NoneType"):
+        retrieve_key_features(candidates, centroids, weights, None)
+    with pytest.raises(ValueError, match="bounds must be a DistanceBounds or None, got object"):
+        retrieve_key_features(candidates, centroids, weights, CFG, bounds=object())
 
 
 @pytest.mark.parametrize(

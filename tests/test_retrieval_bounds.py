@@ -2,14 +2,18 @@
 moves: after every call each carried interval holds the exact distance, and
 the picks equal ``_nearest_rows``'s over the whole buffer. The widening's own
 rounding term is checked on its own, since a move computed low shows only
-when the interval it widens is tighter than the setting ever makes one."""
+when the interval it widens is tighter than the setting ever makes one. The
+rows here are narrow, so each test sets ``_CARRY_BYTES`` to 0 for the
+intervals to carry at all."""
 
 import math
 from fractions import Fraction
+from unittest.mock import patch
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+import streammem.retrieval as retrieval
 from streammem.model import MAX_MAGNITUDE
 from streammem.retrieval import DistanceBounds, _movement, _nearest_rows
 
@@ -63,9 +67,13 @@ def _exact_sq(a: np.ndarray, b: np.ndarray) -> Fraction:
 
 
 def _assert_holds_exact_distances(bounds: DistanceBounds, ring: np.ndarray) -> None:
-    for j, c in enumerate(bounds._centroids):
+    shape, _, centroids, lows, highs = bounds._state
+    assert shape == ring.shape
+    if lows is None:  # the last call kept no intervals
+        return
+    for j, c in enumerate(centroids):
         for i, x in enumerate(ring):
-            lo, hi = bounds._lo[j, i], bounds._hi[j, i]
+            lo, hi = lows[j, i], highs[j, i]
             d2 = _exact_sq(x, c)
             assert lo <= 0 or Fraction(lo) ** 2 <= d2, (j, i, lo, d2)
             assert hi == np.inf or d2 <= Fraction(hi) ** 2, (j, i, hi, d2)
@@ -74,7 +82,12 @@ def _assert_holds_exact_distances(bounds: DistanceBounds, ring: np.ndarray) -> N
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_carried_intervals_hold_exact_distances_and_picks_match(seed):
-    rng = np.random.default_rng(seed)
+    # hypothesis refuses the function-scoped monkeypatch fixture.
+    with patch.object(retrieval, "_CARRY_BYTES", 0):
+        _drive_bounds(np.random.default_rng(seed))
+
+
+def _drive_bounds(rng) -> None:
     n, m, k = (int(rng.integers(1, hi)) for hi in (11, 13, 6))
     q = int(rng.integers(1, k + 1))
     kinds = rng.choice(ROW_KINDS[:5], int(rng.integers(1, 4))).tolist() + ["centroid", "duplicate"]
@@ -99,13 +112,39 @@ def test_carried_intervals_hold_exact_distances_and_picks_match(seed):
             if rng.random() < 0.3:  # reorder, or let another cluster in
                 clusters = rng.choice(k, q, replace=False).tolist()
             if rng.random() < 0.05:
-                bounds.reset()
+                # A buffer of another shape makes the bounds forget every
+                # interval, so the next call reads every row.
+                other = np.vstack((ring, ring[:1]))
+                norms = np.einsum("ij,ij->i", other, other)
+                got = bounds.nearest_rows(other, norms, bank[clusters], clusters, start)
+                assert got.tolist() == _nearest_rows(other, norms, bank[clusters], start).tolist()
+                _assert_holds_exact_distances(bounds, other)
         sq_norms = np.einsum("ij,ij->i", ring, ring)
         centroids = bank[clusters]
         got = bounds.nearest_rows(ring, sq_norms, centroids, clusters, start)
         want = _nearest_rows(ring, sq_norms, centroids, start)
         assert got.tolist() == want.tolist(), f"picks differ at step {step}"
         _assert_holds_exact_distances(bounds, ring)
+
+
+def test_bounds_reused_on_a_buffer_of_another_shape_read_every_row(monkeypatch):
+    # Intervals kept over (10, 64) rows once met (10, 32) rows with numpy's
+    # broadcast error. A buffer of a new shape, width or row count, takes the
+    # one product; the next call on it reads every row and keeps the
+    # intervals, and the one after carries them.
+    monkeypatch.setattr(retrieval, "_CARRY_BYTES", 0)
+    rng = np.random.default_rng(3)
+    bounds = DistanceBounds()
+    for shape in ((10, 64), (10, 32), (9, 32)):
+        points, centroids = rng.normal(size=shape), rng.normal(size=(2, shape[1]))
+        sq_norms = np.einsum("ij,ij->i", points, points)
+        want = _nearest_rows(points, sq_norms, centroids, 4).tolist()
+        for reads_all in (True, True, False):
+            read, full = bounds.rows_read, bounds.full_passes
+            got = bounds.nearest_rows(points, sq_norms, centroids, [2, 0], 4)
+            assert got.tolist() == want, shape
+            read, full = bounds.rows_read - read, bounds.full_passes - full
+            assert (read == len(points)) == reads_all == full, (shape, read)
 
 
 def test_movement_bounds_the_exact_move_where_its_dot_rounds_low():
