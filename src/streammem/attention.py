@@ -187,17 +187,19 @@ def abstract_update(
     read (it may be None; other p_abs need AttentionParams). The ``+ 0.0``
     matches the attention product, which sums from +0.0: a -0.0 token entry
     becomes +0.0, as it does there. A ``pooled_frame`` of any other shape
-    than (p_abs, p_abs, D), or a bank or frame that is not a numpy array,
-    raises ShapeError.
+    than (p_abs, p_abs, D), an ``abstract_bank`` of any other shape than
+    (n_abs * p_abs**2, D), or a bank or frame that is not a numpy array,
+    raises ShapeError naming it.
     """
-    for name, arr in (("abstract_bank", abstract_bank), ("pooled_frame", pooled_frame)):
+    p, d = config.p_abs, config.dim
+    for name, arr, rule, expected in (
+        ("abstract_bank", abstract_bank, "n_abs * p_abs**2, D", (config.n_abs * p * p, d)),
+        ("pooled_frame", pooled_frame, "p_abs, p_abs, D", (p, p, d)),
+    ):
         if not isinstance(arr, np.ndarray):
             raise ShapeError(f"{name} must be a numpy array, got {type(arr).__name__}")
-    expected = (config.p_abs, config.p_abs, config.dim)
-    if pooled_frame.shape != expected:
-        raise ShapeError(
-            f"pooled frame shape {pooled_frame.shape} != (p_abs, p_abs, D) = {expected}"
-        )
+        if arr.shape != expected:
+            raise ShapeError(f"{name} shape {arr.shape} != ({rule}) = {expected}")
     if config.p_abs == 1:
         token = pooled_frame.reshape(1, config.dim) + 0.0
         return (1.0 - config.decay_alpha) * abstract_bank + token

@@ -25,13 +25,13 @@ float64 otherwise; at the defaults at dim 1024 that halves the largest
 buffer, 150 MiB, when every frame is exact. A float32 slot is converted to
 float64 once, when a later snapshot lists it.
 
-Retrieval reads the p_tem ring. The engine owns one ``DistanceBounds`` and
-passes it to every retrieval, as it passes the temporal bank to
-``temporal_update``; retrieval alone decides when its intervals carry from
-frame to frame, so that it reads only the ring rows they cannot rule out.
-They rely on each frame writing one ring row, the newest, which every
-retrieval reads. A failed frame may leave that row written, but the frame
-after it writes the same row, so the engine only reverts the temporal bank.
+Retrieval searches the p_tem ring, a ``retrieval.PooledRing`` that the
+engine writes each frame into, as it hands the temporal bank to
+``temporal_update``; the ring alone decides when its distance intervals carry
+from frame to frame, and its ``write`` resets the written row's. Its slots are
+the p_spa ring's, so retrieval's picks are slots of both. A failed frame may
+leave its row written, but the frame after it writes the same slot, so the
+engine only reverts the temporal bank.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ from .model import (
     max_tokens,
 )
 from .pooling import average_pool
-from .retrieval import DistanceBounds, retrieve_key_features
+from .retrieval import PooledRing, retrieve_key_features
 
 __all__ = ["MemoryEngine", "QueryResult"]
 
@@ -114,25 +114,20 @@ class MemoryEngine:
         self._params = params
         self._ring_depth = ring_depth
         self._writer = threading.Lock()
-        # The feature buffer, as three rings written in the same row: frame t
-        # pooled to p_spa, frame t pooled to p_tem and flattened, which is what
-        # retrieval compares, and that row's squared norm, which retrieval's
-        # product needs. Frame t goes in row (-t) % n_buff, so before
-        # the rings fill the valid rows are the tail [n_buff - t:], newest
-        # first. Rows are read only after they are written, hence np.empty.
-        # The p_spa ring holds one read-only (p_spa**2, D) block per frame,
-        # replaced, never written in place. A slot in ``_listed``, the slots
-        # the latest snapshot lists, holds that snapshot's float64 block; any
-        # other slot holds ``_narrowed``'s copy.
+        # The feature buffer, as two rings written in the same slot: frame t
+        # pooled to p_spa, and frame t pooled to p_tem, which is what
+        # retrieval compares. Frame t goes in slot (-t) % n_buff, as
+        # ``PooledRing.write`` returns it. The p_spa ring holds one read-only
+        # (p_spa**2, D) block per frame, replaced, never written in place. A
+        # slot in ``_listed``, the slots the latest snapshot lists, holds that
+        # snapshot's float64 block; any other slot holds ``_narrowed``'s copy.
         self._spatial_ring: list = [None] * config.n_buff
         self._listed: set = set()
-        self._pooled_ring = np.empty((config.n_buff, config.p_tem**2 * config.dim))
-        self._sq_norm_ring = np.empty(config.n_buff)
+        self._ring = PooledRing(config)
         # The temporal bank holds centroids in the p_tem ring's row layout and
         # the snapshot blocks that list them; the abstract bank holds the
         # token rows a snapshot lists.
         self._temporal = TemporalBank(config)
-        self._bounds = DistanceBounds()
         self._abstract = np.zeros((config.n_abs * config.p_abs**2, config.dim))
         # Retained snapshots, oldest first; the last is the latest. The writer
         # swaps in a whole new tuple, so one read of it is consistent.
@@ -199,31 +194,18 @@ class MemoryEngine:
         latest = self._published[-1]
         n = cfg.n_buff
         t = latest.timestamp_frame + 1
-        slot = -t % n
+        slot = self._ring.write(t, tem_row)
         # The frame's own tokens, which cannot change, when its grid is p_spa;
         # else the pooled array, which nothing else holds.
         spa_frame.setflags(write=False)
-        own = spa_frame.reshape(-1, cfg.dim)
         ring = self._spatial_ring
-        ring[slot] = own
-        self._pooled_ring[slot] = tem_row
-        self._sq_norm_ring[slot] = tem_row @ tem_row
+        ring[slot] = spa_frame.reshape(-1, cfg.dim)
         bank = self._temporal
         bank.apply(fold)
         try:
             # Retrieval sees the new frame and this frame's refreshed clusters.
-            first = n - min(t, n)  # first valid row
-            picks = retrieve_key_features(
-                self._pooled_ring[first:],
-                bank.centroids,
-                bank.weights,
-                cfg,
-                newest=slot - first,
-                sq_norms=self._sq_norm_ring[first:],
-                bounds=self._bounds,
-            )
+            retrieved = retrieve_key_features(self._ring, bank.centroids, bank.weights, cfg)
             spatial = [(slot + i) % n for i in range(min(cfg.n_spa, t))]
-            retrieved = [first + i for i in picks]
             # A float64 block per listed slot: the one the ring holds, which
             # for a slot the latest snapshot lists is that snapshot's block,
             # or a copy converted from float32. A slot that leaves the listing

@@ -4,16 +4,17 @@
 settles each pick, by the direct distance (``_rerank``) where the product's
 rounding bound (``clustering._distance_bound``) leaves it undecided.
 
-``DistanceBounds`` lets a caller whose buffer changes by one row per call read
-fewer rows. It carries, for each queried cluster index and each buffer row,
-an interval ``[lo, hi]`` that holds the exact distance ``d = ‖x − c‖`` between
-the row x and the cluster's centroid c, as real numbers from their float
-values. Each call reads only the rows that the intervals cannot rule out, in
-contiguous runs of rows, and settles each pick among them as ``_nearest_rows``
-does. The picks are the same bit for bit. The argument, with E the
-``_distance_bound`` of the call (its radius covers every buffer row and every
-queried centroid, so E bounds the rounding of any one squared distance
-computed in the expanded form ``S`` or directly as ``D = np.sum((x − c)**2)``):
+A ``PooledRing`` is a buffer that retrieval owns, so that a search of wide
+rows reads fewer of them. It carries, for each queried cluster index and
+each ring slot, an interval ``[lo, hi]`` that holds the exact distance
+``d = ‖x − c‖`` between the slot's row x and the cluster's centroid c, as
+real numbers from their float values. Each search reads only the rows that
+the intervals cannot rule out, in contiguous runs of rows, and settles each
+pick among them as ``_nearest_rows`` does. The picks are the same bit for
+bit. The argument, with E the ``_distance_bound`` of the search (its radius
+covers every written row and every queried centroid, so E bounds the
+rounding of any one squared distance computed in the expanded form ``S`` or
+directly as ``D = np.sum((x − c)**2)``):
 
 - Setting. A row that is read gets ``[√max(S − 2E, 0), √(S + 2E)]``. One E
   covers |S − d²|; the other covers the rounding of these few operations,
@@ -25,8 +26,9 @@ computed in the expanded form ``S`` or directly as ``D = np.sum((x − c)**2)``)
   ``_distance_bound(m, √m2)`` bounds it and ``√(m2 + 2·that)`` bounds μ, as in
   the setting. ``lo − μ`` and ``hi + μ`` are each rounded one step outward
   (``np.nextafter``), so a carried interval holds the exact distance however
-  many frames it is carried. The new row, and every row of a cluster that was
-  not queried on the last call, gets ``[0, ∞]``.
+  many searches it is carried. A row written since the last search, and
+  every row of a cluster that was not queried on the last search, gets
+  ``[0, ∞]``.
 - Reading. Let U be a column's least upper end, the ``hi`` of some row k. A
   row i is left unread only when ``lo_i > √(U² + 2E)``, the right side rounded
   up. Then ``D_i ≥ d_i² − E ≥ lo_i² − E > U² + E ≥ d_k² + E ≥ D_k``, so every
@@ -49,9 +51,9 @@ import numpy as np
 from .clustering import _distance_bound
 from .model import ConfigError, MemoryConfig, ShapeError, WarmupError, _is_int_at_least
 
-__all__ = ["DistanceBounds", "retrieve_key_features"]
+__all__ = ["PooledRing", "retrieve_key_features"]
 
-# DistanceBounds carries its intervals when a buffer row is at least this many
+# A PooledRing carries its intervals when a buffer row is at least this many
 # bytes (a pooled row is p_tem**2 * D float64 values), and below it takes the
 # one full product and keeps none. The carried path costs about 0.1 ms more
 # Python per call, which pays once a row is more than about 8 KB. Per call,
@@ -78,51 +80,46 @@ _GAP_BYTES = 1 << 18
 
 
 def retrieve_key_features(
-    candidates: np.ndarray,
+    candidates: np.ndarray | PooledRing,
     temporal: np.ndarray,
     temporal_weights: np.ndarray,
     config: MemoryConfig,
     newest: int = 0,
-    *,
-    sq_norms: np.ndarray | None = None,
-    bounds: DistanceBounds | None = None,
 ) -> list[int]:
     """Return the candidate rows nearest the top-weight temporal centroids.
 
     candidates holds the buffer frames pooled to the centroid grid p_tem, one
     flattened frame per row, shape (n, p_tem**2 * D). Row ``newest`` is the
     newest frame and each following row, cyclically, the next older one, so a
-    ring buffer passes its rows as stored. ``sq_norms``, if given, is each
-    row's squared norm as an (n,) array of the candidates' dtype (the engine
-    caches it per ring row); otherwise it is computed here. ``bounds`` is the
-    caller's ``DistanceBounds``, kept from call to call so that a call on wide
-    rows reads only the rows its carried intervals cannot rule out, or None
-    for a fresh one, which reads every row. The picks are the same either way.
+    ring buffer passes its rows as stored. Or candidates is a ``PooledRing``,
+    whose written rows are searched and whose slots are returned, reading on
+    wide rows only those its carried intervals cannot rule out; ``newest``
+    must then be 0, since the ring knows its newest frame. The picks are the
+    same either way.
 
     Selects the min(n_ret, bank size) heaviest clusters (weight ties go to the
     lower cluster index), finds for each the row minimizing the squared
     Euclidean distance ``np.sum((row - centroid) ** 2)`` (exact ties go to the
     newest of the minima), and returns those row indices ordered by
     descending cluster weight. The same row may serve several clusters. A
-    matrix product ranks the rows (all of them, or those the bounds do not
-    rule out); rows within its rounding bound of the minimum are re-ranked
-    by the direct distance, so the picks are exact.
-    The three arrays must be numpy arrays: anything else is a ShapeError, or
-    for ``temporal_weights`` a ValueError, naming the argument. ``candidates``
-    and ``temporal`` must hold floats, since integer products wrap around: any
-    other dtype is a ValueError naming the argument. A ``config`` that is not
-    a ``MemoryConfig`` is a ConfigError, and a ``bounds`` that is neither a
-    ``DistanceBounds`` nor None a ValueError naming it.
+    matrix product ranks the rows (all of them, or those the ring's intervals
+    do not rule out); rows within its rounding bound of the minimum are
+    re-ranked by the direct distance, so the picks are exact.
+    The arrays must be numpy arrays of at least one dimension: anything else
+    is a ShapeError, or for ``temporal_weights`` a ValueError, naming the
+    argument. ``candidates`` and ``temporal`` must hold floats, since integer
+    products wrap around: any other dtype is a ValueError naming the argument.
+    A ``config`` that is not a ``MemoryConfig`` is a ConfigError.
     """
     if not isinstance(config, MemoryConfig):
         raise ConfigError(f"expected MemoryConfig, got {type(config).__name__}")
-    if bounds is None:
-        bounds = DistanceBounds()
-    elif not isinstance(bounds, DistanceBounds):
-        raise ValueError(f"bounds must be a DistanceBounds or None, got {type(bounds).__name__}")
-    for name, arr in (("candidates", candidates), ("temporal", temporal)):
+    ring = candidates if isinstance(candidates, PooledRing) else None
+    rows = candidates if ring is None else ring._rows
+    for name, arr in (("candidates", rows), ("temporal", temporal)):
         if not isinstance(arr, np.ndarray):
             raise ShapeError(f"{name} must be a numpy array, got {type(arr).__name__}")
+        if arr.ndim == 0:
+            raise ShapeError(f"{name} must have a row axis, got a 0-d array")
         if arr.dtype.kind != "f":
             raise ValueError(f"{name} must be a float array, got dtype {arr.dtype}")
     if not isinstance(temporal_weights, np.ndarray):
@@ -130,7 +127,7 @@ def retrieve_key_features(
             f"temporal_weights must be a numpy array, got {type(temporal_weights).__name__}"
         )
     k = temporal.shape[0]
-    n = candidates.shape[0]
+    n = rows.shape[0] if ring is None else min(ring._t, len(rows))
     if n == 0 or k == 0:
         raise WarmupError("retrieval needs a non-empty buffer and temporal bank")
     if temporal_weights.shape != (k,):
@@ -139,110 +136,127 @@ def retrieve_key_features(
             f"shape {temporal_weights.shape}, expected ({k},)"
         )
     flat_centroids = temporal.reshape(k, -1)
-    if candidates.shape[1:] != flat_centroids.shape[1:]:
+    if rows.shape[1:] != flat_centroids.shape[1:]:
         raise ShapeError(
-            f"candidate rows {candidates.shape[1:]} != flattened centroids "
+            f"candidate rows {rows.shape[1:]} != flattened centroids "
             f"{flat_centroids.shape[1:]}"
         )
-    if not (_is_int_at_least(newest, 0) and newest < n):
-        raise ValueError(f"newest row {newest} outside [0, {n})")
-    if sq_norms is None:
-        sq_norms = np.einsum("ij,ij->i", candidates, candidates)
-    elif not (
-        isinstance(sq_norms, np.ndarray)
-        and sq_norms.shape == (n,)
-        and sq_norms.dtype == candidates.dtype
-    ):
-        raise ValueError(
-            f"sq_norms must be a ({n},) float array of the candidates' dtype "
-            f"{candidates.dtype}, got {getattr(sq_norms, 'shape', None)} "
-            f"{getattr(sq_norms, 'dtype', type(sq_norms).__name__)}"
-        )
+    limit = n if ring is None else 1
+    if not (_is_int_at_least(newest, 0) and newest < limit):
+        raise ValueError(f"newest row {newest} outside [0, {limit})")
 
     # Stable sort on negated weights: descending weight, ties to lower index.
     order = np.argsort(-temporal_weights, kind="stable")[: min(config.n_ret, k)]
     # A copy, which the bank's later writes cannot reach.
     centroids = flat_centroids[order]
+    if ring is not None:
+        return ring._nearest(centroids, order.tolist()).tolist()
+    sq_norms = np.einsum("ij,ij->i", candidates, candidates)
     # In age order from row ``newest``, the first of exact ties is the newest.
-    return bounds.nearest_rows(candidates, sq_norms, centroids, order.tolist(), newest).tolist()
+    return _nearest_rows(candidates, sq_norms, centroids, newest).tolist()
 
 
-class DistanceBounds:
-    """Carried intervals on the distance from each buffer row to each queried
-    centroid, so that retrieval reads only the rows they cannot rule out (see
-    the module docstring for why the picks stay exact).
+class PooledRing:
+    """The buffer that retrieval searches: each buffered frame pooled to p_tem
+    and flattened, one float64 row per slot, with the row's squared norm and
+    the carried intervals on its distance to each queried centroid (module
+    docstring). Frame t goes in slot ``-t % n_buff``, so the written rows are
+    the tail ``[n_buff - t:]`` until the ring is full, and from the newest
+    frame's slot on, cyclically, each next slot holds the next older frame.
 
-    The engine owns one and passes it to ``retrieve_key_features`` on every
-    frame; this class alone decides when the intervals carry. A call on rows
-    under ``_CARRY_BYTES``, or on a buffer of another shape than the last
-    call's, takes ``_nearest_rows``'s one product and keeps no intervals; the
-    next call on that shape reads every row and keeps them. The caller owes
-    it one thing: between two calls on a buffer of the same shape, only row
-    ``start`` (the newest) changes. Each call sets that row's interval to
-    ``[0, ∞]`` and assigns its state once, so a frame that fails after its
-    retrieval leaves every interval sound: its retry rewrites only that row.
-    ``rows_read`` and ``full_passes`` count the rows read and the calls that
-    read every row, on both paths.
+    The one rule that keeps the intervals sound: a row changes only through
+    ``write``, which sets that row's interval to ``[0, ∞]`` in every carried
+    column, so any writes may come between two searches. On rows under
+    ``_CARRY_BYTES`` each search takes ``_nearest_rows``'s one product and
+    keeps no intervals; on wider rows only the first does, the second reads
+    every written row, and later ones carry. ``rows_read`` and
+    ``full_passes`` count the rows read and the searches that read every
+    written row.
     """
 
-    def __init__(self) -> None:
-        self.rows_read = 0
-        self.full_passes = 0
-        # The last call's buffer shape, then its queried cluster indices,
-        # their centroids as it read them, and the (columns, rows) interval
-        # ends: no clusters and three Nones when it kept no intervals.
-        self._state: tuple = (None, [], None, None, None)
+    def __init__(self, config: MemoryConfig) -> None:
+        if not isinstance(config, MemoryConfig):
+            raise ConfigError(f"expected MemoryConfig, got {type(config).__name__}")
+        # Rows are read only after they are written, hence np.empty.
+        self._rows = np.empty((config.n_buff, config.p_tem**2 * config.dim))
+        self._sq_norms = np.empty(config.n_buff)
+        self._t = 0  # the newest frame written
+        self.rows_read = self.full_passes = 0
+        # The last search's queried cluster indices, their centroids as it
+        # read them, and the (columns, slots) interval ends; no columns after
+        # a first search on wide rows, and None before it or on narrow rows.
+        self._clusters: list = []
+        self._centroids = self._lo = self._hi = None
 
-    def nearest_rows(
-        self,
-        points: np.ndarray,
-        sq_norms: np.ndarray,
-        centroids: np.ndarray,
-        clusters: list,
-        start: int,
-    ) -> np.ndarray:
-        """``_nearest_rows(points, sq_norms, centroids, start)``, where row j
+    def write(self, t: int, row: np.ndarray) -> int:
+        """Store frame ``t``'s pooled ``row`` and its squared norm in slot
+        ``-t % n_buff``, set that slot's interval to ``[0, ∞]`` in every
+        carried column, and return the slot. ``t`` must be a frame the ring
+        holds or the next one, else ValueError, and ``row`` a (p_tem**2 * D,)
+        float array, else ShapeError; an error writes nothing."""
+        n, m = self._rows.shape
+        oldest = max(1, self._t - n + 1)
+        if not (_is_int_at_least(t, oldest) and t <= self._t + 1):
+            raise ValueError(f"frame {t!r} outside the ring's frames [{oldest}, {self._t + 1}]")
+        if not (isinstance(row, np.ndarray) and row.shape == (m,) and row.dtype.kind == "f"):
+            got = f"{row.dtype} {row.shape}" if isinstance(row, np.ndarray) else type(row).__name__
+            raise ShapeError(f"row must be a ({m},) float array, got {got}")
+        row = row.astype(np.float64, copy=False)
+        slot = -t % n
+        self._rows[slot] = row
+        self._sq_norms[slot] = row @ row
+        if self._lo is not None:
+            self._lo[:, slot] = 0.0
+            self._hi[:, slot] = np.inf
+        self._t = max(self._t, t)
+        return slot
+
+    def _nearest(self, centroids: np.ndarray, clusters: list) -> np.ndarray:
+        """The slots ``_nearest_rows`` picks over the written rows, where row j
         of ``centroids`` is cluster ``clusters[j]``, reading only the rows the
         carried intervals cannot rule out. ``centroids`` must be a copy that
-        no one writes later: it is kept as the next call's old centroids."""
-        n, m = points.shape
-        shape, was, old, old_lo, old_hi = self._state
-        if m * points.itemsize < _CARRY_BYTES or points.shape != shape:
-            self._state = (points.shape, [], None, None, None)
-            self.rows_read += n
+        no one writes later: it is kept as the next search's old centroids."""
+        n, m = self._rows.shape
+        first = n - min(self._t, n)  # the first written slot
+        points, sq_norms = self._rows[first:], self._sq_norms[first:]
+        start = -self._t % n - first
+        if self._lo is None:
+            if m * points.itemsize >= _CARRY_BYTES:
+                self._lo = self._hi = np.zeros((0, n))  # the next search reads every row
+            self.rows_read += len(points)
             self.full_passes += 1
-            return _nearest_rows(points, sq_norms, centroids, start)
+            return _nearest_rows(points, sq_norms, centroids, start) + first
         info = max(np.finfo(points.dtype), np.finfo(centroids.dtype), key=lambda f: f.eps)
         norms = np.einsum("ij,ij->i", centroids, centroids)
         bound = _distance_bound(m, _radius(sq_norms, centroids), info)
         lo = np.zeros((len(clusters), n))
         hi = np.full((len(clusters), n), np.inf)
-        column = {cluster: i for i, cluster in enumerate(was)}
+        column = {cluster: i for i, cluster in enumerate(self._clusters)}
         for j, cluster in enumerate(clusters):
             i = column.get(cluster)
             if i is not None:
-                moved = _movement(centroids[j], old[i], info)
-                lo[j] = np.nextafter(old_lo[i] - moved, -np.inf)
-                hi[j] = np.nextafter(old_hi[i] + moved, np.inf)
-        lo[:, start] = 0.0
-        hi[:, start] = np.inf
+                moved = _movement(centroids[j], self._centroids[i], info)
+                lo[j] = np.nextafter(self._lo[i] - moved, -np.inf)
+                hi[j] = np.nextafter(self._hi[i] + moved, np.inf)
+        written_lo, written_hi = lo[:, first:], hi[:, first:]  # views
 
-        least = hi.min(axis=1)
+        least = written_hi.min(axis=1)
         reach = _up(np.sqrt(_up(_up(least * least) + 2.0 * bound)))
-        runs = _runs(~(lo > reach[:, None]).all(axis=0), _GAP_BYTES // (m * points.itemsize))
+        read = ~(written_lo > reach[:, None]).all(axis=0)
+        runs = _runs(read, _GAP_BYTES // (m * points.itemsize))
         score = np.concatenate(
             [sq_norms[a:b, None] - 2.0 * (points[a:b] @ centroids.T) for a, b in runs]
         )
         rows = np.concatenate([np.arange(a, b) for a, b in runs])
         expanded = score + norms
         expanded = np.where(np.isfinite(expanded), expanded, np.nan).T
-        lo[:, rows] = np.sqrt(np.fmax(expanded - 2.0 * bound, 0.0))
-        hi[:, rows] = np.sqrt(np.fmin(expanded + 2.0 * bound, np.inf))
+        written_lo[:, rows] = np.sqrt(np.fmax(expanded - 2.0 * bound, 0.0))
+        written_hi[:, rows] = np.sqrt(np.fmin(expanded + 2.0 * bound, np.inf))
 
-        self._state = (points.shape, clusters, centroids, lo, hi)
+        self._clusters, self._centroids, self._lo, self._hi = clusters, centroids, lo, hi
         self.rows_read += len(rows)
-        self.full_passes += len(rows) == n
-        return _settle(points, score, bound, centroids, start, rows)
+        self.full_passes += len(rows) == len(points)
+        return _settle(points, score, bound, centroids, start, rows) + first
 
 
 def _up(x: np.ndarray) -> np.ndarray:

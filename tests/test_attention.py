@@ -323,6 +323,19 @@ def test_abstract_update_names_the_pooled_shape_it_expects():
         abstract_update(bank.tolist(), np.zeros((1, 1, 4)), None, cfg)
 
 
+def test_abstract_update_names_the_bank_shape_it_expects():
+    # A (25, 3) bank at dim 2 once met numpy's broadcast error, and a (1, 2)
+    # bank was folded into a (1, 2) result.
+    cfg = default_config(dim=2)  # n_abs=25 rows at p_abs=1
+    for bank in (np.zeros((25, 3)), np.zeros((1, 2)), np.zeros(50), np.zeros((25, 2, 1))):
+        want = f"abstract_bank shape {bank.shape} != (n_abs * p_abs**2, D) = (25, 2)"
+        with pytest.raises(ShapeError, match=re.escape(want)):
+            abstract_update(bank, np.zeros((1, 1, 2)), None, cfg)
+    cfg = default_config(n_abs=2, p_abs=2, p_tem=2, p_spa=4, dim=3)
+    with pytest.raises(ShapeError, match=re.escape("(n_abs * p_abs**2, D) = (8, 3)")):
+        abstract_update(np.zeros((2, 3)), np.zeros((2, 2, 3)), AttentionParams.seeded(3), cfg)
+
+
 def test_params_file_round_trip(tmp_path):
     params = seeded_params(5, 77)
     path = tmp_path / "proj.atp"

@@ -171,21 +171,21 @@ def test_digest_streams_cover_both_ring_paths(name):
 
 @pytest.mark.parametrize("name", sorted(DIGESTS))
 def test_digest_streams_cover_both_retrieval_paths(name):
-    """Every engine passes retrieval its distance bounds. Only ``wide512``'s
-    pooled rows reach retrieval's ``_CARRY_BYTES``, so only its intervals
-    carry, and once its buffer is full most of its frames read fewer rows than
-    the buffer holds; the others read every row on every frame."""
+    """Every engine's retrieval searches its ``PooledRing``. Only
+    ``wide512``'s pooled rows reach retrieval's ``_CARRY_BYTES``, so only its
+    intervals carry, and once its buffer is full most of its frames read fewer
+    rows than the buffer holds; the others read every row on every frame."""
     config, grid = DIGESTS[name]
     engine = MemoryEngine(config)
-    bounds, n = engine._bounds, config.n_buff
+    ring, n = engine._ring, config.n_buff
     read = []
     for frame in synth_stream(7, N_FRAMES, 4, grid, config.dim):
-        before = bounds.rows_read
+        before = ring.rows_read
         engine.ingest_frame(frame)
-        read.append(bounds.rows_read - before)
+        read.append(ring.rows_read - before)
     if name != "wide512":
         assert read == [min(t, n) for t in range(1, N_FRAMES + 1)]
-        assert bounds.full_passes == N_FRAMES
+        assert ring.full_passes == N_FRAMES
         return
     later = read[n:]
     assert sum(r < n for r in later) > len(later) / 2, later

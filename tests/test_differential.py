@@ -8,12 +8,12 @@ agree bit for bit on ``frame_record`` (snapshot bytes, offsets, checksum and
 version; k-means assignments, centroids and weights; temporal weights) and
 on the retrieval picks. The picks are recorded separately because exact
 duplicate frames give the same snapshot bytes whichever of them is picked.
-Every engine here runs with retrieval's ``_CARRY_BYTES`` at 0, so once its
-buffer has been full for a frame the package engine's retrieval reads only
-the rows its carried distance bounds cannot rule out, at every width, while
-the twin ranks every row. The frozen retrieval has neither the ``sq_norms``
-nor the ``bounds`` keyword, so the twin calls it through a wrapper that
-drops them. The frozen
+Every engine here runs with retrieval's ``_CARRY_BYTES`` at 0, so after
+its first two frames the package engine's retrieval reads only the rows its
+ring's carried distance bounds cannot rule out, at every width, while the
+twin ranks every row. The frozen retrieval takes an array of rows, so the
+twin calls it through a wrapper that passes its ring's written rows and
+returns the picks as ring slots, as the package's retrieval does. The frozen
 ``temporal_update`` takes the bank's centroids and weights and returns the
 new ones, so the twin calls it through a wrapper that hands them to its
 ``TemporalBank`` as a fold that replaces the whole bank.
@@ -32,11 +32,12 @@ Gram matrix must be within twice ``_distance_bound`` of a fresh ``C @ C.T``,
 entry by entry. Separate cases run at dim 512 and p_tem=4, where a temporal
 row reaches the real ``_SHARE_BYTES``, and hold a state and a snapshot for 20
 frames to show that the bank's in-place writes never reach them. Others run
-the carried bounds at dims 512 and 1024 through a 40-frame buffer, on scene
-changes, duplicates, signed zeros, a reordering of the heaviest clusters and
-a failed frame, after which the retry carries the failed frame's intervals;
-one more counts through the bounds' own counters that each of their full
-passes happens, and that the retry after a failed frame takes none.
+the carried bounds at dims 512 and 1024 through a 40-frame buffer, filling
+and full, on scene changes, duplicates, signed zeros, a reordering of the
+heaviest clusters and a failed frame, after which the retry carries the
+failed frame's intervals; one more counts through the ring's own counters
+that each of its full passes happens, and that the retry after a failed
+frame takes none.
 
 The streams aim at the decisions an exact shortcut could get wrong: exact
 duplicates, power-of-two patterns and their midpoints (so ties are exact),
@@ -75,10 +76,13 @@ FROZEN = {name: getattr(oracles, name) for name in STAGES[:-1]}
 FROZEN["MemorySnapshot"] = oracles.snapshot
 
 
-def _frozen_retrieval(*args, sq_norms=None, bounds=None, **kwargs):
-    """The frozen retrieval, called without the engine's cached row norms and
-    carried distance bounds."""
-    return oracles.retrieve_key_features(*args, **kwargs)
+def _frozen_retrieval(ring, *args):
+    """The frozen retrieval over the ring's written rows, newest first, with
+    its picks given as ring slots."""
+    n = len(ring._rows)
+    first = n - min(ring._t, n)
+    newest = -ring._t % n - first
+    return [first + i for i in oracles.retrieve_key_features(ring._rows[first:], *args, newest)]
 
 
 FROZEN["retrieve_key_features"] = _frozen_retrieval
@@ -439,13 +443,13 @@ def test_carried_retrieval_matches_the_full_pass_on_wide_rows(dim, kind):
     fail_at = n + 7 if kind == "failed" else None
     frames = _wide_stream(kind, dim)
     calls, fallbacks = [], []
-    nearest_rows = retrieval_module.DistanceBounds.nearest_rows
+    nearest = retrieval_module.PooledRing._nearest
     merge_step = clustering_module._merge_step
 
-    def recording_nearest_rows(self, points, *args):
+    def recording_nearest(self, centroids, clusters):
         before = self.rows_read
-        got = nearest_rows(self, points, *args)
-        calls.append((args[2], self.rows_read - before, len(points)))
+        got = nearest(self, centroids, clusters)
+        calls.append((clusters, self.rows_read - before, min(self._t, n)))
         return got
 
     def counting_merge_step(*args):
@@ -454,16 +458,22 @@ def test_carried_retrieval_matches_the_full_pass_on_wide_rows(dim, kind):
         return got
 
     with (
-        patch.object(retrieval_module.DistanceBounds, "nearest_rows", recording_nearest_rows),
+        patch.object(retrieval_module.PooledRing, "_nearest", recording_nearest),
         patch.object(clustering_module, "_merge_step", counting_merge_step),
     ):
         got = _run(config, None, frames, PACKAGE, fail_at=fail_at)
     params = AttentionParams.seeded(dim)  # the frozen update reads them; p_abs=1 does not
     assert got == _run(config, params, frames, FROZEN, fail_at=fail_at)
-    # Every retrieval goes through the engine's bounds. The frames that fill
-    # the buffer and the first frame after it read every row.
+    # Every retrieval searches the engine's ring, and the first two frames
+    # read every row. The carried path runs once the ring is full, and reads
+    # fewer rows while it fills too, but in two streams. In reordering the
+    # filling frames are one scene, near ties that no interval rules out; in
+    # duplicates the rows ruled out sit in gaps short enough to be read with
+    # the runs around them (_GAP_BYTES).
     assert len(calls) == len(got[1]) == len(frames) + (fail_at is not None)
-    assert all(read == rows for _, read, rows in calls[: n + 1]), calls[: n + 1]
+    assert [read for _, read, _ in calls[:2]] == [1, 2], calls[:2]
+    filling = any(read < rows for _, read, rows in calls[2:n])
+    assert filling == (kind not in ("duplicates", "reordering")), calls[:n]
     assert any(read < n for _, read, _ in calls[n + 1 :]), "no frame took the carried path"
     if kind == "duplicates":
         assert any(fallbacks), "no k-means fallback"
@@ -478,17 +488,16 @@ def test_carried_retrieval_matches_the_full_pass_on_wide_rows(dim, kind):
 
 
 def test_engine_counts_each_route_through_the_bounds():
-    """The engine's counters see the carried path and each full pass: the
-    frames that fill the buffer and the one after, and a cluster entering the
-    top n_ret. The frame after a failed one carries the failed frame's
-    intervals."""
+    """The ring's counters see the carried path and each full pass: the
+    first two frames, and a cluster entering the top n_ret. The frame after a
+    failed one carries the failed frame's intervals."""
     config = replace(CARRIED, dim=4, p_spa=2, p_tem=2, n_buff=12)
     n = config.n_buff
     calls, failed = [], []
 
     def failing_snapshot(*args, **kwargs):
         # Fail once, on the first carried frame a while after the buffer fills.
-        if not failed and len(calls) > n + 5 and engine._bounds.full_passes == was[1]:
+        if not failed and len(calls) > n + 5 and engine._ring.full_passes == was[1]:
             failed.append(len(calls))
             raise _Injected
         return PACKAGE["MemorySnapshot"](*args, **kwargs)
@@ -498,22 +507,22 @@ def test_engine_counts_each_route_through_the_bounds():
         patch.object(engine_module, "MemorySnapshot", failing_snapshot),
     ):
         engine = MemoryEngine(config)
-        bounds = engine._bounds
+        ring = engine._ring
         for frame in _reordering(config.dim):
             while True:  # one call per attempt: the failed frame is ingested again
-                was = (bounds.rows_read, bounds.full_passes, list(bounds._state[1]))
+                was = (ring.rows_read, ring.full_passes, list(ring._clusters))
                 try:
                     engine.ingest_frame(frame)
                 except _Injected:
                     pass
-                read, full = bounds.rows_read - was[0], bounds.full_passes - was[1]
-                calls.append((read, full, was[2], list(bounds._state[1])))
+                read, full = ring.rows_read - was[0], ring.full_passes - was[1]
+                calls.append((read, full, was[2], list(ring._clusters)))
                 if len(calls) - 1 not in failed:
                     break
-    # Each frame that fills the buffer, on a buffer of a new shape, takes the
-    # plain full pass; the next, the first on a buffer of the same shape,
-    # reads every row and keeps the intervals.
-    assert [call[:2] for call in calls[: n + 1]] == [(t, 1) for t in range(1, n + 1)] + [(n, 1)]
+    # The first frame takes the plain full pass; the second reads every row
+    # and keeps the intervals, which carry while the ring fills too.
+    assert [call[:2] for call in calls[:2]] == [(1, 1), (2, 1)]
+    assert any(full == 0 for _, full, _, _ in calls[2:n]), "no filling frame carried"
     later = calls[n + 1 :]
     assert any(full == 0 and read < n for read, full, _, _ in later), "no carried frame"
     entries = [full for _, full, was, now in later if set(now) - set(was)]

@@ -720,15 +720,28 @@ def test_distance_ties_go_to_newer_frame_after_wrap():
         assert np.array_equal(snap.bank("retrieved"), snap.bank("spatial")), t
 
 
-def test_norm_ring_holds_each_pooled_row_squared_norm_after_wrap():
+def test_ring_holds_each_written_row_and_its_squared_norm_after_wrap_and_retry(monkeypatch):
+    # Frame 20 fails after its ring write, with another frame's tokens, and
+    # is ingested again: the retry's row and norm replace the failed one's.
     cfg = default_config(dim=16, n_buff=7)
+    n = cfg.n_buff
     engine = MemoryEngine(cfg)
-    for frame in synth_stream(5, 40, 3, 8, cfg.dim):
+    frames = list(synth_stream(5, 40, 3, 8, cfg.dim))
+    written = {}
+    for t, frame in enumerate(frames, start=1):
+        if t == 20:
+            with monkeypatch.context() as m, pytest.raises(MemoryError):
+                m.setattr(engine_module, "retrieve_key_features", _failing_retrieval)
+                engine.ingest_frame(frames[0])
+            failed = average_pool(frames[0].tokens, cfg.p_tem).reshape(-1)
+            assert engine._ring._rows[-t % n].tobytes() == failed.tobytes()
         engine.ingest_frame(frame)
-    ring = engine._pooled_ring
-    np.testing.assert_allclose(
-        engine._sq_norm_ring, np.einsum("ij,ij->i", ring, ring), rtol=1e-13, atol=0
-    )
+        written[-t % n] = average_pool(frame.tokens, cfg.p_tem).reshape(-1)
+        ring = engine._ring
+        for slot, row in written.items():
+            assert ring._rows[slot].tobytes() == row.tobytes(), (t, slot)
+            assert ring._sq_norms[slot].tobytes() == (row @ row).tobytes(), (t, slot)
+    assert len(written) == n
 
 
 _RETRIEVE = engine_module.retrieve_key_features
@@ -741,10 +754,11 @@ class _Picks:
     def __init__(self, n_buff: int):
         self.n_buff, self.ages, self.fail = n_buff, [], False
 
-    def __call__(self, *args, newest, **kwargs):
+    def __call__(self, ring, *args):
         if self.fail:
             raise MemoryError("injected")
-        picks = _RETRIEVE(*args, newest=newest, **kwargs)
+        picks = _RETRIEVE(ring, *args)
+        newest = -ring._t % self.n_buff
         self.ages.append([(i - newest) % self.n_buff for i in picks])
         return picks
 

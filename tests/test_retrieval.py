@@ -183,12 +183,15 @@ def test_rejects_mismatched_inputs():
         retrieve_key_features(candidates, centroids.tolist(), weights, CFG)
     with pytest.raises(ValueError, match="temporal_weights must be a numpy array, got list"):
         retrieve_key_features(candidates, centroids, [1.0, 2.0], CFG)
-    # config=None once gave AttributeError on .n_ret, and bounds=object() on
-    # .nearest_rows.
+    # 0-d arrays once raised IndexError on .shape[0].
+    for name in ("candidates", "temporal"):
+        args = {"candidates": candidates, "temporal": centroids, "temporal_weights": weights}
+        args[name] = np.array(1.0)
+        with pytest.raises(ShapeError, match=f"{name} must have a row axis, got a 0-d array"):
+            retrieve_key_features(**args, config=CFG)
+    # config=None once gave AttributeError on .n_ret.
     with pytest.raises(ConfigError, match="expected MemoryConfig, got NoneType"):
         retrieve_key_features(candidates, centroids, weights, None)
-    with pytest.raises(ValueError, match="bounds must be a DistanceBounds or None, got object"):
-        retrieve_key_features(candidates, centroids, weights, CFG, bounds=object())
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
-"""Retrieval's exact re-rank: picks the expanded distance alone gets wrong,
-and the check of the cached row norms at the boundary."""
+"""Retrieval's exact re-rank: picks the expanded distance alone gets wrong;
+and the ring whose cached row norms retrieval reads, with the checks its
+``write`` makes before it stores anything."""
 
 from unittest.mock import patch
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 import streammem.retrieval as retrieval_module
-from streammem import default_config, retrieve_key_features
+from streammem import ConfigError, PooledRing, ShapeError, default_config, retrieve_key_features
 
 CFG = default_config(n_ret=1)  # only n_ret is read for bare (n, m) rows
 OFFSET = 1e8  # ‖x‖² ≈ m·1e16, so the expanded form rounds away unit steps
@@ -64,35 +65,62 @@ def test_exact_direct_tie_goes_to_the_newer_row_when_expanded_differs():
 
 
 def test_cached_norms_give_the_same_picks():
+    # A PooledRing caches each row's squared norm as it is written. Its slots
+    # must be the array form's picks over the written rows, newest first,
+    # while it fills and after it wraps, with and without carried intervals.
     rng = np.random.default_rng(3)
     candidates = rng.normal(size=(9, 12))
     centroids = rng.normal(size=(3, 12))
     weights = np.array([2.0, 5.0, 1.0])
-    cfg = default_config(n_ret=3)
-    norms = np.einsum("ij,ij->i", candidates, candidates)
-    for newest in range(9):
-        assert retrieve_key_features(
-            candidates, centroids, weights, cfg, newest=newest, sq_norms=norms
-        ) == retrieve_key_features(candidates, centroids, weights, cfg, newest=newest)
+    cfg = default_config(dim=3, p_spa=2, p_tem=2, n_buff=9, n_ret=3)
+    for carry in (retrieval_module._CARRY_BYTES, 0):
+        ring = PooledRing(cfg)
+        with patch.object(retrieval_module, "_CARRY_BYTES", carry):
+            for t in range(1, 20):
+                slot = ring.write(t, candidates[-t % 9])
+                first = 9 - min(t, 9)
+                want = retrieve_key_features(
+                    candidates[first:], centroids, weights, cfg, newest=slot - first
+                )
+                got = retrieve_key_features(ring, centroids, weights, cfg)
+                assert got == [first + i for i in want], (carry, t)
+        assert ring.full_passes < 19 if carry == 0 else ring.full_passes == 19
 
 
 @pytest.mark.parametrize(
     "bad",
     [
-        np.ones(8),  # one row short
-        np.ones((9, 1)),  # not (n,)
-        np.ones(9, dtype=np.float32),  # not the candidates' dtype
-        np.ones(9, dtype=np.int64),  # not float
-        [1.0] * 9,  # not an array
+        np.ones(11),  # one entry short
+        np.ones((12, 1)),  # not (m,)
+        np.ones(1),  # would broadcast to the whole row
+        np.ones(12, dtype=np.int64),  # not float
+        [1.0] * 12,  # not an array
     ],
 )
-def test_sq_norms_is_checked_before_any_product(bad):
-    rng = np.random.default_rng(4)
-    candidates = rng.normal(size=(9, 12))
-    with (
-        patch.object(retrieval_module, "_nearest_rows", side_effect=AssertionError),
-        pytest.raises(ValueError, match="sq_norms"),
-    ):
-        retrieve_key_features(
-            candidates, rng.normal(size=(2, 12)), np.ones(2), CFG, sq_norms=bad
-        )
+def test_ring_write_checks_the_row_before_any_store(bad, monkeypatch):
+    monkeypatch.setattr(retrieval_module, "_CARRY_BYTES", 0)
+    ring = PooledRing(default_config(dim=3, p_spa=2, p_tem=2, n_buff=4))
+    ring.write(1, np.arange(12.0))
+    for _ in range(2):  # the second search keeps intervals
+        ring._nearest(np.zeros((1, 12)), [0])
+
+    def state():
+        return [a.tobytes() for a in (ring._rows, ring._sq_norms, ring._lo, ring._hi)], ring._t
+
+    before = state()
+    with pytest.raises(ShapeError, match=r"row must be a \(12,\) float array"):
+        ring.write(2, bad)
+    assert state() == before
+
+
+def test_ring_write_takes_only_a_held_frame_or_the_next():
+    ring = PooledRing(default_config(dim=3, p_spa=2, p_tem=2, n_buff=4))
+    for t in range(1, 7):
+        assert ring.write(t, np.full(12, float(t))) == -t % 4
+    for t in (0, 1, 2, 8, 3.0, True):  # frames 1 and 2 are evicted
+        with pytest.raises(ValueError, match=r"outside the ring's frames \[3, 7\]"):
+            ring.write(t, np.zeros(12))
+    assert ring.write(3, np.zeros(12)) == 1 and ring._t == 6
+    assert ring.write(7, np.zeros(12)) == 1 and ring._t == 7
+    with pytest.raises(ConfigError, match="expected MemoryConfig"):
+        PooledRing(None)
