@@ -24,7 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import MemoryConfig, ShapeError, _check_magnitude, _check_real
+from .model import (MAX_BUFFER_BYTES, ConfigError, MemoryConfig, ShapeError, _check_magnitude,
+                    _check_real, _is_int_at_least)
 
 __all__ = [
     "AttentionParams",
@@ -69,7 +70,10 @@ class AttentionParams:
 
     @classmethod
     def seeded(cls, dim: int) -> "AttentionParams":
-        """Gaussian init, std 1/sqrt(dim), drawn from default_rng(0)."""
+        """Gaussian init, std 1/sqrt(dim), drawn from default_rng(0); a dim that is not
+        an int >= 1 whose two projections fit ``MAX_BUFFER_BYTES`` is a ShapeError."""
+        if not (_is_int_at_least(dim, 1) and 2 * 8 * int(dim) ** 2 <= MAX_BUFFER_BYTES):
+            raise ShapeError(f"dim must be an int >= 1 within the byte limit, got {dim!r}")
         rng = np.random.default_rng(0)
         std = dim**-0.5
         return cls(
@@ -189,8 +193,10 @@ def abstract_update(
     becomes +0.0, as it does there. A ``pooled_frame`` of any other shape
     than (p_abs, p_abs, D), an ``abstract_bank`` of any other shape than
     (n_abs * p_abs**2, D), or a bank or frame that is not a numpy array,
-    raises ShapeError naming it.
+    raises ShapeError naming it; a ``config`` not a MemoryConfig, ConfigError.
     """
+    if not isinstance(config, MemoryConfig):
+        raise ConfigError(f"expected MemoryConfig, got {type(config).__name__}")
     p, d = config.p_abs, config.dim
     for name, arr, rule, expected in (
         ("abstract_bank", abstract_bank, "n_abs * p_abs**2, D", (config.n_abs * p * p, d)),

@@ -44,7 +44,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import MemoryConfig, ShapeError, _frozen, _is_int_at_least, _joined
+from .model import (ConfigError, MemoryConfig, ShapeError, _check_magnitude, _check_real,
+                    _frozen, _is_int_at_least, _joined)
 
 __all__ = ["ClusterState", "TemporalBank", "TemporalFold", "weighted_kmeans", "temporal_update"]
 
@@ -143,17 +144,19 @@ def _repair_empty(assign: np.ndarray, d2: np.ndarray, point_weights: np.ndarray,
 def weighted_kmeans(points: np.ndarray, point_weights: np.ndarray, k: int) -> ClusterState:
     """Lloyd iterations with per-point weights and deterministic tie-breaking.
 
-    points: (n, m) rows, n >= k >= 1. Point weights must be positive and
-    finite, and are frozen for the whole call.
+    points: (n, m) real rows within ``MAX_MAGNITUDE``, n >= k >= 1. Point weights
+    must be positive and finite, and are frozen for the whole call.
 
     The centroids start at points[:k] (callers put the carried bank entries
     first), so identical inputs give bit-equal output. Iteration stops when
     assignments repeat or after _MAX_ITERS update steps.
     """
+    _check_real(points, "points")
     points = np.asarray(points, dtype=np.float64)
     point_weights = np.asarray(point_weights, dtype=np.float64)
     if points.ndim != 2:
         raise ValueError(f"points must be 2-D (n, m) rows, got shape {points.shape}")
+    _check_magnitude(points, "points")
     n = points.shape[0]
     if not (_is_int_at_least(k, 1) and k <= n):
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
@@ -304,6 +307,8 @@ class TemporalBank:
     """
 
     def __init__(self, config: MemoryConfig):
+        if not isinstance(config, MemoryConfig):
+            raise ConfigError(f"expected MemoryConfig, got {type(config).__name__}")
         self.config = config
         m = config.p_tem**2 * config.dim
         self._per_row = m * 8 >= _SHARE_BYTES
@@ -439,8 +444,10 @@ def temporal_update(bank: TemporalBank, pooled_row: np.ndarray) -> TemporalFold:
     Otherwise ``weighted_kmeans`` runs. On a bank this function built, whose
     every centroid is a quotient by its weight, both paths agree bit for bit.
     A ``pooled_row`` that is not a numpy array of shape (p_tem**2 * D,) is a
-    ShapeError naming it.
+    ShapeError naming it; a ``bank`` that is not a TemporalBank, a ValueError.
     """
+    if not isinstance(bank, TemporalBank):
+        raise ValueError(f"bank must be a TemporalBank, got {type(bank).__name__}")
     k, m = bank.config.n_tem, bank.config.p_tem**2 * bank.config.dim
     if not isinstance(pooled_row, np.ndarray):
         raise ShapeError(f"pooled_row must be a numpy array, got {type(pooled_row).__name__}")

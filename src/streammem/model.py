@@ -205,6 +205,8 @@ def default_config(**overrides) -> MemoryConfig:
 
 def max_tokens(config: MemoryConfig) -> int:
     """Total token budget: (n_spa+n_ret)*p_spa^2 + n_tem*p_tem^2 + n_abs*p_abs^2."""
+    if not isinstance(config, MemoryConfig):
+        raise ConfigError(f"expected MemoryConfig, got {type(config).__name__}")
     c = config
     return (c.n_spa + c.n_ret) * c.p_spa**2 + c.n_tem * c.p_tem**2 + c.n_abs * c.p_abs**2
 

@@ -1,18 +1,18 @@
 """Key-frame retrieval: pick the buffer frames nearest the heaviest clusters.
 
-``_nearest_rows`` ranks every buffer row with one matrix product; ``_settle``
-settles each pick, by the direct distance (``_rerank``) where the product's
-rounding bound (``clustering._distance_bound``) leaves it undecided.
+Retrieval searches the buffer it owns, a ``PooledRing``. On narrow rows each
+search is ``_nearest_rows``: one matrix product ranks every written row, and
+``_settle`` settles each pick, by the direct distance (``_rerank``) where the
+product's rounding bound (``clustering._distance_bound``) leaves it undecided.
 
-A ``PooledRing`` is a buffer that retrieval owns, so that a search of wide
-rows reads fewer of them. It carries, for each queried cluster index and
-each ring slot, an interval ``[lo, hi]`` that holds the exact distance
-``d = ‖x − c‖`` between the slot's row x and the cluster's centroid c, as
-real numbers from their float values. Each search reads only the rows that
-the intervals cannot rule out, in contiguous runs of rows, and settles each
-pick among them as ``_nearest_rows`` does. The picks are the same bit for
-bit. The argument, with E the ``_distance_bound`` of the search (its radius
-covers every written row and every queried centroid, so E bounds the
+On wide rows a search reads fewer rows. The ring carries, for each queried
+cluster index and each ring slot, an interval ``[lo, hi]`` that holds the
+exact distance ``d = ‖x − c‖`` between the slot's row x and the cluster's
+centroid c, as real numbers from their float values. Each search reads only
+the rows that the intervals cannot rule out, in contiguous runs of rows, and
+settles each pick among them as ``_nearest_rows`` does. The picks are the same
+bit for bit. The argument, with E the ``_distance_bound`` of the search (its
+radius covers every written row and every queried centroid, so E bounds the
 rounding of any one squared distance computed in the expanded form ``S`` or
 directly as ``D = np.sum((x − c)**2)``):
 
@@ -49,7 +49,7 @@ import math
 import numpy as np
 
 from .clustering import _distance_bound
-from .model import ConfigError, MemoryConfig, ShapeError, WarmupError, _is_int_at_least
+from .model import ConfigError, MemoryConfig, ShapeError, WarmupError, _check_real, _is_int_at_least
 
 __all__ = ["PooledRing", "retrieve_key_features"]
 
@@ -80,80 +80,64 @@ _GAP_BYTES = 1 << 18
 
 
 def retrieve_key_features(
-    candidates: np.ndarray | PooledRing,
+    ring: PooledRing,
     temporal: np.ndarray,
     temporal_weights: np.ndarray,
     config: MemoryConfig,
-    newest: int = 0,
 ) -> list[int]:
-    """Return the candidate rows nearest the top-weight temporal centroids.
-
-    candidates holds the buffer frames pooled to the centroid grid p_tem, one
-    flattened frame per row, shape (n, p_tem**2 * D). Row ``newest`` is the
-    newest frame and each following row, cyclically, the next older one, so a
-    ring buffer passes its rows as stored. Or candidates is a ``PooledRing``,
-    whose written rows are searched and whose slots are returned, reading on
-    wide rows only those its carried intervals cannot rule out; ``newest``
-    must then be 0, since the ring knows its newest frame. The picks are the
-    same either way.
+    """Return the slots of ``ring``'s rows nearest the top-weight temporal centroids.
 
     Selects the min(n_ret, bank size) heaviest clusters (weight ties go to the
-    lower cluster index), finds for each the row minimizing the squared
-    Euclidean distance ``np.sum((row - centroid) ** 2)`` (exact ties go to the
-    newest of the minima), and returns those row indices ordered by
+    lower cluster index), finds for each the written row minimizing the
+    squared Euclidean distance ``np.sum((row - centroid) ** 2)`` (exact ties
+    go to the newest of the minima), and returns those slots ordered by
     descending cluster weight. The same row may serve several clusters. A
-    matrix product ranks the rows (all of them, or those the ring's intervals
-    do not rule out); rows within its rounding bound of the minimum are
-    re-ranked by the direct distance, so the picks are exact.
-    The arrays must be numpy arrays of at least one dimension: anything else
-    is a ShapeError, or for ``temporal_weights`` a ValueError, naming the
-    argument. ``candidates`` and ``temporal`` must hold floats, since integer
-    products wrap around: any other dtype is a ValueError naming the argument.
-    A ``config`` that is not a ``MemoryConfig`` is a ConfigError.
+    matrix product ranks the rows the ring's carried intervals do not rule
+    out; rows within its rounding bound of the minimum are re-ranked by the
+    direct distance, so the picks are exact.
+    A ``ring`` that is not a ``PooledRing``, or a ``temporal`` that is not a
+    numpy array with a row axis, is a ShapeError naming it; a ``temporal``
+    that is not float is a ValueError, since integer products wrap around,
+    and so are ``temporal_weights`` that are not a real (k,) numpy array free
+    of NaN. A ``config`` that is not a ``MemoryConfig`` is a ConfigError.
     """
     if not isinstance(config, MemoryConfig):
         raise ConfigError(f"expected MemoryConfig, got {type(config).__name__}")
-    ring = candidates if isinstance(candidates, PooledRing) else None
-    rows = candidates if ring is None else ring._rows
-    for name, arr in (("candidates", rows), ("temporal", temporal)):
-        if not isinstance(arr, np.ndarray):
-            raise ShapeError(f"{name} must be a numpy array, got {type(arr).__name__}")
-        if arr.ndim == 0:
-            raise ShapeError(f"{name} must have a row axis, got a 0-d array")
-        if arr.dtype.kind != "f":
-            raise ValueError(f"{name} must be a float array, got dtype {arr.dtype}")
+    if not isinstance(ring, PooledRing):
+        raise ShapeError(f"ring must be a PooledRing, got {type(ring).__name__}")
+    if not isinstance(temporal, np.ndarray):
+        raise ShapeError(f"temporal must be a numpy array, got {type(temporal).__name__}")
+    if temporal.ndim == 0:
+        raise ShapeError("temporal must have a row axis, got a 0-d array")
+    if temporal.dtype.kind != "f":
+        raise ValueError(f"temporal must be a float array, got dtype {temporal.dtype}")
     if not isinstance(temporal_weights, np.ndarray):
         raise ValueError(
             f"temporal_weights must be a numpy array, got {type(temporal_weights).__name__}"
         )
     k = temporal.shape[0]
-    n = rows.shape[0] if ring is None else min(ring._t, len(rows))
-    if n == 0 or k == 0:
+    if ring._t == 0 or k == 0:
         raise WarmupError("retrieval needs a non-empty buffer and temporal bank")
     if temporal_weights.shape != (k,):
         raise ValueError(
             f"weights length must equal the bank size {k}: temporal_weights has "
             f"shape {temporal_weights.shape}, expected ({k},)"
         )
+    _check_real(temporal_weights, "temporal_weights")
+    weights = temporal_weights.astype(float, copy=False)  # -bool fails, -uint wraps
+    if np.isnan(weights).any():
+        raise ValueError("temporal_weights must not hold NaN")
     flat_centroids = temporal.reshape(k, -1)
-    if rows.shape[1:] != flat_centroids.shape[1:]:
+    if ring._rows.shape[1:] != flat_centroids.shape[1:]:
         raise ShapeError(
-            f"candidate rows {rows.shape[1:]} != flattened centroids "
+            f"ring rows {ring._rows.shape[1:]} != flattened centroids "
             f"{flat_centroids.shape[1:]}"
         )
-    limit = n if ring is None else 1
-    if not (_is_int_at_least(newest, 0) and newest < limit):
-        raise ValueError(f"newest row {newest} outside [0, {limit})")
 
     # Stable sort on negated weights: descending weight, ties to lower index.
-    order = np.argsort(-temporal_weights, kind="stable")[: min(config.n_ret, k)]
-    # A copy, which the bank's later writes cannot reach.
-    centroids = flat_centroids[order]
-    if ring is not None:
-        return ring._nearest(centroids, order.tolist()).tolist()
-    sq_norms = np.einsum("ij,ij->i", candidates, candidates)
-    # In age order from row ``newest``, the first of exact ties is the newest.
-    return _nearest_rows(candidates, sq_norms, centroids, newest).tolist()
+    order = np.argsort(-weights, kind="stable")[: min(config.n_ret, k)]
+    # The centroids are a copy, which the bank's later writes cannot reach.
+    return ring._nearest(flat_centroids[order], order.tolist()).tolist()
 
 
 class PooledRing:

@@ -27,6 +27,7 @@ from streammem import (
     weighted_kmeans,
 )
 from oracles import finite_difference, retrieve_bruteforce, seeded_params
+from rings import ring_of
 
 import streammem
 
@@ -135,8 +136,8 @@ def test_criterion_4_retrieval_oracle(capsys):
         weights = rng.integers(1, 6, size=k).astype(float)
 
         pooled = [average_pool(f.tokens, 2) for f in buffer]
-        candidates = np.stack([p.reshape(-1) for p in pooled])
-        got_idx = retrieve_key_features(candidates, centroids, weights, config)
+        ring = ring_of(np.stack([p.reshape(-1) for p in pooled]))  # slot i holds frame i
+        got_idx = retrieve_key_features(ring, centroids, weights, config)
         want_idx = retrieve_bruteforce(pooled, centroids, weights, config.n_ret)
         if got_idx != want_idx:
             mismatches += 1

@@ -441,3 +441,19 @@ def test_params_validation():
     assert params.query_proj.tobytes() == seeded_params(4, 0).query_proj.tobytes()
     with pytest.raises(ValueError):
         params.key_proj[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("dim", [0, -1, True, 2.5, "4", 2**15 + 1, 2**16])
+def test_seeded_params_refuse_a_bad_dim_before_drawing(dim, monkeypatch):
+    # 0 once raised ZeroDivisionError, -1 a TypeError about complex, True and
+    # 2.5 TypeErrors; at 2**16 the two projections would take 64 GiB.
+    def no_draw(*args):
+        raise AssertionError("drew before checking dim")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    with pytest.raises(ShapeError, match=re.escape(f"dim must be an int >= 1 within the byte limit, got {dim!r}")):
+        AttentionParams.seeded(dim)
+
+
+def test_seeded_params_take_a_numpy_int_dim():
+    assert AttentionParams.seeded(np.int64(3)).key_proj.tobytes() == AttentionParams.seeded(3).key_proj.tobytes()

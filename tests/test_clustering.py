@@ -140,6 +140,18 @@ def test_input_validation():
         weighted_kmeans(points.reshape(3, 1, 2), np.ones(3), k=2)
     with pytest.raises(ValueError, match="2-D"):
         weighted_kmeans(np.zeros(3), np.ones(3), k=2)
+    # Points were once taken as given: NaN gave a NaN objective marked
+    # converged, a complex value lost its imaginary part with a warning, inf
+    # gave an inf centroid and strings met numpy's "could not convert".
+    for bad, error in (
+        ([[np.nan], [1.0]], "satisfy"),
+        ([[1j], [1.0]], "hold real values"),
+        ([[np.inf], [1.0]], "satisfy"),
+        ([[-np.inf], [1.0]], "satisfy"),
+        ([["a"], ["b"]], "hold real values"),
+    ):
+        with pytest.raises(ValueError, match=f"points must {error}"):
+            weighted_kmeans(bad, [1.0, 1.0], 1)
 
 
 def test_cluster_state_takes_its_centroids_one_way():
@@ -373,11 +385,19 @@ def test_merge_path_matches_at_max_magnitude():
 
 
 def test_merge_path_falls_back_when_squares_overflow():
+    # Rows beyond MAX_MAGNITUDE whose squares overflow: the certificate
+    # refuses every frame after the bank fills, and the fallback's
+    # weighted_kmeans names the points it refuses.
     rng = np.random.default_rng(11)
     rows = 2.0**600 * rng.choice([-1.0, 1.0], (20, 12))
+    bank = _bank(rows, 4)
     with np.errstate(over="ignore", invalid="ignore"):
-        merges, fallbacks = _fold_stream(rows, 4)
-    assert merges == 0 and fallbacks == 16
+        for row in rows[:4]:
+            bank.apply(temporal_update(bank, row))
+        for row in rows[4:]:
+            assert clustering._merge_step(bank.centroids, bank.weights, bank.gram, row) is None
+            with pytest.raises(ValueError, match="points must satisfy"):
+                temporal_update(bank, row)
 
 
 def test_merge_path_matches_with_subnormal_products():

@@ -19,15 +19,17 @@ from streammem import (
     MemoryConfig,
     MemoryEngine,
     MemorySnapshot,
+    PooledRing,
     ShapeError,
     StreamFormatError,
+    TemporalBank,
     abstract_update,
     average_pool,
     bench_latency,
     default_config,
     max_tokens,
-    retrieve_key_features,
     synth_stream,
+    temporal_update,
     weighted_kmeans,
 )
 import streammem.model as model_module
@@ -178,8 +180,7 @@ _TINY = default_config(dim=4)
         (lambda: synth_stream(0, 10, 2.0, 4, 4), StreamFormatError),
         (lambda: weighted_kmeans(np.zeros((3, 2)), np.ones(3), 2.0), ValueError),
         (lambda: average_pool(np.zeros((4, 4, 1)), 2.0), ShapeError),
-        (lambda: retrieve_key_features(np.zeros((3, 2)), np.zeros((1, 2)), np.ones(1), _TINY,
-                                       newest=1.5), ValueError),
+        (lambda: PooledRing(_TINY).write(1.5, np.zeros(64)), ValueError),
         (lambda: bench_latency(_TINY, [2.7], 1), ValueError),
         (lambda: bench_latency(_TINY, [2], 1.5), ValueError),
         (lambda: MemoryEngine(_TINY, "x"), ShapeError),
@@ -190,7 +191,7 @@ _TINY = default_config(dim=4)
         (lambda: _snapshot(t=2.0), ShapeError),
         (lambda: _snapshot(t=2**63), ShapeError),
     ],
-    ids=["n_frames", "n_scenes", "k", "target_grid", "newest", "frame_counts",
+    ids=["n_frames", "n_scenes", "k", "target_grid", "ring_frame", "frame_counts",
          "queries_per_point", "params", "version_float", "version_bool", "version_negative",
          "version_over_q", "timestamp_float", "timestamp_over_q"],
 )
@@ -198,6 +199,25 @@ def test_entry_points_refuse_non_integers_with_their_named_error(call, error):
     # A float count is never rounded: each entry point raises the error it
     # uses for any other bad value of that argument.
     with pytest.raises(error) as raised:
+        call()
+    assert raised.type is error
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: TemporalBank(None), ConfigError, "expected MemoryConfig, got NoneType"),
+        (lambda: abstract_update(np.zeros((25, 4)), np.zeros((1, 1, 4)), None, None),
+         ConfigError, "expected MemoryConfig, got NoneType"),
+        (lambda: max_tokens(None), ConfigError, "expected MemoryConfig, got NoneType"),
+        (lambda: temporal_update(None, np.zeros(64)), ValueError,
+         "bank must be a TemporalBank, got NoneType"),
+    ],
+    ids=["temporal_bank", "abstract_update", "max_tokens", "temporal_update"],
+)
+def test_a_config_or_bank_of_another_type_is_a_named_error(call, error, message):
+    # Each once gave AttributeError on a field of None.
+    with pytest.raises(error, match=message) as raised:
         call()
     assert raised.type is error
 

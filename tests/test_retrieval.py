@@ -1,4 +1,5 @@
-"""Key-frame retrieval against a brute-force scan, tie rules, warm-up errors."""
+"""Key-frame retrieval against a brute-force scan, tie rules, warm-up errors.
+Each buffer is written into a ``PooledRing`` whose slot i holds row i."""
 
 import re
 from dataclasses import replace
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from streammem import (
     ConfigError,
     FrameFeature,
+    PooledRing,
     ShapeError,
     WarmupError,
     average_pool,
@@ -18,6 +20,7 @@ from streammem import (
 )
 
 from oracles import pool_loops, retrieve_bruteforce
+from rings import ring_of
 
 CFG = default_config(p_spa=4, p_tem=2, p_abs=1, n_ret=3, dim=3, n_buff=50)
 
@@ -31,13 +34,18 @@ def _candidates(buffer):
     return np.stack([average_pool(f.tokens, 2).reshape(-1) for f in buffer])
 
 
+def _ring(buffer):
+    """A ring holding ``_candidates(buffer)``, slot i the row of frame i."""
+    return ring_of(_candidates(buffer))
+
+
 def test_top_weight_cluster_selection():
     rng = np.random.default_rng(0)
     buffer = _frames(rng, 4)
     centroids = rng.normal(size=(3, 2, 2, 3))
     weights = np.array([5.0, 1.0, 9.0])
     cfg = replace(CFG, n_ret=2)
-    got = retrieve_key_features(_candidates(buffer), centroids, weights, cfg)
+    got = retrieve_key_features(_ring(buffer), centroids, weights, cfg)
     want = retrieve_bruteforce(
         [pool_loops(f.tokens, 2) for f in buffer], centroids, weights, 2
     )
@@ -54,7 +62,7 @@ def test_exact_match_frame_is_retrieved():
     centroids = np.stack([target, rng.normal(size=(2, 2, 3))])
     weights = np.array([10.0, 1.0])
     got = retrieve_key_features(
-        _candidates(buffer), centroids, weights, replace(CFG, n_ret=1)
+        _ring(buffer), centroids, weights, replace(CFG, n_ret=1)
     )
     assert got == [3]
 
@@ -64,7 +72,7 @@ def test_matches_bruteforce_oracle_20_frames_5_clusters():
     buffer = _frames(rng, 20)
     centroids = rng.normal(size=(5, 2, 2, 3))
     weights = rng.integers(1, 30, size=5).astype(float)
-    got = retrieve_key_features(_candidates(buffer), centroids, weights, CFG)
+    got = retrieve_key_features(_ring(buffer), centroids, weights, CFG)
     want = retrieve_bruteforce(
         [pool_loops(f.tokens, 2) for f in buffer], centroids, weights, CFG.n_ret
     )
@@ -85,13 +93,14 @@ def test_matches_bruteforce_oracle_random_instances(seed):
     want = retrieve_bruteforce(
         [pool_loops(f.tokens, 2) for f in buffer], centroids, weights, n_ret
     )
-    got = retrieve_key_features(_candidates(buffer), centroids, weights, cfg)
+    got = retrieve_key_features(_ring(buffer), centroids, weights, cfg)
     assert len(got) == min(n_ret, k)
     assert got == want
-    # The same buffer stored as a ring whose newest frame sits in row r.
+    # The same buffer written so that the ring wraps and its newest frame
+    # sits in slot r.
     r = int(rng.integers(0, n_frames))
-    ring = np.roll(_candidates(buffer), r, axis=0)
-    got = retrieve_key_features(ring, centroids, weights, cfg, newest=r)
+    ring = ring_of(np.roll(_candidates(buffer), r, axis=0), newest_slot=r)
+    got = retrieve_key_features(ring, centroids, weights, cfg)
     assert [(i - r) % n_frames for i in got] == want
 
 
@@ -101,7 +110,7 @@ def test_weight_tie_prefers_lower_cluster_index():
     centroids = rng.normal(size=(4, 2, 2, 3))
     weights = np.array([2.0, 7.0, 7.0, 7.0])
     cfg = replace(CFG, n_ret=2, n_tem=4)
-    got = retrieve_key_features(_candidates(buffer), centroids, weights, cfg)
+    got = retrieve_key_features(_ring(buffer), centroids, weights, cfg)
     want = retrieve_bruteforce(
         [pool_loops(f.tokens, 2) for f in buffer], centroids, weights, 2
     )
@@ -119,11 +128,13 @@ def test_distance_tie_prefers_newer_frame():
     filler = FrameFeature.from_array(rng.normal(size=(4, 4, 3)) + 50.0)
     centroids = average_pool(newer.tokens, 2)[None]
     weights = np.array([1.0])
-    # newest first: row 0 beats row 2
-    assert retrieve_key_features(_candidates([newer, filler, older]), centroids, weights, CFG) == [0]
-    # ring rows (older, newer, filler) with the newest in row 1: row 1 beats row 0
-    ring = _candidates([older, newer, filler])
-    assert retrieve_key_features(ring, centroids, weights, CFG, newest=1) == [1]
+    # newest first: slot 0 beats slot 2
+    assert retrieve_key_features(_ring([newer, filler, older]), centroids, weights, CFG) == [0]
+    # slots (older, newer, filler), written so the ring wraps and the newest
+    # frame sits in slot 1: slot 1 beats slot 0
+    ring = ring_of(_candidates([older, newer, filler]), newest_slot=1)
+    assert ring._t == 5
+    assert retrieve_key_features(ring, centroids, weights, CFG) == [1]
 
 
 def test_duplicate_retrieval_allowed_across_clusters():
@@ -134,7 +145,7 @@ def test_duplicate_retrieval_allowed_across_clusters():
     centroids = np.stack([pooled + 0.01, pooled - 0.01])
     weights = np.array([4.0, 3.0])
     got = retrieve_key_features(
-        _candidates([base, far]), centroids, weights, replace(CFG, n_ret=2)
+        _ring([base, far]), centroids, weights, replace(CFG, n_ret=2)
     )
     assert got == [0, 0]
 
@@ -145,7 +156,7 @@ def test_ordered_by_descending_cluster_weight():
     centroids = np.stack([average_pool(f.tokens, 2) for f in buffer[:4]])
     weights = np.array([2.0, 9.0, 4.0, 7.0])
     got = retrieve_key_features(
-        _candidates(buffer), centroids, weights, replace(CFG, n_ret=4, n_tem=4)
+        _ring(buffer), centroids, weights, replace(CFG, n_ret=4, n_tem=4)
     )
     assert got == [1, 3, 2, 0]
 
@@ -156,42 +167,58 @@ def test_warmup_errors():
     centroids = rng.normal(size=(2, 2, 2, 3))
     weights = np.array([1.0, 1.0])
     with pytest.raises(WarmupError):
-        retrieve_key_features(np.zeros((0, 12)), centroids, weights, CFG)
+        retrieve_key_features(PooledRing(CFG), centroids, weights, CFG)
     with pytest.raises(WarmupError):
-        retrieve_key_features(candidates, np.zeros((0, 2, 2, 3)), np.zeros(0), CFG)
+        retrieve_key_features(ring_of(candidates), np.zeros((0, 2, 2, 3)), np.zeros(0), CFG)
 
 
 def test_rejects_mismatched_inputs():
     rng = np.random.default_rng(9)
     candidates = _candidates(_frames(rng, 3))
+    ring = ring_of(candidates)
     centroids = rng.normal(size=(2, 2, 2, 3))
     weights = np.array([1.0, 1.0])
-    with pytest.raises(ShapeError, match="candidate rows"):
-        retrieve_key_features(candidates[:, :4], centroids, weights, CFG)
+    with pytest.raises(ShapeError, match=re.escape("ring rows (4,) != flattened centroids (12,)")):
+        retrieve_key_features(ring_of(candidates[:, :4]), centroids, weights, CFG)
     with pytest.raises(ValueError, match="weights length"):
-        retrieve_key_features(candidates, centroids, weights[:1], CFG)
+        retrieve_key_features(ring, centroids, weights[:1], CFG)
     for bad in (np.ones(()), np.ones((2, 1))):  # 0-d weights once raised IndexError
         with pytest.raises(ValueError, match=re.escape(f"shape {bad.shape}, expected (2,)")):
-            retrieve_key_features(candidates, centroids, bad, CFG)
-    for newest in (-1, 3):
-        with pytest.raises(ValueError, match="newest row"):
-            retrieve_key_features(candidates, centroids, weights, CFG, newest=newest)
-    # Lists once crashed with AttributeError on .shape.
-    with pytest.raises(ShapeError, match="candidates must be a numpy array, got list"):
-        retrieve_key_features(candidates.tolist(), centroids, weights, CFG)
+            retrieve_key_features(ring, centroids, bad, CFG)
+    # Strings once met numpy's UFuncTypeError; NaN and complex weights were
+    # ranked silently.
+    for bad, error in (
+        (np.array(["a", "b"]), "hold real values, got dtype <U1"),
+        (np.array([1j, 2.0]), "hold real values, got dtype complex128"),
+        (np.array([np.nan, 2.0]), "not hold NaN"),
+    ):
+        with pytest.raises(ValueError, match=f"temporal_weights must {error}"):
+            retrieve_key_features(ring, centroids, bad, CFG)
+    # Only a PooledRing is searched; lists once crashed with AttributeError
+    # on .shape.
+    for bad in (candidates, candidates.tolist(), np.array(1.0)):
+        with pytest.raises(ShapeError, match=f"ring must be a PooledRing, got {type(bad).__name__}"):
+            retrieve_key_features(bad, centroids, weights, CFG)
     with pytest.raises(ShapeError, match="temporal must be a numpy array, got list"):
-        retrieve_key_features(candidates, centroids.tolist(), weights, CFG)
+        retrieve_key_features(ring, centroids.tolist(), weights, CFG)
     with pytest.raises(ValueError, match="temporal_weights must be a numpy array, got list"):
-        retrieve_key_features(candidates, centroids, [1.0, 2.0], CFG)
-    # 0-d arrays once raised IndexError on .shape[0].
-    for name in ("candidates", "temporal"):
-        args = {"candidates": candidates, "temporal": centroids, "temporal_weights": weights}
-        args[name] = np.array(1.0)
-        with pytest.raises(ShapeError, match=f"{name} must have a row axis, got a 0-d array"):
-            retrieve_key_features(**args, config=CFG)
+        retrieve_key_features(ring, centroids, [1.0, 2.0], CFG)
+    # A 0-d array once raised IndexError on .shape[0].
+    with pytest.raises(ShapeError, match="temporal must have a row axis, got a 0-d array"):
+        retrieve_key_features(ring, np.array(1.0), weights, CFG)
     # config=None once gave AttributeError on .n_ret.
     with pytest.raises(ConfigError, match="expected MemoryConfig, got NoneType"):
-        retrieve_key_features(candidates, centroids, weights, None)
+        retrieve_key_features(ring, centroids, weights, None)
+
+
+def test_bool_and_unsigned_weights_rank_as_their_values():
+    # A bool array has no negation and an unsigned one wraps, so the
+    # descending sort reads the weights as float64.
+    rng = np.random.default_rng(10)
+    candidates = _candidates(_frames(rng, 3))
+    centroids = candidates[:2].reshape(2, 2, 2, 3)  # cluster j is slot j
+    for weights in (np.array([False, True]), np.array([0, 2], dtype=np.uint8)):
+        assert retrieve_key_features(ring_of(candidates), centroids, weights, CFG) == [1, 0]
 
 
 @pytest.mark.parametrize(
@@ -206,8 +233,9 @@ def test_rejects_mismatched_inputs():
 def test_integer_arrays_are_refused_by_name(rows, centroid):
     cfg = default_config(dim=1, n_ret=1, p_tem=1)
     centroids = np.array([[centroid]])
-    assert retrieve_key_features(rows.astype(np.float64), centroids, np.ones(1), cfg) == [1]
-    with pytest.raises(ValueError, match=f"candidates must be a float array, got dtype {rows.dtype}"):
-        retrieve_key_features(rows, centroids, np.ones(1), cfg)
+    ring = ring_of(rows.astype(np.float64))
+    assert retrieve_key_features(ring, centroids, np.ones(1), cfg) == [1]
+    with pytest.raises(ShapeError, match=re.escape(f"row must be a (1,) float array, got {rows.dtype}")):
+        ring_of(rows)
     with pytest.raises(ValueError, match=f"temporal must be a float array, got dtype {rows.dtype}"):
-        retrieve_key_features(rows.astype(np.float64), rows[1:], np.ones(1), cfg)
+        retrieve_key_features(ring, rows[1:], np.ones(1), cfg)
