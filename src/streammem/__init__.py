@@ -7,12 +7,12 @@ snapshots at any time, independent of how many frames have streamed past.
 """
 
 # Each library module's __all__ is the one list of its public names; the
-# package republishes them. Importing a submodule binds its name here.
+# package republishes them. The stages (pooling, clustering, attention and
+# retrieval) are reached through the engine, so only the value types they
+# return and the params IO are public. Importing a submodule binds its name here.
 from .model import *
-from .pooling import *
 from .clustering import *
 from .attention import *
-from .retrieval import *
 from .engine import *
 from .streamio import *
 from .bench import *
@@ -20,7 +20,6 @@ from .bench import *
 __version__ = "0.1.0"
 
 __all__ = [
-    *model.__all__, *pooling.__all__, *clustering.__all__, *attention.__all__,
-    *retrieval.__all__, *engine.__all__, *streamio.__all__, *bench.__all__,
-    "__version__",
+    *model.__all__, *clustering.__all__, *attention.__all__, *engine.__all__,
+    *streamio.__all__, *bench.__all__, "__version__",
 ]

@@ -24,18 +24,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import (MAX_BUFFER_BYTES, ConfigError, MemoryConfig, ShapeError, _check_magnitude,
-                    _check_real, _is_int_at_least)
+from .model import (MAX_BUFFER_BYTES, MemoryConfig, ShapeError, _check_magnitude, _check_real,
+                    _is_int_at_least)
 
-__all__ = [
-    "AttentionParams",
-    "AttentionGrads",
-    "semantic_attention",
-    "semantic_attention_grad",
-    "abstract_update",
-    "save_attention_params",
-    "load_attention_params",
-]
+__all__ = ["AttentionParams", "save_attention_params", "load_attention_params"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,21 +84,6 @@ class AttentionGrads:
     new_features: np.ndarray
 
 
-def _check_attention_shapes(
-    abstract: np.ndarray, new_features: np.ndarray, params: AttentionParams
-) -> tuple[np.ndarray, np.ndarray]:
-    abstract = np.asarray(abstract, dtype=np.float64)
-    new_features = np.asarray(new_features, dtype=np.float64)
-    d = params.dim
-    if abstract.ndim != 2 or abstract.shape[1] != d:
-        raise ShapeError(f"abstract must be (n_abs, {d}), got {abstract.shape}")
-    if new_features.ndim != 2 or new_features.shape[1] != d:
-        raise ShapeError(f"new_features must be (n, {d}), got {new_features.shape}")
-    if new_features.shape[0] == 0:
-        raise ShapeError("new_features is empty; attention needs at least one token")
-    return abstract, new_features
-
-
 def _row_softmax(scores: np.ndarray) -> np.ndarray:
     shifted = scores - scores.max(axis=1, keepdims=True)
     exp = np.exp(shifted)
@@ -137,7 +114,6 @@ def semantic_attention(
     as given, so edge values such as 1 (full decay) can be probed here; the
     engine passes its config's range-checked decay.
     """
-    abstract, new_features = _check_attention_shapes(abstract, new_features, params)
     _, _, attn = _attend(abstract, new_features, params)
     return (1.0 - decay_alpha) * abstract + attn @ new_features
 
@@ -152,14 +128,9 @@ def semantic_attention_grad(
     """Analytic gradients of sum(upstream * output) w.r.t. all inputs.
 
     Chain rule through the decay term, the attention-weighted sum, the row
-    softmax, and both projections. Shapes mirror the forward inputs.
+    softmax, and both projections. Shapes mirror the forward inputs, and
+    ``upstream`` has the shape of ``abstract``.
     """
-    abstract, new_features = _check_attention_shapes(abstract, new_features, params)
-    upstream = np.asarray(upstream, dtype=np.float64)
-    if upstream.shape != abstract.shape:
-        raise ShapeError(
-            f"upstream must match abstract shape {abstract.shape}, got {upstream.shape}"
-        )
     keys, queries, attn = _attend(abstract, new_features, params)
 
     d_attn = upstream @ new_features.T
@@ -190,27 +161,11 @@ def abstract_update(
     byte for byte what ``semantic_attention`` returns, and ``params`` is not
     read (it may be None; other p_abs need AttentionParams). The ``+ 0.0``
     matches the attention product, which sums from +0.0: a -0.0 token entry
-    becomes +0.0, as it does there. A ``pooled_frame`` of any other shape
-    than (p_abs, p_abs, D), an ``abstract_bank`` of any other shape than
-    (n_abs * p_abs**2, D), or a bank or frame that is not a numpy array,
-    raises ShapeError naming it; a ``config`` not a MemoryConfig, ConfigError.
+    becomes +0.0, as it does there.
     """
-    if not isinstance(config, MemoryConfig):
-        raise ConfigError(f"expected MemoryConfig, got {type(config).__name__}")
-    p, d = config.p_abs, config.dim
-    for name, arr, rule, expected in (
-        ("abstract_bank", abstract_bank, "n_abs * p_abs**2, D", (config.n_abs * p * p, d)),
-        ("pooled_frame", pooled_frame, "p_abs, p_abs, D", (p, p, d)),
-    ):
-        if not isinstance(arr, np.ndarray):
-            raise ShapeError(f"{name} must be a numpy array, got {type(arr).__name__}")
-        if arr.shape != expected:
-            raise ShapeError(f"{name} shape {arr.shape} != ({rule}) = {expected}")
     if config.p_abs == 1:
         token = pooled_frame.reshape(1, config.dim) + 0.0
         return (1.0 - config.decay_alpha) * abstract_bank + token
-    if params is None:
-        raise ShapeError(f"p_abs={config.p_abs} needs AttentionParams, got None")
     return semantic_attention(
         abstract_bank, pooled_frame.reshape(-1, config.dim), params, config.decay_alpha
     )

@@ -44,10 +44,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import (ConfigError, MemoryConfig, ShapeError, _check_magnitude, _check_real,
-                    _frozen, _is_int_at_least, _joined)
+from .model import MemoryConfig, _frozen, _joined
 
-__all__ = ["ClusterState", "TemporalBank", "TemporalFold", "weighted_kmeans", "temporal_update"]
+__all__ = ["ClusterState"]
 
 _MAX_ITERS = 10  # Lloyd update steps per weighted_kmeans call
 
@@ -144,27 +143,14 @@ def _repair_empty(assign: np.ndarray, d2: np.ndarray, point_weights: np.ndarray,
 def weighted_kmeans(points: np.ndarray, point_weights: np.ndarray, k: int) -> ClusterState:
     """Lloyd iterations with per-point weights and deterministic tie-breaking.
 
-    points: (n, m) real rows within ``MAX_MAGNITUDE``, n >= k >= 1. Point weights
-    must be positive and finite, and are frozen for the whole call.
+    points: (n, m) float rows, n >= k >= 1, with positive finite point
+    weights, frozen for the whole call.
 
     The centroids start at points[:k] (callers put the carried bank entries
     first), so identical inputs give bit-equal output. Iteration stops when
     assignments repeat or after _MAX_ITERS update steps.
     """
-    _check_real(points, "points")
-    points = np.asarray(points, dtype=np.float64)
-    point_weights = np.asarray(point_weights, dtype=np.float64)
-    if points.ndim != 2:
-        raise ValueError(f"points must be 2-D (n, m) rows, got shape {points.shape}")
-    _check_magnitude(points, "points")
     n = points.shape[0]
-    if not (_is_int_at_least(k, 1) and k <= n):
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    if point_weights.shape != (n,):
-        raise ValueError(f"point_weights shape {point_weights.shape} != ({n},)")
-    if not ((point_weights > 0) & (point_weights < np.inf)).all():
-        raise ValueError("point weights must be positive and finite")
-
     centroids = points[:k].copy()
 
     prev_assign = None
@@ -217,8 +203,6 @@ def _merge_step(centroids: np.ndarray, weights: np.ndarray, gram: np.ndarray, ro
     (``test_re_centring_a_quotient_by_its_weight_is_the_identity``).
     """
     k, m = centroids.shape
-    if weights.shape != (k,) or not (weights > 0).all():
-        return None  # weighted_kmeans names the fault
     row_dots = centroids @ row
     sq = gram.diagonal()
     j = int(np.argmin(sq - 2.0 * row_dots))
@@ -307,8 +291,6 @@ class TemporalBank:
     """
 
     def __init__(self, config: MemoryConfig):
-        if not isinstance(config, MemoryConfig):
-            raise ConfigError(f"expected MemoryConfig, got {type(config).__name__}")
         self.config = config
         m = config.p_tem**2 * config.dim
         self._per_row = m * 8 >= _SHARE_BYTES
@@ -429,7 +411,8 @@ class TemporalBank:
 def temporal_update(bank: TemporalBank, pooled_row: np.ndarray) -> TemporalFold:
     """Fold one frame into the temporal bank; ``bank.apply`` makes the result its own.
 
-    ``pooled_row`` is the frame pooled to p_tem and flattened. While the bank
+    ``pooled_row`` is a ``FrameFeature``'s tokens pooled to p_tem and
+    flattened, so its values lie within ``MAX_MAGNITUDE``. While the bank
     holds fewer than n_tem centroids the row is appended with weight 1 and no
     clustering runs (the fold's state is None). Once full, the previous
     centroids plus the new row are re-clustered back down to n_tem,
@@ -443,16 +426,8 @@ def temporal_update(bank: TemporalBank, pooled_row: np.ndarray) -> TemporalFold:
     weight is kept, and the state reports one iteration, converged.
     Otherwise ``weighted_kmeans`` runs. On a bank this function built, whose
     every centroid is a quotient by its weight, both paths agree bit for bit.
-    A ``pooled_row`` that is not a numpy array of shape (p_tem**2 * D,) is a
-    ShapeError naming it; a ``bank`` that is not a TemporalBank, a ValueError.
     """
-    if not isinstance(bank, TemporalBank):
-        raise ValueError(f"bank must be a TemporalBank, got {type(bank).__name__}")
-    k, m = bank.config.n_tem, bank.config.p_tem**2 * bank.config.dim
-    if not isinstance(pooled_row, np.ndarray):
-        raise ShapeError(f"pooled_row must be a numpy array, got {type(pooled_row).__name__}")
-    if pooled_row.shape != (m,):
-        raise ShapeError(f"pooled_row shape {pooled_row.shape} != (p_tem**2 * D,) = ({m},)")
+    k = bank.config.n_tem
     centroids = bank.centroids
     if len(centroids) < k:
         return bank.append(pooled_row)

@@ -179,10 +179,15 @@ class MemoryEngine:
         cfg = self._config
         if feature.dim != cfg.dim:
             raise ShapeError(f"frame dim {feature.dim} != config dim {cfg.dim}")
+        for p in (cfg.p_spa, cfg.p_tem, cfg.p_abs):
+            if feature.grid_size % p:
+                raise ShapeError(
+                    f"pooling not exact: bank grid {p} does not divide frame grid "
+                    f"{feature.grid_size}"
+                )
 
         # Everything that can reject the frame runs before the first ring
-        # write: pooling raises ShapeError for a grid some bank cannot pool
-        # exactly. That write goes to the row of the oldest buffered frame,
+        # write. That write goes to the row of the oldest buffered frame,
         # which this frame evicts in any case. The temporal bank is written
         # with it, and restored if a later step fails.
         spa_frame = average_pool(feature.tokens, cfg.p_spa)

@@ -142,7 +142,8 @@ class MemoryConfig:
     Every instance is valid: construction, also through ``default_config`` or
     ``dataclasses.replace``, raises ConfigError naming the first violated
     rule. Whether a frame's grid pools exactly to each bank grid is a property
-    of the frame, not the config: ``average_pool`` checks it.
+    of the frame, not the config: ``MemoryEngine`` checks it as it takes the
+    frame in.
     """
 
     p_spa: int = 8

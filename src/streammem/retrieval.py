@@ -49,9 +49,7 @@ import math
 import numpy as np
 
 from .clustering import _distance_bound
-from .model import ConfigError, MemoryConfig, ShapeError, WarmupError, _check_real, _is_int_at_least
-
-__all__ = ["PooledRing", "retrieve_key_features"]
+from .model import MemoryConfig
 
 # A PooledRing carries its intervals when a buffer row is at least this many
 # bytes (a pooled row is p_tem**2 * D float64 values), and below it takes the
@@ -94,48 +92,14 @@ def retrieve_key_features(
     descending cluster weight. The same row may serve several clusters. A
     matrix product ranks the rows the ring's carried intervals do not rule
     out; rows within its rounding bound of the minimum are re-ranked by the
-    direct distance, so the picks are exact.
-    A ``ring`` that is not a ``PooledRing``, or a ``temporal`` that is not a
-    numpy array with a row axis, is a ShapeError naming it; a ``temporal``
-    that is not float is a ValueError, since integer products wrap around,
-    and so are ``temporal_weights`` that are not a real (k,) numpy array free
-    of NaN. A ``config`` that is not a ``MemoryConfig`` is a ConfigError.
+    direct distance, so the picks are exact. The ring holds at least one row,
+    and the bank at least one float centroid of the ring's row width once
+    flattened, with a float weight each.
     """
-    if not isinstance(config, MemoryConfig):
-        raise ConfigError(f"expected MemoryConfig, got {type(config).__name__}")
-    if not isinstance(ring, PooledRing):
-        raise ShapeError(f"ring must be a PooledRing, got {type(ring).__name__}")
-    if not isinstance(temporal, np.ndarray):
-        raise ShapeError(f"temporal must be a numpy array, got {type(temporal).__name__}")
-    if temporal.ndim == 0:
-        raise ShapeError("temporal must have a row axis, got a 0-d array")
-    if temporal.dtype.kind != "f":
-        raise ValueError(f"temporal must be a float array, got dtype {temporal.dtype}")
-    if not isinstance(temporal_weights, np.ndarray):
-        raise ValueError(
-            f"temporal_weights must be a numpy array, got {type(temporal_weights).__name__}"
-        )
-    k = temporal.shape[0]
-    if ring._t == 0 or k == 0:
-        raise WarmupError("retrieval needs a non-empty buffer and temporal bank")
-    if temporal_weights.shape != (k,):
-        raise ValueError(
-            f"weights length must equal the bank size {k}: temporal_weights has "
-            f"shape {temporal_weights.shape}, expected ({k},)"
-        )
-    _check_real(temporal_weights, "temporal_weights")
-    weights = temporal_weights.astype(float, copy=False)  # -bool fails, -uint wraps
-    if np.isnan(weights).any():
-        raise ValueError("temporal_weights must not hold NaN")
+    k = len(temporal)
     flat_centroids = temporal.reshape(k, -1)
-    if ring._rows.shape[1:] != flat_centroids.shape[1:]:
-        raise ShapeError(
-            f"ring rows {ring._rows.shape[1:]} != flattened centroids "
-            f"{flat_centroids.shape[1:]}"
-        )
-
     # Stable sort on negated weights: descending weight, ties to lower index.
-    order = np.argsort(-weights, kind="stable")[: min(config.n_ret, k)]
+    order = np.argsort(-temporal_weights, kind="stable")[: min(config.n_ret, k)]
     # The centroids are a copy, which the bank's later writes cannot reach.
     return ring._nearest(flat_centroids[order], order.tolist()).tolist()
 
@@ -159,8 +123,6 @@ class PooledRing:
     """
 
     def __init__(self, config: MemoryConfig) -> None:
-        if not isinstance(config, MemoryConfig):
-            raise ConfigError(f"expected MemoryConfig, got {type(config).__name__}")
         # Rows are read only after they are written, hence np.empty.
         self._rows = np.empty((config.n_buff, config.p_tem**2 * config.dim))
         self._sq_norms = np.empty(config.n_buff)
@@ -175,18 +137,9 @@ class PooledRing:
     def write(self, t: int, row: np.ndarray) -> int:
         """Store frame ``t``'s pooled ``row`` and its squared norm in slot
         ``-t % n_buff``, set that slot's interval to ``[0, ∞]`` in every
-        carried column, and return the slot. ``t`` must be a frame the ring
-        holds or the next one, else ValueError, and ``row`` a (p_tem**2 * D,)
-        float array, else ShapeError; an error writes nothing."""
-        n, m = self._rows.shape
-        oldest = max(1, self._t - n + 1)
-        if not (_is_int_at_least(t, oldest) and t <= self._t + 1):
-            raise ValueError(f"frame {t!r} outside the ring's frames [{oldest}, {self._t + 1}]")
-        if not (isinstance(row, np.ndarray) and row.shape == (m,) and row.dtype.kind == "f"):
-            got = f"{row.dtype} {row.shape}" if isinstance(row, np.ndarray) else type(row).__name__
-            raise ShapeError(f"row must be a ({m},) float array, got {got}")
-        row = row.astype(np.float64, copy=False)
-        slot = -t % n
+        carried column, and return the slot. ``t`` is a frame the ring holds
+        or the next one, and ``row`` a (p_tem**2 * D,) float64 array."""
+        slot = -t % len(self._rows)
         self._rows[slot] = row
         self._sq_norms[slot] = row @ row
         if self._lo is not None:

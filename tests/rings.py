@@ -2,7 +2,8 @@
 
 import numpy as np
 
-from streammem import PooledRing, default_config
+from streammem import default_config
+from streammem.retrieval import PooledRing
 
 
 def ring_of(rows: np.ndarray, newest_slot: int = 0) -> PooledRing:

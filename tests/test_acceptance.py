@@ -16,16 +16,15 @@ from streammem import (
     AttentionParams,
     FrameFeature,
     MemoryEngine,
-    average_pool,
     bench_latency,
     default_config,
     max_tokens,
-    retrieve_key_features,
-    semantic_attention,
-    semantic_attention_grad,
     synth_stream,
-    weighted_kmeans,
 )
+from streammem.attention import semantic_attention, semantic_attention_grad
+from streammem.clustering import weighted_kmeans
+from streammem.pooling import average_pool
+from streammem.retrieval import retrieve_key_features
 from oracles import finite_difference, retrieve_bruteforce, seeded_params
 from rings import ring_of
 

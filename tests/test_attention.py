@@ -16,14 +16,12 @@ from streammem import (
     AttentionParams,
     FrameFeature,
     ShapeError,
-    abstract_update,
-    average_pool,
     default_config,
     load_attention_params,
     save_attention_params,
-    semantic_attention,
-    semantic_attention_grad,
 )
+from streammem.attention import abstract_update, semantic_attention, semantic_attention_grad
+from streammem.pooling import average_pool
 
 from streammem.model import MAX_MAGNITUDE
 
@@ -96,18 +94,6 @@ def test_numerical_stability_with_extreme_scores():
     params = AttentionParams(np.eye(2), np.eye(2))
     out = semantic_attention(abstract, new, params, 0.5)
     assert np.isfinite(out).all()
-
-
-def test_shape_errors():
-    abstract, new, params = _case(0)
-    with pytest.raises(ShapeError):
-        semantic_attention(abstract[:, :2], new, params, 0.1)
-    with pytest.raises(ShapeError):
-        semantic_attention(abstract, new[:, :2], params, 0.1)
-    with pytest.raises(ShapeError, match="empty"):
-        semantic_attention(abstract, new[:0], params, 0.1)
-    with pytest.raises(ShapeError):
-        semantic_attention_grad(abstract, new, params, 0.1, np.zeros((2, 2)))
 
 
 def test_zero_upstream_gives_zero_projection_grads():
@@ -298,42 +284,6 @@ def test_abstract_update_multi_token_grids():
     new = average_pool(frame.tokens, 2).reshape(-1, 3)
     want = semantic_attention(bank, new, params, cfg.decay_alpha)
     assert np.array_equal(updated, want)
-    with pytest.raises(ShapeError, match="p_abs=2 needs AttentionParams, got None"):
-        abstract_update(bank, average_pool(frame.tokens, cfg.p_abs), None, cfg)
-
-
-def test_abstract_update_names_the_pooled_shape_it_expects():
-    # A frame of the wrong size once failed in numpy's reshape.
-    bank = np.zeros((3, 4))
-    for cfg, frame in (
-        (default_config(n_abs=3, dim=4), np.zeros(3)),
-        (default_config(n_abs=3, dim=4), np.zeros((1, 4))),  # the right size, not shape
-        (default_config(n_abs=3, dim=4), np.zeros((2, 2, 4))),
-    ):
-        with pytest.raises(ShapeError, match=re.escape("(p_abs, p_abs, D) = (1, 1, 4)")):
-            abstract_update(bank, frame, None, cfg)
-    cfg = default_config(n_abs=1, p_abs=2, p_tem=2, p_spa=4, dim=4)
-    with pytest.raises(ShapeError, match=re.escape("(p_abs, p_abs, D) = (2, 2, 4)")):
-        abstract_update(np.zeros((4, 4)), np.zeros((1, 1, 4)), AttentionParams.seeded(4), cfg)
-    # Lists once crashed with AttributeError or TypeError.
-    cfg = default_config(n_abs=3, dim=4)
-    with pytest.raises(ShapeError, match="pooled_frame must be a numpy array, got list"):
-        abstract_update(bank, np.zeros((1, 1, 4)).tolist(), None, cfg)
-    with pytest.raises(ShapeError, match="abstract_bank must be a numpy array, got list"):
-        abstract_update(bank.tolist(), np.zeros((1, 1, 4)), None, cfg)
-
-
-def test_abstract_update_names_the_bank_shape_it_expects():
-    # A (25, 3) bank at dim 2 once met numpy's broadcast error, and a (1, 2)
-    # bank was folded into a (1, 2) result.
-    cfg = default_config(dim=2)  # n_abs=25 rows at p_abs=1
-    for bank in (np.zeros((25, 3)), np.zeros((1, 2)), np.zeros(50), np.zeros((25, 2, 1))):
-        want = f"abstract_bank shape {bank.shape} != (n_abs * p_abs**2, D) = (25, 2)"
-        with pytest.raises(ShapeError, match=re.escape(want)):
-            abstract_update(bank, np.zeros((1, 1, 2)), None, cfg)
-    cfg = default_config(n_abs=2, p_abs=2, p_tem=2, p_spa=4, dim=3)
-    with pytest.raises(ShapeError, match=re.escape("(n_abs * p_abs**2, D) = (8, 3)")):
-        abstract_update(np.zeros((2, 3)), np.zeros((2, 2, 3)), AttentionParams.seeded(3), cfg)
 
 
 def test_params_file_round_trip(tmp_path):

@@ -42,7 +42,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from streammem import MemoryEngine, average_pool, default_config, synth_stream
+from streammem import MemoryEngine, default_config, synth_stream
+from streammem.pooling import average_pool
 
 FIXTURE = Path(__file__).with_name("data") / "behaviour_trace.npz"
 PORTABLE_DIGESTS = Path(__file__).with_name("data") / "portable_digests.txt"

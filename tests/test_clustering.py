@@ -1,14 +1,14 @@
 """Weighted k-means behavior against exhaustive and algebraic oracles."""
 
 import math
-import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import streammem.clustering as clustering
-from streammem import ShapeError, TemporalBank, default_config, temporal_update, weighted_kmeans
+from streammem import default_config
+from streammem.clustering import TemporalBank, temporal_update, weighted_kmeans
 from streammem.model import MAX_MAGNITUDE
 
 from oracles import exhaustive_best_objective, partition_objective
@@ -120,40 +120,6 @@ def test_objective_history_non_increasing_on_larger_runs():
         assert np.all(np.diff(history) <= 1e-9 * np.maximum(history[:-1], 1.0))
 
 
-def test_input_validation():
-    points = np.zeros((3, 2))
-    with pytest.raises(ValueError, match="k"):
-        weighted_kmeans(points, np.ones(3), k=4)
-    with pytest.raises(ValueError, match="k"):
-        weighted_kmeans(points, np.ones(3), k=0)
-    with pytest.raises(ValueError, match="k"):
-        weighted_kmeans(np.zeros((0, 2)), np.ones(0), k=1)
-    with pytest.raises(ValueError, match="positive"):
-        weighted_kmeans(points, np.array([1.0, 0.0, 1.0]), k=2)
-    # An inf weight once passed the positivity check and gave NaN centroids.
-    for bad in (np.inf, np.nan):
-        with pytest.raises(ValueError, match="point weights must be positive and finite"):
-            weighted_kmeans([[0.0], [1.0]], [bad, 1.0], 1)
-    with pytest.raises(ValueError, match="shape"):
-        weighted_kmeans(points, np.ones(4), k=2)
-    with pytest.raises(ValueError, match=r"2-D.*\(3, 1, 2\)"):
-        weighted_kmeans(points.reshape(3, 1, 2), np.ones(3), k=2)
-    with pytest.raises(ValueError, match="2-D"):
-        weighted_kmeans(np.zeros(3), np.ones(3), k=2)
-    # Points were once taken as given: NaN gave a NaN objective marked
-    # converged, a complex value lost its imaginary part with a warning, inf
-    # gave an inf centroid and strings met numpy's "could not convert".
-    for bad, error in (
-        ([[np.nan], [1.0]], "satisfy"),
-        ([[1j], [1.0]], "hold real values"),
-        ([[np.inf], [1.0]], "satisfy"),
-        ([[-np.inf], [1.0]], "satisfy"),
-        ([["a"], ["b"]], "hold real values"),
-    ):
-        with pytest.raises(ValueError, match=f"points must {error}"):
-            weighted_kmeans(bad, [1.0, 1.0], 1)
-
-
 def test_cluster_state_takes_its_centroids_one_way():
     fields = dict(weights=np.ones(1), assignments=np.zeros(1, dtype=np.intp),
                   objective_history=(), converged=True)
@@ -220,24 +186,6 @@ def test_identical_frame_repeated_collapses_values():
     # every centroid has collapsed onto the single repeated value
     assert np.max(np.abs(bank.centroids - 3.25)) < 1e-12
     assert bank.weights.max() >= 2  # the extra frames merged somewhere
-
-
-def test_temporal_update_refuses_a_bad_pooled_row_by_name():
-    # At dim 16 a list once gave AttributeError on .shape, and a row of
-    # another shape numpy's concatenate ValueError.
-    cfg = default_config(dim=16, n_tem=3)
-    m = cfg.p_tem**2 * cfg.dim
-    rng = np.random.default_rng(2)
-    full = TemporalBank(cfg)
-    for _ in range(cfg.n_tem):
-        full.apply(temporal_update(full, rng.normal(size=m)))
-    for bank in (TemporalBank(cfg), full):
-        with pytest.raises(ShapeError, match="pooled_row must be a numpy array, got list"):
-            temporal_update(bank, [0.0] * m)
-        for bad in (np.ones(10), np.ones((1, m))):
-            want = f"pooled_row shape {bad.shape} != (p_tem**2 * D,) = ({m},)"
-            with pytest.raises(ShapeError, match=re.escape(want)):
-                temporal_update(bank, bad)
 
 
 # -- temporal_update's merge path against weighted_kmeans, its fallback -------
@@ -362,17 +310,6 @@ def test_merge_path_falls_back_when_the_second_step_moves_a_point():
     assert want.assignments[1] == 0
 
 
-def test_merge_path_leaves_a_zero_weight_to_weighted_kmeans():
-    # A weight that is not positive is never certified: the fallback names it.
-    rng = np.random.default_rng(11)
-    temporal = rng.normal(size=(3, 12))
-    row = temporal[0] + 0.01
-    for weights in (np.array([1.0, 0.0, 2.0]), np.array([1.0, -1.0, 2.0]), np.ones(2)):
-        assert clustering._merge_step(temporal, weights, temporal @ temporal.T, row) is None
-    with pytest.raises(ValueError, match="point weights must be positive"):
-        temporal_update(_full_bank(temporal, np.array([1.0, 0.0, 2.0])), row)
-
-
 def test_merge_path_matches_at_max_magnitude():
     # Squares of MAX_MAGNITUDE (float32's largest value) are about 1e77, far
     # inside float64's range, so no dot overflows and the certificate decides
@@ -386,8 +323,7 @@ def test_merge_path_matches_at_max_magnitude():
 
 def test_merge_path_falls_back_when_squares_overflow():
     # Rows beyond MAX_MAGNITUDE whose squares overflow: the certificate
-    # refuses every frame after the bank fills, and the fallback's
-    # weighted_kmeans names the points it refuses.
+    # refuses every frame after the bank fills.
     rng = np.random.default_rng(11)
     rows = 2.0**600 * rng.choice([-1.0, 1.0], (20, 12))
     bank = _bank(rows, 4)
@@ -396,8 +332,6 @@ def test_merge_path_falls_back_when_squares_overflow():
             bank.apply(temporal_update(bank, row))
         for row in rows[4:]:
             assert clustering._merge_step(bank.centroids, bank.weights, bank.gram, row) is None
-            with pytest.raises(ValueError, match="points must satisfy"):
-                temporal_update(bank, row)
 
 
 def test_merge_path_matches_with_subnormal_products():

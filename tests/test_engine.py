@@ -21,12 +21,12 @@ from streammem import (
     FrameFeature,
     MemoryEngine,
     ShapeError,
-    average_pool,
     default_config,
     max_tokens,
     synth_stream,
 )
 from streammem.model import MAX_BUFFER_BYTES, MAX_MAGNITUDE
+from streammem.pooling import average_pool
 from test_behaviour_trace import DIGESTS, frame_record
 
 CFG = default_config(dim=6)  # paper-shaped banks, small token dim for speed
@@ -290,8 +290,9 @@ def test_bad_frames_abort_without_corruption(monkeypatch):
         engine.ingest_frame(_frame(rng, dim=5))  # wrong token dim
     with pytest.raises(ShapeError, match="pooling not exact"):
         engine.ingest_frame(_frame(rng, grid=12))  # 8 does not divide 12
-    with pytest.raises(ShapeError):
-        engine.ingest_frame(np.zeros((8, 8, 6)))  # not a FrameFeature
+    for bad in (np.zeros((8, 8, 6)), np.zeros((8, 8, 6)).tolist()):  # not a FrameFeature
+        with pytest.raises(ShapeError, match="expected FrameFeature"):
+            engine.ingest_frame(bad)
 
     # A failure after the buffer write (here: inside retrieval) leaves
     # nothing behind either: that write lands in the row being evicted.

@@ -19,20 +19,16 @@ from streammem import (
     MemoryConfig,
     MemoryEngine,
     MemorySnapshot,
-    PooledRing,
     ShapeError,
     StreamFormatError,
-    TemporalBank,
-    abstract_update,
-    average_pool,
     bench_latency,
     default_config,
     max_tokens,
     synth_stream,
-    temporal_update,
-    weighted_kmeans,
 )
+import streammem
 import streammem.model as model_module
+from streammem.attention import abstract_update
 from streammem.model import MAX_BUFFER_BYTES, MAX_MAGNITUDE, _crc_join
 
 
@@ -178,9 +174,6 @@ _TINY = default_config(dim=4)
     [
         (lambda: synth_stream(0, 10.5, 2, 4, 4), StreamFormatError),
         (lambda: synth_stream(0, 10, 2.0, 4, 4), StreamFormatError),
-        (lambda: weighted_kmeans(np.zeros((3, 2)), np.ones(3), 2.0), ValueError),
-        (lambda: average_pool(np.zeros((4, 4, 1)), 2.0), ShapeError),
-        (lambda: PooledRing(_TINY).write(1.5, np.zeros(64)), ValueError),
         (lambda: bench_latency(_TINY, [2.7], 1), ValueError),
         (lambda: bench_latency(_TINY, [2], 1.5), ValueError),
         (lambda: MemoryEngine(_TINY, "x"), ShapeError),
@@ -191,7 +184,7 @@ _TINY = default_config(dim=4)
         (lambda: _snapshot(t=2.0), ShapeError),
         (lambda: _snapshot(t=2**63), ShapeError),
     ],
-    ids=["n_frames", "n_scenes", "k", "target_grid", "ring_frame", "frame_counts",
+    ids=["n_frames", "n_scenes", "frame_counts",
          "queries_per_point", "params", "version_float", "version_bool", "version_negative",
          "version_over_q", "timestamp_float", "timestamp_over_q"],
 )
@@ -206,20 +199,32 @@ def test_entry_points_refuse_non_integers_with_their_named_error(call, error):
 @pytest.mark.parametrize(
     "call, error, message",
     [
-        (lambda: TemporalBank(None), ConfigError, "expected MemoryConfig, got NoneType"),
-        (lambda: abstract_update(np.zeros((25, 4)), np.zeros((1, 1, 4)), None, None),
-         ConfigError, "expected MemoryConfig, got NoneType"),
         (lambda: max_tokens(None), ConfigError, "expected MemoryConfig, got NoneType"),
-        (lambda: temporal_update(None, np.zeros(64)), ValueError,
-         "bank must be a TemporalBank, got NoneType"),
     ],
-    ids=["temporal_bank", "abstract_update", "max_tokens", "temporal_update"],
+    ids=["max_tokens"],
 )
 def test_a_config_or_bank_of_another_type_is_a_named_error(call, error, message):
     # Each once gave AttributeError on a field of None.
     with pytest.raises(error, match=message) as raised:
         call()
     assert raised.type is error
+
+
+def test_public_names_are_the_engine_its_value_types_and_io():
+    # The stages are reached through the engine; each module imports them.
+    assert set(streammem.__all__) == {
+        # the engine, its results and the model types
+        "MemoryEngine", "QueryResult", "ClusterState", "FrameFeature", "MemoryConfig",
+        "MemorySnapshot", "AttentionParams", "BANK_ORDER", "default_config", "max_tokens",
+        # errors and bounds
+        "ConfigError", "ShapeError", "WarmupError", "ConcurrentWriteError", "StreamFormatError",
+        "MAX_MAGNITUDE", "MAX_BUFFER_BYTES", "MAX_FRAME_BYTES",
+        # stream IO, bench and attention-params IO
+        "StreamHeader", "read_header", "open_endpoint", "open_stream", "write_stream",
+        "SyntheticStream", "synth_stream", "BenchRow", "BenchReport", "PcaExport",
+        "bench_latency", "export_memory_pca", "save_attention_params", "load_attention_params",
+        "__version__",
+    }
 
 
 @given(

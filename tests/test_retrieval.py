@@ -1,23 +1,14 @@
-"""Key-frame retrieval against a brute-force scan, tie rules, warm-up errors.
+"""Key-frame retrieval against a brute-force scan, and its tie rules.
 Each buffer is written into a ``PooledRing`` whose slot i holds row i."""
 
-import re
 from dataclasses import replace
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from streammem import (
-    ConfigError,
-    FrameFeature,
-    PooledRing,
-    ShapeError,
-    WarmupError,
-    average_pool,
-    default_config,
-    retrieve_key_features,
-)
+from streammem import FrameFeature, default_config
+from streammem.pooling import average_pool
+from streammem.retrieval import retrieve_key_features
 
 from oracles import pool_loops, retrieve_bruteforce
 from rings import ring_of
@@ -159,83 +150,3 @@ def test_ordered_by_descending_cluster_weight():
         _ring(buffer), centroids, weights, replace(CFG, n_ret=4, n_tem=4)
     )
     assert got == [1, 3, 2, 0]
-
-
-def test_warmup_errors():
-    rng = np.random.default_rng(8)
-    candidates = _candidates(_frames(rng, 3))
-    centroids = rng.normal(size=(2, 2, 2, 3))
-    weights = np.array([1.0, 1.0])
-    with pytest.raises(WarmupError):
-        retrieve_key_features(PooledRing(CFG), centroids, weights, CFG)
-    with pytest.raises(WarmupError):
-        retrieve_key_features(ring_of(candidates), np.zeros((0, 2, 2, 3)), np.zeros(0), CFG)
-
-
-def test_rejects_mismatched_inputs():
-    rng = np.random.default_rng(9)
-    candidates = _candidates(_frames(rng, 3))
-    ring = ring_of(candidates)
-    centroids = rng.normal(size=(2, 2, 2, 3))
-    weights = np.array([1.0, 1.0])
-    with pytest.raises(ShapeError, match=re.escape("ring rows (4,) != flattened centroids (12,)")):
-        retrieve_key_features(ring_of(candidates[:, :4]), centroids, weights, CFG)
-    with pytest.raises(ValueError, match="weights length"):
-        retrieve_key_features(ring, centroids, weights[:1], CFG)
-    for bad in (np.ones(()), np.ones((2, 1))):  # 0-d weights once raised IndexError
-        with pytest.raises(ValueError, match=re.escape(f"shape {bad.shape}, expected (2,)")):
-            retrieve_key_features(ring, centroids, bad, CFG)
-    # Strings once met numpy's UFuncTypeError; NaN and complex weights were
-    # ranked silently.
-    for bad, error in (
-        (np.array(["a", "b"]), "hold real values, got dtype <U1"),
-        (np.array([1j, 2.0]), "hold real values, got dtype complex128"),
-        (np.array([np.nan, 2.0]), "not hold NaN"),
-    ):
-        with pytest.raises(ValueError, match=f"temporal_weights must {error}"):
-            retrieve_key_features(ring, centroids, bad, CFG)
-    # Only a PooledRing is searched; lists once crashed with AttributeError
-    # on .shape.
-    for bad in (candidates, candidates.tolist(), np.array(1.0)):
-        with pytest.raises(ShapeError, match=f"ring must be a PooledRing, got {type(bad).__name__}"):
-            retrieve_key_features(bad, centroids, weights, CFG)
-    with pytest.raises(ShapeError, match="temporal must be a numpy array, got list"):
-        retrieve_key_features(ring, centroids.tolist(), weights, CFG)
-    with pytest.raises(ValueError, match="temporal_weights must be a numpy array, got list"):
-        retrieve_key_features(ring, centroids, [1.0, 2.0], CFG)
-    # A 0-d array once raised IndexError on .shape[0].
-    with pytest.raises(ShapeError, match="temporal must have a row axis, got a 0-d array"):
-        retrieve_key_features(ring, np.array(1.0), weights, CFG)
-    # config=None once gave AttributeError on .n_ret.
-    with pytest.raises(ConfigError, match="expected MemoryConfig, got NoneType"):
-        retrieve_key_features(ring, centroids, weights, None)
-
-
-def test_bool_and_unsigned_weights_rank_as_their_values():
-    # A bool array has no negation and an unsigned one wraps, so the
-    # descending sort reads the weights as float64.
-    rng = np.random.default_rng(10)
-    candidates = _candidates(_frames(rng, 3))
-    centroids = candidates[:2].reshape(2, 2, 2, 3)  # cluster j is slot j
-    for weights in (np.array([False, True]), np.array([0, 2], dtype=np.uint8)):
-        assert retrieve_key_features(ring_of(candidates), centroids, weights, CFG) == [1, 0]
-
-
-@pytest.mark.parametrize(
-    "rows, centroid",
-    [
-        # 12**2 = 144 wraps to -112 in int8, so row 0 once looked nearest.
-        (np.array([[12], [11]], dtype=np.int8), 11.0),
-        # 3_037_000_500**2 is past the int64 maximum and wraps the same way.
-        (np.array([[3_037_000_500], [3_037_000_499]], dtype=np.int64), 3_037_000_499.0),
-    ],
-)
-def test_integer_arrays_are_refused_by_name(rows, centroid):
-    cfg = default_config(dim=1, n_ret=1, p_tem=1)
-    centroids = np.array([[centroid]])
-    ring = ring_of(rows.astype(np.float64))
-    assert retrieve_key_features(ring, centroids, np.ones(1), cfg) == [1]
-    with pytest.raises(ShapeError, match=re.escape(f"row must be a (1,) float array, got {rows.dtype}")):
-        ring_of(rows)
-    with pytest.raises(ValueError, match=f"temporal must be a float array, got dtype {rows.dtype}"):
-        retrieve_key_features(ring, rows[1:], np.ones(1), cfg)

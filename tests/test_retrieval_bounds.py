@@ -15,9 +15,9 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 import streammem.retrieval as retrieval
-from streammem import default_config, retrieve_key_features
+from streammem import default_config
 from streammem.model import MAX_MAGNITUDE
-from streammem.retrieval import PooledRing, _movement, _nearest_rows
+from streammem.retrieval import PooledRing, _movement, _nearest_rows, retrieve_key_features
 
 TINY = 2.0**-1074
 ROW_KINDS = ("normal", "pow2", "offset", "extreme", "subnormal", "centroid", "duplicate")
