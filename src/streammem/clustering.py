@@ -13,9 +13,9 @@ from the bank's k×k Gram matrix and two matrix-vector products, in place of
 the run's two distance matrices and per-cluster updates. It first certifies
 the run, as the assignment bounds of Elkan (ICML 2003) and Hamerly (SDM 2010)
 do: a point cannot move while its own centroid is nearer than every rival by
-more than the error in the distances. Here that error is the rounding bound
-(Higham's gamma_m) of both the certificate's dots and ``_squared_distances``,
-``_distance_bound``, which retrieval's nearest-row search uses too.
+more than the error in the distances. That error is covered by
+``_distance_bound``, the one rounding margin that retrieval's carried
+intervals rest on too.
 When the certificate fails, including on any non-finite value,
 ``temporal_update`` runs ``weighted_kmeans``, so both paths give the same
 centroids, weights and assignments bit for bit.
@@ -113,13 +113,24 @@ def _squared_distances(flat_points: np.ndarray, flat_centroids: np.ndarray) -> n
     return np.maximum(sq, 0.0)
 
 
-def _distance_bound(m: int, radius, info=np.finfo(np.float64)):
-    """Bound on the rounding error of a squared distance between two m-vectors
-    whose norms sum to at most ``radius``, computed in the expanded form
-    ``‖p‖² − 2·p·q + ‖q‖²`` or directly: Higham's gamma_m for either form,
-    times 4 for slack, plus an absolute term for underflow. ``radius`` may be
-    an array."""
-    return 4 * (m + 4) * (info.eps * radius * radius + info.smallest_subnormal)
+def _distance_bound(m: int, radius):
+    """E, the one rounding margin of both certificates, the merge's and
+    retrieval's carried intervals, for the squared distance of two float64
+    m-vectors whose norms sum to at most r, the ``radius`` (float or array).
+
+    With u = 2^-53, η = 2^-1075 (one product's underflow) and
+    γ = (m+2)u / (1 − (m+2)u), Higham's bound, in any summation order, puts
+    the squared distance within γ·r² + 4m·η of the exact one in the expanded
+    form ``‖p‖² − 2·p·q + ‖q‖²``, and within γ·‖p − q‖² + m·η computed as
+    ``np.sum((p − q)**2)``; call either error T. E = 8·(m+4)·(u·r² + η) ≥
+    7.99·γ·r² + 8m·η + 32η for m below 10^13. A use adds at most four such
+    errors (``retrieval._settle`` four, ``_merge_step`` two a side, the read
+    rule two, the setting and ``retrieval._movement`` one), at most
+    4·γ·r² + 8m·η, and rounds at most three more operations, each by at most
+    2u·r² + η ≤ E/20 + η; those and r's own rounding fit in E. At 2 in place
+    of 4, E would not cover the settling's 8m·η of underflow; no test
+    reaches that worst case."""
+    return 4 * (m + 4) * (2.0**-52 * radius * radius + 2.0**-1074)
 
 
 def _repair_empty(assign: np.ndarray, d2: np.ndarray, point_weights: np.ndarray, k: int) -> np.ndarray:
@@ -192,9 +203,10 @@ def _merge_step(centroids: np.ndarray, weights: np.ndarray, gram: np.ndarray, ro
     merged row, the new bank's Gram column j and the run's objective.
 
     The certificate needs each point's own distance in both assignment steps
-    to be below each rival's by more than twice the ``_distance_bound`` of
-    both. That bound covers these dots and ``_squared_distances`` alike, so
-    the run's argmins, ties included, pick the same centroids.
+    to be below each rival's by more than E + E, E the ``_distance_bound`` of
+    each pair: each side's distance, here and in ``_squared_distances``, is
+    within T of the exact one, and E ≥ 2T plus one rounding. So the run's
+    argmins, ties included, pick the same centroids.
 
     Re-centring a carried singleton computes ``(0.0 + w·c) / w``. For a
     centroid that is a quotient by its weight, as in every bank
@@ -221,7 +233,7 @@ def _merge_step(centroids: np.ndarray, weights: np.ndarray, gram: np.ndarray, ro
     sq_points = np.concatenate([sq, [row @ row]])
     sq_columns = np.concatenate([sq, [merged @ merged]])
     dist = sq_points[:, None] - 2.0 * dots + sq_columns
-    slack = 2.0 * _distance_bound(m, np.sqrt(sq_points)[:, None] + np.sqrt(sq_columns))
+    slack = _distance_bound(m, np.sqrt(sq_points)[:, None] + np.sqrt(sq_columns))
     high = dist + slack
     own = high.diagonal().copy()
     own[j] = max(own[j], high[j, k])

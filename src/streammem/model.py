@@ -26,7 +26,6 @@ import numpy as np
 __all__ = [
     "ConfigError",
     "ShapeError",
-    "WarmupError",
     "ConcurrentWriteError",
     "FrameFeature",
     "MemoryConfig",
@@ -45,10 +44,6 @@ class ConfigError(ValueError):
 
 class ShapeError(ValueError):
     """A feature's grid or token dimension does not match what was expected."""
-
-
-class WarmupError(RuntimeError):
-    """An operation was asked to run before the memory holds enough state."""
 
 
 class ConcurrentWriteError(RuntimeError):

@@ -3,7 +3,7 @@
 Retrieval searches the buffer it owns, a ``PooledRing``. On narrow rows each
 search is ``_nearest_rows``: one matrix product ranks every written row, and
 ``_settle`` settles each pick, by the direct distance (``_rerank``) where the
-product's rounding bound (``clustering._distance_bound``) leaves it undecided.
+product's rounding margin (``clustering._distance_bound``) leaves it undecided.
 
 On wide rows a search reads fewer rows. The ring carries, for each queried
 cluster index and each ring slot, an interval ``[lo, hi]`` that holds the
@@ -11,32 +11,27 @@ exact distance ``d = ‖x − c‖`` between the slot's row x and the cluster's
 centroid c, as real numbers from their float values. Each search reads only
 the rows that the intervals cannot rule out, in contiguous runs of rows, and
 settles each pick among them as ``_nearest_rows`` does. The picks are the same
-bit for bit. The argument, with E the ``_distance_bound`` of the search (its
-radius covers every written row and every queried centroid, so E bounds the
-rounding of any one squared distance computed in the expanded form ``S`` or
-directly as ``D = np.sum((x − c)**2)``):
+bit for bit. With E the search's ``_distance_bound`` (its radius r covers
+every written row and queried centroid) and T the rounding of one squared
+distance, in the expanded form ``S`` or directly as ``D = np.sum((x − c)**2)``,
+each step cites the inequality that ``_distance_bound`` proves:
 
-- Setting. A row that is read gets ``[√max(S − 2E, 0), √(S + 2E)]``. One E
-  covers |S − d²|; the other covers the rounding of these few operations,
-  since E is at least 40·u·r² where u is the unit roundoff and r the radius.
-  A row whose S is not finite gets ``[0, ∞]``.
+- Setting. A row that is read gets ``[√max(S − E, 0), √(S + E)]``: E ≥ T
+  plus two roundings. A row whose S is not finite gets ``[0, ∞]``.
 - Widening. When the centroid moves from c to c', the triangle inequality
-  gives |d' − d| ≤ μ = ‖c' − c‖. μ² is computed directly as m2, a sum of
-  squares, whose rounding is relative to its own value, so
-  ``_distance_bound(m, √m2)`` bounds it and ``√(m2 + 2·that)`` bounds μ, as in
-  the setting. ``lo − μ`` and ``hi + μ`` are each rounded one step outward
-  (``np.nextafter``), so a carried interval holds the exact distance however
-  many searches it is carried. A row written since the last search, and
-  every row of a cluster that was not queried on the last search, gets
-  ``[0, ∞]``.
+  gives |d' − d| ≤ μ = ‖c' − c‖. ``_movement`` bounds μ by
+  ``√(m2 + _distance_bound(m, √m2))``, where m2 is μ² computed directly, so
+  its T is relative to m2: E ≥ T plus two roundings. ``lo − μ`` and
+  ``hi + μ`` are each rounded one step outward (``np.nextafter``): an
+  interval carried across any number of searches would otherwise add up
+  their rounding past any fixed margin. A row written since the last
+  search, and every row of a cluster not queried on it, gets ``[0, ∞]``.
 - Reading. Let U be a column's least upper end, the ``hi`` of some row k. A
-  row i is left unread only when ``lo_i > √(U² + 2E)``, the right side rounded
-  up. Then ``D_i ≥ d_i² − E ≥ lo_i² − E > U² + E ≥ d_k² + E ≥ D_k``, so every
-  unread row's direct distance is strictly above the column's direct minimum.
-  The minimum and all its exact ties are read, so the tie rule (the newest of
-  them) picks the same row. ``_nearest_rows``'s 2E of slack between the
-  product and the direct distance appears here once, in the read rule, rather
-  than in every frame's widening.
+  row i is left unread only when ``lo_i > √(U² + E)`` as computed, so
+  ``lo_i² > U² + 2T`` (E ≥ 2T plus three roundings of values below r², as
+  ``lo_i ≤ d_i ≤ r``) and ``D_i ≥ d_i² − T ≥ lo_i² − T > U² + T ≥ d_k² + T
+  ≥ D_k``. The column's direct minimum and all its exact ties are read, so
+  the tie rule (the newest of them) picks the same row.
 
 Every comparison is written so that NaN reads the row. The engine's inputs
 are bounded by ``MAX_MAGNITUDE``, so its products are finite.
@@ -55,17 +50,17 @@ from .model import MemoryConfig
 # bytes (a pooled row is p_tem**2 * D float64 values), and below it takes the
 # one full product and keeps none. The carried path costs about 0.1 ms more
 # Python per call, which pays once a row is more than about 8 KB. Per call,
-# carried against full, on the engine's own state over frames 320-800 of a
-# FrameSource stream (seed 1, p_tem=4, 2-vCPU VM, median ms), BLAS threads
-# unset / OPENBLAS_NUM_THREADS=1:
-#   dim 16 (2 KB rows):    0.17 vs 0.06  /  0.17 vs 0.06
-#   dim 64 (8 KB):         0.23 vs 0.22  /  0.23 vs 0.21
+# carried against full, on the engine's own state over frames 320-800 (dims
+# 16 and 64: 320-1100, interleaved) of a FrameSource stream (seed 1, p_tem=4,
+# 2-vCPU VM, median ms), BLAS threads unset / OPENBLAS_NUM_THREADS=1:
+#   dim 16 (2 KB rows):    0.18 vs 0.06  /  0.18 vs 0.06
+#   dim 64 (8 KB):         0.22 vs 0.21  /  0.22 vs 0.22
 #   dim 128 (16 KB):       0.38 vs 0.52  /  0.34 vs 0.79
 #   dim 256 (32 KB):       0.49 vs 0.91  /  0.42 vs 1.22
 #   dim 512 (64 KB):       0.74 vs 1.77  /  0.88 vs 2.44
 #   dim 1024 (128 KB):     1.38 vs 3.51  /  1.72 vs 6.56
 # So the temporal bank's 64 KB _SHARE_BYTES would leave dims 128 and 256 on
-# the slower path.
+# the slower path, and dim 16, where carrying costs 2.9x, needs the rule.
 _CARRY_BYTES = 1 << 14
 
 # A gap of unread rows between two runs is read with them when its bytes are
@@ -91,7 +86,7 @@ def retrieve_key_features(
     go to the newest of the minima), and returns those slots ordered by
     descending cluster weight. The same row may serve several clusters. A
     matrix product ranks the rows the ring's carried intervals do not rule
-    out; rows within its rounding bound of the minimum are re-ranked by the
+    out; rows within its rounding margin of the minimum are re-ranked by the
     direct distance, so the picks are exact. The ring holds at least one row,
     and the bank at least one float centroid of the ring's row width once
     flattened, with a float weight each.
@@ -163,22 +158,21 @@ class PooledRing:
             self.rows_read += len(points)
             self.full_passes += 1
             return _nearest_rows(points, sq_norms, centroids, start) + first
-        info = max(np.finfo(points.dtype), np.finfo(centroids.dtype), key=lambda f: f.eps)
         norms = np.einsum("ij,ij->i", centroids, centroids)
-        bound = _distance_bound(m, _radius(sq_norms, centroids), info)
+        bound = _distance_bound(m, _radius(sq_norms, centroids))
         lo = np.zeros((len(clusters), n))
         hi = np.full((len(clusters), n), np.inf)
         column = {cluster: i for i, cluster in enumerate(self._clusters)}
         for j, cluster in enumerate(clusters):
             i = column.get(cluster)
             if i is not None:
-                moved = _movement(centroids[j], self._centroids[i], info)
+                moved = _movement(centroids[j], self._centroids[i])
                 lo[j] = np.nextafter(self._lo[i] - moved, -np.inf)
                 hi[j] = np.nextafter(self._hi[i] + moved, np.inf)
         written_lo, written_hi = lo[:, first:], hi[:, first:]  # views
 
         least = written_hi.min(axis=1)
-        reach = _up(np.sqrt(_up(_up(least * least) + 2.0 * bound)))
+        reach = np.sqrt(least * least + bound)
         read = ~(written_lo > reach[:, None]).all(axis=0)
         runs = _runs(read, _GAP_BYTES // (m * points.itemsize))
         score = np.concatenate(
@@ -187,18 +181,13 @@ class PooledRing:
         rows = np.concatenate([np.arange(a, b) for a, b in runs])
         expanded = score + norms
         expanded = np.where(np.isfinite(expanded), expanded, np.nan).T
-        written_lo[:, rows] = np.sqrt(np.fmax(expanded - 2.0 * bound, 0.0))
-        written_hi[:, rows] = np.sqrt(np.fmin(expanded + 2.0 * bound, np.inf))
+        written_lo[:, rows] = np.sqrt(np.fmax(expanded - bound, 0.0))
+        written_hi[:, rows] = np.sqrt(np.fmin(expanded + bound, np.inf))
 
         self._clusters, self._centroids, self._lo, self._hi = clusters, centroids, lo, hi
         self.rows_read += len(rows)
         self.full_passes += len(rows) == len(points)
         return _settle(points, score, bound, centroids, start, rows) + first
-
-
-def _up(x: np.ndarray) -> np.ndarray:
-    """``x`` rounded one step up."""
-    return np.nextafter(x, np.inf)
 
 
 def _radius(sq_norms: np.ndarray, centroids: np.ndarray) -> float:
@@ -207,11 +196,11 @@ def _radius(sq_norms: np.ndarray, centroids: np.ndarray) -> float:
     return math.sqrt(sq_norms.max()) + math.sqrt(np.vdot(centroids, centroids))
 
 
-def _movement(new: np.ndarray, old: np.ndarray, info) -> float:
+def _movement(new: np.ndarray, old: np.ndarray) -> float:
     """An upper bound on the exact ‖new − old‖ (module docstring)."""
     diff = new - old
     sq = float(diff @ diff)
-    return math.sqrt(sq + 2.0 * _distance_bound(len(diff), math.sqrt(sq), info))
+    return math.sqrt(sq + _distance_bound(len(diff), math.sqrt(sq)))
 
 
 def _runs(read: np.ndarray, gap: int) -> list:
@@ -235,7 +224,7 @@ def _nearest_rows(
     distance ``‖x‖² − 2·x·c`` (``‖c‖²`` is the same for all rows).
     """
     score = sq_norms[:, None] - 2.0 * (points @ centroids.T)
-    bound = _distance_bound(points.shape[1], _radius(sq_norms, centroids), np.finfo(points.dtype))
+    bound = _distance_bound(points.shape[1], _radius(sq_norms, centroids))
     return _settle(points, score, bound, centroids, start)
 
 
@@ -250,12 +239,13 @@ def _settle(
     """Per centroid, the row of ``points`` at least direct distance, given
     ``score``, whose column j holds the expanded distance ``‖x‖² − 2·x·c_j``
     of each of ``rows`` (ascending; by default every row), which must include
-    that row and its exact ties. E, the ``bound``, bounds |expanded − direct|
-    by rounding. So the direct minimum is among the rows whose score is
-    within 2E of the column minimum. A column with one such row is settled;
-    the others are re-ranked by ``_rerank``.
+    that row and its exact ties. A row's score is within T of d² − ‖c_j‖²
+    and its direct distance within T of d², so the direct minimum and its
+    ties score at most the column minimum plus E, the ``bound``: E ≥ 4T plus
+    one rounding (``_distance_bound``). A column with one such row is
+    settled; the others are re-ranked by ``_rerank``.
     """
-    limit = score.min(axis=0) + 2.0 * bound
+    limit = score.min(axis=0) + bound
     # NaN compares false, so a column with a NaN limit keeps every row, and
     # every column keeps at least its minimum.
     near = ~(score > limit)

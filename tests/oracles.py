@@ -26,7 +26,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from streammem import AttentionParams, ClusterState, MemoryConfig, ShapeError, WarmupError
+from streammem import AttentionParams, ClusterState, MemoryConfig, ShapeError
 from streammem.model import BANK_ORDER, _is_int_at_least
 
 
@@ -354,6 +354,10 @@ def abstract_update(
         slots, pooled_frame.reshape(-1, config.dim), params, config.decay_alpha
     )
     return updated.reshape(abstract_bank.shape)
+
+
+class WarmupError(RuntimeError):
+    """The frozen retrieval was given an empty buffer or temporal bank."""
 
 
 def retrieve_key_features(

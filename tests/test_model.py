@@ -217,7 +217,7 @@ def test_public_names_are_the_engine_its_value_types_and_io():
         "MemoryEngine", "QueryResult", "ClusterState", "FrameFeature", "MemoryConfig",
         "MemorySnapshot", "AttentionParams", "BANK_ORDER", "default_config", "max_tokens",
         # errors and bounds
-        "ConfigError", "ShapeError", "WarmupError", "ConcurrentWriteError", "StreamFormatError",
+        "ConfigError", "ShapeError", "ConcurrentWriteError", "StreamFormatError",
         "MAX_MAGNITUDE", "MAX_BUFFER_BYTES", "MAX_FRAME_BYTES",
         # stream IO, bench and attention-params IO
         "StreamHeader", "read_header", "open_endpoint", "open_stream", "write_stream",

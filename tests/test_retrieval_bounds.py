@@ -3,7 +3,8 @@
 carried interval holds the exact distance, and the picks equal
 ``_nearest_rows``'s over the ring's written rows. The widening's own rounding
 term is checked on its own, since a move computed low shows only when the
-interval it widens is tighter than the setting ever makes one. The rows here
+interval it widens is tighter than the setting ever makes one, and so are its
+outward roundings, on a far row carried across 200 searches. The rows here
 are narrow but one test's, so the others set ``_CARRY_BYTES`` to 0 for the
 intervals to carry at all."""
 
@@ -12,6 +13,7 @@ from fractions import Fraction
 from unittest.mock import patch
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import streammem.retrieval as retrieval
@@ -184,7 +186,6 @@ def test_a_filling_ring_reads_every_row_on_two_searches_then_carries(monkeypatch
 
 def test_movement_bounds_the_exact_move_where_its_dot_rounds_low():
     rng = np.random.default_rng(5)
-    info = np.finfo(np.float64)
     low = 0
     for trial in range(3000):
         if trial % 10:
@@ -198,5 +199,30 @@ def test_movement_bounds_the_exact_move_where_its_dot_rounds_low():
         diff = new - old
         unguarded = math.nextafter(math.sqrt(float(diff @ diff)), math.inf)
         low += Fraction(unguarded) ** 2 < exact
-        assert exact <= Fraction(_movement(new, old, info)) ** 2, trial
+        assert exact <= Fraction(_movement(new, old)) ** 2, trial
     assert low, "no move rounded low, so nothing here needs the rounding term"
+
+
+@pytest.mark.parametrize("direction", [1.0, -1.0], ids=["toward", "away"])
+def test_a_far_row_carried_across_many_searches_keeps_its_exact_distance(monkeypatch, direction):
+    # After the plain first search, the far row's interval is set on the
+    # second and then carried, never read again, while the centroid creeps
+    # toward it or away from it by 0.45 ulp(1.0) per search. From -1/16 the
+    # distance lies in [1, 2), where the interval's ends are ulp(1.0) apart,
+    # so each move is under half a step: rounded to nearest, ``lo - move``
+    # (toward) or ``hi + move`` (away) would round back every time, and the
+    # exact distance would leave the interval within a few dozen searches.
+    # Only the widening's outward roundings keep it inside.
+    monkeypatch.setattr(retrieval, "_CARRY_BYTES", 0)
+    ring = _ring(2, 1)
+    ring.write(1, np.array([1.0]))  # slot 1, the far row
+    ring.write(2, np.array([0.001]))  # slot 0, the nearest row
+    centroid, step = np.array([[-0.0625]]), direction * 0.45 * math.ulp(1.0)
+    assert ring._nearest(centroid.copy(), [0]).tolist() == [0]
+    for search in range(200):
+        centroid = centroid + step
+        assert ring._nearest(centroid.copy(), [0]).tolist() == [0]
+        lo, hi = ring._lo[0, 1], ring._hi[0, 1]
+        d2 = _exact_sq(ring._rows[1], centroid[0])
+        assert Fraction(lo) ** 2 <= d2 <= Fraction(hi) ** 2, search
+    assert ring.rows_read == 2 + 2 + 199, "the far row was read after the second search"
